@@ -346,6 +346,66 @@ class XKernel(CompiledProgram):
         self.live = values[0] != self.exit_marker
         return self.live
 
+    def observe(
+        self, cells: Sequence[int]
+    ) -> Tuple[Tuple[int, ...], Tuple[Write, ...], int]:
+        # quiet_step's reads and branches, returning a Write instead of
+        # staging a flat pair (and leaving `live` alone).
+        w_address = self.w_address
+        where = cells[w_address]
+        reads = 1
+        exit_marker = self.exit_marker
+        n = self.n
+        d1 = self.d1
+        done = 0
+        third = 0
+        fourth = 0
+        if 1 <= where < exit_marker:
+            done = cells[d1 + where]
+            reads += 1
+            if done == 0:
+                if where >= n:  # leaf: read its x element
+                    third = cells[self.x_base + (where - n)]
+                    reads += 1
+                else:  # interior: read both children
+                    third = cells[d1 + 2 * where]
+                    fourth = cells[d1 + 2 * where + 1]
+                    reads += 2
+        if where == 0:
+            write = Write(w_address, self.initial_leaf)
+        elif where == exit_marker:
+            write = Write(w_address, exit_marker)
+        elif done != 0:
+            parent = where // 2
+            write = Write(w_address, parent if parent >= 1 else exit_marker)
+        elif where >= n:  # at a leaf
+            if third == 0:  # leaf not yet visited
+                write = Write(self.x_base + (where - n), 1)
+            else:
+                write = Write(d1 + where, 1)  # indicate "done"
+        elif third != 0 and fourth != 0:
+            write = Write(d1 + where, 1)  # both children done
+        elif third == 0 and fourth != 0:
+            write = Write(w_address, 2 * where)  # go left
+        elif third != 0:
+            write = Write(w_address, 2 * where + 1)  # go right
+        else:
+            write = Write(w_address, 2 * where + self._route_bit(where))
+        return (where, done, third, fourth), (write,), reads
+
+    def _route_bit(self, where: int) -> int:
+        """The routing rule's child for an interior node with both
+        subtrees undone (0 = left, 1 = right)."""
+        code = self.route_code
+        if code == 0:  # the paper's MSB-first PID bit at this depth
+            depth = where.bit_length() - 1
+            return (self.route_pid >> (self.log_n - 1 - depth)) & 1
+        if code == 1:
+            return 0
+        if code == 2:
+            return 1
+        return derive_seed(self.pid, where) & 1
+
     def quiet_step(self, cells: Sequence[int], out: List[int]) -> int:
         w_address = self.w_address
         where = cells[w_address]
@@ -398,6 +458,7 @@ class XKernel(CompiledProgram):
             out.append(2 * where + 1)  # go right
         else:
             # both subtrees not done: the routing rule picks a child
+            # (_route_bit, inlined: this is the fused quiet lane)
             code = self.route_code
             if code == 0:  # the paper's MSB-first PID bit at this depth
                 depth = where.bit_length() - 1

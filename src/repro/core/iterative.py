@@ -475,9 +475,11 @@ class PhasedKernel(CompiledProgram):
     (counting tree present) with trivial task sets is compiled — the
     algorithm's ``compiled_program`` hook gates accordingly.
 
-    ``quiet_step`` stages the current cycle's writes from the live
-    state, then delegates the transition to :meth:`advance` so both
-    lanes share one source of truth for the state machine.
+    ``_stage`` reads the current cycle's cells and stages its writes
+    from the live state; ``quiet_step`` then delegates the transition
+    to :meth:`advance`, and ``observe`` packs the staged pairs into
+    ``Write`` objects, so every lane shares one source of truth for
+    the state machine.
     """
 
     __slots__ = (
@@ -723,6 +725,28 @@ class PhasedKernel(CompiledProgram):
     # -- fused quiet lane ---------------------------------------------- #
 
     def quiet_step(self, cells: Sequence[int], out: List[int]) -> int:
+        values = self._stage(cells, out)
+        self.advance(values)
+        return len(values)  # every W read is a real (charged) read
+
+    def observe(
+        self, cells: Sequence[int]
+    ) -> Tuple[Tuple[int, ...], Tuple[Write, ...], int]:
+        staged: List[int] = []
+        values = self._stage(cells, staged)
+        writes = tuple(
+            Write(staged[i], staged[i + 1]) for i in range(0, len(staged), 2)
+        )
+        return values, writes, len(values)
+
+    def _stage(self, cells: Sequence[int], out: List[int]) -> tuple:
+        """Read the current cycle's cells and stage its writes.
+
+        Appends the writes to ``out`` as flat ``address, value`` pairs
+        and returns the read values; the state is left untouched, so
+        :meth:`quiet_step` (then advancing) and :meth:`observe` (not)
+        share one evaluation of each phase.
+        """
         phase = self.phase
         step_addr = self.step_addr
         done_addr = self.done_addr
@@ -736,30 +760,26 @@ class PhasedKernel(CompiledProgram):
                 out.append(1)
             out.append(step_addr)
             out.append(st)
-            self.advance((v0,))
-            return 1
+            return (v0,)
         if phase == _ALLOC:
             if self.target is None:
                 v0 = cells[done_addr]
                 out.append(step_addr)
                 out.append(st)
-                self.advance((v0,))
-                return 1
+                return (v0,)
             left_addr = self.d1 + 2 * self.node
             v0 = cells[left_addr]
             v1 = cells[left_addr + 1]
             v2 = cells[done_addr]
             out.append(step_addr)
             out.append(st)
-            self.advance((v0, v1, v2))
-            return 3
+            return (v0, v1, v2)
         if phase == _UP:
             if self.leaf is None:
                 v0 = cells[done_addr]
                 out.append(step_addr)
                 out.append(st)
-                self.advance((v0,))
-                return 1
+                return (v0,)
             parent = self.node // 2
             left_addr = self.d1 + 2 * parent
             v0 = cells[left_addr]
@@ -769,8 +789,7 @@ class PhasedKernel(CompiledProgram):
             out.append(v0 + v1)
             out.append(step_addr)
             out.append(st)
-            self.advance((v0, v1, v2))
-            return 3
+            return (v0, v1, v2)
         if phase == _COUNT_UP:
             parent = self.node // 2
             left_addr = self.c1 + 2 * parent
@@ -785,13 +804,11 @@ class PhasedKernel(CompiledProgram):
             out.append(iteration * mult + left + right)
             out.append(step_addr)
             out.append(st)
-            self.advance((v0, v1, v2))
-            return 3
+            return (v0, v1, v2)
         if phase == _WAIT:
             v0 = cells[step_addr]
             v1 = cells[done_addr]
-            self.advance((v0, v1))
-            return 2
+            return (v0, v1)
         if phase == _COUNT_LEAF:
             payload_value = self.iteration_number * self.mult + 1
             if self.joining:
@@ -802,15 +819,13 @@ class PhasedKernel(CompiledProgram):
                     out.append(payload_value)
                     out.append(step_addr)
                     out.append(st)
-                self.advance((v0, v1))
-                return 2
+                return (v0, v1)
             v0 = cells[done_addr]
             out.append(self.c1 + self.own_leaf)
             out.append(payload_value)
             out.append(step_addr)
             out.append(st)
-            self.advance((v0,))
-            return 1
+            return (v0,)
         if phase == _UP_LEAF:
             v0 = cells[done_addr]
             leaf = self.leaf
@@ -819,15 +834,13 @@ class PhasedKernel(CompiledProgram):
                 out.append(1)
             out.append(step_addr)
             out.append(st)
-            self.advance((v0,))
-            return 1
+            return (v0,)
         if phase == _ALLOC_ROOT:
             v0 = cells[self.d1 + 1]
             v1 = cells[done_addr]
             out.append(step_addr)
             out.append(st)
-            self.advance((v0, v1))
-            return 2
+            return (v0, v1)
         if phase == _FINAL:
             v0 = cells[self.d1 + 1]
             v1 = cells[done_addr]
@@ -836,13 +849,11 @@ class PhasedKernel(CompiledProgram):
                 out.append(1)
             out.append(step_addr)
             out.append(st)
-            self.advance((v0, v1))
-            return 2
+            return (v0, v1)
         # phase == _KICK
         out.append(step_addr)
         out.append(self.kick)
-        self.advance(())
-        return 0
+        return ()
 
     # -- observable lane ------------------------------------------------ #
 

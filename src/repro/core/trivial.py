@@ -114,6 +114,11 @@ class TrivialKernel(CompiledProgram):
             label="trivial:write",
         )
 
+    def observe(
+        self, cells: Sequence[int]
+    ) -> Tuple[Tuple[int, ...], Tuple[Write, ...], int]:
+        return (), (Write(self.x_base + self.element, 1),), 0
+
     def advance(self, values: Tuple[int, ...]) -> bool:
         element = self.element + self.p
         self.element = element

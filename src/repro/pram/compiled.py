@@ -35,6 +35,10 @@ per-PID stepper object with *explicit* state that
   in-range integer ``(address, value)`` pairs in the cycle's write
   order, and advance the state exactly as ``advance()`` would with the
   values it just read;
+* ``observe()`` must return exactly the read values, write set and read
+  charge that evaluating ``current_cycle()`` against the same cells
+  yields, and must not touch the state (the adversary may stall the
+  processor, which then re-observes the same cycle next tick);
 * state transitions may depend only on the PID, the layout constants
   captured at construction, and the values read — never on wall-clock,
   randomness that is not PID-derived, or machine internals;
@@ -51,7 +55,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.pram.cycles import Cycle
+from repro.pram.cycles import Cycle, Write
 
 #: A compiled-program factory: called with the PID, returns the per-PID
 #: stepper.  The machine calls ``reset()`` before first use.
@@ -70,8 +74,10 @@ class CompiledProgram:
       read, compute, stage writes, advance, all in one call;
     * the **observable lane** (adversary ticks, tracing, the reference
       core) calls :meth:`current_cycle` to materialize the pending
-      cycle, and after the machine resolves the tick,
-      :meth:`advance` with the values that were read.
+      cycle for the adversary's view, :meth:`observe` to evaluate its
+      reads and writes (the fast path; the reference core interprets
+      the materialized cycle instead), and after the machine resolves
+      the tick, :meth:`advance` with the values that were read.
 
     ``live`` is ``True`` from a successful :meth:`reset` until the
     program halts voluntarily (``advance``/``quiet_step`` observed the
@@ -100,6 +106,31 @@ class CompiledProgram:
         program would currently have pending.
         """
         raise NotImplementedError
+
+    def observe(
+        self, cells: Sequence[int]
+    ) -> Tuple[Tuple[int, ...], Tuple[Write, ...], int]:
+        """Evaluate the pending cycle against ``cells`` without advancing.
+
+        Returns ``(read values, writes, reads charged)`` — what the
+        machine would get by interpreting :meth:`current_cycle`'s read
+        specs and write function against the same cells, which is
+        exactly what this default does.  Kernels override it with a
+        straight-line evaluation so adversary-visible ticks skip the
+        per-read closure calls.  Pure: the state must not change.
+        """
+        cycle = self.current_cycle()
+        value_list: List[int] = []
+        reads = 0
+        for spec in cycle.read_specs():
+            address = spec(tuple(value_list)) if callable(spec) else spec
+            if address is None:
+                value_list.append(0)
+            else:
+                value_list.append(cells[address])
+                reads += 1
+        values = tuple(value_list)
+        return values, cycle.materialize_writes(values), reads
 
     def advance(self, values: Tuple[int, ...]) -> bool:
         """Complete the pending cycle with the values that were read.

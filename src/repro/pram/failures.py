@@ -15,7 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Tuple,
+)
 
 
 class FailureTag(Enum):
@@ -25,9 +34,12 @@ class FailureTag(Enum):
     RESTART = "restart"
 
 
-@dataclass(frozen=True)
-class FailureEvent:
-    """One ``<tag, PID, t>`` triple of a failure pattern."""
+class FailureEvent(NamedTuple):
+    """One ``<tag, PID, t>`` triple of a failure pattern.
+
+    A NamedTuple (one tuple allocation, no per-field ``__setattr__``):
+    dense adversaries record an event for most processors on every tick.
+    """
 
     tag: FailureTag
     pid: int

@@ -43,7 +43,10 @@ Two tick implementations share these semantics:
   no (active) adversary is attached — the adversary view and pending
   dataclasses are never built at all.  A one-time program-validation
   gate runs each distinct cycle label through the fully validated
-  reference collection once before trusting its shape.
+  reference collection once before trusting its shape.  Compiled-kernel
+  processors evaluate their pending cycle through the kernel's
+  ``observe`` rather than the cycle's read-spec and write closures
+  (the gate cross-checks the two).
 
 On top of the fast path, :meth:`Machine.run` is **event-driven**: before
 each tick it asks the adversary for its *event horizon*
@@ -719,13 +722,15 @@ class Machine:
         with invalid accesses routed through the validated reader so
         error behavior matches the reference path exactly.
         """
+        policy = self.policy
+        if self._kernel_mode and policy.allows_concurrent_reads:
+            return self._collect_observed(running)
         memory = self.memory
         cells = self._cells
         size = len(cells)
         max_reads = self.max_reads
         max_writes = self.max_writes
         validated = self._validated_labels
-        policy = self.policy
         readers_by_address: Optional[Dict[int, List[int]]] = (
             None if policy.allows_concurrent_reads else defaultdict(list)
         )
@@ -803,6 +808,75 @@ class Machine:
         memory.charge_reads(reads_charged)
         return collected
 
+    def _collect_observed(self, running: List[Processor]) -> List[tuple]:
+        """Kernel-lane collection: each stepper evaluates its own cycle.
+
+        The compiled-kernel analogue of the generator loop in
+        :meth:`_collect_fast`.  The pending cycle is still materialized
+        (it is part of the adversary's view), but its read values and
+        write set come from the stepper's straight-line ``observe``
+        instead of calling the cycle's read-spec and write closures once
+        per read.  The first occurrence of each label still takes the
+        validated reference collection, cross-checked against
+        ``observe`` (see :meth:`_collect_validated_observed`).  Only used
+        when the policy allows concurrent reads, so no per-address
+        reader bookkeeping is needed.
+        """
+        cells = self._cells
+        max_writes = self.max_writes
+        validated = self._validated_labels
+        collected = self._collect_scratch
+        collected.clear()
+        reads_charged = 0
+        for processor in running:
+            # A running kernel processor's stepper is live (a halt moves
+            # it out of the running list), so its cycle is built here
+            # directly; nothing outside this tick reads it from the
+            # processor, and observe() re-derives it after a stall.
+            cycle = processor._stepper.current_cycle()
+            if cycle.__class__ is not Cycle:
+                processor._check_cycle(cycle)
+            if cycle.label not in validated:
+                collected.append(
+                    self._collect_validated_observed(processor, cycle)
+                )
+                validated.add(cycle.label)
+                continue
+            values, writes, reads = processor._stepper.observe(cells)
+            if len(writes) > max_writes:
+                raise ProgramError(
+                    f"pid {processor.pid}: cycle writes {len(writes)} cells, "
+                    f"limit is {self.max_writes} (label={cycle.label!r})"
+                )
+            reads_charged += reads
+            collected.append((processor, cycle, values, writes))
+        self.memory.charge_reads(reads_charged)
+        return collected
+
+    def _collect_validated_observed(
+        self, processor: Processor, cycle: Cycle
+    ) -> tuple:
+        """The validation gate for a kernel processor's first label.
+
+        Collects through the fully validated reference route, then holds
+        the kernel to its contract: ``observe`` must yield the same read
+        values, writes and read charge.  A mismatch raises
+        :class:`ProgramError` instead of silently diverging from the
+        reference lane.
+        """
+        memory = self.memory
+        before = memory.reads_served
+        entry = self._collect_one_validated(processor, cycle, None)
+        charged = memory.reads_served - before
+        values, writes, reads = processor._stepper.observe(self._cells)
+        if (values, tuple(writes), reads) != (entry[2], entry[3], charged):
+            raise ProgramError(
+                f"pid {processor.pid}: compiled kernel observe() returned "
+                f"{(values, tuple(writes), reads)!r}, its cycle gives "
+                f"{(entry[2], entry[3], charged)!r} (label={cycle.label!r})"
+            )
+        return entry
+
     def _collect_one_validated(
         self,
         processor: Processor,
@@ -854,10 +928,10 @@ class Machine:
         """Resolve per-address writers and apply the results.
 
         ``pairs`` holds ``(pid, surviving_writes)`` in ascending PID
-        order.  Equivalent to the reference ``_apply_writes``, but when
-        every address has exactly one writer (the overwhelmingly common
-        case) the grouping dict, the sort, and the policy resolve call
-        are all skipped and the writes land through one batched commit.
+        order.  Equivalent to the reference ``_apply_writes``, but the
+        writes land through one batched commit, and only addresses with
+        several writers are grouped, sorted and resolved (when every
+        address has exactly one writer — the common case — none are).
         """
         single = self._single_scratch
         single.clear()
@@ -927,35 +1001,51 @@ class Machine:
         single: Dict[int, Tuple[int, int]],
         groups: Optional[Dict[int, List[Tuple[int, int]]]],
     ) -> None:
-        """Commit grouped writers: batched singleton commit or reference path."""
+        """Commit grouped writers: one batched commit or the reference path.
+
+        With a policy whose singleton resolve is the identity, only the
+        multi-writer ``groups`` need a resolve call, made in ascending
+        address order as in the reference.  If one raises, the writes
+        the reference would already have applied (every address below
+        the failing one) are committed before the error propagates, so
+        the partial state matches too.
+        """
         policy = self.policy
         memory = self.memory
-        if (
-            groups is None
-            and policy.singleton_resolve_is_identity
-            and self._raw_write_ok
-        ):
+        if policy.singleton_resolve_is_identity and self._raw_write_ok:
             size = len(self._cells)
             resolved = self._resolved_scratch
             resolved.clear()
             clean = True
-            try:
-                for address, pid_value in single.items():
-                    if type(address) is int and 0 <= address < size:
-                        resolved.append((address, pid_value[1]))
-                    else:
+            for address, pid_value in single.items():
+                if type(address) is int and 0 <= address < size:
+                    resolved.append((address, pid_value[1]))
+                else:
+                    clean = False
+                    break
+            if clean and groups:
+                for address in groups:
+                    if not (type(address) is int and 0 <= address < size):
                         clean = False
                         break
-            except TypeError:  # pragma: no cover - defensive
-                clean = False
+                if clean:
+                    resolve = policy.resolve
+                    for address in sorted(groups):
+                        try:
+                            value = resolve(address, groups[address])
+                        except Exception:
+                            memory.commit_resolved([
+                                pair for pair in resolved if pair[0] < address
+                            ])
+                            raise
+                        resolved.append((address, value))
             if clean:
                 memory.commit_resolved(resolved)
                 return
-        # General path: a multi-writer address, a stateful policy, a
-        # word-width-enforcing memory, or an invalid address.  Reproduce
-        # the reference semantics exactly (same resolve calls, same
-        # ascending-address application order, same errors and partial
-        # state on error).
+        # General path: a stateful policy, a word-width-enforcing
+        # memory, or an invalid address.  Reproduce the reference
+        # semantics exactly (same resolve calls, same ascending-address
+        # application order, same errors and partial state on error).
         writers_by_address: Dict[int, List[Tuple[int, int]]] = {
             address: [pid_value] for address, pid_value in single.items()
         }
@@ -1071,7 +1161,7 @@ class Machine:
             now = perf_counter()
             phases.resolve_s += now - mark
             mark = now
-        completed_this_tick = self._settle_processors(
+        completed_this_tick = self._settle_fast(
             pending, failures, tick, stalls
         )
         self.ledger.completed_per_tick.append(completed_this_tick)
@@ -1079,6 +1169,49 @@ class Machine:
         if phases is not None:
             phases.settle_s += perf_counter() - mark
             phases.ticks += 1
+
+    def _settle_fast(
+        self,
+        pending: Mapping[int, PendingCycleView],
+        failures: Mapping[int, int],
+        tick: int,
+        stalls: FrozenSet[int],
+    ) -> int:
+        """:meth:`_settle_processors` over the array-backed counters.
+
+        Same per-PID order of charges, pattern records and processor
+        transitions as the reference settle: ``pending`` is built from
+        the running list, so it is already in ascending PID order.  The
+        consecutive-interrupt counts are kept only when a fairness
+        window reads them.
+        """
+        ledger = self.ledger
+        attempts = ledger.attempted_by_pid.backing_list()
+        completions = ledger.completed_by_pid.backing_list()
+        record = ledger.pattern.record
+        processors = self._processors
+        interrupts = (
+            self._consecutive_interrupts
+            if self.fairness_window is not None
+            else None
+        )
+        completed_this_tick = 0
+        for pid, entry in pending.items():
+            if pid in stalls:
+                continue  # deferred: no charge, no completion, no failure
+            attempts[pid] += 1
+            if pid in failures:
+                if interrupts is not None:
+                    interrupts[pid] = interrupts.get(pid, 0) + 1
+                record(FailureTag.FAILURE, pid, tick)
+                processors[pid].fail()
+            else:
+                completions[pid] += 1
+                completed_this_tick += 1
+                if interrupts is not None:
+                    interrupts[pid] = 0
+                processors[pid].complete_cycle(entry.read_values)
+        return completed_this_tick
 
     # ================================================================== #
     # event-horizon fast-forward (run()-level tick batching)

@@ -40,6 +40,8 @@ class TestProtocol:
         with pytest.raises(NotImplementedError):
             stepper.current_cycle()
         with pytest.raises(NotImplementedError):
+            stepper.observe([])  # the default evaluates current_cycle()
+        with pytest.raises(NotImplementedError):
             stepper.advance(())
         with pytest.raises(NotImplementedError):
             stepper.quiet_step([], [])

@@ -33,6 +33,9 @@ from repro.faults import (
     NoFailures,
     NoRestartAdversary,
     RandomAdversary,
+    SpeedClassAdversary,
+    StalkingAdversaryX,
+    StaticFaultAdversary,
     ThrashingAdversary,
     UnionAdversary,
 )
@@ -55,6 +58,12 @@ ADVERSARIES = {
     "crash": lambda: NoRestartAdversary(RandomAdversary(0.08, seed=3)),
     "thrashing": ThrashingAdversary,
     "halving": HalvingAdversary,
+    # Stalls re-observe a deferred cycle; poisoned cells feed observed
+    # reads.  Both reach the kernel-observed collection on every lane.
+    "speed": lambda: SpeedClassAdversary(seed=1),
+    "static-mem": lambda: StaticFaultAdversary(
+        dead_frac=0.25, mem_frac=0.25, seed=3
+    ),
 }
 
 
@@ -121,6 +130,14 @@ class TestAlgorithmAdversaryMatrix:
             algorithm_key, ThrashingAdversary,
             fairness_window=3, max_ticks=5_000,
         )
+        assert_all_identical(outcomes)
+
+    def test_x_under_stalking_adversary(self):
+        # Theorem 4.8's stalker rules on each pending cycle's write set,
+        # which the kernel lanes take from observe().
+        outcomes = run_both("X", StalkingAdversaryX, n=32, p=32,
+                            max_ticks=20_000)
+        assert outcomes[0].ledger.pattern_size > 0
         assert_all_identical(outcomes)
 
     def test_v_under_thrashing_hits_tick_limit_identically(self):
