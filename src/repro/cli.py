@@ -39,9 +39,9 @@ Commands:
 Adversaries are selected by name; stochastic ones take ``--fail``,
 ``--restart-prob`` and ``--seed``.  ``--no-fast-forward`` disables the
 machine's event-horizon tick batching, ``--no-compiled`` disables the
-compiled-kernel lane, and ``--vectorized`` opts in to the numpy batch
-lane (``solve``, ``sweep``, ``trace``, ``perf``; needs the optional
-numpy extra — ``pip install .[numpy]``).
+compiled-kernel lane, and ``--lane vec`` (or ``--lane auto``) opts in
+to the numpy batch lane (``solve``, ``sweep``, ``simulate``, ``trace``,
+``perf``; needs the optional numpy extra — ``pip install .[numpy]``).
 """
 
 from __future__ import annotations
@@ -147,38 +147,28 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-compiled", action="store_true",
                         help="disable compiled program kernels (force "
                              "the generator protocol)")
-    _add_vectorized(parser)
+    _add_lane(parser)
 
 
-def _add_vectorized(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--vectorized", dest="vectorized",
-                        action="store_true",
-                        help="opt in to the numpy batch lane: advance "
-                             "all P processors per tick as array ops "
-                             "(needs the optional numpy extra)")
-    parser.add_argument("--no-vectorized", dest="vectorized",
-                        action="store_false",
-                        help="stay on the scalar lanes (the default)")
-    parser.add_argument("--lane", dest="lane", default=None,
-                        choices=("auto", "vec", "scalar"),
-                        help="lane selection: 'auto' dispatches vec vs "
-                             "scalar per quiet window via the calibrated "
-                             "cost model (silently scalar without numpy), "
-                             "'vec'/'scalar' force one lane; overrides "
-                             "--vectorized/--no-vectorized")
-    parser.set_defaults(vectorized=False)
+#: ``--lane`` choice -> the tri-state ``vectorized`` switch.
+_LANE_VECTORIZED = {"scalar": False, "vec": True, "auto": "auto"}
+
+
+def _add_lane(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--lane", dest="lane", default="scalar",
+                        choices=tuple(_LANE_VECTORIZED),
+                        help="quiet-window lane: 'scalar' (the default) "
+                             "steps processors one at a time, 'vec' "
+                             "advances all P per tick as numpy array ops "
+                             "(needs the optional numpy extra), 'auto' "
+                             "dispatches vec vs scalar per quiet window "
+                             "via the calibrated cost model (silently "
+                             "scalar without numpy)")
 
 
 def _vectorized_from_args(args: argparse.Namespace):
-    """The tri-state ``vectorized`` switch from --lane / --vectorized."""
-    lane = getattr(args, "lane", None)
-    if lane == "auto":
-        return "auto"
-    if lane == "vec":
-        return True
-    if lane == "scalar":
-        return False
-    return args.vectorized
+    """The tri-state ``vectorized`` switch from ``--lane``."""
+    return _LANE_VECTORIZED[args.lane]
 
 
 def _add_engine(parser: argparse.ArgumentParser) -> None:
@@ -951,7 +941,7 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--no-compiled", action="store_true",
                       help="time the fast leg without compiled kernels "
                            "(skips the separate no-kernel leg)")
-    _add_vectorized(perf)
+    _add_lane(perf)
     perf.add_argument("--repeats", type=int, default=5,
                       help="measured repeats per leg (min is reported)")
     perf.add_argument("--warmup", type=int, default=1,

@@ -457,8 +457,10 @@ class XKernel(CompiledProgram):
             out.append(w_address)
             out.append(2 * where + 1)  # go right
         else:
-            # both subtrees not done: the routing rule picks a child
-            # (_route_bit, inlined: this is the fused quiet lane)
+            # both subtrees not done: the routing rule picks a child.
+            # _route_bit is inlined and this body is not shared with
+            # observe: deriving both from one W-style _stage measured
+            # quiet X@none 2^14x64 16-24% slower (docs/PERFORMANCE.md).
             code = self.route_code
             if code == 0:  # the paper's MSB-first PID bit at this depth
                 depth = where.bit_length() - 1

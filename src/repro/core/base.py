@@ -91,7 +91,7 @@ class WriteAllAlgorithm:
         the configuration cannot be vectorized (the default).  Trusted
         under the same MRO guard as :meth:`compiled_program`
         (``repro.pram.vectorized.trusted_vectorized_program``), and
-        only consulted when the run opted in with ``--vectorized``.
+        only consulted when the run opted in with ``--lane vec``.
         """
         return None
 

@@ -137,7 +137,7 @@ def point_key(
     if vectorized == "auto":
         # Adaptive dispatch is bit-identical to both forced lanes, but
         # gets its own key (same investigability reasoning as above) —
-        # and must not collide with the hard --vectorized suffix.
+        # and must not collide with the hard --lane vec suffix.
         material += "|lane-auto"
     elif vectorized:
         # The vectorized lane is opt-in, so the suffix lands only on

@@ -37,7 +37,7 @@ class SweepSpec:
             (the default; ``False`` is the ``--no-compiled`` escape
             hatch forcing the generator protocol).
         vectorized: numpy batch lane for algorithms that ship a
-            vector program (opt-in ``--vectorized``; needs the
+            vector program (opt-in ``--lane vec``; needs the
             optional numpy extra).  The string ``"auto"`` selects
             per-window adaptive dispatch (``--lane auto``), which
             degrades silently to the scalar compiled lane without

@@ -12,7 +12,7 @@ Times Write-All runs through three cores at one configuration:
   (``compiled=False``), timed only for algorithms that ship a kernel.
   The nokernel/fast ratio isolates what compiling the cycle stream
   buys over generator dispatch;
-* **novec** — with ``--vectorized``, the fast leg runs the numpy batch
+* **novec** — with ``--lane vec``, the fast leg runs the numpy batch
   lane and a **novec** leg (same configuration, scalar compiled lane)
   is timed alongside it; the novec/fast ratio (``vec_speedup``)
   isolates what batching all P processors into array ops buys over
@@ -184,7 +184,7 @@ class PerfComparison:
 
         Kernel-relative: the novec leg runs the scalar compiled lane,
         so this isolates array batching from everything beneath it.
-        Reported only for the hard ``--vectorized`` opt-in; the
+        Reported only for the hard ``--lane vec`` opt-in; the
         adaptive mode reports :attr:`auto_speedup` instead.
         """
         if self.vectorized == "auto":
@@ -263,7 +263,7 @@ def run_comparison(
     ``compiled=False`` is the ``--no-compiled`` escape hatch: the fast
     leg itself runs on generators and the nokernel leg is skipped.
 
-    With ``vectorized=True`` (the ``--vectorized`` opt-in) the fast leg
+    With ``vectorized=True`` (the ``--lane vec`` opt-in) the fast leg
     runs the numpy batch lane; for algorithms that actually ship a
     vector program a **novec** leg (same loop, scalar compiled lane) is
     timed alongside it, carrying the batching-only ratio

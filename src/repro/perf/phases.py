@@ -6,17 +6,20 @@ the four tick phases:
 
 * **collect** — reads + compute (write-set materialization);
 * **adversary** — view construction, the decide() call, and the
-  failure-validation / fairness / progress rulings (zero for passive
-  ticks, which never build a view);
+  failure-validation / fairness / progress rulings (a passive or
+  absent adversary is consulted too, as in the reference);
 * **resolve** — CRCW write resolution and the memory commit;
 * **settle** — work charging, processor advancement, and restarts.
 
-Ticks executed inside a fused event-horizon window skip the four-phase
-breakdown entirely (that is the point of the fused loop) and are counted
-in ``fused_ticks`` instead, so ``ticks + fused_ticks`` is the run's true
-tick total and the percentages describe only the instrumented
-(non-fused) ticks.  Requesting phase counters therefore no longer
-disables fusion.
+Every tick executed inside an event-horizon quiet window skips the
+four-phase breakdown (timing a window per phase would un-batch it) and
+is counted in ``fused_ticks`` instead — whichever window tick ran it
+(kernel, generic or vector), so including ticks of windows whose policy
+or memory rules out the kernel tick (EREW reads, stateful
+policies, word-width memory).  ``ticks + fused_ticks`` is the run's
+true tick total and the percentages describe only the observable
+(consulted) ticks.  Requesting phase counters does not disable
+windows.
 
 Only the fast path is instrumented: the reference tick implementation is
 the executable specification and stays free of timing hooks.

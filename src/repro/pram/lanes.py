@@ -43,7 +43,7 @@ class Lane:
     """One machine lane: a name plus the solver/Machine switches.
 
     ``vectorized`` is tri-state: ``False`` (scalar), ``True`` (the
-    hard ``--vectorized`` opt-in, loud error without numpy) or
+    hard ``--lane vec`` opt-in, loud error without numpy) or
     ``"auto"`` (adaptive dispatch, silent scalar degrade without
     numpy).
     """
@@ -102,7 +102,7 @@ LANES: Dict[str, Lane] = {
             compiled=True,
             vectorized=True,
             requires_numpy=True,
-            description="vectorized quiet windows (--vectorized; "
+            description="vectorized quiet windows (--lane vec; "
             "needs the numpy extra)",
         ),
         Lane(

@@ -25,44 +25,59 @@ This is a *model-level* simulator: "work" is the paper's completed-work
 measure, not wall-clock time, so the results are exact in the paper's own
 cost model regardless of host parallelism.
 
-Two tick implementations share these semantics:
+Five tick bodies implement these semantics:
 
-* the **reference path** (``fast_path=False``) is the original
+* the **reference tick** (``fast_path=False``) is the original
   straight-line implementation — it rebuilds every per-tick structure
   from scratch and validates every memory access, and serves as the
   executable specification;
-* the **fast path** (``fast_path=True``, the default) commits the same
-  reads→compute→writes with near-zero per-tick allocation: the running
-  list and status table are cached and invalidated only on status
-  transitions (a shared status-epoch cell bumped by the processors),
-  cell reads go straight to the backing array after an explicit
-  bounds/type check (invalid accesses fall back to the validated reader
-  so errors are identical), per-PID work counters are array-backed, the
-  CRCW resolve call is skipped when every address has a single writer
-  and the policy declares singleton resolution the identity, and — when
-  no (active) adversary is attached — the adversary view and pending
-  dataclasses are never built at all.  A one-time program-validation
-  gate runs each distinct cycle label through the fully validated
-  reference collection once before trusting its shape.  Compiled-kernel
+* the **observable fast tick** (``fast_path=True``, the default) runs
+  every ``step()``: the same phases in the same order, with near-zero
+  per-tick allocation.  The running list and status table are cached
+  and invalidated only on status transitions (a shared status-epoch
+  cell bumped by the processors), cell reads go straight to the backing
+  array after an explicit bounds/type check (invalid accesses fall back
+  to the validated reader so errors are identical), per-PID work
+  counters are array-backed, and the CRCW resolve call is skipped when
+  every address has a single writer and the policy declares singleton
+  resolution the identity.  It builds the adversary view and consults
+  the adversary on every tick, passive or absent adversaries included,
+  exactly as the reference does.  A one-time program-validation gate
+  runs each distinct cycle label through the fully validated reference
+  collection once before trusting its shape.  Compiled-kernel
   processors evaluate their pending cycle through the kernel's
-  ``observe`` rather than the cycle's read-spec and write closures
-  (the gate cross-checks the two).
+  ``observe`` rather than the cycle's read-spec and write closures (the
+  gate cross-checks the two).
 
-On top of the fast path, :meth:`Machine.run` is **event-driven**: before
-each tick it asks the adversary for its *event horizon*
-(``Adversary.quiet_until`` — the earliest future tick at which it might
-act; scheduled/budget/periodic adversaries know theirs exactly).  All
-ticks strictly inside the horizon are executed by a batched inner loop
-(``fast_forward=True``, the default) that skips the adversary view,
-consult, and failure phases entirely and flushes per-PID ledger charges
-once per status generation — while still checking the status epoch and
-the ``until`` goal every tick, so halting, termination, and the ledger
-stay exact.  A composed ``Tracer`` pins the horizon to one tick, keeping
-traces tick-exact.
+The other three bodies run only inside **quiet windows**.
+:meth:`Machine.run` is event-driven: before each tick it asks the
+adversary for its *event horizon* (``Adversary.quiet_until`` — the
+earliest future tick at which it might act; passive adversaries never
+act, and scheduled/budget/periodic adversaries know their horizons
+exactly).  All ticks strictly inside the horizon run in a window
+(``fast_forward=True``, the default) that builds no adversary view and
+skips the consult and failure phases, since every cycle completes
+there; per-PID ledger charges are flushed once per status generation,
+while the status epoch and the ``until`` goal are still checked every
+tick, so halting, termination and the ledger stay exact.  A window
+tick is one of:
 
-The differential suite (``tests/pram/test_fast_path_differential.py``)
-holds the two paths ledger- and trace-identical across the algorithm ×
-adversary matrix, including fast-forwarded quiescent windows.
+* the **kernel quiet tick**, for compiled kernels under a fusable
+  window (concurrent reads, identity singleton resolve, raw writes):
+  each stepper's ``quiet_step`` reads raw cells and stages flat writes;
+* the **generic quiet tick**, for everything else (generator programs,
+  EREW reads, stateful policies such as ``RotatingArbitraryCrcw``,
+  word-width memory): the observable tick's collect and resolve
+  without the adversary, then each processor advances;
+* the **vector window**, for vectorized programs (``--lane vec`` /
+  ``auto``) on fusable windows over fault-free memory: whole bursts of
+  ticks as numpy array operations.
+
+A composed ``Tracer`` pins the horizon to one tick, keeping traces
+tick-exact.  The differential suite
+(``tests/pram/test_fast_path_differential.py``) holds every lane
+ledger-, memory- and trace-identical to the reference across the
+algorithm × adversary matrix, windows included.
 """
 
 from __future__ import annotations
@@ -241,17 +256,14 @@ class Machine:
         self._pairs_scratch: List[tuple] = []
         self._resolved_scratch: List[Tuple[int, int]] = []
         self._single_scratch: Dict[int, Tuple[int, int]] = {}
-        # Quiet-window scratch (the fused tick of _run_quiet_window).
-        self._window_procs_scratch: List[Processor] = []
-        self._window_values_scratch: List[tuple] = []
-        self._window_writes_scratch: List[object] = []
-        self._window_staged: Dict[int, int] = {}
         # Compiled-kernel lane (see repro.pram.compiled): set by
         # load_program when a kernel factory is installed; the kernel
-        # fused tick stages flat (address, value) pairs here.
+        # quiet tick stages flat (address, value) pairs here.
         self._kernel_mode = False
+        self._kernel_procs_scratch: List[Processor] = []
         self._kernel_raw_scratch: List[int] = []
         self._kernel_ends_scratch: List[int] = []
+        self._kernel_staged: Dict[int, int] = {}
         # Vectorized lane (see repro.pram.vectorized): set by
         # load_program when a whole-machine vector program is installed;
         # fused quiet windows then run as batched ndarray bursts.
@@ -296,7 +308,7 @@ class Machine:
 
         ``vector_dispatch`` selects how a vector program is used:
         ``"always"`` (every eligible quiet window runs vectorized —
-        the ``--vectorized`` behaviour) or ``"auto"`` (the calibrated
+        the ``--lane vec`` behaviour) or ``"auto"`` (the calibrated
         cost model in :mod:`repro.pram.dispatch` picks vec vs scalar
         per fused window — the ``--lane auto`` behaviour).  Either
         lane choice produces bit-identical results; dispatch only
@@ -705,12 +717,7 @@ class Machine:
         if not running and not self._failed_count:
             return False
         self.ledger.ticks += 1
-        tick = self.ledger.ticks
-        self._refresh_adversary_memo()
-        if self._passivity:
-            self._tick_fast_passive(tick, running)
-        else:
-            self._tick_fast_adversary(tick, running)
+        self._tick_fast(self.ledger.ticks, running)
         self._sync_traffic()
         return True
 
@@ -1056,59 +1063,15 @@ class Machine:
         for address in sorted(writers_by_address):
             write(address, resolve(address, writers_by_address[address]))
 
-    def _tick_fast_passive(self, tick: int, running: List[Processor]) -> None:
-        """One tick with no (active) adversary: nothing can fail.
-
-        Skips the adversary view, the pending dataclasses, and every
-        failure-handling phase; every collected cycle completes.
-        """
-        phases = self.phase_counters
-        mark = perf_counter() if phases is not None else 0.0
-        collected = self._collect_fast(running)
-        if phases is not None:
-            now = perf_counter()
-            phases.collect_s += now - mark
-            mark = now
-        ledger = self.ledger
-        if not collected:
-            # Every processor is failed or halted: an empty tick, then
-            # the all-failed progress policy (reference order).
-            ledger.completed_per_tick.append(0)
-            if self.enforce_progress:
-                self._force_restart_lowest_failed(tick)
-            if phases is not None:
-                phases.settle_s += perf_counter() - mark
-                phases.ticks += 1
-            return
-        pairs = self._pairs_scratch
-        pairs.clear()
-        for entry in collected:
-            pairs.append((entry[0].pid, entry[3]))
-        self._resolve_and_apply_fast(pairs)
-        if phases is not None:
-            now = perf_counter()
-            phases.resolve_s += now - mark
-            mark = now
-        attempts = ledger.attempted_by_pid.backing_list()
-        completions = ledger.completed_by_pid.backing_list()
-        for entry in collected:
-            processor = entry[0]
-            pid = processor.pid
-            attempts[pid] += 1
-            completions[pid] += 1
-            processor.complete_cycle(entry[2])
-        ledger.completed_per_tick.append(len(collected))
-        if phases is not None:
-            phases.settle_s += perf_counter() - mark
-            phases.ticks += 1
-
-    def _tick_fast_adversary(self, tick: int, running: List[Processor]) -> None:
-        """One tick with an active adversary.
+    def _tick_fast(self, tick: int, running: List[Processor]) -> None:
+        """One observable tick: every fast-path ``step()`` lands here.
 
         Builds the full adversary view (from cached statuses and the
         fast collection) and then runs the reference failure-handling
         phases, so adversary-visible state and the realized pattern are
-        identical to the reference path.
+        identical to the reference path.  An absent or passive adversary
+        takes the same route (the reference consults it every tick too);
+        only quiet windows skip the view.
         """
         phases = self.phase_counters
         mark = perf_counter() if phases is not None else 0.0
@@ -1226,130 +1189,35 @@ class Machine:
                 [processor.pid for processor in running], batch_ticks
             )
 
-    def _quiet_tick_fused(self, running: List[Processor]) -> None:
-        """One adversary-free tick in a single fused sweep.
+    def _quiet_tick_generic(self, running: List[Processor]) -> None:
+        """One adversary-free tick of any window the kernel tick cannot run.
 
-        The quiet-window specialization of ``_collect_fast`` +
-        ``_resolve_and_apply_fast`` + the settle loop: one read/stage
-        pass over the running processors, one batched memory commit, one
-        generator-advance pass.  No per-processor tuples or pending
-        views are built and no per-tick ledger charges land (the window
-        flushes those in one batch).  Preconditions, checked by the
-        window: concurrent reads allowed, singleton resolve is the
-        identity, raw writes allowed.  Phase counters do not disable
-        fusion — fused ticks land in ``phases.fused_ticks``, charged
-        per batch by the window.  Same-tick write collisions and exotic
-        addresses fall back to the reference-exact resolution for the
-        whole tick.
+        The observable tick minus the adversary: collect every running
+        processor's cycle (:meth:`_collect_fast`, which also enforces
+        EREW read exclusion), resolve and commit the writes
+        (:meth:`_resolve_and_apply_fast`, which serves stateful policies
+        and word-width memory through the reference-exact route), then
+        advance each processor.  Every cycle completes; the window
+        batches the per-PID ledger charges.
         """
-        memory = self.memory
-        cells = self._cells
-        size = len(cells)
-        max_reads = self.max_reads
-        max_writes = self.max_writes
-        validated = self._validated_labels
-        procs = self._window_procs_scratch
-        values_list = self._window_values_scratch
-        writes_list = self._window_writes_scratch
-        staged = self._window_staged
-        procs.clear()
-        values_list.clear()
-        writes_list.clear()
-        staged.clear()
-        clean = True
-        reads_charged = 0
-        for processor in running:
-            cycle = processor._pending
-            if cycle is None:
-                raise ProgramError(f"pid {processor.pid}: no pending cycle")
-            label = cycle.label
-            if label not in validated:
-                entry = self._collect_one_validated(processor, cycle, None)
-                validated.add(label)
-                values = entry[2]
-                writes = entry[3]
-            else:
-                reads = cycle.reads
-                if type(reads) is tuple:
-                    if len(reads) > max_reads:
-                        raise ProgramError(
-                            f"pid {processor.pid}: cycle reads {len(reads)} "
-                            f"cells, limit is {self.max_reads} "
-                            f"(label={cycle.label!r})"
-                        )
-                    value_list: List[int] = []
-                    for spec in reads:
-                        if spec.__class__ is int:
-                            address = spec
-                        elif spec is None:
-                            value_list.append(0)
-                            continue
-                        else:
-                            address = spec(tuple(value_list))
-                            if address is None:
-                                value_list.append(0)
-                                continue
-                        if address.__class__ is int and 0 <= address < size:
-                            value_list.append(cells[address])
-                            reads_charged += 1
-                        else:
-                            value_list.append(memory.read(address))
-                    values = tuple(value_list)
-                elif cycle.is_snapshot:
-                    if not self.allow_snapshot:
-                        raise ProgramError(
-                            f"pid {processor.pid}: snapshot read on a machine "
-                            f"without allow_snapshot (label={cycle.label!r})"
-                        )
-                    values = tuple(memory.snapshot())
-                    reads_charged += 1  # unit cost by assumption
-                else:
-                    cycle.read_specs()  # raises the standard ProgramError
-                    raise AssertionError("unreachable")  # pragma: no cover
-                writes_spec = cycle.writes
-                writes = (
-                    writes_spec(values) if callable(writes_spec) else writes_spec
-                )
-                if len(writes) > max_writes:
-                    raise ProgramError(
-                        f"pid {processor.pid}: cycle writes {len(writes)} "
-                        f"cells, limit is {self.max_writes} "
-                        f"(label={cycle.label!r})"
-                    )
-            procs.append(processor)
-            values_list.append(values)
-            writes_list.append(writes)
-            if clean:
-                for write in writes:
-                    address = write.address
-                    if (
-                        address.__class__ is int
-                        and 0 <= address < size
-                        and address not in staged
-                    ):
-                        staged[address] = write.value
-                    else:
-                        clean = False
-                        break
-        memory.charge_reads(reads_charged)
-        if clean:
-            memory.commit_resolved(staged.items())
-        else:
-            # Collision or exotic address somewhere this tick: redo the
-            # whole tick's writes through the reference-exact resolver
-            # (same policy calls, same order, same errors).
-            pairs = self._pairs_scratch
-            pairs.clear()
-            for processor, writes in zip(procs, writes_list):
-                pairs.append((processor.pid, writes))
-            self._resolve_and_apply_fast(pairs)
-        for processor, values in zip(procs, values_list):
-            # Inlined Processor.complete_cycle (every guard holds here:
-            # the whole window runs, completes, and stays running unless
-            # the program itself returns).
+        collected = self._collect_fast(running)
+        pairs = self._pairs_scratch
+        pairs.clear()
+        for entry in collected:
+            pairs.append((entry[0].pid, entry[3]))
+        self._resolve_and_apply_fast(pairs)
+        for processor, _cycle, values, _writes in collected:
+            generator = processor._generator
+            if generator is None:
+                # A compiled stepper (a window the kernel tick cannot run).
+                processor.complete_cycle(values)
+                continue
+            # Processor.complete_cycle inlined for generator programs: every
+            # guard holds inside a window, and this loop carries V, VX and
+            # froute, whose solves measured 5-11% slower calling the method.
             processor.cycles_completed += 1
             try:
-                next_cycle = processor._generator.send(values)
+                next_cycle = generator.send(values)
             except StopIteration:
                 processor._generator = None
                 processor._pending = None
@@ -1363,24 +1231,25 @@ class Machine:
     def _quiet_tick_kernel(self, running: List[Processor]) -> None:
         """One adversary-free tick through the compiled-kernel lane.
 
-        The compiled analogue of :meth:`_quiet_tick_fused`: one sweep
-        over the running list calls each stepper's ``quiet_step``, which
-        reads the raw cells, stages flat ``address, value`` pairs, and
-        advances its own state — no generator resume, no ``Cycle`` or
-        ``Write`` allocation, no pending views.  Kernels are trusted to
-        respect the cycle read/write budgets (the soundness contract in
-        :mod:`repro.pram.compiled`); addresses are still bounds-checked
-        during staging, and same-tick write collisions or exotic
-        addresses fall back to the reference-exact resolution for the
-        whole tick.
+        One sweep over the running list calls each stepper's
+        ``quiet_step``, which reads the raw cells, stages flat
+        ``address, value`` pairs, and advances its own state — no
+        ``Cycle`` or ``Write`` allocation, no pending views.  Only run
+        when the window is fusable (concurrent reads, identity singleton
+        resolve, raw writes); :meth:`_quiet_tick_generic` serves the
+        rest.  Kernels are trusted to respect the cycle read/write
+        budgets (the soundness contract in :mod:`repro.pram.compiled`);
+        addresses are still bounds-checked during staging, and same-tick
+        write collisions or exotic addresses fall back to the
+        reference-exact resolution for the whole tick.
         """
         memory = self.memory
         cells = self._cells
         size = len(cells)
-        procs = self._window_procs_scratch
+        procs = self._kernel_procs_scratch
         raw = self._kernel_raw_scratch
         ends = self._kernel_ends_scratch
-        staged = self._window_staged
+        staged = self._kernel_staged
         procs.clear()
         raw.clear()
         ends.clear()
@@ -1436,30 +1305,31 @@ class Machine:
         otherwise (``stop_tick`` reached, or the running set drained
         mid-window).
         """
-        if self._vector is not None:
-            vec_policy = self.policy
-            if (
-                self._raw_write_ok
-                and vec_policy.allows_concurrent_reads
-                and vec_policy.singleton_resolve_is_identity
-            ):
-                # The vectorized lane batches the whole window, so it
-                # needs the goal in machine-readable form (the
-                # ``zero_goal`` marker of ``done_predicate``) to find
-                # the exact tick the predicate flips.  Unmarked
-                # predicates fall through to the per-tick loop below.
-                goal = None if until is None else getattr(until, "zero_goal", None)
-                if until is None or goal is not None:
-                    if not self._vector_auto or self._prefer_vectorized(
-                        stop_tick
-                    ):
-                        return self._run_quiet_window_vectorized(
-                            stop_tick, until, goal
-                        )
+        policy = self.policy
+        fusable = (
+            self._raw_write_ok
+            and policy.allows_concurrent_reads
+            and policy.singleton_resolve_is_identity
+        )
+        # The vector mirror applies POISON only when it flushes, so a
+        # write to a dead cell would stay readable inside the window:
+        # memory with static faults keeps to the scalar ticks.
+        if fusable and self._vector is not None and not self.memory.has_faults:
+            # The vectorized lane batches the whole window, so it needs
+            # the goal in machine-readable form (the ``zero_goal``
+            # marker of ``done_predicate``) to find the exact tick the
+            # predicate flips.  Unmarked predicates take the scalar
+            # ticks below.
+            goal = None if until is None else getattr(until, "zero_goal", None)
+            if until is None or goal is not None:
+                if not self._vector_auto or self._prefer_vectorized(stop_tick):
+                    return self._run_quiet_window_vectorized(
+                        stop_tick, until, goal
+                    )
         if self._resident is not None:
             # Scalar window chosen (dispatch, unmarked predicate, or
-            # ineligible policy): the fused scalar loop reads and
-            # writes memory directly, so the mirror must stand down.
+            # ineligible policy or memory): the scalar ticks read and
+            # write memory directly, so the mirror must stand down.
             self._resident.flush()
         self._refresh_status_caches()
         running = self._running_cache
@@ -1468,7 +1338,6 @@ class Machine:
         ledger = self.ledger
         reader = self._reader
         epoch_cell = self._status_epoch
-        pairs = self._pairs_scratch
         interrupts = self._consecutive_interrupts
         if interrupts:
             # Every running processor completes a cycle each quiet tick,
@@ -1476,55 +1345,26 @@ class Machine:
             # interrupt count; failed processors keep theirs.
             for processor in running:
                 interrupts.pop(processor.pid, None)
-        phases = self.phase_counters
-        policy = self.policy
-        # Phase counters do not disable fusion: fused ticks are counted
-        # in phases.fused_ticks (flushed per batch below) instead of
-        # being timed per-phase — the fused sweep has no phase
-        # boundaries to time without destroying what it measures.
-        fused = (
-            self._raw_write_ok
-            and policy.allows_concurrent_reads
-            and policy.singleton_resolve_is_identity
-        )
         quiet_tick = (
-            self._quiet_tick_kernel if self._kernel_mode else self._quiet_tick_fused
+            self._quiet_tick_kernel
+            if self._kernel_mode and fusable
+            else self._quiet_tick_generic
         )
+        # Window ticks are not timed per phase (that would un-batch
+        # them); phase counters count them in ``fused_ticks``.
+        phases = self.phase_counters
         batch_ticks = 0
         outcome = _WINDOW_RAN
         while True:
-            if fused:
-                ledger.ticks += 1
-                quiet_tick(running)
-                batch_ticks += 1
-            else:
-                mark = perf_counter() if phases is not None else 0.0
-                ledger.ticks += 1
-                collected = self._collect_fast(running)
-                if phases is not None:
-                    now = perf_counter()
-                    phases.collect_s += now - mark
-                    mark = now
-                pairs.clear()
-                for entry in collected:
-                    pairs.append((entry[0].pid, entry[3]))
-                self._resolve_and_apply_fast(pairs)
-                if phases is not None:
-                    now = perf_counter()
-                    phases.resolve_s += now - mark
-                    mark = now
-                for entry in collected:
-                    entry[0].complete_cycle(entry[2])
-                batch_ticks += 1
-                if phases is not None:
-                    phases.settle_s += perf_counter() - mark
-                    phases.ticks += 1
+            ledger.ticks += 1
+            quiet_tick(running)
+            batch_ticks += 1
             if epoch_cell[0] != self._cache_epoch:
                 # A processor halted this tick: flush the batch against
                 # the status generation that actually ran it (halting
                 # pids completed this tick too), then recompute.
                 self._flush_quiet_batch(running, batch_ticks)
-                if fused and phases is not None:
+                if phases is not None:
                     phases.fused_ticks += batch_ticks
                 batch_ticks = 0
                 self._refresh_status_caches()
@@ -1537,7 +1377,7 @@ class Machine:
             if ledger.ticks >= stop_tick:
                 break
         self._flush_quiet_batch(running, batch_ticks)
-        if fused and phases is not None:
+        if phases is not None:
             phases.fused_ticks += batch_ticks
         self._sync_traffic()
         return outcome

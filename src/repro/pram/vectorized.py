@@ -13,7 +13,7 @@ CRCW resolution via ``np.lexsort`` + ``np.minimum.reduceat``, scatter
 for commits.  That is exactly how the paper's Write-All algorithms are
 specified: synchronous lockstep phases over shared memory.
 
-The lane is **opt-in** (``--vectorized``) and **windows-only**:
+The lane is **opt-in** (``--lane vec``) and **windows-only**:
 
 * outside quiet windows — adversary-visible ticks, traces, the
   reference core — every processor is driven through the same scalar
@@ -79,7 +79,7 @@ def require_numpy() -> None:
         raise VectorizedUnavailable(
             "the vectorized lane needs numpy, which is an optional "
             "dependency — install it with `pip install .[numpy]` (or "
-            "`pip install numpy`), or drop --vectorized"
+            "`pip install numpy`), or drop --lane vec"
         )
 
 
@@ -122,8 +122,8 @@ def resolve_vectorized(
 ) -> Optional["VectorProgram"]:
     """The vector program to install for a run, or None for scalar lanes.
 
-    Combines the opt-in switch (``vectorized=True`` is the
-    ``--vectorized`` flag; the default stays on the scalar lanes; the
+    Combines the opt-in switch (``vectorized=True`` is
+    ``--lane vec``; the default stays on the scalar lanes; the
     string ``"auto"`` is the ``--lane auto`` adaptive mode), the numpy
     availability check (an explicit ``True`` without numpy is a loud
     :class:`VectorizedUnavailable`, not a silent downgrade — but

@@ -150,7 +150,7 @@ class RobustSimulator:
         # Lane selection, mirroring solve_write_all (see
         # repro.pram.lanes for the registry): ``fast_forward`` /
         # ``compiled`` / ``vectorized`` are the --no-fast-forward /
-        # --no-compiled / --vectorized switches (``vectorized="auto"``
+        # --no-compiled / --lane vec switches (``vectorized="auto"``
         # is --lane auto adaptive dispatch).  The fuzz driver runs
         # every program through all available lanes.  Note the robust
         # phases always use non-trivial task sets (CycleFactoryTasks),

@@ -40,8 +40,17 @@ from repro.faults import (
     UnionAdversary,
 )
 from repro.faults.base import ScheduledAdversary
+from repro.pram.cycles import Cycle, Write
+from repro.pram.errors import (
+    MemoryError_,
+    PramError,
+    ReadConflictError,
+    WriteConflictError,
+)
 from repro.pram.lanes import LANES, lane_available
-from repro.pram.policies import RotatingArbitraryCrcw
+from repro.pram.machine import Machine
+from repro.pram.memory import SharedMemory
+from repro.pram.policies import CommonCrcw, Crew, Erew, RotatingArbitraryCrcw
 from repro.pram.trace import Tracer
 
 ALGORITHMS = {
@@ -97,7 +106,12 @@ def assert_all_identical(outcomes):
 
 
 def assert_identical(fast, reference):
-    fast_ledger, ref_ledger = fast.ledger, reference.ledger
+    assert_ledgers_identical(fast.ledger, reference.ledger)
+    assert fast.solved == reference.solved
+    assert fast.memory.snapshot() == reference.memory.snapshot()
+
+
+def assert_ledgers_identical(fast_ledger, ref_ledger):
     assert fast_ledger.ticks == ref_ledger.ticks
     assert dict(fast_ledger.completed_by_pid) == dict(ref_ledger.completed_by_pid)
     assert dict(fast_ledger.attempted_by_pid) == dict(ref_ledger.attempted_by_pid)
@@ -110,8 +124,6 @@ def assert_identical(fast, reference):
     flags = ("halted", "goal_reached", "stalled", "tick_limited")
     assert {f: getattr(fast_ledger, f) for f in flags} == \
         {f: getattr(ref_ledger, f) for f in flags}
-    assert fast.solved == reference.solved
-    assert fast.memory.snapshot() == reference.memory.snapshot()
 
 
 class TestAlgorithmAdversaryMatrix:
@@ -169,7 +181,7 @@ class TestAlgorithmAdversaryMatrix:
 
     def test_all_failed_forced_restart_in_passive_path(self):
         # With a passive adversary the only way every processor can be
-        # down is harness intervention; the passive fast tick must then
+        # down is harness intervention; the fast tick must then
         # reproduce the reference order exactly: an empty tick (zero
         # completions) plus a forced restart of the lowest failed PID,
         # recorded in the pattern and counted as a progress veto.
@@ -404,3 +416,145 @@ class TestPassivityDetection:
         machine.processors[2].restart()
         ledger = machine.run(until=done_predicate(layout), max_ticks=2_000)
         assert ledger.goal_reached
+
+
+# ---------------------------------------------------------------------- #
+# Policies and memories outside the kernel quiet tick's preconditions
+# ---------------------------------------------------------------------- #
+
+#: Cell layout of the configuration programs below: per-PID counters in
+#: ``0..CONFIG_P-1``, per-PID doubles in ``CONFIG_P..2*CONFIG_P-1``, and
+#: one shared cell.
+CONFIG_P = 4
+SHARED_CELL = 2 * CONFIG_P
+COUNT_TO = 10
+#: The counter value at which the conflict programs touch the shared cell.
+HOT = 5
+#: Word width of the bounded memory: values must stay below 2**5 = 32.
+WORD_BITS = 5
+
+
+def config_program(kind):
+    """A memory-driven counting program, one of four kinds.
+
+    Each PID counts its own cell up to ``COUNT_TO`` (a restarted PID
+    resumes from memory) and halts; every cycle also reads and writes
+    its own double cell.  ``clean`` is conflict-free under every policy
+    and fits the bounded word.  ``erew-read`` reads the shared cell
+    when its counter is ``HOT``, ``crew-write`` writes it then, and
+    ``overflow`` doubles twice as fast, leaving the bounded word once
+    the counter reaches 8.
+    """
+    def second_read(pid):
+        if kind == "erew-read":
+            return lambda values: SHARED_CELL if values[0] == HOT else CONFIG_P + pid
+        # A dependent read that skips (charging nothing) on odd counts.
+        return lambda values: None if values[0] % 2 else CONFIG_P + pid
+
+    def writes(pid):
+        factor = 4 if kind == "overflow" else 2
+
+        def compute(values):
+            count = values[0] + 1
+            if kind == "crew-write" and values[0] == HOT:
+                return (Write(pid, count), Write(SHARED_CELL, pid))
+            return (Write(pid, count), Write(CONFIG_P + pid, factor * count))
+
+        return compute
+
+    def program(pid):
+        cycle = Cycle(reads=(pid, second_read(pid)), writes=writes(pid),
+                      label=f"count:{kind}")
+        while True:
+            values = yield cycle
+            if values[0] + 1 >= COUNT_TO:
+                return
+
+    return program
+
+
+CONFIG_POLICIES = {
+    "EREW": lambda: (Erew(), None),
+    "CREW": lambda: (Crew(), None),
+    "word-width": lambda: (CommonCrcw(), WORD_BITS),
+}
+
+CONFIG_ADVERSARIES = {
+    "passive": NoFailures,
+    # Fail pid 1 at tick 2 and restart it at tick 4, and fail and
+    # restart pid 2 at tick 7: the halts then land on different ticks,
+    # and the ticks between the events run in quiet windows.
+    "scheduled": lambda: ScheduledAdversary(
+        {2: ([1], []), 4: ([], [1]), 7: ([2], [2])}
+    ),
+}
+
+#: The lanes that differ in how they tick (no kernel or vector program
+#: exists for these generator programs), reference last.
+CONFIG_LANES = tuple(LANES[name] for name in ("fast", "noff", "reference"))
+
+
+def run_config(kind, policy_key, adversary_key, lane):
+    """Run one configuration program on ``lane``.
+
+    Returns ``(ledger, memory contents, error or None)``.
+    """
+    policy, word_bits = CONFIG_POLICIES[policy_key]()
+    memory = SharedMemory(SHARED_CELL + 1, word_bits=word_bits)
+    machine = Machine(
+        num_processors=CONFIG_P, memory=memory, policy=policy,
+        adversary=CONFIG_ADVERSARIES[adversary_key](),
+        fast_path=lane.fast_path, fast_forward=lane.fast_forward,
+    )
+    machine.load_program(config_program(kind))
+    error = None
+    try:
+        machine.run(max_ticks=1_000)
+    except PramError as exc:
+        error = exc
+    return machine.ledger, memory.snapshot(), error
+
+
+class TestPolicyAndMemoryConfigurations:
+    """EREW reads, CREW writes and word-width memory on every tick body.
+
+    Inside a quiet window these configurations take the generic quiet
+    tick (collect, resolve, advance); outside one the observable fast
+    tick; the reference lane is the oracle.
+    """
+
+    @pytest.mark.parametrize("adversary_key", sorted(CONFIG_ADVERSARIES))
+    @pytest.mark.parametrize("policy_key", sorted(CONFIG_POLICIES))
+    def test_conflict_free_program_identical(self, policy_key, adversary_key):
+        runs = [
+            run_config("clean", policy_key, adversary_key, lane)
+            for lane in CONFIG_LANES
+        ]
+        ref_ledger, ref_memory, ref_error = runs[-1]
+        assert ref_error is None and ref_ledger.halted
+        assert ref_memory[:CONFIG_P] == [COUNT_TO] * CONFIG_P
+        for ledger, memory, error in runs[:-1]:
+            assert error is None
+            assert_ledgers_identical(ledger, ref_ledger)
+            assert memory == ref_memory
+
+    @pytest.mark.parametrize("adversary_key", sorted(CONFIG_ADVERSARIES))
+    @pytest.mark.parametrize("kind, policy_key, error_type", [
+        ("erew-read", "EREW", ReadConflictError),
+        ("crew-write", "CREW", WriteConflictError),
+        ("overflow", "word-width", MemoryError_),
+    ])
+    def test_error_at_same_tick_with_same_partial_memory(
+        self, kind, policy_key, error_type, adversary_key
+    ):
+        runs = [
+            run_config(kind, policy_key, adversary_key, lane)
+            for lane in CONFIG_LANES
+        ]
+        ref_ledger, ref_memory, ref_error = runs[-1]
+        assert type(ref_error) is error_type
+        for ledger, memory, error in runs[:-1]:
+            assert type(error) is error_type
+            assert str(error) == str(ref_error)
+            assert ledger.ticks == ref_ledger.ticks
+            assert memory == ref_memory

@@ -70,7 +70,7 @@ class TestNumpyGuard:
         with pytest.raises(VectorizedUnavailable) as caught:
             require_numpy()
         assert "pip install .[numpy]" in str(caught.value)
-        assert "--vectorized" in str(caught.value)
+        assert "--lane vec" in str(caught.value)
 
     def test_opt_in_without_numpy_is_loud(self, monkeypatch):
         monkeypatch.setattr(vectorized_module, "_np", None)
@@ -326,3 +326,71 @@ class TestWindowMemorySync:
             window.commit(
                 np.asarray([99]), np.asarray([0]), np.asarray([1])
             )
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="vector programs need numpy")
+class TestFaultyMemoryStaysScalar:
+    """Memory with dead cells never enters a vector window.
+
+    The resident mirror applies ``POISON`` only when it flushes, so a
+    value written to a dead cell would stay readable later in the same
+    window.  The machine therefore keeps vector programs off memory with
+    static faults: every quiet window runs on the scalar ticks.
+    """
+
+    ALGORITHMS = (TrivialAssignment, AlgorithmW, AlgorithmX)
+
+    @staticmethod
+    def spy_run_quiet(monkeypatch):
+        from repro.core.vector_kernels import TrivialVector, WVector, XVector
+
+        calls = []
+        for cls in (TrivialVector, WVector, XVector):
+            original = cls.run_quiet
+
+            def counting(self, *args, _original=original, **kwargs):
+                calls.append(type(self).__name__)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "run_quiet", counting)
+        return calls
+
+    @staticmethod
+    def outcome(algorithm_cls, adversary, lane):
+        from repro.core import solve_write_all
+        from repro.faults import registry
+        from repro.pram.dispatch import DispatchModel, set_model
+
+        # Make `auto` pick vec wherever the machine lets it.
+        set_model(DispatchModel(scale_scalar=1e9))
+        try:
+            result = solve_write_all(
+                algorithm_cls(), 256, 16,
+                adversary=registry.build(adversary, seed=3),
+                **LANES[lane].solver_kwargs(),
+            )
+        finally:
+            set_model(None)
+        return (
+            result.solved, result.completed_work, result.charged_work,
+            result.pattern_size, result.ledger.ticks,
+            result.memory.snapshot(),
+        )
+
+    @pytest.mark.parametrize("lane", ["vec", "auto"])
+    def test_static_mem_makes_no_vector_burst(self, monkeypatch, lane):
+        calls = self.spy_run_quiet(monkeypatch)
+        for algorithm_cls in self.ALGORITHMS:
+            outcome = self.outcome(algorithm_cls, "static-mem", lane)
+            reference = self.outcome(algorithm_cls, "static-mem", "reference")
+            assert outcome == reference, algorithm_cls.__name__
+        assert calls == []
+
+    @pytest.mark.parametrize("lane", ["vec", "auto"])
+    def test_fault_free_memory_still_vectorizes(self, monkeypatch, lane):
+        # The spy's positive control: the same solves on healthy memory
+        # do burst through every vector program.
+        calls = self.spy_run_quiet(monkeypatch)
+        for algorithm_cls in self.ALGORITHMS:
+            self.outcome(algorithm_cls, "none", lane)
+        assert set(calls) == {"TrivialVector", "WVector", "XVector"}
