@@ -16,6 +16,7 @@ from _support import emit, once
 from repro.core import solve_write_all
 from repro.experiments.bench import get_scenario
 from repro.metrics.tables import render_table
+from repro.pram.lanes import LANES
 
 # Grid constants come from the driver's scenario registry so the
 # pytest benchmark and `repro bench` measure the same sweep.
@@ -30,8 +31,8 @@ PAIRS = [
 def run_sweep():
     rows = []
     for scalar_spec, auto_spec in PAIRS:
-        assert scalar_spec.vectorized is False
-        assert auto_spec.vectorized == "auto"
+        assert scalar_spec.lane == "fast"
+        assert auto_spec.lane == "auto"
         label = scalar_spec.name.split("@", 1)[0]
         for n in scalar_spec.sizes:
             p = scalar_spec.processors_for(n)
@@ -43,7 +44,7 @@ def run_sweep():
                         spec.algorithm(), n, p,
                         adversary=spec.adversary_for(seed),
                         max_ticks=spec.max_ticks,
-                        vectorized=spec.vectorized,
+                        **LANES[spec.lane].solver_kwargs(),
                     )
                     assert result.solved
                     outcomes[mode] = (

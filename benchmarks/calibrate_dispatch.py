@@ -4,7 +4,7 @@
 window, whether the vectorized lane beats the scalar compiled lane.
 This script derives those coefficients the honest way — by timing the
 actual solver on both lanes across a (kind x N x P) grid — and prints
-a paste-ready ``DEFAULT_TABLE`` / ``REFERENCE_PROBE`` block:
+a paste-ready ``DEFAULT_TABLE`` block:
 
 * ``scalar_tick_lane_ns`` — median of ``time / (ticks * P)`` over the
   scalar runs of a kind.
@@ -18,9 +18,7 @@ a paste-ready ``DEFAULT_TABLE`` / ``REFERENCE_PROBE`` block:
   window.
 
 Run on the repository's reference host and commit the output into
-``src/repro/pram/dispatch.py``; other hosts are corrected at runtime
-by the micro-probe ratio (``REFERENCE_PROBE`` is this host's probe
-reading).
+``src/repro/pram/dispatch.py``; every host uses the table unscaled.
 
 Usage::
 
@@ -37,7 +35,6 @@ import numpy as np
 
 from repro.core import AlgorithmW, AlgorithmX, TrivialAssignment
 from repro.core.runner import solve_write_all
-from repro.pram.dispatch import _run_probe
 from repro.pram.memory import SharedMemory
 from repro.pram.policies import CommonCrcw
 from repro.pram.vectorized import resolve_vectorized
@@ -138,7 +135,6 @@ def main():
         print(f"{kind}:")
         rows[kind] = {**calibrate_kind(kind, factory, grid, args.repeats),
                       **window}
-    probe = _run_probe()
 
     print("\n# --- paste into src/repro/pram/dispatch.py ---")
     print("DEFAULT_TABLE: Dict[str, LaneCosts] = {")
@@ -151,11 +147,6 @@ def main():
             print(f"        {field}={value:_.1f},")
         print("    ),")
     print("}")
-    print(
-        f"REFERENCE_PROBE = ProbeResult("
-        f"scalar_ns={probe.scalar_ns:_.1f}, "
-        f"vector_ns={probe.vector_ns:_.1f})"
-    )
 
 
 if __name__ == "__main__":

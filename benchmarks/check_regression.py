@@ -3,7 +3,7 @@
 Thin CLI over :mod:`repro.perf.regression`::
 
     PYTHONPATH=src python benchmarks/check_regression.py \
-        benchmarks/results/BENCH_seed_perf.json \
+        benchmarks/results/BENCH_compiled_perf.json \
         benchmarks/results/BENCH_ci.json
 
 Model-level fields (solved, S, S', |F|, ticks) must match exactly —

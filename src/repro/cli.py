@@ -26,22 +26,22 @@ Commands:
 * ``worker``    — one restartable fail-stop worker: connects to a serve
   daemon, executes leased points in a sandboxed subprocess, and is
   restarted by its supervisor when it dies;
-* ``perf``      — micro-benchmark the simulator core: fast path (with
-  and without event-horizon batching) vs the reference baseline under
-  selectable fault scenarios (``--adversary``), min-of-k timing,
-  per-phase breakdown, optional cProfile capture and
-  ``BENCH_<tag>.json`` export;
+* ``perf``      — micro-benchmark the simulator core: the ``--lane``
+  lane against its ablation lanes (no fast-forward, no kernels, scalar,
+  the reference baseline) under selectable fault scenarios
+  (``--adversary``), min-of-k timing, per-phase breakdown, optional
+  cProfile capture and ``BENCH_<tag>.json`` export;
 * ``simulate``  — robustly execute a library PRAM program and verify it;
 * ``trace``     — run a small instance and print the per-processor
   failure/restart timeline;
 * ``showdown``  — the algorithms × adversaries matrix.
 
 Adversaries are selected by name; stochastic ones take ``--fail``,
-``--restart-prob`` and ``--seed``.  ``--no-fast-forward`` disables the
-machine's event-horizon tick batching, ``--no-compiled`` disables the
-compiled-kernel lane, and ``--lane vec`` (or ``--lane auto``) opts in
-to the numpy batch lane (``solve``, ``sweep``, ``simulate``, ``trace``,
-``perf``; needs the optional numpy extra — ``pip install .[numpy]``).
+``--restart-prob`` and ``--seed``.  ``--lane {scalar,vec,auto}`` picks
+the machine lane (``solve``, ``sweep``, ``simulate``, ``trace``,
+``perf``): ``vec`` opts in to the numpy batch lane (needs the optional
+numpy extra — ``pip install .[numpy]``) and ``auto`` dispatches vec vs
+scalar per quiet window.
 """
 
 from __future__ import annotations
@@ -76,6 +76,7 @@ from repro.faults import (
 )
 from repro.faults import registry as adversary_registry
 from repro.metrics.tables import render_table
+from repro.pram.lanes import CLI_LANES, LANES
 from repro.pram.trace import Tracer, render_timeline
 from repro.simulation import RobustSimulator
 from repro.simulation.programs import (
@@ -141,22 +142,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="per-tick restart probability (stochastic)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-ticks", type=int, default=None)
-    parser.add_argument("--no-fast-forward", action="store_true",
-                        help="disable event-horizon tick batching (run "
-                             "every tick through the per-tick loop)")
-    parser.add_argument("--no-compiled", action="store_true",
-                        help="disable compiled program kernels (force "
-                             "the generator protocol)")
     _add_lane(parser)
 
 
-#: ``--lane`` choice -> the tri-state ``vectorized`` switch.
-_LANE_VECTORIZED = {"scalar": False, "vec": True, "auto": "auto"}
-
-
 def _add_lane(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--lane", dest="lane", default="scalar",
-                        choices=tuple(_LANE_VECTORIZED),
+    parser.add_argument("--lane", default="scalar", choices=tuple(CLI_LANES),
                         help="quiet-window lane: 'scalar' (the default) "
                              "steps processors one at a time, 'vec' "
                              "advances all P per tick as numpy array ops "
@@ -166,9 +156,9 @@ def _add_lane(parser: argparse.ArgumentParser) -> None:
                              "scalar without numpy)")
 
 
-def _vectorized_from_args(args: argparse.Namespace):
-    """The tri-state ``vectorized`` switch from ``--lane``."""
-    return _LANE_VECTORIZED[args.lane]
+def _lane_kwargs(args: argparse.Namespace) -> dict:
+    """The solver switches of the ``--lane`` choice's registry lane."""
+    return LANES[CLI_LANES[args.lane]].solver_kwargs()
 
 
 def _add_engine(parser: argparse.ArgumentParser) -> None:
@@ -234,10 +224,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                                 args.restart_prob, args.seed)
     result = solve_write_all(
         ALGORITHMS[args.algorithm](), args.n, args.p, adversary=adversary,
-        max_ticks=args.max_ticks,
-        fast_forward=not args.no_fast_forward,
-        compiled=not args.no_compiled,
-        vectorized=_vectorized_from_args(args),
+        max_ticks=args.max_ticks, **_lane_kwargs(args),
     )
     print(result.summary())
     return 0 if result.solved else 1
@@ -254,9 +241,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                                  args.restart_prob),
         seeds=range(args.seeds),
         max_ticks=args.max_ticks,
-        fast_forward=not args.no_fast_forward,
-        compiled=not args.no_compiled,
-        vectorized=_vectorized_from_args(args),
+        lane=CLI_LANES[args.lane],
     )
     chaos = _chaos_from_args(args)
     use_engine = (
@@ -595,56 +580,20 @@ def cmd_perf(args: argparse.Namespace) -> int:
             warmup=args.warmup,
             include_baseline=not args.no_baseline,
             adversaries=adversaries,
-            fast_forward=not args.no_fast_forward,
-            compiled=not args.no_compiled,
-            vectorized=_vectorized_from_args(args),
+            lane=CLI_LANES[args.lane],
         )
     wall_s = time_module.perf_counter() - started
     for comparison in comparisons:
         print(describe_comparison(comparison))
-    speedups = [c.speedup for c in comparisons if c.speedup is not None]
-    if speedups:
-        worst = min(speedups)
-        print(
-            f"\n{len(speedups)} configuration(s); worst speedup "
-            f"{worst:.2f}x, best "
-            f"{max(speedups):.2f}x (fast path vs reference baseline)"
-        )
-    ff_speedups = [
-        c.ff_speedup for c in comparisons if c.ff_speedup is not None
-    ]
-    if ff_speedups:
-        print(
-            f"fast-forward batching alone: worst {min(ff_speedups):.2f}x, "
-            f"best {max(ff_speedups):.2f}x (vs per-tick fast path)"
-        )
-    kernel_speedups = [
-        c.kernel_speedup for c in comparisons
-        if c.kernel_speedup is not None
-    ]
-    if kernel_speedups:
-        print(
-            f"compiled kernels alone: worst {min(kernel_speedups):.2f}x, "
-            f"best {max(kernel_speedups):.2f}x (vs generator dispatch)"
-        )
-    vec_speedups = [
-        c.vec_speedup for c in comparisons
-        if getattr(c, "vec_speedup", None) is not None
-    ]
-    if vec_speedups:
-        print(
-            f"vectorized lane alone: worst {min(vec_speedups):.2f}x, "
-            f"best {max(vec_speedups):.2f}x (vs scalar compiled lane)"
-        )
-    auto_speedups = [
-        c.auto_speedup for c in comparisons
-        if getattr(c, "auto_speedup", None) is not None
-    ]
-    if auto_speedups:
-        print(
-            f"adaptive dispatch: worst {min(auto_speedups):.2f}x, "
-            f"best {max(auto_speedups):.2f}x (vs scalar compiled lane)"
-        )
+    ratios: dict = {}
+    for comparison in comparisons:
+        for name, ratio in comparison.ratios().items():
+            ratios.setdefault(name, []).append(ratio)
+    if ratios:
+        print()
+    for name, values in ratios.items():
+        print(f"{name}: worst {min(values):.2f}x, best {max(values):.2f}x "
+              f"over {len(values)} configuration(s)")
     if args.tag is not None:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"BENCH_{args.tag}.json")
@@ -688,8 +637,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return 0 if result.solved else 1
     simulator = RobustSimulator(
         p=args.p, algorithm=ALGORITHMS[args.algorithm](), adversary=adversary,
-        fast_forward=not args.no_fast_forward, compiled=not args.no_compiled,
-        vectorized=_vectorized_from_args(args),
+        **_lane_kwargs(args),
     )
     result = simulator.execute(program, initial)
     status = "solved" if result.solved else "INCOMPLETE"
@@ -711,10 +659,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     ])
     result = solve_write_all(
         ALGORITHMS[args.algorithm](), args.n, args.p, adversary=adversary,
-        max_ticks=args.max_ticks,
-        fast_forward=not args.no_fast_forward,
-        compiled=not args.no_compiled,
-        vectorized=_vectorized_from_args(args),
+        max_ticks=args.max_ticks, **_lane_kwargs(args),
     )
     print(result.summary())
     print()
@@ -919,7 +864,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = commands.add_parser(
         "perf",
-        help="micro-benchmark the simulator core (fast vs baseline)",
+        help="micro-benchmark the simulator core (a lane vs its "
+             "ablations)",
     )
     # Choices derive from the perf module's own tables, not hand copies.
     from repro.perf.micro import PERF_ADVERSARIES, PERF_ALGORITHMS
@@ -935,12 +881,6 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=sorted(PERF_ADVERSARIES),
                       help="fault scenario to time under; repeatable "
                            "(default: none = fault-free)")
-    perf.add_argument("--no-fast-forward", action="store_true",
-                      help="time the fast leg without event-horizon "
-                           "batching (skips the separate no-ff leg)")
-    perf.add_argument("--no-compiled", action="store_true",
-                      help="time the fast leg without compiled kernels "
-                           "(skips the separate no-kernel leg)")
     _add_lane(perf)
     perf.add_argument("--repeats", type=int, default=5,
                       help="measured repeats per leg (min is reported)")

@@ -101,7 +101,7 @@ class WriteAllAlgorithm:
         return all(memory.read(x_base + index) != 0 for index in range(layout.n))
 
     def until_predicate(
-        self, layout: BaseLayout, incremental: bool = True
+        self, layout: BaseLayout
     ) -> Callable[[MemoryReader], bool]:
         """The machine's termination predicate for this algorithm.
 
@@ -111,12 +111,11 @@ class WriteAllAlgorithm:
         may be permanently dead under static memory faults — override
         this to watch their own certificate region.
         """
-        return done_predicate(layout, incremental)
+        return done_predicate(layout)
 
 
 def done_predicate(
     layout: BaseLayout,
-    incremental: bool = True,
     region: Optional[tuple] = None,
 ) -> Callable[[MemoryReader], bool]:
     """An ``until`` predicate for the machine: all of x is written.
@@ -125,12 +124,10 @@ def done_predicate(
     of the Write-All array — used by algorithms whose completion
     certificate lives outside ``x``.
 
-    With ``incremental=True`` (the default) the predicate registers a
-    zero-region tracker over ``x`` with the memory layer on its first
-    call; every write path maintains the tracker, so the per-tick
-    termination check is O(1) instead of an O(N) rescan.  Memory views
-    without trackers — and ``incremental=False``, which the perf harness
-    uses as the pre-optimization baseline — fall back to the scan.
+    The predicate registers a zero-region tracker over ``x`` with the
+    memory layer on its first call; every write path maintains the
+    tracker, so the per-tick termination check is O(1) instead of an
+    O(N) rescan.  Memory views without trackers fall back to the scan.
     """
     x_base, n = region if region is not None else (layout.x_base, layout.n)
     state = {"tracker": None}
@@ -139,24 +136,22 @@ def done_predicate(
         tracker = state["tracker"]
         if tracker is not None:
             return tracker.zeros == 0
-        if incremental:
-            track = getattr(memory, "track_zeros", None)
-            if track is not None:
-                tracker = track(x_base, n)
-                state["tracker"] = tracker
-                return tracker.zeros == 0
+        track = getattr(memory, "track_zeros", None)
+        if track is not None:
+            tracker = track(x_base, n)
+            state["tracker"] = tracker
+            return tracker.zeros == 0
         for index in range(n):
             if memory.read(x_base + index) == 0:
                 return False
         return True
 
-    if incremental:
-        # Machine-readable shape of the goal: "the region [x_base,
-        # x_base + n) has no zeros".  The vectorized lane batches whole
-        # quiet windows and uses this to evaluate the predicate inside
-        # the batch (computing the exact first tick it flips) instead
-        # of breaking the window every tick.
-        all_written.zero_goal = (x_base, n)
+    # Machine-readable shape of the goal: "the region [x_base, x_base +
+    # n) has no zeros".  The vectorized lane batches whole quiet windows
+    # and uses this to evaluate the predicate inside the batch
+    # (computing the exact first tick it flips) instead of breaking the
+    # window every tick.
+    all_written.zero_goal = (x_base, n)
 
     return all_written
 

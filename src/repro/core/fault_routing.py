@@ -128,8 +128,6 @@ class FaultRouting(WriteAllAlgorithm):
         )
 
     def until_predicate(
-        self, layout: FaultRoutingLayout, incremental: bool = True
+        self, layout: FaultRoutingLayout
     ) -> Callable[[MemoryReader], bool]:
-        return done_predicate(
-            layout, incremental, region=(layout.ack_base, layout.n)
-        )
+        return done_predicate(layout, region=(layout.ack_base, layout.n))

@@ -10,6 +10,7 @@ from repro.core.problem import WriteAllInstance, verify_solution
 from repro.core.tasks import TaskSet
 from repro.faults.static import apply_memory_faults
 from repro.pram.compiled import resolve_kernel
+from repro.pram.lanes import LANES
 from repro.pram.vectorized import resolve_vectorized
 from repro.pram.ledger import RunLedger
 from repro.pram.machine import Machine
@@ -74,7 +75,6 @@ def solve_write_all(
     fast_path: bool = True,
     fast_forward: bool = True,
     phase_counters: Optional[object] = None,
-    incremental_until: bool = True,
     compiled: bool = True,
     vectorized: "Union[bool, str]" = False,
 ) -> WriteAllResult:
@@ -90,9 +90,9 @@ def solve_write_all(
     implementation (the executable specification — slower, used by the
     differential suite and perf comparisons); ``fast_forward=False``
     keeps the fast path but disables event-horizon tick batching (the
-    ``--no-fast-forward`` escape hatch); ``phase_counters`` is an
+    ``noff`` lane); ``phase_counters`` is an
     optional per-phase timing accumulator for the perf harness.
-    ``compiled=False`` disables the compiled-kernel lane and forces the
+    ``compiled=False`` (the ``nokernel`` lane) forces the
     generator protocol even for algorithms that ship a trusted
     :meth:`~repro.core.base.WriteAllAlgorithm.compiled_program`.
     ``vectorized=True`` opts in to the numpy batch lane
@@ -138,7 +138,7 @@ def solve_write_all(
     if max_ticks is None:
         max_ticks = default_tick_budget(n, p)
     ledger = machine.run(
-        until=algorithm.until_predicate(layout, incremental=incremental_until),
+        until=algorithm.until_predicate(layout),
         max_ticks=max_ticks,
         raise_on_limit=raise_on_limit,
     )
@@ -185,25 +185,22 @@ def measure_write_all(
     adversary: Optional[object] = None,
     max_ticks: Optional[int] = None,
     fairness_window: Optional[int] = None,
-    fast_forward: bool = True,
-    compiled: bool = True,
-    vectorized: "Union[bool, str]" = False,
+    lane: str = "fast",
 ) -> RunMeasures:
     """Picklable sweep entry point: run one instance, return measures.
 
     ``algorithm_factory`` is a zero-argument callable (the algorithm
     class, or a ``functools.partial`` of it) so that a fresh instance is
     built *inside* the worker process — algorithms hold incidental state
-    and must never be shared across runs.
+    and must never be shared across runs.  ``lane`` names the machine
+    lane in :data:`repro.pram.lanes.LANES`.
     """
     result = solve_write_all(
         algorithm_factory(), n, p,
         adversary=adversary,
         max_ticks=max_ticks,
         fairness_window=fairness_window,
-        fast_forward=fast_forward,
-        compiled=compiled,
-        vectorized=vectorized,
+        **LANES[lane].solver_kwargs(),
     )
     return RunMeasures(
         algorithm=result.algorithm,

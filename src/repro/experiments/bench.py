@@ -376,7 +376,7 @@ def _build_scenarios() -> Dict[str, BenchScenario]:
                 name="X/sched-sparse/noff", algorithm=AlgorithmX,
                 sizes=(256, 1024, 4096), processors=64,
                 adversary=SparseSchedule(), seeds=(0, 1),
-                max_ticks=2_000_000, fast_forward=False,
+                max_ticks=2_000_000, lane="noff",
             ),
         ),
     ))
@@ -391,14 +391,14 @@ def _build_scenarios() -> Dict[str, BenchScenario]:
                 name=f"{label}@sched-sparse/{mode}", algorithm=algorithm,
                 sizes=(size,), processors=8,
                 adversary=SparseSchedule(), seeds=(0,),
-                max_ticks=2_000_000, vectorized=vectorized,
+                max_ticks=2_000_000, lane=lane,
             )
             for label, algorithm, size in [
                 ("X", AlgorithmX, 512),
                 ("W", AlgorithmW, 1024),
                 ("trivial", TrivialAssignment, 256),
             ]
-            for mode, vectorized in [("scalar", False), ("auto", "auto")]
+            for mode, lane in [("scalar", "fast"), ("auto", "auto")]
         ),
     ))
 
@@ -447,7 +447,7 @@ def _build_scenarios() -> Dict[str, BenchScenario]:
         title="PPM checkpoints — Theorem 4.3's restart re-entry work "
               "collapses as checkpoint frequency rises",
         source="bench_fault_frontier.py",
-        adversaries=("pmem-churn",),
+        adversaries=("random",),
         specs=tuple(
             SweepSpec(
                 name=f"ppm/ck-{interval}", algorithm=TrivialAssignment,

@@ -35,7 +35,7 @@ import pathlib
 import re
 import tempfile
 import time
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional
 
 from repro.experiments.runner import RunPoint
 
@@ -111,9 +111,7 @@ def point_key(
     adversary: Any,
     max_ticks: Optional[int],
     fairness_window: Optional[int],
-    fast_forward: bool = True,
-    compiled: bool = True,
-    vectorized: "Union[bool, str]" = False,
+    lane: str = "fast",
     runner: Any = None,
 ) -> str:
     """The content hash identifying one sweep point's spec."""
@@ -125,24 +123,12 @@ def point_key(
         fingerprint(adversary),
         str(max_ticks), str(fairness_window),
     ])
-    if not fast_forward:
-        # Fast-forward is model-invisible (both paths produce identical
-        # results), but keying the escape hatch keeps any future
-        # divergence investigable.  Appended only when non-default so
-        # every pre-existing cache entry keeps its key.
-        material += "|no-fast-forward"
-    if not compiled:
-        # Same reasoning for the compiled-kernel escape hatch.
-        material += "|no-compiled"
-    if vectorized == "auto":
-        # Adaptive dispatch is bit-identical to both forced lanes, but
-        # gets its own key (same investigability reasoning as above) —
-        # and must not collide with the hard --lane vec suffix.
-        material += "|lane-auto"
-    elif vectorized:
-        # The vectorized lane is opt-in, so the suffix lands only on
-        # the new configuration and old cache entries keep their keys.
-        material += "|vectorized"
+    if lane != "fast":
+        # Every lane is model-invisible (the differential suite holds
+        # them identical), but keying the lane keeps any divergence
+        # investigable.  Appended only off the default lane so default
+        # entries keep their keys.
+        material += f"|lane-{lane}"
     if runner is not None:
         # A custom point runner changes what a point *measures* (e.g.
         # the persistent-memory checkpoint sweep), so it is key

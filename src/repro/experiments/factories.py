@@ -30,7 +30,6 @@ from repro.faults import (
     NoFailures,
     NoRestartAdversary,
     RandomAdversary,
-    ScheduledAdversary,
     SpeedClassAdversary,
     StalkingAdversaryX,
     StaticFaultAdversary,
@@ -148,12 +147,10 @@ class SparseSchedule:
     victims: int = 4
 
     def __call__(self, seed: int):
-        schedule = {}
-        for k in range(self.events):
-            base = self.start + self.gap * k + seed
-            schedule[base] = ([k % self.victims], [])
-            schedule[base + self.downtime] = ([], [k % self.victims])
-        return ScheduledAdversary(schedule)
+        return adversary_registry.sparse_schedule(
+            seed, events=self.events, gap=self.gap, start=self.start,
+            downtime=self.downtime, victims=self.victims,
+        )
 
 
 @dataclass(frozen=True)
@@ -213,18 +210,18 @@ class PersistentCheckpointRunner:
     through :class:`repro.simulation.PersistentSimulator` under the
     point's adversary, with private state checkpointed every
     ``interval`` completed cycles at ``cost`` no-op cycles apiece
-    (``interval=0``: pure KS91 restarts).  The algorithm factory the
-    engine passes is ignored — the generational executor is fixed — and
-    the result maps onto :class:`~repro.core.runner.RunMeasures` so
-    sweeps, caching and reports treat it like any other point.
+    (``interval=0``: pure KS91 restarts).  The algorithm factory and
+    lane the engine passes are ignored — the generational executor is
+    fixed — and the result maps onto
+    :class:`~repro.core.runner.RunMeasures` so sweeps, caching and
+    reports treat it like any other point.
     """
 
     interval: int = 0
     cost: int = 1
 
     def __call__(self, algorithm_factory, n, p, adversary=None,
-                 max_ticks=None, fairness_window=None, fast_forward=True,
-                 compiled=True, vectorized=False):
+                 max_ticks=None, fairness_window=None, lane="fast"):
         from repro.core.runner import RunMeasures
         from repro.simulation.persistent import (
             CheckpointPolicy,

@@ -56,7 +56,7 @@ from repro.core.runner import measure_write_all
 from repro.experiments.backends import Backend, resolve_backend
 from repro.experiments.cache import ResultCache, point_key
 from repro.experiments.chaos import ChaosCrash, ChaosPolicy
-from repro.experiments.runner import RunPoint, SweepResult
+from repro.experiments.runner import RunPoint, SweepResult, run_one_point
 from repro.experiments.spec import SweepSpec
 
 #: Outcome statuses a worker can report (``crash`` is synthesized by
@@ -78,9 +78,7 @@ class PointSpec:
     adversary: Optional[Callable]
     max_ticks: Optional[int]
     fairness_window: Optional[int]
-    fast_forward: bool = True
-    compiled: bool = True
-    vectorized: "Union[bool, str]" = False
+    lane: str = "fast"
     #: Minimum wall seconds one execution takes (0 = off).  The point
     #: sleeps out any remainder after computing.  Model-invisible, so
     #: it is *not* cache-key material: it exists to give the fabric
@@ -96,10 +94,7 @@ class PointSpec:
         return point_key(
             self.sweep, self.algorithm, self.n, self.p, self.seed,
             self.adversary, self.max_ticks, self.fairness_window,
-            fast_forward=self.fast_forward,
-            compiled=self.compiled,
-            vectorized=self.vectorized,
-            runner=self.runner,
+            lane=self.lane, runner=self.runner,
         )
 
 
@@ -235,9 +230,7 @@ def expand_spec(spec: SweepSpec) -> List[PointSpec]:
             n=n, p=p, seed=seed, adversary=spec.adversary,
             max_ticks=spec.max_ticks,
             fairness_window=spec.fairness_window,
-            fast_forward=spec.fast_forward,
-            compiled=spec.compiled,
-            vectorized=spec.vectorized,
+            lane=spec.lane,
             point_floor_s=getattr(spec, "point_floor_s", 0.0),
             runner=getattr(spec, "runner", None),
         )
@@ -367,19 +360,10 @@ def execute_point(
         with _alarm(timeout):
             if chaos is not None:
                 chaos.perturb(point.index, attempt)
-            measure = measure_write_all if point.runner is None \
-                else point.runner
-            measures = measure(
-                point.algorithm, point.n, point.p,
-                adversary=(
-                    None if point.adversary is None
-                    else point.adversary(point.seed)
-                ),
-                max_ticks=point.max_ticks,
-                fairness_window=point.fairness_window,
-                fast_forward=point.fast_forward,
-                compiled=point.compiled,
-                vectorized=point.vectorized,
+            # measure_write_all is looked up in this module, the seam
+            # tests patch to stall or fail an engine attempt.
+            run_point = run_one_point(
+                point, point.n, point.p, point.seed, measure_write_all
             )
             floor = getattr(point, "point_floor_s", 0.0)
             if floor > 0.0:
@@ -397,7 +381,7 @@ def execute_point(
         return _ERROR, traceback.format_exc(limit=8), \
             time.perf_counter() - started
     elapsed = time.perf_counter() - started
-    return _OK, RunPoint.from_measures(measures, seed=point.seed), elapsed
+    return _OK, run_point, elapsed
 
 
 def _check_picklable(point: PointSpec) -> None:

@@ -175,22 +175,27 @@ class SweepResult:
                 writer.writerow(point.csv_row())
 
 
-def run_one_point(spec: SweepSpec, n: int, p: int, seed: int) -> RunPoint:
+def run_one_point(
+    spec, n: int, p: int, seed: int, measure=measure_write_all
+) -> RunPoint:
     """Execute a single sweep point.
 
-    Both the serial loop below and the parallel engine's workers call
-    this, so a point's result is by construction independent of which
-    path executed it.
+    ``spec`` is a :class:`SweepSpec` or the engine's
+    :class:`~repro.experiments.parallel.PointSpec`; both carry the
+    algorithm, adversary factory, tick budget, fairness window, lane
+    and optional ``runner``.  ``measure`` is the default point runner
+    (``spec.runner`` overrides it).  Both the serial loop below and the
+    parallel engine's workers call this, so a point's result is by
+    construction independent of which path executed it.
     """
-    measure = measure_write_all if spec.runner is None else spec.runner
+    if spec.runner is not None:
+        measure = spec.runner
     measures = measure(
         spec.algorithm, n, p,
-        adversary=spec.adversary_for(seed),
+        adversary=None if spec.adversary is None else spec.adversary(seed),
         max_ticks=spec.max_ticks,
         fairness_window=spec.fairness_window,
-        fast_forward=spec.fast_forward,
-        compiled=spec.compiled,
-        vectorized=spec.vectorized,
+        lane=spec.lane,
     )
     return RunPoint.from_measures(measures, seed=seed)
 

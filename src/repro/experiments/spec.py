@@ -31,17 +31,10 @@ class SweepSpec:
             failure patterns).
         max_ticks: per-run tick budget (``None``: the runner default).
         fairness_window: optional machine fairness guarantee.
-        fast_forward: event-horizon tick batching (the machine default;
-            ``False`` is the ``--no-fast-forward`` escape hatch).
-        compiled: compiled-kernel lane for algorithms that ship one
-            (the default; ``False`` is the ``--no-compiled`` escape
-            hatch forcing the generator protocol).
-        vectorized: numpy batch lane for algorithms that ship a
-            vector program (opt-in ``--lane vec``; needs the
-            optional numpy extra).  The string ``"auto"`` selects
-            per-window adaptive dispatch (``--lane auto``), which
-            degrades silently to the scalar compiled lane without
-            numpy.
+        lane: the machine lane, a name in
+            :data:`repro.pram.lanes.LANES` (``"fast"``, the default;
+            ``"vec"`` needs the optional numpy extra).  Cache-key
+            material for every lane but the default.
         backend: preferred executor backend for this sweep
             (``"serial"``, ``"pool"``, ``"remote:host:port"``); ``None``
             defers to the engine's ``workers`` mapping.  An explicit
@@ -72,9 +65,7 @@ class SweepSpec:
     seeds: Iterable[int] = (0,)
     max_ticks: Optional[int] = None
     fairness_window: Optional[int] = None
-    fast_forward: bool = True
-    compiled: bool = True
-    vectorized: "Union[bool, str]" = False
+    lane: str = "fast"
     backend: Optional[str] = None
     point_floor_s: float = 0.0
     runner: Optional[Callable] = None

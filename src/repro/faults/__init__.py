@@ -26,7 +26,7 @@ Beyond KS91, the package opens three related fault models (see
 * the persistent-memory axis lives in
   :class:`repro.simulation.persistent.CheckpointPolicy` (Blelloch et
   al.'s Parallel Persistent Memory model), driven by the registry's
-  ``pmem-churn`` entry.
+  ``random`` entry.
 """
 
 from repro.faults.base import (

@@ -87,10 +87,14 @@ class AdversaryEntry:
         return self.builder(fail, restart_prob, seed)
 
 
-def _sched_sparse(seed: int, events: int = 8, gap: int = 400,
-                  start: int = 50, downtime: int = 7,
-                  victims: int = 4) -> ScheduledAdversary:
-    """The sparse offline schedule (mirrors factories.SparseSchedule)."""
+def sparse_schedule(seed: int, events: int = 8, gap: int = 400,
+                    start: int = 50, downtime: int = 7,
+                    victims: int = 4) -> ScheduledAdversary:
+    """``events`` fail/restart pairs ``gap`` ticks apart, shifted by ``seed``.
+
+    The ``sched-sparse`` entry and ``factories.SparseSchedule`` both
+    build through this.
+    """
     schedule = {}
     for k in range(events):
         base = start + gap * k + seed
@@ -127,7 +131,8 @@ _register(AdversaryEntry(
     fuzzable=True,
 ))
 _register(AdversaryEntry(
-    "random", ("fail-stop-restart",), "[KPS 90]-style",
+    # Also the churn of checkpointed persistent-memory runs (R3).
+    "random", ("fail-stop-restart", "persistent-mem"), "[KPS 90]-style",
     "i.i.d. per-tick failures and restarts",
     lambda fail, restart_prob, seed: RandomAdversary(
         fail, restart_prob, seed=seed
@@ -180,7 +185,7 @@ _register(AdversaryEntry(
 _register(AdversaryEntry(
     "sched-sparse", ("fail-stop-restart",), "Sec 5 (off-line)",
     "sparse offline fail/restart schedule (event-horizon regime)",
-    lambda fail, restart_prob, seed: _sched_sparse(seed),
+    lambda fail, restart_prob, seed: sparse_schedule(seed),
     fuzzable=True,
 ))
 
@@ -202,19 +207,6 @@ _register(AdversaryEntry(
     "25% dead processors plus 25% dead Write-All cells (poisoned)",
     lambda fail, restart_prob, seed: StaticFaultAdversary(
         dead_frac=0.25, mem_frac=0.25, seed=seed
-    ),
-))
-
-# --------------------------------------------------------------------- #
-# persistent memory (Blelloch et al. PPM)
-# --------------------------------------------------------------------- #
-
-_register(AdversaryEntry(
-    "pmem-churn", ("persistent-mem", "fail-stop-restart"),
-    "Blelloch et al. PPM",
-    "i.i.d. crash/restart churn for checkpointed persistent runs",
-    lambda fail, restart_prob, seed: RandomAdversary(
-        fail, restart_prob, seed=seed
     ),
 ))
 

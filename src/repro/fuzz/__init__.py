@@ -14,8 +14,8 @@ claim; this package scales the witness the way the chaos harness
 * :mod:`repro.fuzz.oracle` — the ideal fault-free synchronous PRAM
   evaluator, the differential ground truth;
 * :mod:`repro.fuzz.driver` — runs each generated program through
-  :class:`~repro.simulation.executor.RobustSimulator` on all four
-  machine lanes (fast / no-fast-forward / no-kernel / reference) under
+  :class:`~repro.simulation.executor.RobustSimulator` on every
+  machine lane of :mod:`repro.pram.lanes` under
   randomly drawn adversaries, with inline chaos injection, under the
   same three-pass bit-identical convergence contract as ``repro
   chaos``;

@@ -1,26 +1,26 @@
-"""The ``python -m repro perf`` micro-benchmark: fast path vs baseline.
+"""The ``python -m repro perf`` micro-benchmark: lanes against lanes.
 
-Times Write-All runs through three cores at one configuration:
+Times Write-All runs at one configuration on several machine lanes of
+:data:`repro.pram.lanes.LANES`.  The **head** leg runs the lane the
+user picked (``--lane scalar``, ``vec`` or ``auto``: the ``fast``,
+``vec`` or ``auto`` lane) and reports as ``fast``, or as ``auto`` on
+the adaptive lane.  The legs in
+:data:`ABLATIONS` run beside it, each on one lane, and each one's
+ratio (its best time over the head leg's) isolates what the head lane
+buys over that lane:
 
-* **fast** — the machine's optimized tick loop (``fast_path=True``) with
-  the incremental O(1) termination predicate and event-horizon
-  fast-forward (quiescent windows batched through the fused tick loop);
-* **noff** — the same optimized loop with fast-forward disabled
-  (``fast_forward=False``), i.e. PR 2's per-tick fast path.  The
-  fast/noff ratio isolates what horizon batching alone buys;
-* **nokernel** — the fast loop with compiled program kernels disabled
-  (``compiled=False``), timed only for algorithms that ship a kernel.
-  The nokernel/fast ratio isolates what compiling the cycle stream
-  buys over generator dispatch;
-* **novec** — with ``--lane vec``, the fast leg runs the numpy batch
-  lane and a **novec** leg (same configuration, scalar compiled lane)
-  is timed alongside it; the novec/fast ratio (``vec_speedup``)
-  isolates what batching all P processors into array ops buys over
-  the scalar kernel.  Timed only for algorithms that ship a vector
-  program and only when the numpy extra is installed;
-* **baseline** — the reference tick implementation
-  (``fast_path=False``) with the O(N) termination rescan, i.e. the
-  pre-optimization core kept in-tree as the executable specification.
+* **noff** — the ``noff`` lane, fast-forward off: the fast/noff ratio
+  (``ff_speedup``) is what event-horizon batching alone buys;
+* **nokernel** — the ``nokernel`` lane, timed only for algorithms that
+  ship a compiled kernel: what compiling the cycle stream buys over
+  generator dispatch (``kernel_speedup``);
+* **novec** — the scalar ``fast`` lane, timed only when the head lane
+  is ``vec`` or ``auto`` and the algorithm ships a vector program
+  (with the numpy extra installed): what batching all P processors
+  into array ops buys (``vec_speedup``), or what adaptive dispatch
+  buys (``auto_speedup``);
+* **baseline** — the ``reference`` lane, the executable specification
+  (``speedup``); ``--no-baseline`` skips it.
 
 Fault injection is selected from :data:`PERF_ADVERSARIES` — sparse
 deterministic scenarios where the event-horizon protocol has long
@@ -28,7 +28,7 @@ quiescent windows to exploit.  Every leg builds a fresh adversary from
 the same factory, so the legs replay the identical failure pattern.
 
 All legs are timed with warmup + min-of-k repeats
-(:mod:`repro.perf.timing`); the fast leg also collects per-phase tick
+(:mod:`repro.perf.timing`); the head leg also collects per-phase tick
 counters.  The paper-model outputs of the legs (S, S', |F|, ticks,
 solved) are asserted identical — a timing harness must never compare two
 computations that diverged.
@@ -41,7 +41,8 @@ over time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import (
     AlgorithmV,
@@ -66,6 +67,7 @@ from repro.perf.timing import (
     time_callables_interleaved,
 )
 from repro.pram.compiled import resolve_kernel
+from repro.pram.lanes import LANES
 from repro.pram.vectorized import HAVE_NUMPY, resolve_vectorized
 
 #: Algorithms runnable by the perf command.
@@ -121,11 +123,30 @@ DEFAULT_ALGORITHM = "X"
 DEFAULT_ADVERSARY = "none"
 
 
+#: The legs timed beside the head leg: (report name, registry lane,
+#: label in :func:`describe_comparison`).  Which of them run depends on
+#: the configuration (see :func:`run_comparison`).
+ABLATIONS: Tuple[Tuple[str, str, str], ...] = (
+    ("noff", "noff", "no-ff"),
+    ("nokernel", "nokernel", "no-kernel"),
+    ("novec", "fast", "no-vec"),
+    ("baseline", "reference", "baseline"),
+)
+
+#: Report name -> ratio name, for the legs whose ratio name does not
+#: depend on the head lane (``novec``'s is ``<lane>_speedup``).
+_RATIO_NAMES = {
+    "noff": "ff_speedup",
+    "nokernel": "kernel_speedup",
+    "baseline": "speedup",
+}
+
+
 @dataclass(frozen=True)
 class PerfLeg:
-    """One timed core (fast / noff / baseline) at one configuration."""
+    """One timed lane at one configuration, under its report name."""
 
-    mode: str  # "fast" | "noff" | "nokernel" | "novec" | "baseline"
+    mode: str
     timing: TimingResult
     result: WriteAllResult
     phases: Optional[PhaseCounters]
@@ -142,71 +163,37 @@ class PerfLeg:
 
 @dataclass(frozen=True)
 class PerfComparison:
-    """Fast vs noff vs baseline at one (algorithm, n, p, adversary)."""
+    """Every timed leg at one (algorithm, n, p, adversary).
+
+    ``legs`` maps report names to legs, head leg first, the rest in
+    :data:`ABLATIONS` order; ``lane`` is the head leg's lane.
+    """
 
     algorithm: str
     n: int
     p: int
-    fast: PerfLeg
-    baseline: Optional[PerfLeg]
-    noff: Optional[PerfLeg] = None
-    nokernel: Optional[PerfLeg] = None
-    novec: Optional[PerfLeg] = None
+    lane: str
+    legs: Dict[str, PerfLeg]
     adversary: str = DEFAULT_ADVERSARY
-    #: The lane switch the fast leg ran with (False / True / "auto") —
-    #: decides whether the novec ratio reports as vec_ or auto_speedup.
-    vectorized: "Union[bool, str]" = False
 
     @property
-    def speedup(self) -> Optional[float]:
-        """Baseline-over-fast wall-clock ratio (higher is better)."""
-        if self.baseline is None or self.fast.best_s <= 0:
-            return None
-        return self.baseline.best_s / self.fast.best_s
+    def head(self) -> PerfLeg:
+        return next(iter(self.legs.values()))
 
-    @property
-    def ff_speedup(self) -> Optional[float]:
-        """No-fast-forward over fast ratio: the horizon batching win."""
-        if self.noff is None or self.fast.best_s <= 0:
-            return None
-        return self.noff.best_s / self.fast.best_s
+    def ratio_name(self, name: str) -> str:
+        """What the ratio of ablation leg ``name`` is called."""
+        return _RATIO_NAMES.get(name, f"{self.lane}_speedup")
 
-    @property
-    def kernel_speedup(self) -> Optional[float]:
-        """No-kernel over fast ratio: the compiled-kernel win."""
-        if self.nokernel is None or self.fast.best_s <= 0:
-            return None
-        return self.nokernel.best_s / self.fast.best_s
-
-    @property
-    def vec_speedup(self) -> Optional[float]:
-        """No-vec over fast ratio: the vectorized-lane win.
-
-        Kernel-relative: the novec leg runs the scalar compiled lane,
-        so this isolates array batching from everything beneath it.
-        Reported only for the hard ``--lane vec`` opt-in; the
-        adaptive mode reports :attr:`auto_speedup` instead.
-        """
-        if self.vectorized == "auto":
-            return None
-        if self.novec is None or self.fast.best_s <= 0:
-            return None
-        return self.novec.best_s / self.fast.best_s
-
-    @property
-    def auto_speedup(self) -> Optional[float]:
-        """No-vec over auto ratio: what adaptive dispatch buys.
-
-        The auto leg may dispatch any mix of vec and scalar windows;
-        dividing the forced-scalar leg's time by it answers the
-        question the cost model exists for — "is ``--lane auto`` at
-        least as fast as the scalar lane here?" (≥ 1.0 means yes; the
-        CI gate allows 0.95 for timing noise on small sizes)."""
-        if self.vectorized != "auto":
-            return None
-        if self.novec is None or self.fast.best_s <= 0:
-            return None
-        return self.novec.best_s / self.fast.best_s
+    def ratios(self) -> Dict[str, float]:
+        """Ratio name -> best time of each timed ablation leg over the
+        head leg's (higher means the head lane is faster)."""
+        head_s = self.head.best_s
+        if head_s <= 0:
+            return {}
+        return {
+            self.ratio_name(name): leg.best_s / head_s
+            for name, leg in list(self.legs.items())[1:]
+        }
 
 
 def _check_legs_agree(legs: Sequence[PerfLeg]) -> None:
@@ -242,39 +229,16 @@ def run_comparison(
     warmup: int = 1,
     include_baseline: bool = True,
     adversary: str = DEFAULT_ADVERSARY,
-    fast_forward: bool = True,
-    compiled: bool = True,
-    vectorized: "Union[bool, str]" = False,
+    lane: str = "fast",
 ) -> PerfComparison:
-    """Time one configuration through the cores.
+    """Time one configuration on ``lane`` and the ablation legs.
 
-    With ``fast_forward=True`` (the default) the fast leg uses horizon
-    batching and a **noff** leg (same optimized loop, fast-forward off)
-    is timed alongside it, so the comparison carries both the total
-    (:attr:`PerfComparison.speedup`) and the batching-only
-    (:attr:`PerfComparison.ff_speedup`) ratios.  ``fast_forward=False``
-    is the ``--no-fast-forward`` escape hatch: the fast leg runs tick by
-    tick and the noff leg is skipped (it would duplicate it).
-
-    With ``compiled=True`` (the default) and an algorithm that ships a
-    compiled kernel for this configuration, a **nokernel** leg (same
-    loop, generator protocol) is timed alongside the fast leg, carrying
-    the kernel-only ratio (:attr:`PerfComparison.kernel_speedup`).
-    ``compiled=False`` is the ``--no-compiled`` escape hatch: the fast
-    leg itself runs on generators and the nokernel leg is skipped.
-
-    With ``vectorized=True`` (the ``--lane vec`` opt-in) the fast leg
-    runs the numpy batch lane; for algorithms that actually ship a
-    vector program a **novec** leg (same loop, scalar compiled lane) is
-    timed alongside it, carrying the batching-only ratio
-    (:attr:`PerfComparison.vec_speedup`).  Requesting it without the
-    numpy extra raises the lane's clear unavailability error.
-
-    With ``vectorized="auto"`` (the ``--lane auto`` mode) the fast leg
-    runs adaptive per-window dispatch and reports as mode ``auto`` in
-    the bench export; the same novec leg then carries
-    :attr:`PerfComparison.auto_speedup` — scalar time over auto time,
-    the "adaptive never loses" number the CI baselines gate on.
+    The ``noff`` leg always runs; ``nokernel`` only for algorithms that
+    ship a compiled kernel for this configuration; ``novec`` only when
+    ``lane`` is ``vec`` or ``auto`` and the algorithm ships a vector
+    program; ``baseline`` unless ``include_baseline=False``.  The
+    ``vec`` lane without the numpy extra raises the lane's clear
+    unavailability error.
     """
     try:
         algorithm_cls = PERF_ALGORITHMS[algorithm]
@@ -294,112 +258,58 @@ def run_comparison(
     def fresh_adversary():
         return None if adversary_factory is None else adversary_factory(p)
 
-    state: Dict[str, WriteAllResult] = {}
-
-    def run_fast() -> None:
-        state["fast"] = solve_write_all(
+    def solve(leg_lane: str, **kwargs) -> WriteAllResult:
+        return solve_write_all(
             algorithm_cls(), n, p, adversary=fresh_adversary(),
-            fast_path=True, fast_forward=fast_forward, compiled=compiled,
-            vectorized=vectorized,
+            **LANES[leg_lane].solver_kwargs(), **kwargs,
         )
 
-    def run_novec() -> None:
-        state["novec"] = solve_write_all(
-            algorithm_cls(), n, p, adversary=fresh_adversary(),
-            fast_path=True, fast_forward=fast_forward,
-            compiled=compiled, vectorized=False,
-        )
+    timed = {
+        "noff": True,
+        "nokernel": _has_kernel(algorithm_cls, n, p),
+        "novec": bool(LANES[lane].vectorized)
+        and _has_vectorized(algorithm_cls, n, p),
+        "baseline": include_baseline,
+    }
+    head = "auto" if lane == "auto" else "fast"
+    plan = [(head, lane)] + [
+        (name, leg_lane) for name, leg_lane, _label in ABLATIONS
+        if timed[name]
+    ]
+    results: Dict[str, WriteAllResult] = {}
 
-    has_novec = bool(vectorized) and _has_vectorized(algorithm_cls, n, p)
-    novec_timing: Optional[TimingResult] = None
-    if has_novec:
+    def run(name: str, leg_lane: str) -> None:
+        results[name] = solve(leg_lane)
+
+    runs = {name: partial(run, name, leg_lane) for name, leg_lane in plan}
+    timings: Dict[str, TimingResult] = {}
+    if "novec" in runs:
         # The vec/auto speedup is a *ratio* of these two legs, so they
         # are timed interleaved: block-by-block timing aliases slow
         # host drift into the ratio (see time_callables_interleaved).
-        fast_timing, novec_timing = time_callables_interleaved(
-            [run_fast, run_novec], repeats=repeats, warmup=warmup
+        timings[head], timings["novec"] = time_callables_interleaved(
+            [runs[head], runs["novec"]], repeats=repeats, warmup=warmup
         )
-    else:
-        fast_timing = time_callable(run_fast, repeats=repeats, warmup=warmup)
+    for name, timed_run in runs.items():
+        if name not in timings:
+            timings[name] = time_callable(
+                timed_run, repeats=repeats, warmup=warmup
+            )
     # The per-phase breakdown comes from one separate instrumented run so
     # the timed repeats above stay free of perf_counter overhead.
     phases = PhaseCounters()
-    solve_write_all(algorithm_cls(), n, p, adversary=fresh_adversary(),
-                    fast_path=True, fast_forward=fast_forward,
-                    compiled=compiled, vectorized=vectorized,
-                    phase_counters=phases)
-    fast_leg = PerfLeg(
-        mode="auto" if vectorized == "auto" else "fast",
-        timing=fast_timing, result=state["fast"], phases=phases,
-    )
-    legs = [fast_leg]
-
-    noff_leg: Optional[PerfLeg] = None
-    if fast_forward:
-
-        def run_noff() -> None:
-            state["noff"] = solve_write_all(
-                algorithm_cls(), n, p, adversary=fresh_adversary(),
-                fast_path=True, fast_forward=False, compiled=compiled,
-            )
-
-        noff_timing = time_callable(run_noff, repeats=repeats, warmup=warmup)
-        noff_leg = PerfLeg(
-            mode="noff", timing=noff_timing, result=state["noff"],
-            phases=None,
+    solve(lane, phase_counters=phases)
+    legs = {
+        name: PerfLeg(
+            mode=name, timing=timings[name], result=results[name],
+            phases=phases if name == head else None,
         )
-        legs.append(noff_leg)
-
-    nokernel_leg: Optional[PerfLeg] = None
-    if compiled and _has_kernel(algorithm_cls, n, p):
-
-        def run_nokernel() -> None:
-            state["nokernel"] = solve_write_all(
-                algorithm_cls(), n, p, adversary=fresh_adversary(),
-                fast_path=True, fast_forward=fast_forward, compiled=False,
-            )
-
-        nokernel_timing = time_callable(
-            run_nokernel, repeats=repeats, warmup=warmup
-        )
-        nokernel_leg = PerfLeg(
-            mode="nokernel", timing=nokernel_timing,
-            result=state["nokernel"], phases=None,
-        )
-        legs.append(nokernel_leg)
-
-    novec_leg: Optional[PerfLeg] = None
-    if has_novec:
-        novec_leg = PerfLeg(
-            mode="novec", timing=novec_timing,
-            result=state["novec"], phases=None,
-        )
-        legs.append(novec_leg)
-
-    baseline_leg: Optional[PerfLeg] = None
-    if include_baseline:
-
-        def run_baseline() -> None:
-            state["baseline"] = solve_write_all(
-                algorithm_cls(), n, p, adversary=fresh_adversary(),
-                fast_path=False, incremental_until=False,
-                fast_forward=False, compiled=False,
-            )
-
-        baseline_timing = time_callable(
-            run_baseline, repeats=repeats, warmup=warmup
-        )
-        baseline_leg = PerfLeg(
-            mode="baseline", timing=baseline_timing,
-            result=state["baseline"], phases=None,
-        )
-        legs.append(baseline_leg)
-
-    _check_legs_agree(legs)
+        for name, _leg_lane in plan
+    }
+    _check_legs_agree(list(legs.values()))
     return PerfComparison(
-        algorithm=algorithm, n=n, p=p, fast=fast_leg, baseline=baseline_leg,
-        noff=noff_leg, nokernel=nokernel_leg, novec=novec_leg,
-        adversary=adversary, vectorized=vectorized,
+        algorithm=algorithm, n=n, p=p, lane=lane, legs=legs,
+        adversary=adversary,
     )
 
 
@@ -434,9 +344,7 @@ def run_perf(
     warmup: int = 1,
     include_baseline: bool = True,
     adversaries: Sequence[str] = (DEFAULT_ADVERSARY,),
-    fast_forward: bool = True,
-    compiled: bool = True,
-    vectorized: "Union[bool, str]" = False,
+    lane: str = "fast",
 ) -> List[PerfComparison]:
     """Time every ``(algorithm, n, p)`` x adversary configuration."""
     return [
@@ -445,9 +353,7 @@ def run_perf(
             repeats=repeats, warmup=warmup,
             include_baseline=include_baseline,
             adversary=adversary,
-            fast_forward=fast_forward,
-            compiled=compiled,
-            vectorized=vectorized,
+            lane=lane,
         )
         for algorithm, n, p in configurations
         for adversary in adversaries
@@ -499,26 +405,14 @@ def perf_report(
     """
     sweeps: List[Dict[str, object]] = []
     for comparison in comparisons:
-        legs = [comparison.fast]
-        if comparison.noff is not None:
-            legs.append(comparison.noff)
-        if comparison.nokernel is not None:
-            legs.append(comparison.nokernel)
-        if comparison.novec is not None:
-            legs.append(comparison.novec)
-        if comparison.baseline is not None:
-            legs.append(comparison.baseline)
-        for leg in legs:
+        # The vec_speedup / auto_speedup ratio rides on the head point
+        # so the regression checker can validate it.
+        headline = comparison.ratio_name("novec")
+        ratios = comparison.ratios()
+        for leg in comparison.legs.values():
             record = _leg_point(leg, comparison.n, comparison.p)
-            if leg is comparison.fast and comparison.vec_speedup is not None:
-                # The headline ratio rides on the fast point so the
-                # regression checker can validate it; absent in reports
-                # written before the vectorized lane existed.
-                record["vec_speedup"] = round(comparison.vec_speedup, 4)
-            if leg is comparison.fast and comparison.auto_speedup is not None:
-                # Same pattern for the adaptive-dispatch ratio (PR 8);
-                # absent in reports written before --lane auto existed.
-                record["auto_speedup"] = round(comparison.auto_speedup, 4)
+            if leg is comparison.head and headline in ratios:
+                record[headline] = round(ratios[headline], 4)
             sweeps.append({
                 "name": sweep_name(comparison, leg),
                 "points": [record],
@@ -540,54 +434,33 @@ def perf_report(
 
 def describe_comparison(comparison: PerfComparison) -> str:
     """Multi-line human-readable summary of one configuration."""
-    fast = comparison.fast
+    head = comparison.head
     scenario = (
         "" if comparison.adversary == DEFAULT_ADVERSARY
         else f" @{comparison.adversary}"
     )
-    header = (
+    lines = [
         f"{comparison.algorithm}(N={comparison.n}, "
         f"P={comparison.p}){scenario}: "
-        f"{fast.mode} {fast.best_s * 1e3:.1f} ms "
-        f"({fast.ticks_per_s:,.0f} ticks/s, "
-        f"{fast.result.ledger.ticks} ticks, spread "
-        f"{100.0 * fast.timing.spread:.0f}%)"
-    )
-    lines = [header]
-    if comparison.noff is not None:
-        noff = comparison.noff
+        f"{head.mode} {head.best_s * 1e3:.1f} ms "
+        f"({head.ticks_per_s:,.0f} ticks/s, "
+        f"{head.result.ledger.ticks} ticks, spread "
+        f"{100.0 * head.timing.spread:.0f}%)"
+    ]
+    ratios = comparison.ratios()
+    for name, _leg_lane, label in ABLATIONS:
+        leg = comparison.legs.get(name)
+        if leg is None:
+            continue
+        ratio_name = comparison.ratio_name(name)
+        ratio = ratios.get(ratio_name)
+        shown = "n/a" if ratio is None else f"{ratio:.2f}x"
         lines.append(
-            f"  no-ff {noff.best_s * 1e3:.1f} ms "
-            f"({noff.ticks_per_s:,.0f} ticks/s)  "
-            f"ff-speedup {comparison.ff_speedup:.2f}x"
+            f"  {label} {leg.best_s * 1e3:.1f} ms "
+            f"({leg.ticks_per_s:,.0f} ticks/s)  "
+            f"{ratio_name.replace('_', '-')} {shown}"
         )
-    if comparison.nokernel is not None:
-        nokernel = comparison.nokernel
-        lines.append(
-            f"  no-kernel {nokernel.best_s * 1e3:.1f} ms "
-            f"({nokernel.ticks_per_s:,.0f} ticks/s)  "
-            f"kernel-speedup {comparison.kernel_speedup:.2f}x"
-        )
-    if comparison.novec is not None:
-        novec = comparison.novec
-        ratio_label, ratio = (
-            ("auto-speedup", comparison.auto_speedup)
-            if comparison.vectorized == "auto"
-            else ("vec-speedup", comparison.vec_speedup)
-        )
-        lines.append(
-            f"  no-vec {novec.best_s * 1e3:.1f} ms "
-            f"({novec.ticks_per_s:,.0f} ticks/s)  "
-            f"{ratio_label} {ratio:.2f}x"
-        )
-    if comparison.baseline is not None:
-        baseline = comparison.baseline
-        lines.append(
-            f"  baseline {baseline.best_s * 1e3:.1f} ms "
-            f"({baseline.ticks_per_s:,.0f} ticks/s)  "
-            f"speedup {comparison.speedup:.2f}x"
-        )
-    if fast.phases is not None and (fast.phases.ticks
-                                    or fast.phases.fused_ticks):
-        lines.append(f"  {fast.phases.describe()}")
+    if head.phases is not None and (head.phases.ticks
+                                    or head.phases.fused_ticks):
+        lines.append(f"  {head.phases.describe()}")
     return "\n".join(lines)

@@ -186,7 +186,7 @@ def resolve_kernel(
     """The kernel factory to install for a run, or None for generators.
 
     Combines the opt-out switch (``compiled=False`` — the
-    ``--no-compiled`` escape hatch), the MRO trust guard, and the
+    ``nokernel`` lane), the MRO trust guard, and the
     algorithm's own gating (``compiled_program`` returns None for
     configurations it has no kernel for, e.g. non-trivial task sets).
     """

@@ -9,9 +9,7 @@ the vector lane pays a fixed per-tick array-machinery cost (mask
 builds, lexsort commits) that only amortizes once ``ticks x P`` is
 large enough.  This module is the calibrated cost model behind
 ``--lane auto``: a per-program-kind linear model over the window's
-tick budget, the running-lane count, and the residency state, scaled
-once per process by a micro-probe so the committed coefficients
-transfer across hosts.
+tick budget, the running-lane count, and the residency state.
 
 The choice is **purely a performance decision**: both lanes are
 bit-identical by the differential contract, so a wrong prediction
@@ -19,25 +17,16 @@ costs time, never correctness.  That is what makes shipping a
 heuristic safe.
 
 Calibration: ``benchmarks/calibrate_dispatch.py`` regenerates
-``DEFAULT_TABLE`` by timing real solver runs on both lanes; the
-micro-probe (:func:`_run_probe`) then corrects for the speed ratio
-between the calibration host and the current one.  Set
-``REPRO_DISPATCH_PROBE=0`` to skip the probe (scales pinned to 1.0 —
-deterministic, used by tests and fine in practice since the probe
-only shifts the crossover point).
+``DEFAULT_TABLE`` by timing real solver runs on both lanes.  The
+model applies it unscaled on every host, so a window's lane depends
+only on the window, never on how loaded the host is when the process
+starts.
 """
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass
 from typing import Dict, Optional
-
-try:  # pragma: no cover - exercised by the no-numpy CI leg
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
 
 
 @dataclass(frozen=True)
@@ -72,8 +61,7 @@ class LaneCosts:
 
 
 #: Calibrated on the repository's CI-class reference host by
-#: ``benchmarks/calibrate_dispatch.py``; the runtime micro-probe
-#: rescales both sides for the current host.
+#: ``benchmarks/calibrate_dispatch.py``.
 DEFAULT_TABLE: Dict[str, LaneCosts] = {
     "trivial": LaneCosts(
         scalar_tick_lane_ns=593.0,
@@ -112,57 +100,11 @@ DEFAULT_TABLE: Dict[str, LaneCosts] = {
 }
 
 
-@dataclass(frozen=True)
-class ProbeResult:
-    """Micro-probe timings (ns) for interpreter and array throughput."""
-
-    scalar_ns: float
-    vector_ns: float
-
-
-#: The probe's readings on the calibration host, committed alongside
-#: DEFAULT_TABLE: the runtime scales are current/reference ratios.
-REFERENCE_PROBE = ProbeResult(scalar_ns=36_429.0, vector_ns=7_468.0)
-
-#: Probe repetitions; min-of-k suppresses scheduler noise the same way
-#: the perf harness does.
-_PROBE_REPEATS = 5
-
-
-def _probe_scalar_once() -> float:
-    """Time one pass of an interpreter-bound loop (ns)."""
-    start = time.perf_counter_ns()
-    total = 0
-    for value in range(1_000):
-        total += value & 7
-    elapsed = time.perf_counter_ns() - start
-    # `total` anchors the loop against hoisting by optimizing runtimes.
-    return float(elapsed + (total & 0))
-
-
-def _probe_vector_once() -> float:
-    """Time one pass of a small ndarray pipeline (ns)."""
-    np = _np
-    start = time.perf_counter_ns()
-    arr = np.arange(4_096, dtype=np.int64)
-    out = int((arr * 3 & 7).sum())
-    elapsed = time.perf_counter_ns() - start
-    return float(elapsed + (out & 0))
-
-
-def _run_probe() -> ProbeResult:
-    """Measure the current host's interpreter and array speed."""
-    scalar = min(_probe_scalar_once() for _ in range(_PROBE_REPEATS))
-    vector = min(_probe_vector_once() for _ in range(_PROBE_REPEATS))
-    return ProbeResult(scalar_ns=scalar, vector_ns=vector)
-
-
 class DispatchModel:
     """Predicts the faster lane for one fused quiet window.
 
     ``scale_scalar``/``scale_vector`` multiply the respective cost
-    sides; they come from the micro-probe (current host vs calibration
-    host) and default to 1.0.
+    sides (default 1.0: the table as calibrated).
     """
 
     def __init__(
@@ -214,7 +156,7 @@ _MODEL: Optional[DispatchModel] = None
 
 
 def get_model() -> DispatchModel:
-    """The process-wide dispatch model, probing the host once (memoized).
+    """The process-wide dispatch model (memoized).
 
     Without numpy the question never arises (``resolve_vectorized``
     already returned None for ``"auto"``), but the model still answers
@@ -222,15 +164,7 @@ def get_model() -> DispatchModel:
     """
     global _MODEL
     if _MODEL is None:
-        scale_scalar = scale_vector = 1.0
-        if os.environ.get("REPRO_DISPATCH_PROBE", "1") != "0" and _np is not None:
-            probe = _run_probe()
-            if probe.scalar_ns > 0 and probe.vector_ns > 0:
-                scale_scalar = probe.scalar_ns / REFERENCE_PROBE.scalar_ns
-                scale_vector = probe.vector_ns / REFERENCE_PROBE.vector_ns
-        _MODEL = DispatchModel(
-            scale_scalar=scale_scalar, scale_vector=scale_vector
-        )
+        _MODEL = DispatchModel()
     return _MODEL
 
 

@@ -17,9 +17,16 @@ Every optimization is a claim of observational equivalence to the
 reference core, so every consumer that enumerates lanes — the
 differential suite in ``tests/pram/``, the fuzz driver
 (``repro.fuzz.driver``), and the perf harness legs (``repro.perf``) —
-derives them from this registry.  Adding a lane is one registration
+derives them from this registry.  Above ``solve_write_all`` a lane is
+only ever a registry name: sweep specs, point specs, cache keys and
+perf legs carry the name, and :meth:`Lane.solver_kwargs` is the one
+place it turns back into switches.  Adding a lane is one registration
 here, and it is immediately fuzzed, differentially tested, and
 benchmarkable.
+
+The CLI exposes three lanes through ``--lane`` (:data:`CLI_LANES`);
+``noff``, ``nokernel`` and ``reference`` are ablations that ``repro
+perf`` times beside the chosen lane.
 
 The ``vec`` lane needs the optional numpy extra;
 :func:`lane_available` / :func:`available_lane_names` let consumers
@@ -85,15 +92,14 @@ LANES: Dict[str, Lane] = {
             fast_path=True,
             fast_forward=False,
             compiled=True,
-            description="fast path without event-horizon batching "
-            "(--no-fast-forward)",
+            description="fast path without event-horizon batching",
         ),
         Lane(
             name="nokernel",
             fast_path=True,
             fast_forward=True,
             compiled=False,
-            description="fast path without compiled kernels (--no-compiled)",
+            description="fast path without compiled kernels",
         ),
         Lane(
             name="vec",
@@ -123,6 +129,10 @@ LANES: Dict[str, Lane] = {
         ),
     )
 }
+
+
+#: ``--lane`` choice -> registry lane name.
+CLI_LANES: Dict[str, str] = {"scalar": "fast", "vec": "vec", "auto": "auto"}
 
 
 def lane_available(name: str) -> bool:

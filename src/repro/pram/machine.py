@@ -297,7 +297,7 @@ class Machine:
         instead of a generator, and quiet-window ticks take the fused
         kernel lane.  Callers are expected to route the factory through
         :func:`repro.pram.compiled.resolve_kernel`, which applies the
-        MRO trust guard and the ``--no-compiled`` opt-out.
+        MRO trust guard and the ``compiled=False`` opt-out.
 
         ``vectorized_program`` optionally installs a whole-machine
         vector program (see :mod:`repro.pram.vectorized`, routed through

@@ -147,11 +147,9 @@ class RobustSimulator:
         self.adversary = adversary
         self.policy = policy
         self.max_ticks_per_phase = max_ticks_per_phase
-        # Lane selection, mirroring solve_write_all (see
-        # repro.pram.lanes for the registry): ``fast_forward`` /
-        # ``compiled`` / ``vectorized`` are the --no-fast-forward /
-        # --no-compiled / --lane vec switches (``vectorized="auto"``
-        # is --lane auto adaptive dispatch).  The fuzz driver runs
+        # Lane selection, mirroring solve_write_all: callers pass a
+        # registry lane's switches (repro.pram.lanes,
+        # ``Lane.solver_kwargs()``).  The fuzz driver runs
         # every program through all available lanes.  Note the robust
         # phases always use non-trivial task sets (CycleFactoryTasks),
         # which every vectorized_program hook gates to None — so the

@@ -112,7 +112,7 @@ class TestEnumeration:
     def test_names_for_tag(self):
         assert "static-proc" in registry.names_for_tag("static-proc")
         assert "speed-classes" in registry.names_for_tag("hetero-speed")
-        assert "pmem-churn" in registry.names_for_tag("persistent-mem")
+        assert "random" in registry.names_for_tag("persistent-mem")
         for name in registry.names_for_tag("fail-stop-restart"):
             assert "fail-stop-restart" in registry.tags_for(name)
         with pytest.raises(ValueError, match="unknown model tag"):

@@ -386,16 +386,18 @@ class TestCheckRegressionCli:
 class TestRunComparison:
     def test_small_comparison_agrees_and_reports(self):
         comparison = run_comparison("W", 64, 8, repeats=1, warmup=0)
-        assert comparison.fast.result.solved
-        assert comparison.baseline is not None
-        assert comparison.speedup is not None and comparison.speedup > 0
-        assert comparison.noff is not None
-        assert comparison.ff_speedup is not None and comparison.ff_speedup > 0
+        assert comparison.head.mode == "fast"
+        assert comparison.head.result.solved
+        assert list(comparison.legs) == ["fast", "noff", "nokernel",
+                                         "baseline"]
+        ratios = comparison.ratios()
+        assert ratios["speedup"] > 0
+        assert ratios["ff_speedup"] > 0
         # Fused windows bypass the per-phase timers; the dedicated
         # fused_ticks counter keeps the tick accounting complete.
-        phases = comparison.fast.phases
+        phases = comparison.head.phases
         assert phases.ticks + phases.fused_ticks == \
-            comparison.fast.result.ledger.ticks
+            comparison.head.result.ledger.ticks
         text = describe_comparison(comparison)
         assert "W(N=64, P=8)" in text
         assert "speedup" in text
@@ -404,15 +406,8 @@ class TestRunComparison:
     def test_no_baseline_leg(self):
         comparison = run_comparison("trivial", 64, 8, repeats=1, warmup=0,
                                     include_baseline=False)
-        assert comparison.baseline is None
-        assert comparison.speedup is None
-
-    def test_no_fast_forward_skips_noff_leg(self):
-        comparison = run_comparison("trivial", 64, 8, repeats=1, warmup=0,
-                                    fast_forward=False)
-        assert comparison.noff is None
-        assert comparison.ff_speedup is None
-        assert comparison.baseline is not None
+        assert "baseline" not in comparison.legs
+        assert "speedup" not in comparison.ratios()
 
     def test_adversarial_legs_replay_identical_pattern(self):
         comparison = run_comparison("X", 64, 8, repeats=1, warmup=0,
@@ -420,8 +415,8 @@ class TestRunComparison:
         # _check_legs_agree already asserted model equality across the
         # fast/noff/baseline legs; the pattern itself must be non-empty
         # or the scenario is not exercising fault handling at all.
-        assert comparison.fast.result.pattern_size > 0
-        assert comparison.fast.result.solved
+        assert comparison.head.result.pattern_size > 0
+        assert comparison.head.result.solved
         text = describe_comparison(comparison)
         assert "@sched-sparse" in text
 
@@ -530,29 +525,28 @@ class TestPerfReport:
 class TestVectorizedLeg:
     def test_vec_comparison_times_novec_leg(self):
         comparison = run_comparison("trivial", 256, 8, repeats=1, warmup=0,
-                                    include_baseline=False, vectorized=True)
-        assert comparison.novec is not None
-        assert comparison.vec_speedup is not None
-        assert comparison.vec_speedup > 0
+                                    include_baseline=False, lane="vec")
+        assert "novec" in comparison.legs
+        assert comparison.ratios()["vec_speedup"] > 0
         text = describe_comparison(comparison)
         assert "no-vec" in text and "vec-speedup" in text
 
     def test_default_skips_novec_leg(self):
         comparison = run_comparison("trivial", 256, 8, repeats=1, warmup=0,
                                     include_baseline=False)
-        assert comparison.novec is None
-        assert comparison.vec_speedup is None
+        assert "novec" not in comparison.legs
+        assert "vec_speedup" not in comparison.ratios()
 
     def test_unvectorizable_algorithm_skips_novec_leg(self):
         # V ships no vector program, so the vec run degrades to the
         # scalar lanes and a novec leg would time the same thing twice.
         comparison = run_comparison("V", 64, 8, repeats=1, warmup=0,
-                                    include_baseline=False, vectorized=True)
-        assert comparison.novec is None
+                                    include_baseline=False, lane="vec")
+        assert "novec" not in comparison.legs
 
     def test_report_records_vec_speedup_on_fast_point(self):
         comparison = run_comparison("trivial", 256, 8, repeats=1, warmup=0,
-                                    include_baseline=False, vectorized=True)
+                                    include_baseline=False, lane="vec")
         report = perf_report([comparison], tag="unit", wall_s=0.1)
         validate_bench_report(report)
         [scenario] = report["scenarios"]
@@ -560,7 +554,7 @@ class TestVectorizedLeg:
         assert "trivial/novec" in by_name
         fast_point = by_name["trivial/fast"]
         assert fast_point["vec_speedup"] == pytest.approx(
-            comparison.vec_speedup, rel=1e-3
+            comparison.ratios()["vec_speedup"], rel=1e-3
         )
         assert "vec_speedup" not in by_name["trivial/novec"]
 
@@ -569,29 +563,26 @@ class TestVectorizedLeg:
 class TestAutoLeg:
     def test_auto_comparison_reports_auto_speedup(self):
         comparison = run_comparison("trivial", 256, 8, repeats=1, warmup=0,
-                                    include_baseline=False,
-                                    vectorized="auto")
-        assert comparison.fast.mode == "auto"
-        assert comparison.novec is not None
-        assert comparison.auto_speedup is not None
-        assert comparison.auto_speedup > 0
+                                    include_baseline=False, lane="auto")
+        assert comparison.head.mode == "auto"
+        assert "novec" in comparison.legs
+        assert comparison.ratios()["auto_speedup"] > 0
         # vec_speedup is reserved for the *forced* vec lane: under auto
         # the fast leg may have run scalar windows, so the ratio gets
         # its own name.
-        assert comparison.vec_speedup is None
+        assert "vec_speedup" not in comparison.ratios()
         text = describe_comparison(comparison)
         assert "auto-speedup" in text and "vec-speedup" not in text
 
     def test_forced_vec_has_no_auto_speedup(self):
         comparison = run_comparison("trivial", 256, 8, repeats=1, warmup=0,
-                                    include_baseline=False, vectorized=True)
-        assert comparison.auto_speedup is None
-        assert comparison.vec_speedup is not None
+                                    include_baseline=False, lane="vec")
+        assert "auto_speedup" not in comparison.ratios()
+        assert "vec_speedup" in comparison.ratios()
 
     def test_report_names_the_auto_lane(self):
         comparison = run_comparison("trivial", 256, 8, repeats=1, warmup=0,
-                                    include_baseline=False,
-                                    vectorized="auto")
+                                    include_baseline=False, lane="auto")
         report = perf_report([comparison], tag="unit", wall_s=0.1)
         validate_bench_report(report)
         [scenario] = report["scenarios"]
@@ -600,19 +591,19 @@ class TestAutoLeg:
         assert "trivial/novec" in by_name
         auto_point = by_name["trivial/auto"]
         assert auto_point["auto_speedup"] == pytest.approx(
-            comparison.auto_speedup, rel=1e-3
+            comparison.ratios()["auto_speedup"], rel=1e-3
         )
         assert "vec_speedup" not in auto_point
 
     def test_auto_model_equals_scalar_model(self):
         auto = run_comparison("W", 256, 8, repeats=1, warmup=0,
                               include_baseline=False, adversary="sched-sparse",
-                              vectorized="auto")
+                              lane="auto")
         scalar = run_comparison("W", 256, 8, repeats=1, warmup=0,
                                 include_baseline=False,
                                 adversary="sched-sparse")
         for field in ("completed_work", "charged_work", "pattern_size"):
-            assert getattr(auto.fast.result, field) == \
-                getattr(scalar.fast.result, field)
-        assert auto.fast.result.ledger.ticks == \
-            scalar.fast.result.ledger.ticks
+            assert getattr(auto.head.result, field) == \
+                getattr(scalar.head.result, field)
+        assert auto.head.result.ledger.ticks == \
+            scalar.head.result.ledger.ticks

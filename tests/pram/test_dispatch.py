@@ -10,16 +10,13 @@ the committed ``BENCH_adaptive_*.json`` baselines instead.
 
 import pytest
 
-from repro.pram import dispatch as dispatch_module
 from repro.pram.dispatch import (
     DEFAULT_TABLE,
-    REFERENCE_PROBE,
     DispatchModel,
     LaneCosts,
     get_model,
     set_model,
 )
-from repro.pram.vectorized import HAVE_NUMPY
 
 
 @pytest.fixture(autouse=True)
@@ -50,16 +47,12 @@ class TestDefaultTable:
         generic = DEFAULT_TABLE["generic"]
         assert generic.vec_tick_ns >= DEFAULT_TABLE["trivial"].vec_tick_ns
 
-    def test_reference_probe_is_positive(self):
-        assert REFERENCE_PROBE.scalar_ns > 0
-        assert REFERENCE_PROBE.vector_ns > 0
-
 
 class TestPreferVector:
     """Decisions at the calibrated crossovers (scales pinned to 1.0)."""
 
     def prefer(self, kind, ticks, p, cells=4096, mirror=True, packed=True):
-        model = DispatchModel()  # committed table, no probe scaling
+        model = DispatchModel()  # committed table, unscaled
         return model.prefer_vector(
             kind, ticks=ticks, p=p, cells=cells, mirror=mirror,
             packed=packed,
@@ -135,27 +128,15 @@ class TestPreferVector:
 
 
 class TestGetModel:
-    def test_probe_escape_pins_scales(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISPATCH_PROBE", "0")
+    def test_model_is_unscaled(self):
         model = get_model()
         assert model.scale_scalar == 1.0
         assert model.scale_vector == 1.0
 
-    def test_memoized_per_process(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISPATCH_PROBE", "0")
+    def test_memoized_per_process(self):
         assert get_model() is get_model()
 
     def test_set_model_seam(self):
         sentinel = DispatchModel(scale_scalar=42.0)
         set_model(sentinel)
         assert get_model() is sentinel
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="the probe needs numpy")
-    def test_probe_measures_positive_times(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DISPATCH_PROBE", raising=False)
-        probe = dispatch_module._run_probe()
-        assert probe.scalar_ns > 0
-        assert probe.vector_ns > 0
-        model = get_model()
-        assert model.scale_scalar > 0
-        assert model.scale_vector > 0

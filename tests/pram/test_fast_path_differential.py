@@ -77,9 +77,9 @@ ADVERSARIES = {
 
 
 #: The legs every configuration runs through, straight from the lane
-#: registry (``repro.pram.lanes``): fast, noff (``--no-fast-forward``),
-#: nokernel (``--no-compiled``), vec (``--vectorized``, when numpy is
-#: installed), and the reference core last.  Algorithms without a
+#: registry (``repro.pram.lanes``): fast, noff (no fast-forward),
+#: nokernel (no compiled kernels), vec (``--lane vec``, when numpy is
+#: installed), auto (``--lane auto``), and the reference core last.  Algorithms without a
 #: kernel or vector program silently run the generator protocol on
 #: every leg — the legs still must agree.
 MODES = tuple(LANES[name] for name in LANES if lane_available(name))
