@@ -59,7 +59,9 @@ class BackendCapabilities:
 class AttemptResult:
     """One attempt's outcome, as reported by a backend.
 
-    ``status`` uses the engine vocabulary (``ok``/``timeout``/
+    ``point`` is the very object passed to :meth:`Backend.submit`: the
+    engine maps an outcome back to its sweep by identity.  ``status``
+    uses the engine vocabulary (``ok``/``timeout``/
     ``error``/``crash``); ``payload`` is the
     :class:`~repro.experiments.runner.RunPoint` on success and a
     diagnostic string otherwise.  ``cached=True`` marks a server-side

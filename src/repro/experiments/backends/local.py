@@ -24,6 +24,12 @@ from repro.experiments.backends.base import (
 
 _BrokenPool = concurrent.futures.process.BrokenProcessPool
 
+#: Attempts a :class:`PoolBackend` keeps inside its executor per worker:
+#: one running and one ready to start, so a worker never waits on the
+#: engine, while a broken pool charges a crash to at most this many
+#: attempts per worker.
+IN_FLIGHT_PER_WORKER = 2
+
 
 def _execute(point, timeout, chaos, attempt) -> Tuple[str, object, float]:
     """One inline attempt via the live ``parallel.execute_point``."""
@@ -67,12 +73,15 @@ class SerialBackend(Backend):
 class PoolBackend(Backend):
     """A crash-safe local ``ProcessPoolExecutor``.
 
-    A broken pool (a worker died without reporting) is not an error:
-    completed futures keep their results, every in-flight point comes
-    back as one ``crash`` attempt, and the next dispatch builds a fresh
-    pool after a capped, seeded-jitter exponential backoff.  A pool
-    that keeps dying degrades the backend to serial inline execution
-    for the remaining attempts.
+    At most :data:`IN_FLIGHT_PER_WORKER` attempts per worker sit inside
+    the executor; the rest wait in this backend's own queue.  A broken
+    pool (a worker died without reporting) is not an error: completed
+    futures keep their results, each attempt that was inside the broken
+    pool comes back as one ``crash`` attempt, queued attempts stay
+    queued uncharged, and the next dispatch builds a fresh pool after a
+    capped, seeded-jitter exponential backoff.  A pool that keeps dying
+    degrades the backend to serial inline execution for the remaining
+    attempts.
     """
 
     capabilities = BackendCapabilities(
@@ -109,7 +118,7 @@ class PoolBackend(Backend):
         self._queue.append((point, attempt))
 
     def _dispatch(self) -> bool:
-        """Move queued attempts into the pool; False when it broke."""
+        """Top the pool up from the queue; False when it broke."""
         import repro.experiments.parallel as parallel
 
         if self._pool is None:
@@ -118,7 +127,8 @@ class PoolBackend(Backend):
             self._pool = concurrent.futures.ProcessPoolExecutor(
                 max_workers=self._size
             )
-        while self._queue:
+        limit = IN_FLIGHT_PER_WORKER * self._size
+        while self._queue and len(self._futures) < limit:
             point, attempt = self._queue.popleft()
             try:
                 if self._chaos is None:
@@ -145,6 +155,7 @@ class PoolBackend(Backend):
             return [AttemptResult(point, attempt, status, payload, elapsed)]
 
         results: List[AttemptResult] = []
+        casualties: List[Tuple[object, int]] = []
         broken = not self._dispatch()
         if not broken:
             done, _ = concurrent.futures.wait(
@@ -157,7 +168,7 @@ class PoolBackend(Backend):
                     status, payload, elapsed = future.result()
                 except _BrokenPool:
                     broken = True
-                    self._queue.append((point, attempt))
+                    casualties.append((point, attempt))
                     continue
                 except Exception as exc:  # worker died mid-task
                     status, payload, elapsed = "error", str(exc), 0.0
@@ -169,13 +180,14 @@ class PoolBackend(Backend):
 
         # The pool broke.  Drain what finished (a broken pool resolves
         # every remaining future immediately), then charge one "crash"
-        # attempt to every in-flight point — the engine cannot tell the
-        # poison point from its pool-mates.
-        for future, (point, attempt) in list(self._futures.items()):
+        # attempt to every attempt that was inside it — the engine
+        # cannot tell the poison point from its pool-mates.  Attempts
+        # still in the queue never reached the pool and stay uncharged.
+        for future, (point, attempt) in self._futures.items():
             try:
                 status, payload, elapsed = future.result()
             except _BrokenPool:
-                self._queue.append((point, attempt))
+                casualties.append((point, attempt))
                 continue
             except Exception as exc:
                 status, payload, elapsed = "error", str(exc), 0.0
@@ -187,8 +199,6 @@ class PoolBackend(Backend):
             self._pool.shutdown(wait=False)
             self._pool = None
         self.pool_restarts += 1
-        casualties = list(self._queue)
-        self._queue.clear()
         for point, attempt in casualties:
             results.append(AttemptResult(
                 point, attempt, "crash",

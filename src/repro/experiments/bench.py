@@ -6,9 +6,10 @@ registered here as a :class:`BenchScenario` — a bundle of picklable
 can execute, cache and time.  The bench scripts import their scenario
 back from this registry for their grid constants, so the pytest
 benchmarks and the driver cannot drift apart; the driver
-(``benchmarks/driver.py`` / ``python -m repro bench``) runs scenarios
-through :func:`repro.experiments.parallel.run_sweep_parallel` and emits
-a ``BENCH_<tag>.json`` report (see :mod:`repro.metrics.report`) plus
+(``benchmarks/driver.py`` / ``python -m repro bench``) runs the
+selected scenarios as one batch through
+:func:`repro.experiments.parallel.run_sweep_parallel` and emits a
+``BENCH_<tag>.json`` report (see :mod:`repro.metrics.report`) plus
 the usual text tables.
 
 A few benchmarks are *not* grid sweeps and stay bespoke; they are
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -520,34 +520,6 @@ def default_scenario_tags() -> List[str]:
     return scenario_tags(include_heavy=False)
 
 
-def run_scenario(
-    scenario: BenchScenario,
-    workers: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    resume: bool = True,
-    timeout: Optional[float] = None,
-    retries: int = 1,
-    chaos=None,
-    backend: Optional[str] = None,
-) -> Tuple[List[ParallelSweepResult], float]:
-    """Run every sweep of one scenario; returns (results, wall seconds).
-
-    ``chaos`` (a :class:`~repro.experiments.chaos.ChaosPolicy`) is the
-    opt-in fault-injection hook; leave ``None`` for real measurements.
-    ``backend`` selects the executor (``serial``, ``pool``,
-    ``remote:host:port``); results are backend-independent.
-    """
-    started = time.perf_counter()
-    results = [
-        run_sweep_parallel(
-            spec, workers=workers, cache_dir=cache_dir, resume=resume,
-            timeout=timeout, retries=retries, chaos=chaos, backend=backend,
-        )
-        for spec in scenario.specs
-    ]
-    return results, time.perf_counter() - started
-
-
 def run_benchmarks(
     tags: Iterable[str],
     tag: str = "local",
@@ -560,27 +532,41 @@ def run_benchmarks(
     backend: Optional[str] = None,
     progress=None,
 ) -> Tuple[dict, Dict[str, List[ParallelSweepResult]]]:
-    """Run scenarios and assemble the ``repro-bench/1`` report.
+    """Run scenarios as one engine run and assemble the report.
+
+    Every selected scenario's specs go to a single
+    :func:`~repro.experiments.parallel.run_sweep_parallel` call: one
+    cache pass, one backend (one pool for ``workers > 1``), no barrier
+    between sweeps.  A scenario's ``wall_s`` is the seconds from the
+    run's start until its last point settled.  ``chaos`` (a
+    :class:`~repro.experiments.chaos.ChaosPolicy`) is the opt-in
+    fault-injection hook; leave ``None`` for real measurements.
+    ``backend`` selects the executor (``serial``, ``pool``,
+    ``remote:host:port``); results are backend-independent.
 
     Returns ``(report, results_by_scenario)`` — the latter so callers
     (the driver, tests) can also render text tables.
     """
-    sections = []
-    by_scenario: Dict[str, List[ParallelSweepResult]] = {}
-    for scenario_tag in tags:
-        scenario = get_scenario(scenario_tag)
-        if progress is not None:
+    scenarios = [get_scenario(scenario_tag) for scenario_tag in tags]
+    if progress is not None:
+        for scenario in scenarios:
             progress(
                 f"{scenario.tag}: {len(scenario.specs)} sweeps, "
                 f"{scenario.total_points()} points"
             )
-        results, wall_s = run_scenario(
-            scenario, workers=workers, cache_dir=cache_dir, resume=resume,
-            timeout=timeout, retries=retries, chaos=chaos, backend=backend,
-        )
-        by_scenario[scenario.tag] = results
+    results = iter(run_sweep_parallel(
+        [spec for scenario in scenarios for spec in scenario.specs],
+        workers=workers, cache_dir=cache_dir, resume=resume,
+        timeout=timeout, retries=retries, chaos=chaos, backend=backend,
+    ))
+    sections = []
+    by_scenario: Dict[str, List[ParallelSweepResult]] = {}
+    for scenario in scenarios:
+        own = [next(results) for _ in scenario.specs]
+        by_scenario[scenario.tag] = own
         sections.append(scenario_section(
-            scenario.tag, scenario.title, scenario.source, results, wall_s,
+            scenario.tag, scenario.title, scenario.source, own,
+            max((result.stats.wall_s for result in own), default=0.0),
             adversaries=getattr(scenario, "adversaries", ()),
         ))
     report = bench_report(

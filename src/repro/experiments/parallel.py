@@ -1,9 +1,10 @@
 """The parallel sweep engine.
 
-Fans a :class:`~repro.experiments.spec.SweepSpec` grid out over an
-executor :class:`~repro.experiments.backends.Backend` — inline
-(``serial``), a local process pool (``pool``), or a remote worker
-fleet behind ``python -m repro serve`` (``remote:host:port``) — with
+Fans a :class:`~repro.experiments.spec.SweepSpec` grid — or a batch of
+them, as one run — out over an executor
+:class:`~repro.experiments.backends.Backend` — inline (``serial``), a
+local process pool (``pool``), or a remote worker fleet behind
+``python -m repro serve`` (``remote:host:port``) — with
 
 * **determinism** — each point seeds its own adversary exactly as the
   serial runner does, and results are reassembled in sweep order, so
@@ -18,8 +19,9 @@ fleet behind ``python -m repro serve`` (``remote:host:port``) — with
   turns a pathological point into a recorded :class:`PointFailure`
   after ``retries`` extra attempts, instead of hanging the sweep;
 * **crash recovery** — a dead worker (``BrokenProcessPool``) does not
-  abort the sweep: in-flight points are charged one ``"crash"`` attempt
-  and resubmitted to a fresh pool after a capped, seeded-jitter
+  abort the sweep: the attempts inside the broken pool (at most two per
+  worker) are charged one ``"crash"`` attempt each and resubmitted to a
+  fresh pool after a capped, seeded-jitter
   exponential backoff; a point that keeps killing workers is
   quarantined as a :class:`PointFailure` after its retries, and a pool
   that keeps dying degrades the run to serial in-process execution;
@@ -50,7 +52,7 @@ import time
 import traceback
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.runner import measure_write_all
 from repro.experiments.backends import Backend, resolve_backend
@@ -128,13 +130,17 @@ class PointMeta:
 
 @dataclass
 class SweepStats:
-    """Execution accounting for one engine run.
+    """Execution accounting for one sweep of an engine run.
 
     Every recovery event leaves a trace here so it cannot vanish from
     the ``BENCH_*.json`` artifact: per-attempt ``retries``/``timeouts``/
     ``crashes``, quarantined points (``failed``), pool restarts, the
     degraded-serial flag, corrupted cache entries detected on load, and
-    (opt-in) the chaos faults injected by kind.
+    (opt-in) the chaos faults injected by kind.  The backend counters
+    (``pool_restarts``, ``degraded_serial``, ``requeues`` and the
+    server-healed part of ``cache_corrupt``) describe the whole run; a
+    batch records them on its first sweep only, so sums over a batch's
+    sweeps count each once.
     """
 
     total: int = 0
@@ -148,6 +154,7 @@ class SweepStats:
     degraded_serial: bool = False
     cache_corrupt: int = 0
     injected: Dict[str, int] = field(default_factory=dict)
+    #: Seconds from the run's start until this sweep's last point settled.
     wall_s: float = 0.0
     #: Leases the remote fabric re-queued past dead/stalled workers
     #: (0 for local backends, which have no lease scheduler).
@@ -396,8 +403,43 @@ def _check_picklable(point: PointSpec) -> None:
         ) from None
 
 
+@dataclass
+class _Sweep:
+    """One spec's share of an engine run: its points and accounting."""
+
+    spec: SweepSpec
+    points: List[PointSpec]
+    stats: SweepStats
+    eta: EtaEstimator
+    results: Dict[int, RunPoint] = field(default_factory=dict)
+    metas: Dict[int, PointMeta] = field(default_factory=dict)
+    failures: List[PointFailure] = field(default_factory=list)
+
+    @classmethod
+    def of(cls, spec: SweepSpec) -> "_Sweep":
+        points = expand_spec(spec)
+        return cls(spec, points, SweepStats(total=len(points)),
+                   EtaEstimator(total=len(points)))
+
+    def settled(self) -> bool:
+        return len(self.results) + len(self.failures) == len(self.points)
+
+    def result(self) -> ParallelSweepResult:
+        self.failures.sort(key=lambda failure: failure.index)
+        self.stats.mean_point_s = self.eta.mean_point_s
+        return ParallelSweepResult(
+            spec=self.spec,
+            points=[self.results[point.index] for point in self.points
+                    if point.index in self.results],
+            stats=self.stats,
+            failures=self.failures,
+            meta=[self.metas[point.index] for point in self.points
+                  if point.index in self.metas],
+        )
+
+
 def run_sweep_parallel(
-    spec: SweepSpec,
+    spec: Union[SweepSpec, Sequence[SweepSpec]],
     workers: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     cache_dir: Optional[str] = None,
@@ -412,8 +454,17 @@ def run_sweep_parallel(
     backend: Optional[Union[str, Backend]] = None,
     progress: Optional[Callable[[str], None]] = None,
     progress_every: int = 25,
-) -> ParallelSweepResult:
+) -> Union[ParallelSweepResult, List[ParallelSweepResult]]:
     """Execute ``spec`` through the parallel engine.
+
+    ``spec`` is one :class:`SweepSpec` (returns one result) or a list
+    or tuple of them (returns one result per spec, in order).  A batch
+    is one engine run: every point of every spec is looked up in the
+    cache once, every miss goes to one backend, and the results are
+    reassembled per sweep.  A point whose cache key an earlier sweep of
+    the batch has pending is held until that copy settles and only then
+    looked up, so a batch executes exactly the points that sequential
+    calls on the same cache would.
 
     Args:
         workers: process count; ``None`` or ``<= 1`` executes inline.
@@ -439,39 +490,71 @@ def run_sweep_parallel(
             ``"remote:host:port"`` (a ``python -m repro serve``
             daemon), or an already-built
             :class:`~repro.experiments.backends.Backend`.  Falls back
-            to ``spec.backend`` when the spec carries one.  The backend
-            is *not* cache-key material: the same point computed
-            anywhere lands on the same content-hash entry.
+            to the (first) spec's ``backend`` when it carries one.  The
+            backend is *not* cache-key material: the same point
+            computed anywhere lands on the same content-hash entry.
         progress: optional callable fed human-readable ETA lines
             (:class:`EtaEstimator` output) while the sweep runs.
         progress_every: emit a progress line every N settled points.
+
+    Each result's ``stats`` account for its own sweep; ``wall_s`` is
+    the seconds from the run's start until the sweep's last point
+    settled.  The backend's counters (``pool_restarts``,
+    ``degraded_serial``, ``requeues`` and the corrupt entries a serve
+    daemon healed) belong to the run, so a batch records them once, on
+    its first sweep's stats.
     """
     started = time.perf_counter()
+    batch = isinstance(spec, (list, tuple))
+    sweeps = [_Sweep.of(one) for one in (spec if batch else (spec,))]
     if cache is None and cache_dir is not None:
         cache = ResultCache(cache_dir)
-    corrupt_before = cache.corrupt_discarded if cache is not None else 0
-    points = expand_spec(spec)
-    stats = SweepStats(total=len(points))
-    results: Dict[int, RunPoint] = {}
-    metas: Dict[int, PointMeta] = {}
-    failures: List[PointFailure] = []
+    owner = {id(point): sweep for sweep in sweeps for point in sweep.points}
+    eta = EtaEstimator(total=len(owner))
 
-    eta = EtaEstimator(total=len(points))
-    pending: List[PointSpec] = []
-    for point in points:
-        cached = (
-            cache.load(point.sweep, point.cache_key())
-            if cache is not None and resume else None
+    def settle(sweep: _Sweep, elapsed: float, cached: bool = False) -> None:
+        eta.observe(elapsed, cached=cached)
+        sweep.eta.observe(elapsed, cached=cached)
+        if sweep.settled():
+            sweep.stats.wall_s = time.perf_counter() - started
+
+    def hit(sweep: _Sweep, point: PointSpec, payload: RunPoint) -> None:
+        sweep.stats.cache_hits += 1
+        sweep.results[point.index] = payload
+        sweep.metas[point.index] = PointMeta(
+            index=point.index, elapsed_s=0.0, cached=True, attempts=0,
         )
-        if cached is not None:
-            stats.cache_hits += 1
-            results[point.index] = cached
-            metas[point.index] = PointMeta(
-                index=point.index, elapsed_s=0.0, cached=True, attempts=0,
-            )
-            eta.observe(0.0, cached=True)
-        else:
-            pending.append(point)
+        settle(sweep, 0.0, cached=True)
+
+    def lookup(sweep: _Sweep, point: PointSpec, key: str) -> bool:
+        """Serve ``point`` from the cache; False on a miss."""
+        corrupt_before = cache.corrupt_discarded
+        cached = cache.load(point.sweep, key)
+        sweep.stats.cache_corrupt += cache.corrupt_discarded - corrupt_before
+        if cached is None:
+            return False
+        hit(sweep, point, cached)
+        return True
+
+    pending: List[PointSpec] = []
+    #: Points waiting on an earlier sweep's pending copy of their key,
+    #: by ``id`` of that copy: (sweep, point, key).
+    held: Dict[int, List[Tuple[_Sweep, PointSpec, str]]] = {}
+    if cache is not None and resume:
+        first: Dict[str, Tuple[_Sweep, PointSpec]] = {}
+        for sweep in sweeps:
+            for point in sweep.points:
+                key = point.cache_key()
+                earlier = first.get(key)
+                if earlier is not None and earlier[0] is not sweep:
+                    held.setdefault(id(earlier[1]), []).append(
+                        (sweep, point, key)
+                    )
+                elif not lookup(sweep, point, key):
+                    first.setdefault(key, (sweep, point))
+                    pending.append(point)
+    else:
+        pending = [point for sweep in sweeps for point in sweep.points]
 
     def note_injection(point: PointSpec, attempt: int) -> None:
         """Account the chaos fault scheduled for this dispatched attempt.
@@ -484,34 +567,36 @@ def run_sweep_parallel(
             return
         kind = chaos.plan(point.index, attempt)
         if kind is not None:
-            stats.injected[kind] = stats.injected.get(kind, 0) + 1
+            injected = owner[id(point)].stats.injected
+            injected[kind] = injected.get(kind, 0) + 1
 
-    def record(point: PointSpec, status: str, payload, elapsed: float,
-               attempt: int, stored: bool = False) -> bool:
+    def record(sweep: _Sweep, point: PointSpec, status: str, payload,
+               elapsed: float, attempt: int, stored: bool = False) -> bool:
         """Account one attempt; returns True when the point is settled.
 
         ``stored`` marks results the backend already persisted (the
         serve daemon's shared store); the engine then only accounts the
         chaos corruption the server applied instead of writing locally.
         """
+        stats = sweep.stats
         if status == _OK:
             stats.executed += 1
-            results[point.index] = payload
-            metas[point.index] = PointMeta(
+            sweep.results[point.index] = payload
+            sweep.metas[point.index] = PointMeta(
                 index=point.index, elapsed_s=elapsed, cached=False,
                 attempts=attempt,
             )
             if cache is not None:
-                cache.store(point.sweep, point.cache_key(), payload, elapsed)
+                key = point.cache_key()
+                cache.store(point.sweep, key, payload, elapsed)
                 if chaos is not None and chaos.corrupts(point.index):
-                    chaos.corrupt_entry(
-                        cache.entry_path(point.sweep, point.cache_key())
-                    )
+                    chaos.corrupt_entry(cache.entry_path(point.sweep, key))
                     stats.injected["corrupt"] = (
                         stats.injected.get("corrupt", 0) + 1
                     )
                 cache.write_checkpoint(
-                    spec.name, done=len(results), total=len(points)
+                    sweep.spec.name, done=len(sweep.results),
+                    total=len(sweep.points),
                 )
             elif stored and chaos is not None and chaos.corrupts(point.index):
                 # The server stored this entry and (same pure draw)
@@ -529,16 +614,15 @@ def run_sweep_parallel(
             stats.retries += 1
             return False
         stats.failed += 1
-        failures.append(PointFailure(
+        sweep.failures.append(PointFailure(
             index=point.index, n=point.n, p=point.p, seed=point.seed,
             kind=status, attempts=attempt, message=str(payload),
         ))
         return True
 
-    backend_corrupt = 0
     if pending:
         requested = backend if backend is not None else \
-            getattr(spec, "backend", None)
+            getattr(sweeps[0].spec, "backend", None)
         engine, owns = resolve_backend(
             requested, workers=workers, timeout=timeout, chaos=chaos,
             resume=resume, max_pool_restarts=max_pool_restarts,
@@ -547,64 +631,62 @@ def run_sweep_parallel(
         )
         try:
             if engine.capabilities.requires_picklable:
-                _check_picklable(pending[0])
-            outstanding = 0
+                # Every point of a spec shares its algorithm and
+                # adversary, so one point checks the whole spec.
+                for sweep in sweeps:
+                    if not sweep.settled():
+                        _check_picklable(sweep.points[0])
             for point in pending:
                 note_injection(point, 1)
                 engine.submit(point, 1)
-                outstanding += 1
+            outstanding = len(pending)
             step = max(1, progress_every)
             while outstanding:
                 for res in engine.collect():
+                    point = res.point
+                    sweep = owner[id(point)]
                     if res.cached:
                         # The serve daemon answered from its shared
                         # content-addressed store: a global cache hit.
-                        outstanding -= 1
-                        stats.cache_hits += 1
-                        results[res.point.index] = res.payload
-                        metas[res.point.index] = PointMeta(
-                            index=res.point.index, elapsed_s=0.0,
-                            cached=True, attempts=0,
-                        )
-                        eta.observe(0.0, cached=True)
-                    elif record(res.point, res.status, res.payload,
+                        hit(sweep, point, res.payload)
+                    elif record(sweep, point, res.status, res.payload,
                                 res.elapsed, res.attempt,
                                 stored=res.stored):
-                        outstanding -= 1
-                        eta.observe(res.elapsed)
+                        settle(sweep, res.elapsed)
                     else:
-                        note_injection(res.point, res.attempt + 1)
-                        engine.submit(res.point, res.attempt + 1)
+                        note_injection(point, res.attempt + 1)
+                        engine.submit(point, res.attempt + 1)
                         continue
+                    outstanding -= 1
+                    # Copies held behind this point: look them up now,
+                    # as a sequential run would, and submit the misses.
+                    for later, duplicate, key in held.pop(id(point), ()):
+                        if not lookup(later, duplicate, key):
+                            note_injection(duplicate, 1)
+                            engine.submit(duplicate, 1)
+                            outstanding += 1
                     if progress is not None and (
                         eta.completed % step == 0
                         or eta.completed == eta.total
                     ):
                         progress(eta.render())
-            stats.pool_restarts = getattr(engine, "pool_restarts", 0)
-            stats.degraded_serial = getattr(engine, "degraded_serial", False)
-            stats.requeues = getattr(engine, "requeues", 0)
-            backend_corrupt = getattr(engine, "cache_corrupt", 0)
+            run_stats = sweeps[0].stats
+            run_stats.pool_restarts = getattr(engine, "pool_restarts", 0)
+            run_stats.degraded_serial = getattr(
+                engine, "degraded_serial", False
+            )
+            run_stats.requeues = getattr(engine, "requeues", 0)
+            # Corrupt entries the server's shared store healed for us.
+            run_stats.cache_corrupt += getattr(engine, "cache_corrupt", 0)
         finally:
             if owns:
                 engine.close()
 
-    ordered = [
-        results[point.index] for point in points if point.index in results
-    ]
-    meta = [
-        metas[point.index] for point in points if point.index in metas
-    ]
-    failures.sort(key=lambda failure: failure.index)
-    stats.wall_s = time.perf_counter() - started
-    stats.mean_point_s = eta.mean_point_s
     if cache is not None:
-        stats.cache_corrupt = cache.corrupt_discarded - corrupt_before
-        cache.write_checkpoint(
-            spec.name, done=len(results), total=len(points)
-        )
-    # Corrupt entries the server's shared store healed on our behalf.
-    stats.cache_corrupt += backend_corrupt
-    return ParallelSweepResult(
-        spec=spec, points=ordered, stats=stats, failures=failures, meta=meta,
-    )
+        for sweep in sweeps:
+            cache.write_checkpoint(
+                sweep.spec.name, done=len(sweep.results),
+                total=len(sweep.points),
+            )
+    results = [sweep.result() for sweep in sweeps]
+    return results if batch else results[0]

@@ -40,19 +40,32 @@ Schema (``repro-bench/1``)::
               ],
               "stats": {"retries":..,"timeouts":..,"crashes":..,
                         "pool_restarts":..,"degraded_serial":..,
-                        "cache_corrupt":..,"injected":{..}}  # optional
+                        "requeues":..,"cache_corrupt":..,
+                        "injected":{..}}  # optional
             }
           ]
         }
       ],
       "totals": {"points": n, "executed": n, "cache_hits": n,
                  "failed": n, "retries": n, "timeouts": n,
-                 "pool_restarts": n, "wall_s": x}
+                 "pool_restarts": n, "requeues": n,
+                 "degraded_serial": b, "cache_corrupt": n, "wall_s": x}
     }
 
-The per-sweep ``stats`` object (and the retry/timeout totals) surface
-the engine's recovery accounting — reports written before they existed
-still validate; consumers must treat them as optional.  The same goes
+The per-sweep ``stats`` object (and the recovery totals) surface the
+engine's recovery accounting — reports written before they existed
+still validate; consumers must treat them as optional.
+
+A bench run is one engine run over every selected sweep, so its
+times are read from one clock that starts with the run: a scenario's
+``wall_s`` is the seconds from the run's start until its last point
+settled, and ``totals.wall_s`` is the run's wall clock, the largest
+scenario ``wall_s`` (scenarios overlap, so their walls do not add up).
+The backend counters — ``pool_restarts``, ``degraded_serial``,
+``requeues`` and the corrupt entries a serve daemon healed (part of
+``cache_corrupt``) — belong to the run, not to a sweep: the engine
+records them once, on the run's first sweep, so the scenario and
+total sums count each once.  The same goes
 for ``environment``: an audit of the host that produced the numbers
 (interpreter, platform, CPU count, numpy version or ``null`` when the
 extra is absent), so wall-clock comparisons across reports can tell a
@@ -200,6 +213,7 @@ def sweep_section(result) -> Dict[str, Any]:
             "pool_restarts": getattr(stats, "pool_restarts", 0),
             "degraded_serial": bool(getattr(stats, "degraded_serial",
                                             False)),
+            "requeues": getattr(stats, "requeues", 0),
             "cache_corrupt": getattr(stats, "cache_corrupt", 0),
             "injected": dict(getattr(stats, "injected", {}) or {}),
         }
@@ -237,6 +251,8 @@ def scenario_section(tag: str, title: str, source: str,
                             for r in results),
             "pool_restarts": sum(getattr(r.stats, "pool_restarts", 0)
                                  for r in results),
+            "requeues": sum(getattr(r.stats, "requeues", 0)
+                            for r in results),
             "cache_corrupt": sum(getattr(r.stats, "cache_corrupt", 0)
                                  for r in results),
         },
@@ -257,11 +273,9 @@ def bench_report(tag: str, scenarios: List[Dict[str, Any]],
     comparisons across backends are meaningless — the regression
     checker refuses them by name (``backend-mismatch``).
     """
+    sweeps = [sweep for scenario in scenarios for sweep in scenario["sweeps"]]
     totals = {
-        "points": sum(
-            len(sweep["points"])
-            for scenario in scenarios for sweep in scenario["sweeps"]
-        ),
+        "points": sum(len(sweep["points"]) for sweep in sweeps),
         "executed": sum(s["cache"]["executed"] for s in scenarios),
         "cache_hits": sum(s["cache"]["hits"] for s in scenarios),
         "failed": sum(s["cache"]["failed"] for s in scenarios),
@@ -270,7 +284,17 @@ def bench_report(tag: str, scenarios: List[Dict[str, Any]],
         "pool_restarts": sum(
             s["cache"].get("pool_restarts", 0) for s in scenarios
         ),
-        "wall_s": round(sum(s["wall_s"] for s in scenarios), 6),
+        "requeues": sum(s["cache"].get("requeues", 0) for s in scenarios),
+        "degraded_serial": any(
+            sweep.get("stats", {}).get("degraded_serial", False)
+            for sweep in sweeps
+        ),
+        "cache_corrupt": sum(
+            s["cache"].get("cache_corrupt", 0) for s in scenarios
+        ),
+        # One run, one clock: scenarios overlap, so the run's wall is
+        # the latest scenario's, not their sum.
+        "wall_s": round(max((s["wall_s"] for s in scenarios), default=0.0), 6),
     }
     report = {
         "schema": SCHEMA,

@@ -24,7 +24,7 @@ from repro.core import AlgorithmX
 from repro.experiments import SweepSpec, run_sweep, run_sweep_parallel
 from repro.experiments.backends import resolve_backend
 from repro.experiments.chaos import ChaosPolicy
-from repro.experiments.factories import RandomChurn
+from repro.experiments.factories import FailureFree, RandomChurn
 from repro.experiments.serve import SweepServer
 from repro.experiments.worker import WorkerSession
 
@@ -192,6 +192,51 @@ def test_client_cache_replays_without_touching_backend(
     assert second.stats.cache_hits == second.stats.total
     assert second.stats.executed == 0
     assert all(meta.cached for meta in second.meta)
+
+
+def batch_specs(tag):
+    """Three sweeps; the first and last share the keys of N=16."""
+    churn = dict(
+        name=f"conf-batch-{tag}", algorithm=AlgorithmX, processors=4,
+        adversary=RandomChurn(0.15, 0.4), seeds=(0, 1), max_ticks=200_000,
+    )
+    return [
+        SweepSpec(sizes=(8, 16), **churn),
+        SweepSpec(name=f"conf-batch-{tag}-free", algorithm=AlgorithmX,
+                  sizes=(8,), processors=4, adversary=FailureFree(),
+                  seeds=(0, 1)),
+        SweepSpec(sizes=(16, 32), **churn),
+    ]
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_batch_matches_sequential_calls(backend_name, tmp_path):
+    # A batch is one engine run, but every sweep must come back as if
+    # run alone: the serial runner's points, and into a fresh cache the
+    # executed/hit split of sequential calls — the shared keys execute
+    # once and read as hits in the later sweep.
+    specs = batch_specs(backend_name)
+    sequential = [
+        run_sweep_parallel(spec, workers=1, cache_dir=tmp_path / "seq")
+        for spec in specs
+    ]
+    batch = run_with(backend_name, specs, tmp_path,
+                     cache_dir=tmp_path / "batch")
+    assert len(batch) == len(specs)
+    for spec, result, alone in zip(specs, batch, sequential):
+        assert result.spec is spec
+        assert result.points == run_sweep(spec).points
+        assert not result.failures
+        assert (result.stats.executed, result.stats.cache_hits) == \
+            (alone.stats.executed, alone.stats.cache_hits)
+    assert [result.stats.cache_hits for result in batch] == [0, 0, 2]
+    # Without resume nothing is looked up, so both copies execute.
+    again = run_with(backend_name, specs, tmp_path,
+                     cache_dir=tmp_path / "batch", resume=False)
+    for spec, result in zip(specs, again):
+        assert result.points == run_sweep(spec).points
+        assert result.stats.executed == len(list(spec.points()))
+        assert result.stats.cache_hits == 0
 
 
 @pytest.mark.slow

@@ -11,6 +11,7 @@ from repro.experiments.bench import (
     run_benchmarks,
     scenario_tags,
 )
+from repro.experiments.chaos import ChaosPolicy
 from repro.experiments.parallel import expand_spec
 from repro.metrics import dump_report, load_report, validate_bench_report
 
@@ -72,6 +73,35 @@ def test_run_benchmarks_emits_valid_report(tmp_path):
     assert warm["totals"]["executed"] == 0
     assert warm["totals"]["cache_hits"] == warm["totals"]["points"]
     assert warm["scenarios"][0]["cache"]["hit_rate"] == 1.0
+
+
+@pytest.mark.slow
+def test_bench_run_reports_run_level_recovery(tmp_path):
+    # A bench run is one engine run: the pool restarts its crashes
+    # cause are counted once, and the run's wall clock covers every
+    # scenario's (which all start with the run, so they overlap).
+    report, results = run_benchmarks(
+        tags=["R3_pmem_checkpoint", "E14_lemma45_oversubscription"],
+        tag="chaos", workers=2, cache_dir=str(tmp_path / "cache"),
+        retries=3, chaos=ChaosPolicy(seed=11, crash=1.0,
+                                     max_faults_per_point=1),
+    )
+    validate_bench_report(report)
+    totals = report["totals"]
+    assert totals["failed"] == 0
+    assert totals["executed"] == totals["points"]
+    assert totals["pool_restarts"] >= 1
+    sweep_stats = [
+        sweep["stats"] for scenario in report["scenarios"]
+        for sweep in scenario["sweeps"]
+    ]
+    assert sum(stats["pool_restarts"] for stats in sweep_stats) == \
+        totals["pool_restarts"]
+    walls = [scenario["wall_s"] for scenario in report["scenarios"]]
+    assert totals["wall_s"] >= max(walls) > 0.0
+    for tag, own in results.items():
+        assert [result.spec for result in own] == \
+            list(get_scenario(tag).specs)
 
 
 def test_validate_rejects_malformed_reports():

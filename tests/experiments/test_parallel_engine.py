@@ -11,6 +11,8 @@ import pytest
 
 from repro.core import AlgorithmV, AlgorithmX
 from repro.experiments import SweepSpec, run_sweep, run_sweep_parallel
+from repro.experiments import parallel as parallel_module
+from repro.experiments.backends import BackendCapabilities, SerialBackend
 from repro.experiments.factories import CrashOnly, FailureFree, RandomChurn
 
 
@@ -76,6 +78,48 @@ def test_lambda_adversary_rejected_with_clear_error():
         run_sweep_parallel(spec, workers=2)
     # Inline execution has no pickling requirement: same spec runs fine.
     assert run_sweep_parallel(spec, workers=1).points
+
+
+class PicklingInlineBackend(SerialBackend):
+    """Inline execution that demands picklable specs, as a pool does."""
+
+    capabilities = BackendCapabilities(
+        name="pickling-inline", requires_picklable=True,
+    )
+
+    def __init__(self):
+        super().__init__()
+        self.submitted = []
+
+    def submit(self, point, attempt):
+        self.submitted.append(point)
+        super().submit(point, attempt)
+
+
+def test_batch_checks_every_spec_before_submitting(monkeypatch):
+    # Only the last spec of the batch is unpicklable: the engine must
+    # refuse the whole batch up front, before any point runs.
+    executed = []
+    real = parallel_module.execute_point
+
+    def counting(*args, **kwargs):
+        executed.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(parallel_module, "execute_point", counting)
+    specs = [
+        SweepSpec(name=f"pickled-{index}", algorithm=AlgorithmX, sizes=(8,),
+                  adversary=FailureFree())
+        for index in range(2)
+    ] + [
+        SweepSpec(name="unpicklable-last", algorithm=AlgorithmX, sizes=(8,),
+                  adversary=lambda seed: None),
+    ]
+    backend = PicklingInlineBackend()
+    with pytest.raises(TypeError, match="picklable"):
+        run_sweep_parallel(specs, backend=backend)
+    assert backend.submitted == []
+    assert executed == []
 
 
 def test_meta_aligns_with_points():

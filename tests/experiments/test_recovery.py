@@ -56,6 +56,16 @@ class PoisonPoint(ChaosPolicy):
         super().perturb(index, attempt)
 
 
+@dataclass(frozen=True)
+class FirstAttemptCrash(ChaosPolicy):
+    """Crash one point's first attempt only; every retry runs clean."""
+
+    target: int = 0
+
+    def plan(self, index, attempt):
+        return "crash" if index == self.target and attempt == 1 else None
+
+
 def small_spec(name):
     return SweepSpec(
         name=name,
@@ -112,6 +122,33 @@ def test_poison_point_is_quarantined_not_fatal():
         if index != poisoned_index
     ]
     assert result.points == survivors
+
+
+def test_crash_charges_only_the_attempts_inside_the_pool():
+    # Twelve points on two workers, and point 0's first attempt kills
+    # its worker.  The pool holds at most two attempts per worker, so
+    # the broken pool charges a crash to at most four of them; the
+    # attempts still queued in the backend never reached the pool and
+    # stay uncharged.
+    workers = 2
+    spec = SweepSpec(
+        name="recovery-charge",
+        algorithm=AlgorithmX,
+        sizes=(64, 128, 256),
+        processors=16,
+        adversary=RandomChurn(0.15, 0.4),
+        seeds=(0, 1, 2, 3),
+        max_ticks=2_000_000,
+    )
+    result = run_sweep_parallel(
+        spec, workers=workers, retries=2, chaos=FirstAttemptCrash(target=0),
+        max_pool_restarts=8, backoff_base=0.01, backoff_cap=0.1,
+    )
+    assert result.points == run_sweep(spec).points
+    assert not result.failures
+    assert result.stats.pool_restarts >= 1
+    stats = result.stats
+    assert 1 <= stats.crashes <= 2 * workers * stats.pool_restarts
 
 
 def test_repeated_pool_death_degrades_to_serial():
