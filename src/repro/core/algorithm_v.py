@@ -20,7 +20,12 @@ from __future__ import annotations
 from typing import Callable, Generator, Optional
 
 from repro.core.base import WriteAllAlgorithm, default_tasks
-from repro.core.iterative import IterativeLayout, phased_program
+from repro.core.iterative import (
+    IterativeLayout,
+    PhasedKernel,
+    iteration_length,
+    phased_program,
+)
 from repro.core.tasks import TaskSet
 from repro.pram.cycles import Cycle
 from repro.util.bits import ceil_log2, is_power_of_two, next_power_of_two
@@ -86,5 +91,18 @@ class AlgorithmV(WriteAllAlgorithm):
 
         def factory(pid: int) -> Generator[Cycle, tuple, None]:
             return phased_program(pid, layout, tasks)
+
+        return factory
+
+    def compiled_program(
+        self, layout: VLayout, tasks: Optional[TaskSet] = None
+    ) -> Optional[Callable[[int], PhasedKernel]]:
+        tasks = default_tasks(tasks)
+        if tasks.cycles_per_task != 0:
+            return None  # task cycles need the generator path
+        lam = iteration_length(layout, tasks)
+
+        def factory(pid: int) -> PhasedKernel:
+            return PhasedKernel(pid, layout, lam)
 
         return factory

@@ -32,6 +32,19 @@ Processors sweep the whole array from pid-rotated start positions (the
 single-sweep half of [KS 89]'s contending-processors idea), so the
 algorithm also tolerates arbitrary fail/restart patterns: the ack array
 is the shared checkpoint a restarted processor recovers from.
+
+That recovery has a price.  A restarted processor begins its sweep
+again at ``pid * N/P`` and re-probes, one cycle per element, the
+acknowledged prefix of its own segment before it can make progress.
+Under crash failures (no restarts) nobody re-walks a prefix and the
+completed work stays about ``4N``.  Under i.i.d. churn with per-tick
+failure probability ``f``, a processor must survive ``L`` ticks to get
+past a prefix of length ``L``, so finishing a segment costs on the
+order of ``(1 - f) ** -(N/P) / f**2`` probe cycles: the work grows
+exponentially in ``N/P``.  At P = 64 under the registry's ``random``
+entry (f = 0.1), S goes from about 158k at N = 2048 to 4.8M at
+N = 4096 (``0.9 ** -32`` is 29), with re-probes 99.6% of it; the
+S-versus-N table is in ``docs/ADVERSARIES.md``.
 """
 
 from __future__ import annotations

@@ -448,11 +448,12 @@ def decode_pair(values: Tuple[int, ...], mult: int, iteration: int) -> int:
     return left + right
 
 # ===================================================================== #
-# compiled kernel (algorithm W)
+# compiled kernel (algorithms W and V)
 # ===================================================================== #
 
 # Phase codes of the compiled stepper; one per distinct cycle shape of
-# phased_program/_iterations (W configuration: counting tree present).
+# phased_program/_iterations (the two counting phases occur only in the
+# W configuration, which has a counting tree).
 _WAIT = 0
 _KICK = 1
 _COUNT_LEAF = 2
@@ -466,14 +467,19 @@ _FINAL = 9
 
 
 class PhasedKernel(CompiledProgram):
-    """Compiled form of :func:`phased_program` for algorithm W.
+    """Compiled form of :func:`phased_program` for algorithms W and V.
 
     The generator's control flow (waiter/recovery loop, guarded join,
     enumerate/allocate/work/update/finalize) becomes an explicit state
     machine over the phase codes above; the per-cycle closures become
-    straight-line staging over raw cells.  Only the W configuration
-    (counting tree present) with trivial task sets is compiled — the
-    algorithm's ``compiled_program`` hook gates accordingly.
+    straight-line staging over raw cells.  The layout picks the
+    configuration: with a counting tree (W) every iteration starts by
+    enumerating, and the guarded join lands on the counting leaf;
+    without one (V) every iteration starts at the allocation root, the
+    guarded join lands there, and the allocation runs on ``rank = pid``
+    and ``total = P`` as in the generator.  Only trivial task sets are
+    compiled — each algorithm's ``compiled_program`` hook gates
+    accordingly.
 
     ``_stage`` reads the current cycle's cells and stages its writes
     from the live state; ``quiet_step`` then delegates the transition
@@ -483,8 +489,8 @@ class PhasedKernel(CompiledProgram):
     """
 
     __slots__ = (
-        "pid", "lam", "step_addr", "done_addr", "x_base",
-        "leaves", "log_l", "chunk", "d1",
+        "pid", "p", "lam", "step_addr", "done_addr", "x_base",
+        "leaves", "log_l", "chunk", "d1", "head", "wait_cycle",
         "c1", "c_height", "p_leaves", "mult", "own_leaf",
         "phase", "st", "last_seen", "same_polls", "joining", "kick",
         "iteration_number", "rank", "total", "node", "count_below",
@@ -492,9 +498,8 @@ class PhasedKernel(CompiledProgram):
     )
 
     def __init__(self, pid: int, layout: IterativeLayout, lam: int) -> None:
-        if not layout.has_counting_tree:
-            raise ValueError("PhasedKernel compiles the W configuration only")
         self.pid = pid
+        self.p = layout.p
         self.lam = lam
         self.step_addr = layout.step_addr
         self.done_addr = layout.done_addr
@@ -505,12 +510,26 @@ class PhasedKernel(CompiledProgram):
         self.chunk = layout.chunk
         # tree.address(node) == base + node - 1; fold the -1 once.
         self.d1 = layout.d_base - 1
-        counting = layout.counting_tree
-        self.c1 = layout.c_base - 1
-        self.c_height = counting.height
-        self.p_leaves = layout.p_leaves
-        self.mult = 2 * layout.p_leaves + 1
-        self.own_leaf = counting.leaf_node(pid)
+        # The waiter's poll never changes; under churn most observed
+        # cycles are polls, so it is built once.
+        self.wait_cycle = Cycle(
+            reads=(layout.step_addr, layout.done_addr), label="vw:wait"
+        )
+        if layout.has_counting_tree:
+            # W: every iteration (and the guarded join) starts by
+            # counting live processors.
+            self.head = _COUNT_LEAF
+            counting = layout.counting_tree
+            self.c1 = layout.c_base - 1
+            self.c_height = counting.height
+            self.p_leaves = layout.p_leaves
+            self.mult = 2 * layout.p_leaves + 1
+            self.own_leaf = counting.leaf_node(pid)
+        else:
+            # V: no enumeration; iterations start at the allocation root.
+            self.head = _ALLOC_ROOT
+            self.c1 = self.c_height = self.p_leaves = self.mult = 0
+            self.own_leaf = 0
         self.live = False
         self.reset()
 
@@ -526,8 +545,10 @@ class PhasedKernel(CompiledProgram):
         self.joining = False
         self.kick = 0
         self.iteration_number = 0
-        self.rank = 0
-        self.total = 1
+        # The generator's ``rank, total = pid, p``: V allocates on these;
+        # W overwrites both in its counting phases.
+        self.rank = self.pid
+        self.total = self.p
         self.node = 0
         self.count_below = 0
         self.level = 0
@@ -634,7 +655,7 @@ class PhasedKernel(CompiledProgram):
                 self.st = st
                 self.joining = True
                 self.iteration_number = st // lam
-                self.phase = _COUNT_LEAF
+                self.phase = self.head
                 return True
             if step_seen == self.last_seen:
                 self.same_polls += 1
@@ -651,11 +672,7 @@ class PhasedKernel(CompiledProgram):
         if phase == _COUNT_LEAF:
             if self.joining:
                 if values[-1] not in (self.st - 1, self.st - 2):
-                    # RESYNC: off by a tick — back to the waiter loop.
-                    self.phase = _WAIT
-                    self.last_seen = None
-                    self.same_polls = 0
-                    self.joining = False
+                    self._resync()
                     return True
                 self.joining = False
             if values[0] != 0:
@@ -682,6 +699,12 @@ class PhasedKernel(CompiledProgram):
             self.phase = _UP if self.log_l > 0 else _FINAL
             return True
         if phase == _ALLOC_ROOT:
+            if self.joining:
+                # V's guarded join (W's lands on the counting leaf).
+                if values[-1] not in (self.st - 1, self.st - 2):
+                    self._resync()
+                    return True
+                self.joining = False
             root_count, done = values[0], values[1]
             if done != 0:
                 self.live = False
@@ -709,13 +732,20 @@ class PhasedKernel(CompiledProgram):
                 return False
             self.st += 1
             self.iteration_number = self.st // self.lam
-            self.phase = _COUNT_LEAF
+            self.phase = self.head
             return True
         # phase == _KICK: the kick cycle has no reads; resume polling.
         self.last_seen = None
         self.same_polls = 0
         self.phase = _WAIT
         return True
+
+    def _resync(self) -> None:
+        """RESYNC: the guarded join was off by a tick — wait again."""
+        self.phase = _WAIT
+        self.last_seen = None
+        self.same_polls = 0
+        self.joining = False
 
     def _finish_alloc(self) -> None:
         self.leaf = self.node if self.target is not None else None
@@ -732,11 +762,23 @@ class PhasedKernel(CompiledProgram):
     def observe(
         self, cells: Sequence[int]
     ) -> Tuple[Tuple[int, ...], Tuple[Write, ...], int]:
+        if self.phase == _WAIT:
+            # Most observed cycles under churn: restarted processors
+            # poll until the next iteration boundary.
+            return (cells[self.step_addr], cells[self.done_addr]), (), 2
         staged: List[int] = []
         values = self._stage(cells, staged)
-        writes = tuple(
-            Write(staged[i], staged[i + 1]) for i in range(0, len(staged), 2)
-        )
+        # At most two writes: build them directly (a generator
+        # expression here cost adversary ticks more than the staging).
+        count = len(staged)
+        if count == 4:
+            writes: Tuple[Write, ...] = (
+                Write(staged[0], staged[1]), Write(staged[2], staged[3])
+            )
+        elif count == 2:
+            writes = (Write(staged[0], staged[1]),)
+        else:
+            writes = ()
         return values, writes, len(values)
 
     def _stage(self, cells: Sequence[int], out: List[int]) -> tuple:
@@ -838,6 +880,12 @@ class PhasedKernel(CompiledProgram):
         if phase == _ALLOC_ROOT:
             v0 = cells[self.d1 + 1]
             v1 = cells[done_addr]
+            if self.joining:
+                v2 = cells[step_addr]
+                if v2 == st - 1 or v2 == st - 2:
+                    out.append(step_addr)
+                    out.append(st)
+                return (v0, v1, v2)
             out.append(step_addr)
             out.append(st)
             return (v0, v1)
@@ -859,7 +907,13 @@ class PhasedKernel(CompiledProgram):
 
     def current_cycle(self) -> Cycle:
         phase = self.phase
+        if phase == _WAIT:
+            return self.wait_cycle
         step_addr = self.step_addr
+        if phase == _KICK:
+            return Cycle(
+                writes=(Write(step_addr, self.kick),), label="vw:kickstart"
+            )
         done_addr = self.done_addr
         step_write = Write(step_addr, self.st)
         if phase == _BEAT:
@@ -930,8 +984,6 @@ class PhasedKernel(CompiledProgram):
                 writes=sum_writes,
                 label="w:count-up",
             )
-        if phase == _WAIT:
-            return Cycle(reads=(step_addr, done_addr), label="vw:wait")
         if phase == _COUNT_LEAF:
             payload = (
                 Write(self.c1 + self.own_leaf,
@@ -939,22 +991,7 @@ class PhasedKernel(CompiledProgram):
                 step_write,
             )
             if self.joining:
-                expected = (self.st - 1, self.st - 2)
-
-                def guarded_writes(
-                    values: Tuple[int, ...],
-                    expected: Tuple[int, int] = expected,
-                    payload: Tuple[Write, ...] = payload,
-                ) -> Tuple[Write, ...]:
-                    if values[-1] in expected:
-                        return payload
-                    return ()
-
-                return Cycle(
-                    reads=(done_addr, step_addr),
-                    writes=guarded_writes,
-                    label="w:count-leaf",
-                )
+                return self._guarded((done_addr,), payload, "w:count-leaf")
             return Cycle(
                 reads=(done_addr,), writes=payload, label="w:count-leaf"
             )
@@ -971,29 +1008,47 @@ class PhasedKernel(CompiledProgram):
                 label="vw:up-leaf",
             )
         if phase == _ALLOC_ROOT:
+            reads = (self.d1 + 1, done_addr)
+            if self.joining:
+                return self._guarded(reads, (step_write,), "vw:alloc-root")
             return Cycle(
-                reads=(self.d1 + 1, done_addr),
-                writes=(step_write,),
-                label="vw:alloc-root",
+                reads=reads, writes=(step_write,), label="vw:alloc-root"
             )
-        if phase == _FINAL:
+        # phase == _FINAL
 
-            def finalize_writes(
-                values: Tuple[int, ...],
-                full: int = self.leaves,
-                done_addr: int = done_addr,
-                step_write: Write = step_write,
-            ) -> Tuple[Write, ...]:
-                if values[0] >= full:
-                    return (Write(done_addr, 1), step_write)
-                return (step_write,)
+        def finalize_writes(
+            values: Tuple[int, ...],
+            full: int = self.leaves,
+            done_addr: int = done_addr,
+            step_write: Write = step_write,
+        ) -> Tuple[Write, ...]:
+            if values[0] >= full:
+                return (Write(done_addr, 1), step_write)
+            return (step_write,)
 
-            return Cycle(
-                reads=(self.d1 + 1, done_addr),
-                writes=finalize_writes,
-                label="vw:finalize",
-            )
-        # phase == _KICK
         return Cycle(
-            writes=(Write(step_addr, self.kick),), label="vw:kickstart"
+            reads=(self.d1 + 1, done_addr),
+            writes=finalize_writes,
+            label="vw:finalize",
+        )
+
+    def _guarded(
+        self, reads: Tuple[int, ...], payload: Tuple[Write, ...], label: str
+    ) -> Cycle:
+        """The join cycle (the generator's ``guarded``): the step cell is
+        read last, and the payload commits only if it confirms sync."""
+        expected = (self.st - 1, self.st - 2)
+
+        def guarded_writes(
+            values: Tuple[int, ...],
+            expected: Tuple[int, int] = expected,
+            payload: Tuple[Write, ...] = payload,
+        ) -> Tuple[Write, ...]:
+            if values[-1] in expected:
+                return payload
+            return ()
+
+        return Cycle(
+            reads=reads + (self.step_addr,), writes=guarded_writes,
+            label=label,
         )

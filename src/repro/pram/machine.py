@@ -40,7 +40,10 @@ Five tick bodies implement these semantics:
   to the validated reader so errors are identical), per-PID work
   counters are array-backed, and the CRCW resolve call is skipped when
   every address has a single writer and the policy declares singleton
-  resolution the identity.  It builds the adversary view and consults
+  resolution the identity, or when its writers all agree and the policy
+  declares agreeing resolution the identity (the normal COMMON CRCW
+  tick, where every active processor writes one value into one cell).
+  It builds the adversary view and consults
   the adversary on every tick, passive or absent adversaries included,
   exactly as the reference does.  A one-time program-validation gate
   runs each distinct cycle label through the fully validated reference
@@ -258,12 +261,14 @@ class Machine:
         self._single_scratch: Dict[int, Tuple[int, int]] = {}
         # Compiled-kernel lane (see repro.pram.compiled): set by
         # load_program when a kernel factory is installed; the kernel
-        # quiet tick stages flat (address, value) pairs here.
+        # quiet tick stages flat (address, value) pairs here.  Batched
+        # commits collect one resolved value per address in
+        # _staged_writes.
         self._kernel_mode = False
         self._kernel_procs_scratch: List[Processor] = []
         self._kernel_raw_scratch: List[int] = []
         self._kernel_ends_scratch: List[int] = []
-        self._kernel_staged: Dict[int, int] = {}
+        self._staged_writes: Dict[int, int] = {}
         # Vectorized lane (see repro.pram.vectorized): set by
         # load_program when a whole-machine vector program is installed;
         # fused quiet windows then run as batched ndarray bursts.
@@ -936,10 +941,19 @@ class Machine:
 
         ``pairs`` holds ``(pid, surviving_writes)`` in ascending PID
         order.  Equivalent to the reference ``_apply_writes``, but the
-        writes land through one batched commit, and only addresses with
-        several writers are grouped, sorted and resolved (when every
-        address has exactly one writer — the common case — none are).
+        writes land through one batched commit.  A tick with one writer
+        per address — or, under a policy whose agreeing resolve is the
+        identity, only agreeing writers — commits with no grouping at
+        all (:meth:`_commit_batch`); otherwise the whole tick is grouped
+        and only the multi-writer addresses are sorted and resolved.
         """
+        policy = self.policy
+        if (
+            policy.singleton_resolve_is_identity
+            and self._raw_write_ok
+            and self._commit_batch(pairs, policy.agreeing_resolve_is_identity)
+        ):
+            return
         single = self._single_scratch
         single.clear()
         groups: Optional[Dict[int, List[Tuple[int, int]]]] = None
@@ -960,6 +974,33 @@ class Machine:
                     groups[address] = [prev, (pid, write.value)]
                     del single[address]
         self._commit_grouped(single, groups)
+
+    def _commit_batch(self, pairs: List[tuple], agreeing: bool) -> bool:
+        """Commit a tick with one value per address, in one batch.
+
+        Keeps the first write to each address; with ``agreeing`` (the
+        policy declares ``agreeing_resolve_is_identity``) later writes
+        of the same value are dropped, which is exactly what ``resolve``
+        returns for them, so the batch equals the reference's
+        per-address writes.  Returns False, having written nothing, at
+        the first other repeated address or an invalid one; the caller
+        then groups the whole tick.
+        """
+        staged = self._staged_writes
+        staged.clear()
+        size = len(self._cells)
+        for _pid, writes in pairs:
+            for write in writes:
+                address = write.address
+                if address.__class__ is int and 0 <= address < size:
+                    if address not in staged:
+                        staged[address] = write.value
+                        continue
+                    if agreeing and staged[address] == write.value:
+                        continue
+                return False
+        self.memory.commit_resolved(staged.items())
+        return True
 
     def _resolve_and_apply_raw(
         self,
@@ -1198,7 +1239,9 @@ class Machine:
         (:meth:`_resolve_and_apply_fast`, which serves stateful policies
         and word-width memory through the reference-exact route), then
         advance each processor.  Every cycle completes; the window
-        batches the per-PID ledger charges.
+        batches the per-PID ledger charges.  Generator programs (VX,
+        froute, any program with task cycles) tick here; so do kernels
+        under a window the kernel tick cannot run.
         """
         collected = self._collect_fast(running)
         pairs = self._pairs_scratch
@@ -1213,8 +1256,9 @@ class Machine:
                 processor.complete_cycle(values)
                 continue
             # Processor.complete_cycle inlined for generator programs: every
-            # guard holds inside a window, and this loop carries V, VX and
-            # froute, whose solves measured 5-11% slower calling the method.
+            # guard holds inside a window, and generator solves (V, VX and
+            # froute, when all three still ran here) measured 5-11% slower
+            # calling the method.
             processor.cycles_completed += 1
             try:
                 next_cycle = generator.send(values)
@@ -1239,9 +1283,12 @@ class Machine:
         resolve, raw writes); :meth:`_quiet_tick_generic` serves the
         rest.  Kernels are trusted to respect the cycle read/write
         budgets (the soundness contract in :mod:`repro.pram.compiled`);
-        addresses are still bounds-checked during staging, and same-tick
-        write collisions or exotic addresses fall back to the
-        reference-exact resolution for the whole tick.
+        addresses are still bounds-checked during staging.  A write that
+        repeats an address with the same value stays one write when the
+        policy declares ``agreeing_resolve_is_identity`` (every V and W
+        tick: all active processors write the step cell); a disagreeing
+        write, any repeat under other policies, or an exotic address
+        falls back to the reference-exact resolution for the whole tick.
         """
         memory = self.memory
         cells = self._cells
@@ -1249,7 +1296,7 @@ class Machine:
         procs = self._kernel_procs_scratch
         raw = self._kernel_raw_scratch
         ends = self._kernel_ends_scratch
-        staged = self._kernel_staged
+        staged = self._staged_writes
         procs.clear()
         raw.clear()
         ends.clear()
@@ -1267,18 +1314,18 @@ class Machine:
                 processor.status = ProcessorStatus.HALTED
                 processor._bump_epoch()
         memory.charge_reads(reads_charged)
+        agreeing = self.policy.agreeing_resolve_is_identity
         clean = True
         for i in range(0, len(raw), 2):
             address = raw[i]
-            if (
-                address.__class__ is int
-                and 0 <= address < size
-                and address not in staged
-            ):
-                staged[address] = raw[i + 1]
-            else:
-                clean = False
-                break
+            if address.__class__ is int and 0 <= address < size:
+                if address not in staged:
+                    staged[address] = raw[i + 1]
+                    continue
+                if agreeing and staged[address] == raw[i + 1]:
+                    continue
+            clean = False
+            break
         if clean:
             memory.commit_resolved(staged.items())
         else:

@@ -34,6 +34,16 @@ class WritePolicy:
     #: (the overwhelmingly common case); stateful policies whose choice
     #: depends on *how many times* resolve ran must set this False.
     singleton_resolve_is_identity = True
+    #: Whether ``resolve(address, writers)`` with two or more writers
+    #: that all write the same value is guaranteed to return that value
+    #: without raising and without mutating policy state.  When True
+    #: (and singleton resolution is the identity) the machine's fast
+    #: path keeps agreeing concurrent writes as one write — the normal
+    #: tick on the COMMON CRCW PRAM, where every active processor
+    #: writes one value into one cell.  It is not implied by
+    #: ``singleton_resolve_is_identity``: CREW and EREW forbid
+    #: concurrent writes even when they agree.
+    agreeing_resolve_is_identity = False
 
     def resolve(self, address: int, writers: Sequence[PidValue]) -> int:
         """Return the value stored at ``address`` given ``writers``.
@@ -57,6 +67,7 @@ class CommonCrcw(WritePolicy):
     """COMMON CRCW: concurrent writers must agree on the value."""
 
     name = "COMMON"
+    agreeing_resolve_is_identity = True
 
     def resolve(self, address: int, writers: Sequence[PidValue]) -> int:
         first_value = writers[0][1]
@@ -79,6 +90,7 @@ class ArbitraryCrcw(WritePolicy):
     """
 
     name = "ARBITRARY"
+    agreeing_resolve_is_identity = True
 
     def resolve(self, address: int, writers: Sequence[PidValue]) -> int:
         return writers[0][1]
@@ -108,6 +120,7 @@ class PriorityCrcw(WritePolicy):
     """PRIORITY CRCW: the lowest-PID writer wins (by definition)."""
 
     name = "PRIORITY"
+    agreeing_resolve_is_identity = True
 
     def resolve(self, address: int, writers: Sequence[PidValue]) -> int:
         return writers[0][1]
@@ -117,6 +130,7 @@ class StrongCrcw(WritePolicy):
     """STRONG CRCW: the maximum written value survives."""
 
     name = "STRONG"
+    agreeing_resolve_is_identity = True
 
     def resolve(self, address: int, writers: Sequence[PidValue]) -> int:
         return max(value for _pid, value in writers)
@@ -126,6 +140,7 @@ class CollisionCrcw(WritePolicy):
     """COLLISION CRCW: disagreeing concurrent writes leave a collision mark."""
 
     name = "COLLISION"
+    agreeing_resolve_is_identity = True
 
     def __init__(self, collision_value: int = -1) -> None:
         self.collision_value = collision_value

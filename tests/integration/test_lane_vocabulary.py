@@ -212,10 +212,20 @@ def summarize(point):
     return model, sorted(key for key in point if key.endswith("_speedup"))
 
 
-@pytest.mark.parametrize("algorithm", ["trivial", "W", "X"])
+#: (algorithm, baseline row) pairs: trivial, W and X in every baseline;
+#: V only in the scalar one, which CI's ``ci_perf`` step gates.
+PERF_BASELINE_CASES = [
+    (algorithm, row)
+    for algorithm in ("trivial", "W", "X", "V")
+    for row in PERF_BASELINES
+    if algorithm != "V" or row[0] == "BENCH_compiled_perf.json"
+]
+
+
 @pytest.mark.parametrize(
-    "baseline, choice, adversary, n, p, with_reference", PERF_BASELINES,
-    ids=[row[0] for row in PERF_BASELINES],
+    "algorithm, baseline, choice, adversary, n, p, with_reference",
+    [(algorithm, *row) for algorithm, row in PERF_BASELINE_CASES],
+    ids=[f"{row[0]}-{algorithm}" for algorithm, row in PERF_BASELINE_CASES],
 )
 def test_perf_report_writes_the_baseline_sweeps(
         algorithm, baseline, choice, adversary, n, p, with_reference):

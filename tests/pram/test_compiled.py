@@ -10,17 +10,23 @@ rebuilding state from the PID alone).
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.core import (
+    AlgorithmV,
     AlgorithmW,
     AlgorithmX,
     TrivialAssignment,
     solve_write_all,
 )
+from repro.core.base import done_predicate
+from repro.core.iterative import _ALLOC_ROOT, _WAIT
 from repro.core.tasks import CycleFactoryTasks
 from repro.core.trivial import TrivialKernel
 from repro.faults import RandomAdversary
+from repro.faults.base import Adversary, ScheduledAdversary
 from repro.perf.phases import PhaseCounters
 from repro.pram.compiled import (
     CompiledProgram,
@@ -29,6 +35,9 @@ from repro.pram.compiled import (
 )
 from repro.pram.cycles import Cycle, Write
 from repro.pram.errors import ProgramError
+from repro.pram.failures import Decision
+from repro.pram.machine import Machine
+from repro.pram.memory import SharedMemory
 from repro.pram.processor import Processor, ProcessorStatus
 
 
@@ -70,18 +79,154 @@ class TestProtocol:
             assert kernel_live
 
 
+class _JoinTickKiller(Adversary):
+    """Kills the running V cohort on the tick a waiter reads a join value.
+
+    Pid 0 is killed at tick 12 and revived at tick 13, so it waits while
+    the others run.  A waiter that reads a step value two short of an
+    iteration boundary joins the next iteration; killing every
+    non-waiting processor on that very tick leaves the step cell
+    frozen, so the waiter's guarded join must accept the frozen value
+    (``st - 2``).  The victims come back two ticks later and wait, poll
+    and join themselves.
+    """
+
+    def __init__(self, lam, strikes=3):
+        self.lam = lam
+        self.strikes = strikes
+        self.revive = {13: [0]}
+
+    def decide(self, view):
+        revived = Decision.restart(self.revive.pop(view.time, ()))
+        if view.time == 12:
+            return Decision.fail([0]).merged_with(revived)
+        joining = any(
+            entry.label == "vw:wait"
+            and entry.read_values[0] % self.lam == self.lam - 2
+            for entry in view.pending.values()
+        )
+        cohort = [pid for pid, entry in view.pending.items()
+                  if entry.label != "vw:wait"]
+        if self.strikes and joining and cohort:
+            self.strikes -= 1
+            self.revive[view.time + 2] = cohort
+            return Decision.fail(cohort).merged_with(revived)
+        return revived
+
+
+def shadow_kernels_along_a_run(algorithm, n, p, adversary):
+    """Run the generator program on the reference core beside kernels.
+
+    Before every tick each running processor's pending generator cycle
+    must equal its shadow kernel's cycle (label, read specs, and the
+    writes materialized from the values memory holds); after the tick
+    the shadow advances with the same values, or resets on a restart.
+    Returns counts of the guarded-join outcomes and kick-starts seen.
+    """
+    layout = algorithm.build_layout(n, p)
+    memory = SharedMemory(layout.size)
+    algorithm.initialize_memory(memory, layout)
+    machine = Machine(
+        num_processors=p, memory=memory, adversary=adversary,
+        fast_path=False, enforce_progress=False,
+        context={"layout": layout},
+    )
+    machine.load_program(algorithm.program(layout, None))
+    factory = algorithm.compiled_program(layout)
+    shadows = [factory(pid) for pid in range(p)]
+    for kernel in shadows:
+        assert kernel.reset()
+    goal = done_predicate(layout)
+    cells = memory.raw_cells()
+    counts = {"join-live": 0, "join-frozen": 0, "resync": 0, "kick": 0}
+    for _ in range(2_000):
+        before = {}
+        for processor in machine.processors:
+            if not processor.is_running:
+                continue
+            cycle = processor.pending_cycle
+            kernel = shadows[processor.pid]
+            compiled = kernel.current_cycle()
+            values, writes, _reads = CompiledProgram.observe(kernel, cells)
+            assert compiled.label == cycle.label
+            assert compiled.reads == cycle.reads
+            assert cycle.materialize_writes(values) == writes
+            if cycle.label == "vw:kickstart":
+                counts["kick"] += 1
+            before[processor.pid] = (
+                values, processor.cycles_completed, kernel.phase,
+                kernel.joining, kernel.st,
+            )
+        restarts = [proc.restart_count for proc in machine.processors]
+        machine.step()
+        for processor in machine.processors:
+            kernel = shadows[processor.pid]
+            if processor.restart_count != restarts[processor.pid]:
+                assert kernel.reset()
+                continue
+            if processor.pid not in before:
+                continue
+            values, completed, phase, joining, st = before[processor.pid]
+            if processor.cycles_completed == completed:
+                continue  # failed this tick: the state is lost
+            assert kernel.advance(values) == (not processor.is_halted)
+            if phase == _ALLOC_ROOT and joining:
+                if kernel.phase == _WAIT:
+                    counts["resync"] += 1
+                elif values[-1] == st - 2:
+                    counts["join-frozen"] += 1
+                else:
+                    counts["join-live"] += 1
+        if goal(machine._reader):
+            return counts
+    raise AssertionError("the run did not finish")
+
+
+class TestVKernel:
+    """V on W's phased kernel, against V's generator cycle by cycle."""
+
+    @pytest.mark.parametrize(
+        "algorithm", [AlgorithmV, partial(AlgorithmV, chunk=2)],
+        ids=["V", "V[chunk=2]"],
+    )
+    def test_kernel_matches_generator_cycle_by_cycle(self, algorithm):
+        # Two runs drive every path of V's waiter loop.  (1) The whole
+        # machine dies, then pids restart one tick apart: the first
+        # waiter kick-starts, the second kick-starts a tick later and
+        # then reads the first one's join value one tick late, so its
+        # guarded join at the allocation root fails (RESYNC); the late
+        # pids join a live cohort.  (2) The cohort dies on the tick a
+        # waiter reads the join value, so that join must accept the
+        # frozen step cell.
+        staggered = ScheduledAdversary({
+            10: ([0, 1, 2, 3], []), 12: ([], [0]), 13: ([], [1]),
+            20: ([], [2, 3]),
+        })
+        first = shadow_kernels_along_a_run(algorithm(), 64, 4, staggered)
+        assert first["kick"] >= 2
+        assert first["resync"] >= 1
+        assert first["join-live"] >= 1
+        layout = algorithm().build_layout(64, 4)
+        lam = algorithm().compiled_program(layout)(0).lam
+        killer = _JoinTickKiller(lam)
+        second = shadow_kernels_along_a_run(algorithm(), 64, 4, killer)
+        assert killer.strikes == 0
+        assert second["join-frozen"] >= 1
+
+
 class TestTrustGuard:
     def test_shipped_algorithms_are_trusted(self):
-        for algorithm in (TrivialAssignment(), AlgorithmW(), AlgorithmX()):
+        for algorithm in (TrivialAssignment(), AlgorithmW(), AlgorithmX(),
+                          AlgorithmV()):
             assert trusted_compiled_program(algorithm) is not None
 
     def test_algorithm_without_own_kernel_is_not_trusted(self):
-        # V defines program() but no kernel; honoring the base class's
+        # VX defines program() but no kernel; honoring the base class's
         # default through its MRO would be meaningless (it returns
         # None) — the guard must stop at the program-defining class.
-        from repro.core import AlgorithmV
+        from repro.core import AlgorithmVX
 
-        assert trusted_compiled_program(AlgorithmV()) is None
+        assert trusted_compiled_program(AlgorithmVX()) is None
 
     def test_subclass_overriding_program_is_distrusted(self):
         class Patched(TrivialAssignment):
@@ -119,7 +264,8 @@ class TestTrustGuard:
         tasks = CycleFactoryTasks(1, lambda element, pid: [
             Cycle(writes=(Write(element, 1),), label="task")
         ])
-        for algorithm in (TrivialAssignment(), AlgorithmW(), AlgorithmX()):
+        for algorithm in (TrivialAssignment(), AlgorithmW(), AlgorithmX(),
+                          AlgorithmV()):
             layout = algorithm.build_layout(16, 4)
             assert resolve_kernel(algorithm, layout, tasks) is None
 

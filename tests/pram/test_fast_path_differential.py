@@ -248,20 +248,27 @@ class TestRandomSchedules:
 
 
 class TestTraceIdentity:
-    def test_tick_by_tick_trace_identical(self):
+    @pytest.mark.parametrize("algorithm_key", ["X", "V"])
+    def test_tick_by_tick_trace_identical(self, algorithm_key):
         # The Tracer records, per tick, the status partition, the
         # pending-cycle labels, and watched cell values — through the
         # same TickView the machine hands real adversaries.  Composing
         # it over a random adversary checks the fast path presents the
-        # identical per-tick world, not just identical totals.
+        # identical per-tick world, not just identical totals.  V's
+        # watch list adds its step and done cells.
+        algorithm = ALGORITHMS[algorithm_key]
+        layout = algorithm().build_layout(64, 16)
+        watch = (0, 1, 2, 3)
+        if algorithm_key == "V":
+            watch += (layout.step_addr, layout.done_addr)
         traces = []
         for lane in MODES:
-            tracer = Tracer(watch=(0, 1, 2, 3))
+            tracer = Tracer(watch=watch)
             adversary = UnionAdversary([
                 tracer, RandomAdversary(0.15, 0.3, seed=13),
             ])
             solve_write_all(
-                AlgorithmX(), 64, 16, adversary=adversary,
+                algorithm(), 64, 16, adversary=adversary,
                 max_ticks=5_000, **lane.solver_kwargs(),
             )
             traces.append(tracer.records)
@@ -435,13 +442,15 @@ WORD_BITS = 5
 
 
 def config_program(kind):
-    """A memory-driven counting program, one of four kinds.
+    """A memory-driven counting program, one of five kinds.
 
     Each PID counts its own cell up to ``COUNT_TO`` (a restarted PID
     resumes from memory) and halts; every cycle also reads and writes
     its own double cell.  ``clean`` is conflict-free under every policy
     and fits the bounded word.  ``erew-read`` reads the shared cell
-    when its counter is ``HOT``, ``crew-write`` writes it then, and
+    when its counter is ``HOT``, ``crew-write`` writes its PID there
+    then, ``crew-agree`` has the even PIDs write the same value there
+    then (a conflict under CREW although the writers agree), and
     ``overflow`` doubles twice as fast, leaving the bounded word once
     the counter reaches 8.
     """
@@ -458,6 +467,8 @@ def config_program(kind):
             count = values[0] + 1
             if kind == "crew-write" and values[0] == HOT:
                 return (Write(pid, count), Write(SHARED_CELL, pid))
+            if kind == "crew-agree" and values[0] == HOT and pid % 2 == 0:
+                return (Write(pid, count), Write(SHARED_CELL, HOT))
             return (Write(pid, count), Write(CONFIG_P + pid, factor * count))
 
         return compute
@@ -542,6 +553,7 @@ class TestPolicyAndMemoryConfigurations:
     @pytest.mark.parametrize("kind, policy_key, error_type", [
         ("erew-read", "EREW", ReadConflictError),
         ("crew-write", "CREW", WriteConflictError),
+        ("crew-agree", "CREW", WriteConflictError),
         ("overflow", "word-width", MemoryError_),
     ])
     def test_error_at_same_tick_with_same_partial_memory(

@@ -14,11 +14,13 @@ reference lane is the differential suite's job
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import pytest
 
-from repro.core import AlgorithmW, AlgorithmX, TrivialAssignment
+from repro.core import AlgorithmV, AlgorithmW, AlgorithmX, TrivialAssignment
 from repro.core.algorithm_x import ROUTING_RULES, XKernel
+from repro.core.iterative import PhasedKernel
 from repro.core.trivial import TrivialKernel
 from repro.faults import RandomAdversary
 from repro.pram.compiled import CompiledProgram
@@ -43,6 +45,67 @@ def random_x_cells(layout, rng):
             (0, layout.exit_marker, rng.randrange(1, 2 * n))
         )
     return cells
+
+
+#: Every compiled algorithm configuration; V runs on W's phased kernel
+#: without the counting tree, at the default chunk and at chunk 2.
+KERNEL_ALGORITHMS = (
+    TrivialAssignment, AlgorithmW, AlgorithmX, AlgorithmV,
+    partial(AlgorithmV, chunk=2),
+)
+PHASED_ALGORITHMS = (AlgorithmW, AlgorithmV, partial(AlgorithmV, chunk=2))
+
+
+def algorithm_id(factory):
+    return factory().name
+
+
+def faulty_machine(algorithm, n=64, p=8, seed=5):
+    """A kernel machine under random fail/restart churn, no windows."""
+    layout = algorithm.build_layout(n, p)
+    memory = SharedMemory(layout.size)
+    machine = Machine(
+        num_processors=p, memory=memory,
+        adversary=RandomAdversary(0.1, 0.4, seed=seed),
+        fast_forward=False, context={"layout": layout},
+    )
+    machine.load_program(
+        algorithm.program(layout, None),
+        compiled_program=algorithm.compiled_program(layout),
+    )
+    return machine, layout, memory
+
+
+def random_phased_cells(layout, kernel, rng):
+    """An arbitrary V/W memory state around ``kernel``'s step number.
+
+    Progress-tree counts anywhere in range, the step cell on, next to
+    or far from the values the guarded join accepts, the done flag
+    mostly clear, and counting-tree entries tagged with this, the
+    previous or the next iteration.
+    """
+    cells = [rng.randint(0, 1) for _ in range(layout.size)]
+    tree = layout.progress_tree
+    for node in range(1, 2 * layout.leaves):
+        cells[tree.address(node)] = rng.randint(0, tree.leaves_under(node))
+    cells[layout.step_addr] = rng.choice((
+        kernel.st - 2, kernel.st - 1, kernel.st, kernel.st - 3,
+        rng.randrange(0, 4 * kernel.lam),
+    ))
+    cells[layout.done_addr] = rng.choice((0, 0, 0, 1))
+    if layout.has_counting_tree:
+        counting = layout.counting_tree
+        mult = kernel.mult
+        for node in range(1, 2 * layout.p_leaves):
+            tag = kernel.iteration_number + rng.choice((-1, 0, 0, 1))
+            cells[counting.address(node)] = (
+                max(0, tag) * mult + rng.randrange(0, mult)
+            )
+    return cells
+
+
+def kernel_state(kernel):
+    return [getattr(kernel, slot) for slot in PhasedKernel.__slots__]
 
 
 class TestObserveMatchesCycle:
@@ -91,25 +154,13 @@ class TestObserveMatchesCycle:
         assert len(seen) >= 8  # distinct write sets actually exercised
 
     @pytest.mark.parametrize(
-        "algorithm", [TrivialAssignment, AlgorithmW, AlgorithmX],
-        ids=lambda cls: cls.name,
+        "algorithm", KERNEL_ALGORITHMS, ids=algorithm_id,
     )
     def test_every_kernel_along_a_faulty_run(self, algorithm):
-        # Real states, every phase W's state machine reaches: before
-        # each tick, each running processor's observe() must equal its
-        # cycle evaluated on the same memory.
-        algorithm = algorithm()
-        layout = algorithm.build_layout(64, 8)
-        memory = SharedMemory(layout.size)
-        machine = Machine(
-            num_processors=8, memory=memory,
-            adversary=RandomAdversary(0.1, 0.4, seed=5),
-            fast_forward=False, context={"layout": layout},
-        )
-        machine.load_program(
-            algorithm.program(layout, None),
-            compiled_program=algorithm.compiled_program(layout),
-        )
+        # Real states, every phase W's and V's state machine reaches:
+        # before each tick, each running processor's observe() must
+        # equal its cycle evaluated on the same memory.
+        machine, _layout, memory = faulty_machine(algorithm())
         cells = memory.raw_cells()
         checked = 0
         for _ in range(150):
@@ -122,6 +173,35 @@ class TestObserveMatchesCycle:
             if not machine.step():
                 break
         assert checked > 50
+
+    @pytest.mark.parametrize(
+        "algorithm", PHASED_ALGORITHMS, ids=algorithm_id,
+    )
+    def test_phased_kernel_on_random_states(self, algorithm):
+        # Every state a faulty run reaches, observed against arbitrary
+        # memory: the guarded joins see accepted and rejected step
+        # values, allocation sees stale and full subtrees.
+        machine, layout, _memory = faulty_machine(algorithm(), seed=9)
+        rng = random.Random(algorithm().name)
+        phases = set()
+        for _ in range(150):
+            for processor in machine.processors:
+                if not processor.is_running:
+                    continue
+                kernel = processor._stepper
+                phases.add((kernel.phase, kernel.joining))
+                before = kernel_state(kernel)
+                for _ in range(4):
+                    cells = random_phased_cells(layout, kernel, rng)
+                    assert kernel.observe(cells) == interpreted(kernel, cells)
+                assert kernel_state(kernel) == before
+            if not machine.step():
+                break
+        # Every phase of the configuration (W's ten, V's eight without
+        # the two counting phases) plus the guarded join on its head.
+        head = machine.processors[0]._stepper.head
+        assert {phase for phase, joining in phases if joining} == {head}
+        assert len(phases) == (11 if layout.has_counting_tree else 9)
 
 
 class _Probe(CompiledProgram):

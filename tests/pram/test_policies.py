@@ -95,3 +95,50 @@ class TestRegistry:
         for expected in ["COMMON", "ARBITRARY", "PRIORITY", "STRONG",
                          "CREW", "EREW", "COLLISION"]:
             assert expected in names
+
+
+#: Every stock policy, and whether it declares agreeing resolution the
+#: identity (what the machine's batched commit relies on).
+STOCK_POLICIES = [
+    (CommonCrcw, True),
+    (ArbitraryCrcw, True),
+    (PriorityCrcw, True),
+    (StrongCrcw, True),
+    (lambda: CollisionCrcw(-7), True),
+    (Crew, False),
+    (Erew, False),
+    (RotatingArbitraryCrcw, False),
+]
+
+
+class TestAgreeingResolveFlag:
+    @pytest.mark.parametrize(
+        "make_policy, declared", STOCK_POLICIES,
+        ids=lambda item: item().name if callable(item) else str(item),
+    )
+    def test_flag_matches_resolve_on_equal_writers(self, make_policy,
+                                                   declared):
+        policy = make_policy()
+        assert policy.agreeing_resolve_is_identity is declared
+        if not declared:
+            return
+        for count in range(2, 9):
+            for value in (0, 1, -3, 1 << 40):
+                writers = [(pid * 3 + 1, value) for pid in range(count)]
+                state = dict(vars(policy))
+                assert policy.resolve(11, writers) == value
+                assert vars(policy) == state
+
+    def test_exclusive_write_policies_reject_agreeing_writers(self):
+        # CREW and EREW keep the flag False although their singleton
+        # resolve is the identity: two equal writes still conflict.
+        for policy in (Crew(), Erew()):
+            assert policy.singleton_resolve_is_identity
+            with pytest.raises(WriteConflictError):
+                policy.resolve(0, [(0, 4), (1, 4)])
+
+    def test_rotating_policy_changes_state_on_agreeing_writers(self):
+        policy = RotatingArbitraryCrcw()
+        before = dict(vars(policy))
+        policy.resolve(0, [(0, 4), (1, 4)])
+        assert vars(policy) != before

@@ -2,15 +2,19 @@
 
 ``Machine._resolve_and_apply_fast`` commits a tick's surviving writes in
 one batch, calling ``policy.resolve`` only for addresses with several
-writers.  The reference tick instead resolves and writes every address
-one by one in ascending order.  For any collision pattern the two must
-leave the same memory and the same write count — and when a COMMON
-violation raises, the same error after the same partial writes.
+writers, and under a policy whose agreeing resolve is the identity it
+keeps agreeing writers as one write.  The kernel quiet tick
+(``Machine._quiet_tick_kernel``) stages flat pairs the same way.  The
+reference tick instead resolves and writes every address one by one in
+ascending order.  For any collision pattern the three must leave the
+same memory and the same write count — and when a policy raises, the
+same error after the same partial writes.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.pram.compiled import CompiledProgram
 from repro.pram.cycles import Write
 from repro.pram.errors import WriteConflictError
 from repro.pram.machine import Machine
@@ -19,12 +23,16 @@ from repro.pram.policies import (
     ArbitraryCrcw,
     CollisionCrcw,
     CommonCrcw,
+    Crew,
+    PriorityCrcw,
     StrongCrcw,
 )
 
 SIZE = 8
+PIDS = 6
 POLICIES = (
     CommonCrcw, ArbitraryCrcw, StrongCrcw, lambda: CollisionCrcw(-7),
+    PriorityCrcw, Crew,
 )
 
 
@@ -36,7 +44,7 @@ def tick_writes(draw):
     addresses are zeroed so the zero-region tracker sees transitions.
     """
     pairs = draw(st.lists(
-        st.tuples(st.integers(0, 5), st.integers(0, SIZE - 1)),
+        st.tuples(st.integers(0, PIDS - 1), st.integers(0, SIZE - 1)),
         max_size=12, unique=True,
     ))
     by_pid = {}
@@ -46,6 +54,42 @@ def tick_writes(draw):
                 Write(address, draw(st.sampled_from((0, 1, 2))))
             )
     return sorted((pid, tuple(writes)) for pid, writes in by_pid.items())
+
+
+@st.composite
+def agreeing_tick_writes(draw):
+    """Agreeing groups, optionally with one late disagreeing writer.
+
+    Every processor writes the shared cells it draws with that cell's
+    one agreed value (the step-cell pattern of V and W); with
+    ``late=True`` the highest-PID writer of one shared cell writes a
+    different value instead, so the disagreement shows up only after
+    the agreeing writers were staged.
+    """
+    shared = draw(st.lists(st.integers(0, SIZE - 1), min_size=1,
+                           max_size=3, unique=True))
+    agreed = {address: draw(st.sampled_from((0, 1, 2))) for address in shared}
+    writes_by_pid = {}
+    for pid in range(PIDS):
+        addresses = draw(st.lists(st.sampled_from(shared), max_size=2,
+                                  unique=True))
+        if addresses:
+            writes_by_pid[pid] = [
+                Write(address, agreed[address]) for address in addresses
+            ]
+    if draw(st.booleans()) and writes_by_pid:
+        address = draw(st.sampled_from(shared))
+        writers = [pid for pid, writes in writes_by_pid.items()
+                   if any(w.address == address for w in writes)]
+        if writers:
+            late = max(writers)
+            writes_by_pid[late] = [
+                Write(w.address, w.value + 1) if w.address == address else w
+                for w in writes_by_pid[late]
+            ]
+    return sorted(
+        (pid, tuple(writes)) for pid, writes in writes_by_pid.items()
+    )
 
 
 def reference_apply(memory, policy, pairs):
@@ -70,18 +114,66 @@ def outcome(apply):
     return memory.snapshot(), memory.writes_applied, tracker.zeros, error
 
 
+def fast_apply(make_policy, pairs):
+    def apply(memory):
+        machine = Machine(num_processors=PIDS, memory=memory,
+                          policy=make_policy())
+        machine._resolve_and_apply_fast(pairs)
+
+    return apply
+
+
+class _Staging(CompiledProgram):
+    """A stub stepper whose quiet step stages the given flat pairs."""
+
+    __slots__ = ("flat",)
+
+    def __init__(self, writes):
+        self.flat = [item for w in writes for item in (w.address, w.value)]
+        self.live = False
+
+    def reset(self):
+        self.live = True
+        return True
+
+    def quiet_step(self, cells, out):
+        out.extend(self.flat)
+        return 0
+
+
+def kernel_apply(make_policy, pairs):
+    def apply(memory):
+        by_pid = dict(pairs)
+        machine = Machine(num_processors=PIDS, memory=memory,
+                          policy=make_policy())
+        machine.load_program(
+            lambda pid: iter(()),
+            compiled_program=lambda pid: _Staging(by_pid.get(pid, ())),
+        )
+        machine._refresh_status_caches()
+        machine._quiet_tick_kernel(machine._running_cache)
+
+    return apply
+
+
+def check_lanes(make_policy, pairs):
+    expected = outcome(lambda memory: reference_apply(
+        memory, make_policy(), pairs
+    ))
+    assert outcome(fast_apply(make_policy, pairs)) == expected
+    assert outcome(kernel_apply(make_policy, pairs)) == expected
+
+
 @given(pairs=tick_writes(), which=st.sampled_from(range(len(POLICIES))))
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_batched_commit_matches_reference(pairs, which):
-    make_policy = POLICIES[which]
+    check_lanes(POLICIES[which], pairs)
 
-    def fast(memory):
-        machine = Machine(num_processors=6, memory=memory,
-                          policy=make_policy())
-        machine._resolve_and_apply_fast(pairs)
 
-    expected = outcome(lambda memory: reference_apply(
-        memory, make_policy(), pairs
-    ))
-    assert outcome(fast) == expected
+@given(pairs=agreeing_tick_writes(),
+       which=st.sampled_from(range(len(POLICIES))))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_agreeing_groups_match_reference(pairs, which):
+    check_lanes(POLICIES[which], pairs)
