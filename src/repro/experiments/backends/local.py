@@ -46,8 +46,8 @@ class SerialBackend(Backend):
     Laziness is deliberate: executing inside ``collect`` (not
     ``submit``) keeps the engine's loop identical across backends, and
     keeps cache writes incremental — a run killed mid-sweep leaves
-    every completed point checkpointed, which the SIGKILL-resume tests
-    assert.
+    every completed point's cache entry on disk, which the
+    SIGKILL-resume tests assert.
     """
 
     capabilities = BackendCapabilities(

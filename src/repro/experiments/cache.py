@@ -11,7 +11,8 @@ Layout (one directory per sweep, sanitized)::
 
     <root>/
       <sweep-name>/
-        checkpoint.json          # progress manifest (informational)
+        checkpoint.json          # progress manifest (informational,
+                                 # written once per sweep per run)
         <sha256-of-point-spec>.json
 
 Entries are written atomically (temp file + ``os.replace``) so a kill
@@ -216,7 +217,11 @@ class ResultCache:
         _atomic_write_json(self.entry_path(sweep, key), payload)
 
     def write_checkpoint(self, sweep: str, done: int, total: int) -> None:
-        """Progress manifest — informational; the entries are the truth."""
+        """Progress manifest — informational; the entries are the truth.
+
+        The engine writes it once per sweep, when the run ends; a run
+        killed mid-sweep leaves the previous run's manifest (or none).
+        """
         directory = self._sweep_dir(sweep)
         directory.mkdir(parents=True, exist_ok=True)
         body = {

@@ -472,7 +472,7 @@ def run_sweep_parallel(
             a :class:`ResultCache` or a directory path).
         resume: with a cache, load already-completed points instead of
             recomputing them.  ``False`` recomputes (and overwrites)
-            every point while still checkpointing progress.
+            every point while still writing the progress manifest.
         timeout: per-point wall-clock budget in seconds.
         retries: extra attempts a timed-out/crashed point gets before
             it is quarantined as a :class:`PointFailure`.
@@ -594,10 +594,6 @@ def run_sweep_parallel(
                     stats.injected["corrupt"] = (
                         stats.injected.get("corrupt", 0) + 1
                     )
-                cache.write_checkpoint(
-                    sweep.spec.name, done=len(sweep.results),
-                    total=len(sweep.points),
-                )
             elif stored and chaos is not None and chaos.corrupts(point.index):
                 # The server stored this entry and (same pure draw)
                 # corrupted it; count the injection on the client so
@@ -683,6 +679,8 @@ def run_sweep_parallel(
                 engine.close()
 
     if cache is not None:
+        # The progress manifest, once per sweep per run: the entries
+        # written as points finish are what a resume reads.
         for sweep in sweeps:
             cache.write_checkpoint(
                 sweep.spec.name, done=len(sweep.results),

@@ -1239,9 +1239,9 @@ class Machine:
         (:meth:`_resolve_and_apply_fast`, which serves stateful policies
         and word-width memory through the reference-exact route), then
         advance each processor.  Every cycle completes; the window
-        batches the per-PID ledger charges.  Generator programs (VX,
-        froute, any program with task cycles) tick here; so do kernels
-        under a window the kernel tick cannot run.
+        batches the per-PID ledger charges.  Generator programs (froute,
+        any program with task cycles) tick here; so do kernels under a
+        window the kernel tick cannot run.
         """
         collected = self._collect_fast(running)
         pairs = self._pairs_scratch

@@ -291,10 +291,7 @@ class SharedMemory:
             if count_zeros is not None:
                 tracker.zeros = int(count_zeros(tracker.start, tracker.stop))
             else:
-                tracker.zeros = sum(
-                    1 for value in cells[tracker.start : tracker.stop]
-                    if value == 0
-                )
+                tracker.zeros = cells[tracker.start : tracker.stop].count(0)
 
     def commit_resolved(self, pairs: Sequence[Tuple[int, int]]) -> None:
         """Apply pre-validated resolved writes (one per address).
@@ -390,7 +387,7 @@ class SharedMemory:
         for tracker in self._trackers:
             if tracker.start == start and tracker.stop == stop:
                 return tracker
-        zeros = sum(1 for value in self._cells[start:stop] if value == 0)
+        zeros = self._cells[start:stop].count(0)
         tracker = ZeroRegionTracker(start, stop, zeros)
         self._trackers.append(tracker)
         return tracker

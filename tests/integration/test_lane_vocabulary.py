@@ -213,12 +213,12 @@ def summarize(point):
 
 
 #: (algorithm, baseline row) pairs: trivial, W and X in every baseline;
-#: V only in the scalar one, which CI's ``ci_perf`` step gates.
+#: V and VX only in the scalar one, which CI's ``ci_perf`` step gates.
 PERF_BASELINE_CASES = [
     (algorithm, row)
-    for algorithm in ("trivial", "W", "X", "V")
+    for algorithm in ("trivial", "W", "X", "V", "VX")
     for row in PERF_BASELINES
-    if algorithm != "V" or row[0] == "BENCH_compiled_perf.json"
+    if algorithm not in ("V", "VX") or row[0] == "BENCH_compiled_perf.json"
 ]
 
 

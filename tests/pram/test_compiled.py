@@ -16,8 +16,10 @@ import pytest
 
 from repro.core import (
     AlgorithmV,
+    AlgorithmVX,
     AlgorithmW,
     AlgorithmX,
+    FaultRouting,
     TrivialAssignment,
     solve_write_all,
 )
@@ -36,6 +38,7 @@ from repro.pram.compiled import (
 from repro.pram.cycles import Cycle, Write
 from repro.pram.errors import ProgramError
 from repro.pram.failures import Decision
+from repro.pram.lanes import LANES
 from repro.pram.machine import Machine
 from repro.pram.memory import SharedMemory
 from repro.pram.processor import Processor, ProcessorStatus
@@ -214,19 +217,154 @@ class TestVKernel:
         assert second["join-frozen"] >= 1
 
 
+class _Pending(CompiledProgram):
+    """A generator's pending cycle under the contract's oracle.
+
+    The base ``observe`` evaluates the cycle's read specs and writes;
+    X's read specs are closures, so a generator cycle and its kernel
+    twin's are compared by evaluation, not by identity.
+    """
+
+    __slots__ = ("cycle",)
+
+    def __init__(self, cycle):
+        self.cycle = cycle
+
+    def current_cycle(self):
+        return self.cycle
+
+
+def shadow_vx_kernels_to_halt(n, p, adversary=None):
+    """VX's ``_interleave`` on the reference core, its kernels beside it.
+
+    There is no ``until``: the run ends when every processor has halted
+    voluntarily.  Before every tick each running processor's pending
+    cycle and its shadow kernel's must carry the same label and
+    evaluate to the same reads, writes and charge on the current
+    memory; after the tick the shadow advances with the same values, or
+    resets on a restart.  Returns which sub-kernel each pid dropped out
+    of first, and per restart the labels pending when the processor
+    failed and right after it came back.
+    """
+    algorithm = AlgorithmVX()
+    layout = algorithm.build_layout(n, p)
+    memory = SharedMemory(layout.size)
+    machine = Machine(
+        num_processors=p, memory=memory, adversary=adversary,
+        fast_path=False, context={"layout": layout},
+    )
+    machine.load_program(algorithm.program(layout, None))
+    factory = algorithm.compiled_program(layout)
+    shadows = [factory(pid) for pid in range(p)]
+    for kernel in shadows:
+        assert kernel.reset()
+    cells = memory.raw_cells()
+    first_out = {}
+    failed_on = {}
+    restarts = []
+    for _ in range(5_000):
+        before = {}
+        for processor in machine.processors:
+            if not processor.is_running:
+                continue
+            cycle = processor.pending_cycle
+            kernel = shadows[processor.pid]
+            observed = CompiledProgram.observe(kernel, cells)
+            assert kernel.current_cycle().label == cycle.label
+            assert _Pending(cycle).observe(cells) == observed
+            before[processor.pid] = (
+                observed[0], processor.cycles_completed, cycle.label,
+            )
+        counts = [proc.restart_count for proc in machine.processors]
+        live = machine.step()
+        for processor in machine.processors:
+            pid = processor.pid
+            kernel = shadows[pid]
+            if processor.restart_count != counts[pid]:
+                assert kernel.reset()
+                restarts.append(
+                    (failed_on.pop(pid), processor.pending_cycle.label)
+                )
+                continue
+            if pid not in before:
+                continue
+            values, completed, label = before[pid]
+            if processor.cycles_completed == completed:
+                failed_on[pid] = label  # failed this tick
+                continue
+            assert kernel.advance(values) == (not processor.is_halted)
+            if pid not in first_out and not (kernel.x.live and kernel.v.live):
+                first_out[pid] = "V" if kernel.x.live else "X"
+        if not live:
+            assert all(proc.is_halted for proc in machine.processors)
+            return first_out, restarts
+    raise AssertionError("the run did not halt")
+
+
+class TestVXKernel:
+    """VX's round-robin kernel against ``_interleave``, cycle by cycle."""
+
+    @pytest.mark.parametrize("n,p,first", [
+        (16, 4, "V"), (64, 16, "V"), (16, 32, "X"), (64, 64, "X"),
+    ])
+    def test_kernel_matches_interleave_to_voluntary_halt(self, n, p, first):
+        # Both drop-out orders: V's sub-kernel halts first at 16x4 and
+        # 64x16, X's at 16x32 and 64x64, on every pid.
+        first_out, _restarts = shadow_vx_kernels_to_halt(n, p)
+        assert first_out == {pid: first for pid in range(p)}
+
+    def test_restart_mid_round_resumes_on_x(self):
+        # Tick 2 is every processor's first V turn: pid 1 fails with
+        # V's poll pending, and its restart must begin a fresh round on
+        # X's turn, as a fresh _interleave does.
+        schedule = ScheduledAdversary({2: ([1], []), 5: ([], [1])})
+        _first_out, restarts = shadow_vx_kernels_to_halt(16, 4, schedule)
+        assert restarts == [("vw:wait", "x:step")]
+
+    @pytest.mark.parametrize("n,p", [(16, 4), (16, 32)])
+    def test_quiet_ticks_run_to_voluntary_halt(self, n, p):
+        # The fused kernel tick (quiet_step) through both drop-out
+        # orders, with no until: the kernel lane, the generator on the
+        # fast path and the reference core halt identically.
+        outcomes = []
+        for name in ("fast", "nokernel", "reference"):
+            lane = LANES[name]
+            algorithm = AlgorithmVX()
+            layout = algorithm.build_layout(n, p)
+            memory = SharedMemory(layout.size)
+            machine = Machine(
+                num_processors=p, memory=memory,
+                fast_path=lane.fast_path, fast_forward=lane.fast_forward,
+                context={"layout": layout},
+            )
+            machine.load_program(
+                algorithm.program(layout, None),
+                compiled_program=resolve_kernel(
+                    algorithm, layout, None, lane.compiled
+                ),
+            )
+            ledger = machine.run(max_ticks=10_000)
+            assert ledger.halted and not ledger.goal_reached
+            outcomes.append((
+                ledger.ticks, dict(ledger.completed_by_pid),
+                ledger.completed_per_tick, ledger.memory_reads,
+                ledger.memory_writes, memory.snapshot(),
+            ))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
 class TestTrustGuard:
     def test_shipped_algorithms_are_trusted(self):
         for algorithm in (TrivialAssignment(), AlgorithmW(), AlgorithmX(),
-                          AlgorithmV()):
+                          AlgorithmV(), AlgorithmVX()):
             assert trusted_compiled_program(algorithm) is not None
 
     def test_algorithm_without_own_kernel_is_not_trusted(self):
-        # VX defines program() but no kernel; honoring the base class's
-        # default through its MRO would be meaningless (it returns
-        # None) — the guard must stop at the program-defining class.
-        from repro.core import AlgorithmVX
-
-        assert trusted_compiled_program(AlgorithmVX()) is None
+        # froute defines program() but no kernel; honoring the base
+        # class's default through its MRO would be meaningless (it
+        # returns None) — the guard must stop at the program-defining
+        # class.
+        assert trusted_compiled_program(FaultRouting()) is None
 
     def test_subclass_overriding_program_is_distrusted(self):
         class Patched(TrivialAssignment):
@@ -265,7 +403,7 @@ class TestTrustGuard:
             Cycle(writes=(Write(element, 1),), label="task")
         ])
         for algorithm in (TrivialAssignment(), AlgorithmW(), AlgorithmX(),
-                          AlgorithmV()):
+                          AlgorithmV(), AlgorithmVX()):
             layout = algorithm.build_layout(16, 4)
             assert resolve_kernel(algorithm, layout, tasks) is None
 

@@ -18,7 +18,13 @@ from functools import partial
 
 import pytest
 
-from repro.core import AlgorithmV, AlgorithmW, AlgorithmX, TrivialAssignment
+from repro.core import (
+    AlgorithmV,
+    AlgorithmVX,
+    AlgorithmW,
+    AlgorithmX,
+    TrivialAssignment,
+)
 from repro.core.algorithm_x import ROUTING_RULES, XKernel
 from repro.core.iterative import PhasedKernel
 from repro.core.trivial import TrivialKernel
@@ -48,10 +54,11 @@ def random_x_cells(layout, rng):
 
 
 #: Every compiled algorithm configuration; V runs on W's phased kernel
-#: without the counting tree, at the default chunk and at chunk 2.
+#: without the counting tree, at the default chunk and at chunk 2, and
+#: VX round-robins X's kernel and V's.
 KERNEL_ALGORITHMS = (
     TrivialAssignment, AlgorithmW, AlgorithmX, AlgorithmV,
-    partial(AlgorithmV, chunk=2),
+    partial(AlgorithmV, chunk=2), AlgorithmVX,
 )
 PHASED_ALGORITHMS = (AlgorithmW, AlgorithmV, partial(AlgorithmV, chunk=2))
 
@@ -106,6 +113,18 @@ def random_phased_cells(layout, kernel, rng):
 
 def kernel_state(kernel):
     return [getattr(kernel, slot) for slot in PhasedKernel.__slots__]
+
+
+def random_vx_cells(layout, kernel, rng):
+    """An arbitrary VX memory state: V's cells around ``kernel``'s V
+    step number, with X's positions placed anywhere over them."""
+    cells = random_phased_cells(layout.v_layout, kernel.v, rng)
+    x_layout = layout.x_layout
+    for pid in range(layout.p):
+        cells[x_layout.w_base + pid] = rng.choice((
+            0, x_layout.exit_marker, rng.randrange(1, 2 * layout.n),
+        ))
+    return cells
 
 
 class TestObserveMatchesCycle:
@@ -202,6 +221,29 @@ class TestObserveMatchesCycle:
         head = machine.processors[0]._stepper.head
         assert {phase for phase, joining in phases if joining} == {head}
         assert len(phases) == (11 if layout.has_counting_tree else 9)
+
+
+    def test_vx_kernel_on_random_states(self):
+        # VX's observe delegates to whichever sub-kernel's turn it is;
+        # along a faulty run both take turns, and neither the turn nor
+        # V's state may move.
+        machine, layout, _memory = faulty_machine(AlgorithmVX(), seed=9)
+        rng = random.Random("VX")
+        turns = set()
+        for _ in range(150):
+            for processor in machine.processors:
+                if not processor.is_running:
+                    continue
+                kernel = processor._stepper
+                turns.add(kernel.current is kernel.x)
+                before = (kernel.current, kernel_state(kernel.v))
+                for _ in range(4):
+                    cells = random_vx_cells(layout, kernel, rng)
+                    assert kernel.observe(cells) == interpreted(kernel, cells)
+                assert (kernel.current, kernel_state(kernel.v)) == before
+            if not machine.step():
+                break
+        assert turns == {True, False}
 
 
 class _Probe(CompiledProgram):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.pram.errors import MemoryError_
-from repro.pram.memory import MemoryReader, SharedMemory
+from repro.pram.memory import POISON, MemoryReader, SharedMemory
 
 
 class TestConstruction:
@@ -181,6 +181,21 @@ class TestZeroRegionTracker:
             memory.track_zeros(0, 5)
         with pytest.raises(MemoryError_):
             memory.track_zeros(-1, 2)
+
+    def test_counts_only_zero_among_poison_and_negative_values(self):
+        # POISON is a large negative int: it and other negative values
+        # are written cells, on the first scan and on replace_cells'
+        # recount, with and without dead cells.
+        memory = SharedMemory(8, initial=[0, -1, POISON, 0, 3, -7, 0, 0])
+        tracker = memory.track_zeros(0, 8)
+        assert tracker.zeros == 4
+        memory.replace_cells([0, 0, -2, POISON, 0, 5, -1, 0])
+        assert tracker.zeros == 4
+        memory.mark_faulty([7])
+        assert tracker.zeros == 3
+        memory.replace_cells([0, POISON, 0, -3, 0, 0, -1, 0])
+        assert memory.peek(7) == POISON  # re-pinned after the bulk assign
+        assert tracker.zeros == 4
 
     def test_reader_exposes_track_zeros(self):
         memory = SharedMemory(4, initial=[1])
