@@ -98,11 +98,10 @@ class AlgorithmV(WriteAllAlgorithm):
         self, layout: VLayout, tasks: Optional[TaskSet] = None
     ) -> Optional[Callable[[int], PhasedKernel]]:
         tasks = default_tasks(tasks)
-        if tasks.cycles_per_task != 0:
-            return None  # task cycles need the generator path
         lam = iteration_length(layout, tasks)
+        task_set = tasks if tasks.cycles_per_task != 0 else None
 
         def factory(pid: int) -> PhasedKernel:
-            return PhasedKernel(pid, layout, lam)
+            return PhasedKernel(pid, layout, lam, task_set)
 
         return factory

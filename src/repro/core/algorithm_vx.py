@@ -34,13 +34,14 @@ pins that agreement, and the strict xfail
 that the property tests, the fuzz driver and the Theorem 4.1
 simulator draw miss it.
 
-**Kernel twin.**  For trivial task sets,
-:meth:`AlgorithmVX.compiled_program` installs :class:`VXKernel`, the
-compiled form of :func:`_interleave`: it round-robins X's ``XKernel``
-and V's ``PhasedKernel`` exactly as the generator round-robins the two
-programs, and adds no per-cycle X or V logic of its own.  It
-reproduces the generator bug for bug, the conflict above included.
-Task cycles keep the generator, as they do for X and V.
+**Kernel twin.**  :meth:`AlgorithmVX.compiled_program` installs
+:class:`VXKernel`, the compiled form of :func:`_interleave`: it
+round-robins X's ``XKernel`` and V's ``PhasedKernel`` exactly as the
+generator round-robins the two programs, and adds no per-cycle X or V
+logic of its own.  It reproduces the generator bug for bug, the
+conflict above included.  Task cycles (the Theorem 4.1 simulator's
+phases) run on it too: each sub-kernel hands its task cycles to the
+machine, and the turn passes on when the machine advances past one.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from repro.core.algorithm_x import AlgorithmX, XLayout
 from repro.core.base import BaseLayout, WriteAllAlgorithm, default_tasks
 from repro.core.iterative import phased_program
 from repro.core.tasks import TaskSet
-from repro.pram.compiled import CompiledProgram
+from repro.pram.compiled import TASK_CYCLE, CompiledProgram
 from repro.pram.cycles import Cycle, Write
 
 
@@ -120,8 +121,6 @@ class AlgorithmVX(WriteAllAlgorithm):
     ) -> Optional[Callable[[int], "VXKernel"]]:
         x_factory = self._x.compiled_program(layout.x_layout, tasks)
         v_factory = self._v.compiled_program(layout.v_layout, tasks)
-        if x_factory is None or v_factory is None:
-            return None  # task cycles need the generator path
 
         def factory(pid: int) -> VXKernel:
             return VXKernel(x_factory(pid), v_factory(pid))
@@ -138,7 +137,9 @@ class VXKernel(CompiledProgram):
     processor halts when both have.  ``reset`` resets both and starts
     on X, so a restart mid-round resumes on X's turn, as a fresh
     ``_interleave`` does.  ``current_cycle`` and ``observe`` delegate
-    without moving.
+    without moving.  When the current sub-kernel's ``quiet_step``
+    returns :data:`TASK_CYCLE`, so does this one, keeping the turn: the
+    machine interprets the task cycle and ``advance`` hands the turn on.
     """
 
     __slots__ = ("x", "v", "current", "other")
@@ -163,7 +164,7 @@ class VXKernel(CompiledProgram):
 
     def observe(
         self, cells: Sequence[int]
-    ) -> Tuple[Tuple[int, ...], Tuple[Write, ...], int]:
+    ) -> Optional[Tuple[Tuple[int, ...], Tuple[Write, ...], int]]:
         return self.current.observe(cells)
 
     # advance and quiet_step hand the turn on inline: a shared helper
@@ -183,6 +184,8 @@ class VXKernel(CompiledProgram):
     def quiet_step(self, cells: Sequence[int], out: List[int]) -> int:
         current = self.current
         reads = current.quiet_step(cells, out)
+        if reads == TASK_CYCLE:
+            return reads  # the machine interprets it, then advances
         other = self.other
         if other.live:
             self.current = other

@@ -73,12 +73,11 @@ class AlgorithmW(WriteAllAlgorithm):
         self, layout: WLayout, tasks: Optional[TaskSet] = None
     ) -> Optional[Callable[[int], PhasedKernel]]:
         tasks = default_tasks(tasks)
-        if tasks.cycles_per_task != 0:
-            return None  # task cycles need the generator path
         lam = iteration_length(layout, tasks)
+        task_set = tasks if tasks.cycles_per_task != 0 else None
 
         def factory(pid: int) -> PhasedKernel:
-            return PhasedKernel(pid, layout, lam)
+            return PhasedKernel(pid, layout, lam, task_set)
 
         return factory
 
@@ -87,7 +86,7 @@ class AlgorithmW(WriteAllAlgorithm):
     ) -> Optional[object]:
         tasks = default_tasks(tasks)
         if tasks.cycles_per_task != 0:
-            return None  # task cycles need the generator path
+            return None  # task sets run on the compiled kernel
         from repro.core.vector_kernels import WVector
 
         return WVector(layout, iteration_length(layout, tasks))

@@ -42,8 +42,8 @@ from typing import Callable, Generator, List, Optional, Sequence, Tuple
 from repro.core.base import BaseLayout, WriteAllAlgorithm, default_tasks
 from repro.core.tasks import TaskSet
 from repro.core.trees import HeapTree
-from repro.pram.compiled import CompiledProgram
-from repro.pram.cycles import Cycle, Write
+from repro.pram.compiled import TASK_CYCLE, CompiledProgram
+from repro.pram.cycles import Cycle, Write, expect_cycle
 from repro.util.bits import bit_length_of_power, is_power_of_two, msb_first_bit
 from repro.util.rng import derive_seed
 
@@ -129,13 +129,12 @@ class AlgorithmX(WriteAllAlgorithm):
         self, layout: XLayout, tasks: Optional[TaskSet] = None
     ) -> Optional[Callable[[int], "XKernel"]]:
         tasks = default_tasks(tasks)
-        if tasks.cycles_per_task != 0:
-            return None  # the task/mark sub-loop needs the generator path
+        task_set = tasks if tasks.cycles_per_task != 0 else None
         routing = self.routing
         spread = self.spread
 
         def factory(pid: int) -> XKernel:
-            return XKernel(pid, layout, routing, spread)
+            return XKernel(pid, layout, routing, spread, task_set)
 
         return factory
 
@@ -144,7 +143,7 @@ class AlgorithmX(WriteAllAlgorithm):
     ) -> Optional[object]:
         tasks = default_tasks(tasks)
         if tasks.cycles_per_task != 0:
-            return None  # the task/mark sub-loop needs the generator path
+            return None  # task sets run on the compiled kernel
         if self.routing == "random":
             # The stateless (pid, node) hash coin is evaluated per
             # descent; there is no array form of derive_seed.
@@ -277,36 +276,53 @@ def _x_program(
             # mid-task failure safe — x stays 0 until the task finished).
             element = where - n
             for task_cycle in tasks.task_cycles(element, pid):
-                yield task_cycle
+                # Checked here, not only by the machine, so that inside
+                # V+X's interleave a bad item fails on X's own turn.
+                yield expect_cycle(pid, task_cycle)
             yield Cycle(
                 writes=(Write(x_base + element, 1),),
                 label="x:mark",
             )
 
 class XKernel(CompiledProgram):
-    """Compiled form of X's single-cycle loop (trivial task sets only).
+    """Compiled form of X's loop: the update cycle and the task sub-loop.
 
     X keeps all of its recovery state in shared memory (the position
-    array ``w``), so the kernel itself is stateless between cycles:
-    ``reset()`` is trivial and a restarted stepper is indistinguishable
-    from a fresh one — exactly the [SS 83] recovery property the
-    algorithm is built on.  ``quiet_step`` re-implements the cycle body
-    over raw cells with no ``Cycle``/``Write`` allocation; the
-    materialized cycle for observed ticks reuses the *same* body
-    closures as the generator program (:func:`_x_cycle_body`), so both
-    lanes agree by construction.
+    array ``w``), so between update cycles the kernel is stateless:
+    ``reset()`` only drops a task in progress, and a restarted stepper
+    is indistinguishable from a fresh one — exactly the [SS 83]
+    recovery property the algorithm is built on.  ``quiet_step``
+    re-implements the cycle body over raw cells with no
+    ``Cycle``/``Write`` allocation; the materialized cycle for observed
+    ticks reuses the *same* body closures as the generator program
+    (:func:`_x_cycle_body`), so both lanes agree by construction.
+
+    With a non-trivial task set (``tasks``), an unvisited leaf's cycle
+    rewrites ``w[pid]`` and the stepper enters the task: ``task_cycles``
+    holds the element's cycles, ``task`` indexes the pending one, and
+    ``task == len(task_cycles)`` is the ``x:mark`` cycle.  Task cycles
+    are user code, left to the machine (:data:`TASK_CYCLE`).  ``task``
+    is None in the update-cycle state, the only state trivial task sets
+    reach; checking it is all the task sub-loop adds to their
+    ``quiet_step``.
     """
 
     __slots__ = (
         "pid", "layout", "routing", "spread", "n", "x_base", "d1",
         "w_address", "exit_marker", "log_n", "route_pid", "route_code",
-        "initial_leaf", "_cycle",
+        "initial_leaf", "_cycle", "tasks", "task", "task_cycles",
+        "element",
     )
 
     _ROUTE_CODES = {"pid": 0, "left": 1, "right": 2, "random": 3}
 
     def __init__(
-        self, pid: int, layout: XLayout, routing: str, spread: bool
+        self,
+        pid: int,
+        layout: XLayout,
+        routing: str,
+        spread: bool,
+        tasks: Optional[TaskSet] = None,
     ) -> None:
         self.pid = pid
         self.layout = layout
@@ -324,33 +340,87 @@ class XKernel(CompiledProgram):
         self.route_code = self._ROUTE_CODES[routing]
         self.initial_leaf = _x_initial_leaf(pid, layout, spread)
         self._cycle: Optional[Cycle] = None
+        #: A non-trivial task set, or None for plain Write-All.
+        self.tasks = tasks
+        self.task: Optional[int] = None
+        self.task_cycles: Sequence[Cycle] = ()
+        self.element = 0
         self.live = False
 
     def reset(self) -> bool:
-        # All recovery state lives in shared memory (w[pid]); the
-        # stepper has none of its own.  X never halts at spawn.
+        # All recovery state lives in shared memory (w[pid]): a task in
+        # progress is lost, and the leaf's x cell (still 0) makes the
+        # update cycle enter it again.  X never halts at spawn.
+        self.task = None
+        self.task_cycles = ()
         self.live = True
         return True
 
     def current_cycle(self) -> Cycle:
+        task = self.task
+        if task is not None:
+            if task < len(self.task_cycles):
+                return self.task_cycles[task]
+            return Cycle(
+                writes=(Write(self.x_base + self.element, 1),),
+                label="x:mark",
+            )
         cycle = self._cycle
         if cycle is None:
             body_reads, body_writes = _x_cycle_body(
-                self.pid, self.layout, self.routing, self.spread, True
+                self.pid, self.layout, self.routing, self.spread,
+                self.tasks is None,
             )
             cycle = Cycle(reads=body_reads, writes=body_writes, label="x:step")
             self._cycle = cycle
         return cycle
 
+    def _enter_task(self, element: int) -> None:
+        """Start the task at ``element`` (the generator's sub-loop)."""
+        cycles = self.tasks.task_cycles(element, self.pid)
+        if cycles:
+            expect_cycle(self.pid, cycles[0])
+        self.task_cycles = cycles
+        self.element = element
+        self.task = 0
+
+    def _advance_task(self) -> None:
+        """Complete the pending task or mark cycle."""
+        task = self.task + 1
+        count = len(self.task_cycles)
+        if task < count:
+            expect_cycle(self.pid, self.task_cycles[task])
+            self.task = task
+        elif task == count:
+            self.task = task  # the x:mark cycle is next
+        else:
+            self.task = None  # marked: back to the update cycle
+
     def advance(self, values: Tuple[int, ...]) -> bool:
-        self.live = values[0] != self.exit_marker
-        return self.live
+        if self.task is not None:
+            self._advance_task()
+            return True
+        where = values[0]
+        if where == self.exit_marker:
+            self.live = False
+            return False
+        if (
+            self.tasks is not None and where >= self.n
+            and values[1] == 0 and values[2] == 0
+        ):
+            self._enter_task(where - self.n)  # an unvisited leaf
+        return True
 
     def observe(
         self, cells: Sequence[int]
-    ) -> Tuple[Tuple[int, ...], Tuple[Write, ...], int]:
+    ) -> Optional[Tuple[Tuple[int, ...], Tuple[Write, ...], int]]:
+        task = self.task
+        if task is not None:
+            if task < len(self.task_cycles):
+                return None  # a task cycle: the machine interprets it
+            return (), (Write(self.x_base + self.element, 1),), 0
         # quiet_step's reads and branches, returning a Write instead of
-        # staging a flat pair (and leaving `live` alone).
+        # staging a flat pair (and leaving the state alone).
         w_address = self.w_address
         where = cells[w_address]
         reads = 1
@@ -379,10 +449,12 @@ class XKernel(CompiledProgram):
             parent = where // 2
             write = Write(w_address, parent if parent >= 1 else exit_marker)
         elif where >= n:  # at a leaf
-            if third == 0:  # leaf not yet visited
-                write = Write(self.x_base + (where - n), 1)
-            else:
+            if third != 0:
                 write = Write(d1 + where, 1)  # indicate "done"
+            elif self.tasks is None:  # leaf not yet visited
+                write = Write(self.x_base + (where - n), 1)
+            else:  # the task's cycles follow; rewrite the position
+                write = Write(w_address, where)
         elif third != 0 and fourth != 0:
             write = Write(d1 + where, 1)  # both children done
         elif third == 0 and fourth != 0:
@@ -407,6 +479,14 @@ class XKernel(CompiledProgram):
         return derive_seed(self.pid, where) & 1
 
     def quiet_step(self, cells: Sequence[int], out: List[int]) -> int:
+        task = self.task
+        if task is not None:
+            if task < len(self.task_cycles):
+                return TASK_CYCLE
+            out.append(self.x_base + self.element)  # x:mark
+            out.append(1)
+            self._advance_task()
+            return 0
         w_address = self.w_address
         where = cells[w_address]
         reads = 1
@@ -441,12 +521,19 @@ class XKernel(CompiledProgram):
             out.append(w_address)
             out.append(parent if parent >= 1 else exit_marker)
         elif where >= n:  # at a leaf
-            if third == 0:  # leaf not yet visited
+            if third != 0:
+                out.append(d1 + where)  # indicate "done"
+                out.append(1)
+            elif self.tasks is None:  # leaf not yet visited
                 out.append(self.x_base + (where - n))
                 out.append(1)
             else:
-                out.append(d1 + where)  # indicate "done"
-                out.append(1)
+                # The task's cycles follow: rewrite the position, then
+                # enter the task (after staging, so a task set that
+                # raises leaves this cycle's write staged).
+                out.append(w_address)
+                out.append(where)
+                self._enter_task(where - n)
         elif third != 0 and fourth != 0:
             out.append(d1 + where)  # both children done
             out.append(1)

@@ -72,7 +72,9 @@ class WriteAllAlgorithm:
         Returns a ``pid -> CompiledProgram`` factory (see
         :mod:`repro.pram.compiled`) that is observationally identical
         to :meth:`program`, or ``None`` when no kernel applies (the
-        default — e.g. non-trivial task sets).  Like the adversary's
+        default — e.g. the trivial assignment's non-trivial task sets;
+        X's, V's, W's and VX's kernels carry task sets).  Like the
+        adversary's
         ``passive``/``quiet_until`` promises, the hook is only honored
         when it is declared by the class that defines the effective
         ``program()`` (``repro.pram.compiled.trusted_compiled_program``

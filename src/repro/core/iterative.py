@@ -39,8 +39,8 @@ from typing import Generator, List, Optional, Sequence, Tuple
 from repro.core.base import BaseLayout
 from repro.core.tasks import TaskSet
 from repro.core.trees import HeapTree
-from repro.pram.compiled import CompiledProgram
-from repro.pram.cycles import Cycle, Write
+from repro.pram.compiled import TASK_CYCLE, CompiledProgram
+from repro.pram.cycles import Cycle, Write, expect_cycle
 from repro.pram.errors import ProgramError
 
 #: Consecutive identical step-cell reads a waiter needs before asserting
@@ -355,8 +355,11 @@ def _iterations(
                     if values[0] != 0:
                         return
                 else:
+                    # A task item that is not a Cycle raises the error
+                    # X's program (and the machine) give for it.
                     yield _wrap_with_step(
-                        task_cycles[index], Write(step_addr, st)
+                        expect_cycle(pid, task_cycles[index]),
+                        Write(step_addr, st),
                     )
                 st += 1
             if element is None:
@@ -464,6 +467,10 @@ _BEAT = 6
 _UP_LEAF = 7
 _UP = 8
 _FINAL = 9
+# The work phase's task cycles (non-trivial task sets only): a wrapped
+# task cycle at a held leaf, or vw:work-idle without one.
+_TASK = 10
+_WORK_IDLE = 11
 
 
 class PhasedKernel(CompiledProgram):
@@ -477,9 +484,14 @@ class PhasedKernel(CompiledProgram):
     enumerating, and the guarded join lands on the counting leaf;
     without one (V) every iteration starts at the allocation root, the
     guarded join lands there, and the allocation runs on ``rank = pid``
-    and ``total = P`` as in the generator.  Only trivial task sets are
-    compiled — each algorithm's ``compiled_program`` hook gates
-    accordingly.
+    and ``total = P`` as in the generator.
+
+    With a non-trivial task set (``tasks``, ``k`` cycles per task) each
+    beat is preceded by a task phase: ``k`` cycles, ``task`` indexing
+    the pending one, that are the element's task cycles wrapped with
+    the step write (``_TASK``; user code, left to the machine through
+    :data:`TASK_CYCLE`) or ``vw:work-idle`` polls when the processor
+    holds no leaf (``_WORK_IDLE``).  Trivial task sets never enter it.
 
     ``_stage`` reads the current cycle's cells and stages its writes
     from the live state; ``quiet_step`` then delegates the transition
@@ -494,11 +506,21 @@ class PhasedKernel(CompiledProgram):
         "c1", "c_height", "p_leaves", "mult", "own_leaf",
         "phase", "st", "last_seen", "same_polls", "joining", "kick",
         "iteration_number", "rank", "total", "node", "count_below",
-        "level", "target", "leaf", "offset",
+        "level", "target", "leaf", "offset", "tasks", "k", "task",
+        "task_cycles",
     )
 
-    def __init__(self, pid: int, layout: IterativeLayout, lam: int) -> None:
+    def __init__(
+        self,
+        pid: int,
+        layout: IterativeLayout,
+        lam: int,
+        tasks: Optional[TaskSet] = None,
+    ) -> None:
         self.pid = pid
+        #: A non-trivial task set, or None for plain Write-All.
+        self.tasks = tasks
+        self.k = tasks.cycles_per_task if tasks is not None else 0
         self.p = layout.p
         self.lam = lam
         self.step_addr = layout.step_addr
@@ -555,6 +577,8 @@ class PhasedKernel(CompiledProgram):
         self.target = None
         self.leaf = None
         self.offset = 0
+        self.task = 0
+        self.task_cycles = None
         self.live = True
         return True
 
@@ -571,6 +595,8 @@ class PhasedKernel(CompiledProgram):
             self.offset = offset
             if offset >= self.chunk:
                 self.phase = _UP_LEAF
+            elif self.k:
+                self._start_work()
             return True
         if phase == _ALLOC:
             if self.target is None:
@@ -734,6 +760,18 @@ class PhasedKernel(CompiledProgram):
             self.iteration_number = self.st // self.lam
             self.phase = self.head
             return True
+        if phase == _TASK:
+            # The generator reads nothing back from a task cycle.
+            self.st += 1
+            self._next_task()
+            return True
+        if phase == _WORK_IDLE:
+            if values[0] != 0:
+                self.live = False
+                return False
+            self.st += 1
+            self._next_task()
+            return True
         # phase == _KICK: the kick cycle has no reads; resume polling.
         self.last_seen = None
         self.same_polls = 0
@@ -750,22 +788,53 @@ class PhasedKernel(CompiledProgram):
     def _finish_alloc(self) -> None:
         self.leaf = self.node if self.target is not None else None
         self.offset = 0
-        self.phase = _BEAT
+        if self.k:
+            self._start_work()
+        else:
+            self.phase = _BEAT
+
+    def _start_work(self) -> None:
+        """Enter the task phase of the current element (the generator
+        fetches the task's cycles here, before the first one)."""
+        self.task = 0
+        leaf = self.leaf
+        if leaf is None:
+            self.phase = _WORK_IDLE
+            return
+        element = (leaf - self.leaves) * self.chunk + self.offset
+        cycles = self.tasks.task_cycles(element, self.pid)
+        expect_cycle(self.pid, cycles[0])
+        self.task_cycles = cycles
+        self.phase = _TASK
+
+    def _next_task(self) -> None:
+        task = self.task + 1
+        if task >= self.k:
+            self.phase = _BEAT
+            return
+        self.task = task
+        if self.phase == _TASK:
+            expect_cycle(self.pid, self.task_cycles[task])
 
     # -- fused quiet lane ---------------------------------------------- #
 
     def quiet_step(self, cells: Sequence[int], out: List[int]) -> int:
+        if self.phase == _TASK:
+            return TASK_CYCLE
         values = self._stage(cells, out)
         self.advance(values)
         return len(values)  # every W read is a real (charged) read
 
     def observe(
         self, cells: Sequence[int]
-    ) -> Tuple[Tuple[int, ...], Tuple[Write, ...], int]:
-        if self.phase == _WAIT:
+    ) -> Optional[Tuple[Tuple[int, ...], Tuple[Write, ...], int]]:
+        phase = self.phase
+        if phase == _WAIT:
             # Most observed cycles under churn: restarted processors
             # poll until the next iteration boundary.
             return (cells[self.step_addr], cells[self.done_addr]), (), 2
+        if phase == _TASK:
+            return None  # a task cycle: the machine interprets it
         staged: List[int] = []
         values = self._stage(cells, staged)
         # At most two writes: build them directly (a generator
@@ -898,7 +967,12 @@ class PhasedKernel(CompiledProgram):
             out.append(step_addr)
             out.append(st)
             return (v0, v1)
-        # phase == _KICK
+        if phase == _WORK_IDLE:
+            v0 = cells[done_addr]
+            out.append(step_addr)
+            out.append(st)
+            return (v0,)
+        # phase == _KICK (never _TASK: the machine interprets those)
         out.append(step_addr)
         out.append(self.kick)
         return ()
@@ -1013,6 +1087,13 @@ class PhasedKernel(CompiledProgram):
                 return self._guarded(reads, (step_write,), "vw:alloc-root")
             return Cycle(
                 reads=reads, writes=(step_write,), label="vw:alloc-root"
+            )
+        if phase == _TASK:
+            return _wrap_with_step(self.task_cycles[self.task], step_write)
+        if phase == _WORK_IDLE:
+            return Cycle(
+                reads=(done_addr,), writes=(step_write,),
+                label="vw:work-idle",
             )
         # phase == _FINAL
 

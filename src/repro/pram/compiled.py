@@ -45,6 +45,20 @@ per-PID stepper object with *explicit* state that
 * ``reset()`` must restore the exact initial state (a restarted
   processor must be indistinguishable from a freshly spawned one).
 
+**Task cycles.**  A Write-All task set's cycles are user code (the
+Theorem 4.1 simulator's phases run them), so a kernel never evaluates
+them itself.  While one is pending, ``current_cycle()`` returns it as
+the generator would yield it, ``quiet_step()`` returns
+:data:`TASK_CYCLE` having staged nothing and advanced nothing, and
+``observe()`` returns ``None``.  The machine then interprets the cycle
+with the checks it applies to every generator cycle (the label
+validation gate, the read and write budgets, bounds-checked reads) and
+calls ``advance()`` with the values read.  A kernel fetches a task's
+cycles, and checks each is a :class:`Cycle`, when it advances into
+them, as the generator does on resuming; the machine commits the
+tick's writes before such an error propagates from a fused quiet tick,
+so every lane raises it on the same tick over the same memory.
+
 The differential suite runs every algorithm × adversary combination
 with kernels on, off, and against the reference core and asserts
 ledger, trace, and memory equality — that suite is the contract's
@@ -60,6 +74,11 @@ from repro.pram.cycles import Cycle, Write
 #: A compiled-program factory: called with the PID, returns the per-PID
 #: stepper.  The machine calls ``reset()`` before first use.
 CompiledFactory = Callable[[int], "CompiledProgram"]
+
+#: What ``quiet_step`` returns, in place of a read count, when the
+#: pending cycle is a task cycle for the machine to interpret (see the
+#: module docstring).
+TASK_CYCLE = -1
 
 
 class CompiledProgram:
@@ -109,7 +128,7 @@ class CompiledProgram:
 
     def observe(
         self, cells: Sequence[int]
-    ) -> Tuple[Tuple[int, ...], Tuple[Write, ...], int]:
+    ) -> Optional[Tuple[Tuple[int, ...], Tuple[Write, ...], int]]:
         """Evaluate the pending cycle against ``cells`` without advancing.
 
         Returns ``(read values, writes, reads charged)`` — what the
@@ -117,7 +136,8 @@ class CompiledProgram:
         specs and write function against the same cells, which is
         exactly what this default does.  Kernels override it with a
         straight-line evaluation so adversary-visible ticks skip the
-        per-read closure calls.  Pure: the state must not change.
+        per-read closure calls, and return ``None`` for a task cycle,
+        which the machine interprets.  Pure: the state must not change.
         """
         cycle = self.current_cycle()
         value_list: List[int] = []
@@ -147,8 +167,9 @@ class CompiledProgram:
         ``cells`` is the raw memory cell array (read-only by contract);
         staged writes are appended to ``out`` as flat
         ``address, value`` pairs in cycle write order.  Returns the
-        number of reads to charge.  Must update ``live`` exactly as
-        :meth:`advance` would.
+        number of reads to charge, or :data:`TASK_CYCLE` (nothing
+        staged, nothing advanced) for a task cycle.  Must update
+        ``live`` exactly as :meth:`advance` would.
         """
         raise NotImplementedError
 
@@ -188,7 +209,8 @@ def resolve_kernel(
     Combines the opt-out switch (``compiled=False`` — the
     ``nokernel`` lane), the MRO trust guard, and the
     algorithm's own gating (``compiled_program`` returns None for
-    configurations it has no kernel for, e.g. non-trivial task sets).
+    configurations it has no kernel for, e.g. the trivial
+    assignment's non-trivial task sets).
     """
     if not compiled:
         return None

@@ -98,6 +98,20 @@ class Cycle:
         return writes
 
 
+def expect_cycle(pid: int, item: object) -> Cycle:
+    """``item`` if it is a :class:`Cycle`, else the standard error.
+
+    The one check every lane applies to what a program hands the
+    machine: a generator's yield, and a task set's cycle when a
+    compiled kernel advances into it.
+    """
+    if not isinstance(item, Cycle):
+        raise ProgramError(
+            f"pid {pid}: program yielded {item!r}, expected a Cycle"
+        )
+    return item
+
+
 def read_cycle(*addresses: int, label: str = "") -> Cycle:
     """A cycle that only reads (no writes) — e.g. polling a flag."""
     return Cycle(reads=tuple(addresses), label=label)

@@ -50,7 +50,8 @@ Five tick bodies implement these semantics:
   collection once before trusting its shape.  Compiled-kernel
   processors evaluate their pending cycle through the kernel's
   ``observe`` rather than the cycle's read-spec and write closures (the
-  gate cross-checks the two).
+  gate cross-checks the two); their task cycles are interpreted like a
+  generator's.
 
 The other three bodies run only inside **quiet windows**.
 :meth:`Machine.run` is event-driven: before each tick it asks the
@@ -67,7 +68,10 @@ tick is one of:
 
 * the **kernel quiet tick**, for compiled kernels under a fusable
   window (concurrent reads, identity singleton resolve, raw writes):
-  each stepper's ``quiet_step`` reads raw cells and stages flat writes;
+  each stepper's ``quiet_step`` reads raw cells and stages flat writes,
+  except for a Write-All task cycle (user code, such as a Theorem 4.1
+  simulator phase's), which the machine interprets with the same checks
+  as a generator's cycle;
 * the **generic quiet tick**, for everything else (generator programs,
   EREW reads, stateful policies such as ``RotatingArbitraryCrcw``,
   word-width memory): the observable tick's collect and resolve
@@ -88,8 +92,18 @@ from __future__ import annotations
 from collections import defaultdict
 from time import perf_counter
 from types import MappingProxyType
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
+from repro.pram.compiled import TASK_CYCLE
 from repro.pram.cycles import Cycle, Write
 from repro.pram.errors import (
     AdversaryError,
@@ -256,6 +270,7 @@ class Machine:
         # Reusable per-tick scratch (the point is zero steady-state
         # allocation; cleared, never reallocated).
         self._collect_scratch: List[tuple] = []
+        self._task_scratch: List[tuple] = []
         self._pairs_scratch: List[tuple] = []
         self._resolved_scratch: List[Tuple[int, int]] = []
         self._single_scratch: Dict[int, Tuple[int, int]] = {}
@@ -729,27 +744,51 @@ class Machine:
     def _collect_fast(self, running: List[Processor]) -> List[tuple]:
         """Collect every running processor's (cycle, reads, writes).
 
-        Returns reusable ``(processor, cycle, values, writes)`` tuples;
-        reads go straight to the cell array after a type/bounds check,
-        with invalid accesses routed through the validated reader so
-        error behavior matches the reference path exactly.
+        Returns reusable ``(processor, cycle, values, writes)`` tuples,
+        interpreted by :meth:`_interpret`.
         """
         policy = self.policy
         if self._kernel_mode and policy.allows_concurrent_reads:
             return self._collect_observed(running)
+        readers_by_address: Optional[Dict[int, List[int]]] = (
+            None if policy.allows_concurrent_reads else defaultdict(list)
+        )
+        collected = self._collect_scratch
+        collected.clear()
+        reads_charged = self._interpret(running, readers_by_address, collected)
+        if readers_by_address is not None:
+            for address, reader_pids in readers_by_address.items():
+                policy.check_reads(address, reader_pids)
+        self.memory.charge_reads(reads_charged)
+        return collected
+
+    def _interpret(
+        self,
+        processors: Sequence[Processor],
+        readers_by_address: Optional[Dict[int, List[int]]],
+        collected: List[tuple],
+    ) -> int:
+        """Interpret each processor's pending cycle into ``collected``.
+
+        The one route for every cycle the machine evaluates itself:
+        generator cycles (:meth:`_collect_fast`) and the task cycles of
+        compiled kernels (:meth:`_interpret_task`).  Appends
+        ``(processor, cycle, values, writes)`` per processor and returns
+        the reads to charge.  The first occurrence of a label takes the
+        validation gate (:meth:`_collect_one_validated`, which charges
+        its reads itself); later ones read straight from the cell array
+        after a type/bounds check, with invalid accesses routed through
+        the validated reader so errors match the reference path
+        exactly, and are held to the read and write budgets.
+        """
         memory = self.memory
         cells = self._cells
         size = len(cells)
         max_reads = self.max_reads
         max_writes = self.max_writes
         validated = self._validated_labels
-        readers_by_address: Optional[Dict[int, List[int]]] = (
-            None if policy.allows_concurrent_reads else defaultdict(list)
-        )
-        collected = self._collect_scratch
-        collected.clear()
         reads_charged = 0
-        for processor in running:
+        for processor in processors:
             cycle = processor._pending
             if cycle is None:
                 # Compiled kernels materialize their pending cycle only
@@ -814,25 +853,41 @@ class Machine:
                     f"limit is {self.max_writes} (label={cycle.label!r})"
                 )
             collected.append((processor, cycle, values, writes))
-        if readers_by_address is not None:
-            for address, reader_pids in readers_by_address.items():
-                policy.check_reads(address, reader_pids)
-        memory.charge_reads(reads_charged)
-        return collected
+        return reads_charged
+
+    def _interpret_task(self, processor: Processor, cycle: Cycle) -> tuple:
+        """A kernel's task cycle through :meth:`_interpret`.
+
+        Task cycles are user code, which a kernel leaves to the machine
+        (``quiet_step`` returned :data:`TASK_CYCLE`, ``observe`` None).
+        ``cycle`` is the stepper's ``current_cycle()``, cached as the
+        processor's pending cycle for the interpretation only.  Returns
+        ``(values, writes, reads to charge)``.
+        """
+        out = self._task_scratch
+        out.clear()
+        processor._pending = cycle
+        try:
+            reads = self._interpret((processor,), None, out)
+        finally:
+            processor._pending = None
+        entry = out[0]
+        return entry[2], entry[3], reads
 
     def _collect_observed(self, running: List[Processor]) -> List[tuple]:
         """Kernel-lane collection: each stepper evaluates its own cycle.
 
-        The compiled-kernel analogue of the generator loop in
-        :meth:`_collect_fast`.  The pending cycle is still materialized
-        (it is part of the adversary's view), but its read values and
-        write set come from the stepper's straight-line ``observe``
-        instead of calling the cycle's read-spec and write closures once
-        per read.  The first occurrence of each label still takes the
-        validated reference collection, cross-checked against
-        ``observe`` (see :meth:`_collect_validated_observed`).  Only used
-        when the policy allows concurrent reads, so no per-address
-        reader bookkeeping is needed.
+        The compiled-kernel analogue of :meth:`_collect_fast`.  The
+        pending cycle is still materialized (it is part of the
+        adversary's view), but its read values and write set come from
+        the stepper's straight-line ``observe`` instead of calling the
+        cycle's read-spec and write closures once per read.  The first
+        occurrence of each label still takes the validated reference
+        collection, cross-checked against ``observe`` (see
+        :meth:`_collect_validated_observed`).  A task cycle, for which
+        ``observe`` returns None, is interpreted like a generator's
+        (:meth:`_interpret_task`).  Only used when the policy allows
+        concurrent reads, so no per-address reader bookkeeping is needed.
         """
         cells = self._cells
         max_writes = self.max_writes
@@ -845,7 +900,8 @@ class Machine:
             # it out of the running list), so its cycle is built here
             # directly; nothing outside this tick reads it from the
             # processor, and observe() re-derives it after a stall.
-            cycle = processor._stepper.current_cycle()
+            stepper = processor._stepper
+            cycle = stepper.current_cycle()
             if cycle.__class__ is not Cycle:
                 processor._check_cycle(cycle)
             if cycle.label not in validated:
@@ -854,12 +910,19 @@ class Machine:
                 )
                 validated.add(cycle.label)
                 continue
-            values, writes, reads = processor._stepper.observe(cells)
-            if len(writes) > max_writes:
-                raise ProgramError(
-                    f"pid {processor.pid}: cycle writes {len(writes)} cells, "
-                    f"limit is {self.max_writes} (label={cycle.label!r})"
+            observed = stepper.observe(cells)
+            if observed is None:
+                values, writes, reads = self._interpret_task(
+                    processor, cycle
                 )
+            else:
+                values, writes, reads = observed
+                if len(writes) > max_writes:
+                    raise ProgramError(
+                        f"pid {processor.pid}: cycle writes {len(writes)} "
+                        f"cells, limit is {self.max_writes} "
+                        f"(label={cycle.label!r})"
+                    )
             reads_charged += reads
             collected.append((processor, cycle, values, writes))
         self.memory.charge_reads(reads_charged)
@@ -880,7 +943,10 @@ class Machine:
         before = memory.reads_served
         entry = self._collect_one_validated(processor, cycle, None)
         charged = memory.reads_served - before
-        values, writes, reads = processor._stepper.observe(self._cells)
+        observed = processor._stepper.observe(self._cells)
+        if observed is None:
+            return entry  # a task cycle: the collection above is its own
+        values, writes, reads = observed
         if (values, tuple(writes), reads) != (entry[2], entry[3], charged):
             raise ProgramError(
                 f"pid {processor.pid}: compiled kernel observe() returned "
@@ -1240,8 +1306,9 @@ class Machine:
         and word-width memory through the reference-exact route), then
         advance each processor.  Every cycle completes; the window
         batches the per-PID ledger charges.  Generator programs (froute,
-        any program with task cycles) tick here; so do kernels under a
-        window the kernel tick cannot run.
+        the trivial assignment's and generational X's task cycles, and
+        every program on the ``nokernel`` and ``reference`` lanes) tick
+        here; so do kernels under a window the kernel tick cannot run.
         """
         collected = self._collect_fast(running)
         pairs = self._pairs_scratch
@@ -1283,7 +1350,10 @@ class Machine:
         resolve, raw writes); :meth:`_quiet_tick_generic` serves the
         rest.  Kernels are trusted to respect the cycle read/write
         budgets (the soundness contract in :mod:`repro.pram.compiled`);
-        addresses are still bounds-checked during staging.  A write that
+        addresses are still bounds-checked during staging.  A task cycle
+        (``quiet_step`` returned :data:`TASK_CYCLE`) is user code, so
+        the machine interprets it with every generator check
+        (:meth:`_quiet_task_cycle`).  A write that
         repeats an address with the same value stays one write when the
         policy declares ``agreeing_resolve_is_identity`` (every V and W
         tick: all active processors write the step cell); a disagreeing
@@ -1304,7 +1374,16 @@ class Machine:
         reads_charged = 0
         for processor in running:
             stepper = processor._stepper
-            reads_charged += stepper.quiet_step(cells, raw)
+            try:
+                reads = stepper.quiet_step(cells, raw)
+            except Exception:
+                self._commit_raising_tick(running, processor, procs, ends, raw)
+                raise
+            if reads == TASK_CYCLE:
+                reads = self._quiet_task_cycle(
+                    running, processor, procs, ends, raw
+                )
+            reads_charged += reads
             processor.cycles_completed += 1
             procs.append(processor)
             ends.append(len(raw))
@@ -1330,6 +1409,71 @@ class Machine:
             memory.commit_resolved(staged.items())
         else:
             self._resolve_and_apply_raw(procs, ends, raw)
+
+    def _quiet_task_cycle(
+        self,
+        running: List[Processor],
+        processor: Processor,
+        procs: List[Processor],
+        ends: List[int],
+        raw: List[int],
+    ) -> int:
+        """A kernel's task cycle on a fused tick; returns its read charge.
+
+        Task cycles are user code, which a kernel leaves to the machine
+        (``quiet_step`` returned :data:`TASK_CYCLE`): the pending cycle
+        is interpreted with the generator lanes' checks
+        (:meth:`_interpret_task`), its writes are staged, and the stepper
+        advances past it.
+        """
+        stepper = processor._stepper
+        values, writes, reads = self._interpret_task(
+            processor, stepper.current_cycle()
+        )
+        for write in writes:
+            raw.append(write.address)
+            raw.append(write.value)
+        try:
+            stepper.advance(values)
+        except Exception:
+            self._commit_raising_tick(running, processor, procs, ends, raw)
+            raise
+        return reads
+
+    def _commit_raising_tick(
+        self,
+        running: List[Processor],
+        raising: Processor,
+        procs: List[Processor],
+        ends: List[int],
+        raw: List[int],
+    ) -> None:
+        """Commit a fused tick whose kernel raised while advancing.
+
+        A kernel advancing into a task's cycles calls the task set,
+        which may raise (a factory error, an item that is not a
+        ``Cycle``).  The generator lanes raise that on resuming the
+        program, after the tick's writes are committed, so the error
+        leaves here over the same memory: ``raising``'s writes are
+        staged already, the processors after it are evaluated without
+        advancing, and the whole tick is resolved and applied.
+        """
+        procs.append(raising)
+        ends.append(len(raw))
+        cells = self._cells
+        for processor in running[len(procs):]:
+            stepper = processor._stepper
+            observed = stepper.observe(cells)
+            if observed is None:
+                observed = self._interpret_task(
+                    processor, stepper.current_cycle()
+                )
+            for write in observed[1]:
+                raw.append(write.address)
+                raw.append(write.value)
+            procs.append(processor)
+            ends.append(len(raw))
+        self._resolve_and_apply_raw(procs, ends, raw)
 
     def _run_quiet_window(
         self, stop_tick: int, until: Optional[UntilPredicate]

@@ -120,7 +120,14 @@ class SimulationResult:
 
     @property
     def max_step_overhead_ratio(self) -> float:
+        """The largest per-step sigma over the steps that ran phases."""
         indexes = {record.step_index for record in self.phases}
+        if not indexes:
+            raise ValueError(
+                f"{self.program!r} has no recorded phases (every step is "
+                f"write-free and skipped as a no-op), so its overhead "
+                f"ratio sigma is undefined"
+            )
         return max(self.step_overhead_ratio(index) for index in indexes)
 
 
@@ -150,10 +157,12 @@ class RobustSimulator:
         # Lane selection, mirroring solve_write_all: callers pass a
         # registry lane's switches (repro.pram.lanes,
         # ``Lane.solver_kwargs()``).  The fuzz driver runs
-        # every program through all available lanes.  Note the robust
-        # phases always use non-trivial task sets (CycleFactoryTasks),
-        # which every vectorized_program hook gates to None — so the
-        # vec lane here exercises exactly the scalar-fallback path.
+        # every program through all available lanes.  The robust phases
+        # always use non-trivial task sets (CycleFactoryTasks): X's,
+        # V's, W's and VX's compiled kernels carry them wherever the
+        # lane enables kernels (the machine interprets the task cycles),
+        # and every vectorized_program hook gates them to None, so the
+        # vec and auto lanes run the compiled kernels here.
         self.fast_path = fast_path
         self.fast_forward = fast_forward
         self.compiled = compiled

@@ -396,16 +396,35 @@ class TestTrustGuard:
         assert resolve_kernel(algorithm, layout, None, compiled=False) is None
         assert resolve_kernel(algorithm, layout, None) is not None
 
-    def test_non_trivial_tasks_fall_back_to_generators(self):
-        # Kernels compile the plain x[i] := 1 stream; a task set with
-        # real cycles must gate the kernel off (algorithm-level gating).
-        tasks = CycleFactoryTasks(1, lambda element, pid: [
+    @staticmethod
+    def task_set():
+        return CycleFactoryTasks(1, lambda element, pid: [
             Cycle(writes=(Write(element, 1),), label="task")
         ])
+
+    def test_task_sets_install_kernels_for_x_v_w_and_vx(self):
+        # X's, V's, W's and VX's kernels carry task cycles (as a task
+        # sub-loop or phase the machine interprets).
+        tasks = self.task_set()
+        for algorithm in (AlgorithmW(), AlgorithmX(), AlgorithmV(),
+                          AlgorithmVX()):
+            layout = algorithm.build_layout(16, 4)
+            factory = resolve_kernel(algorithm, layout, tasks)
+            assert factory is not None
+            assert factory(0).reset()
+
+    def test_task_sets_keep_generators_elsewhere(self):
+        # The trivial assignment compiles only the plain x[i] := 1
+        # stream, and no vector program runs task cycles.
+        tasks = self.task_set()
+        trivial = TrivialAssignment()
+        assert resolve_kernel(
+            trivial, trivial.build_layout(16, 4), tasks
+        ) is None
         for algorithm in (TrivialAssignment(), AlgorithmW(), AlgorithmX(),
                           AlgorithmV(), AlgorithmVX()):
             layout = algorithm.build_layout(16, 4)
-            assert resolve_kernel(algorithm, layout, tasks) is None
+            assert algorithm.vectorized_program(layout, tasks) is None
 
 
 class _CountingKernel(CompiledProgram):

@@ -18,6 +18,7 @@ failed) when it is absent; the remaining lanes always run.
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.core import (
     solve_write_all,
 )
 from repro.core.runner import default_tick_budget
+from repro.core.tasks import CycleFactoryTasks
 from repro.faults import (
     FailureBudgetAdversary,
     HalvingAdversary,
@@ -43,11 +45,13 @@ from repro.faults import (
     UnionAdversary,
 )
 from repro.faults.base import ScheduledAdversary
+from repro.faults.static import apply_memory_faults
 from repro.pram.compiled import resolve_kernel
 from repro.pram.cycles import Cycle, Write
 from repro.pram.errors import (
     MemoryError_,
     PramError,
+    ProgramError,
     ReadConflictError,
     WriteConflictError,
 )
@@ -130,6 +134,23 @@ def assert_ledgers_identical(fast_ledger, ref_ledger):
     flags = ("halted", "goal_reached", "stalled", "tick_limited")
     assert {f: getattr(fast_ledger, f) for f in flags} == \
         {f: getattr(ref_ledger, f) for f in flags}
+
+
+def assert_outcomes_agree(outcomes):
+    """Every lane's outcome equals the reference lane's (the last).
+
+    An outcome is ``("finished", ledger, memory)`` or a ``("raised",
+    ...)`` tuple carrying the error, the tick and whatever else must
+    match exactly.
+    """
+    reference = outcomes[-1]
+    for outcome in outcomes[:-1]:
+        if reference[0] == "raised":
+            assert outcome == reference
+        else:
+            assert outcome[0] == "finished", outcome
+            assert_ledgers_identical(outcome[1], reference[1])
+            assert outcome[2] == reference[2]
 
 
 class TestAlgorithmAdversaryMatrix:
@@ -331,17 +352,9 @@ class TestVXChurnLaneAgreement:
         return "finished", ledger, memory.snapshot()
 
     def assert_lanes_agree(self, n, p, adversary_factory):
-        outcomes = [
+        assert_outcomes_agree([
             self.outcome(lane, n, p, adversary_factory()) for lane in MODES
-        ]
-        reference = outcomes[-1]
-        for outcome in outcomes[:-1]:
-            if reference[0] == "raised":
-                assert outcome == reference
-            else:
-                assert outcome[0] == "finished", outcome
-                assert_ledgers_identical(outcome[1], reference[1])
-                assert outcome[2] == reference[2]
+        ])
 
     @pytest.mark.parametrize("n,p", [(64, 4), (128, 8)])
     def test_every_lane_agrees_under_budgeted_churn(self, n, p):
@@ -648,3 +661,323 @@ class TestPolicyAndMemoryConfigurations:
             assert str(error) == str(ref_error)
             assert ledger.ticks == ref_ledger.ticks
             assert memory == ref_memory
+
+
+# ---------------------------------------------------------------------- #
+# Task cycles: the Theorem 4.1 simulator's Write-All phases
+# ---------------------------------------------------------------------- #
+
+#: Algorithms whose kernels carry non-trivial task sets; the kernel
+#: lanes run their task cycles through the machine's interpretation, the
+#: ``nokernel`` and ``reference`` lanes through the generators.
+TASK_ALGORITHMS = {
+    "X": AlgorithmX,
+    "V": AlgorithmV,
+    "V[chunk=2]": partial(AlgorithmV, chunk=2),
+    "W": AlgorithmW,
+    "VX": AlgorithmVX,
+}
+
+
+def sum_tasks(base, n, k):
+    """``k`` cycles per task over two scratch regions past the layout.
+
+    Task ``e`` reads its input ``IN[e]`` (a static read) and, unless
+    ``e % 3 == 0`` (a chained read spec that returns None), the input
+    that value points at, and writes their sum into ``OUT[e]``; with
+    ``k == 2`` a write-free cycle reads ``IN[e]`` first.  Every
+    execution writes the same value, so re-runs and concurrent runs are
+    idempotent, as a simulator phase's are.
+    """
+    inputs, outputs = base, base + n
+
+    def factory(element, pid):
+        def chained(got):
+            return None if element % 3 == 0 else inputs + got[0] % n
+
+        add = Cycle(
+            reads=(inputs + element, chained),
+            writes=lambda got: (Write(outputs + element, got[0] + got[1]),),
+            label="task:add",
+        )
+        if k == 1:
+            return [add]
+        return [Cycle(reads=(inputs + element,), label="task:peek"), add]
+
+    return CycleFactoryTasks(k, factory)
+
+
+def task_inputs(n):
+    return [(7 * element + 3) % n for element in range(n)]
+
+
+def run_tasks(algorithm_key, adversary, lane, tasks=None, k=1, n=64, p=16,
+              max_ticks=5_000):
+    """Run one algorithm over a task set on ``lane``.
+
+    ``tasks`` builds the task set from ``(base, n)`` (default: the
+    ``k``-cycle :func:`sum_tasks`).  Returns ``("finished", ledger,
+    memory)`` or, if the run raised, ``("raised", type, message, tick,
+    memory)``: VX's known COMMON violation under churn raises on every
+    lane alike, and so do misbehaving task sets.
+    """
+    algorithm = TASK_ALGORITHMS[algorithm_key]()
+    layout = algorithm.build_layout(n, p)
+    memory = SharedMemory(layout.size + 2 * n)
+    algorithm.initialize_memory(memory, layout)
+    memory.load(task_inputs(n), layout.size)
+    apply_memory_faults(memory, adversary, layout)
+    if tasks is None:
+        task_set = sum_tasks(layout.size, n, k)
+    else:
+        task_set = tasks(layout.size, n)
+    machine = Machine(
+        num_processors=p, memory=memory, adversary=adversary,
+        fast_path=lane.fast_path, fast_forward=lane.fast_forward,
+        context={"layout": layout},
+    )
+    machine.load_program(
+        algorithm.program(layout, task_set),
+        compiled_program=resolve_kernel(
+            algorithm, layout, task_set, lane.compiled
+        ),
+        vectorized_program=resolve_vectorized(
+            algorithm, layout, task_set, lane.vectorized
+        ),
+        vector_dispatch="auto" if lane.vectorized == "auto" else "always",
+    )
+    try:
+        ledger = machine.run(
+            until=algorithm.until_predicate(layout), max_ticks=max_ticks,
+            raise_on_limit=False,
+        )
+    except Exception as error:
+        return ("raised", type(error), str(error), machine.ledger.ticks,
+                memory.snapshot())
+    return "finished", ledger, memory.snapshot()
+
+
+class TestTaskCycles:
+    """Task sets on every lane: kernels interpret them, generators yield
+    them, and the outcome must not tell the two apart."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("adversary_key", sorted(ADVERSARIES))
+    @pytest.mark.parametrize("algorithm_key", sorted(TASK_ALGORITHMS))
+    def test_ledger_identical(self, algorithm_key, adversary_key, k):
+        outcomes = [
+            run_tasks(algorithm_key, ADVERSARIES[adversary_key](), lane, k=k)
+            for lane in MODES
+        ]
+        assert_outcomes_agree(outcomes)
+
+    @pytest.mark.parametrize("algorithm_key", sorted(TASK_ALGORITHMS))
+    def test_tasks_compute_their_outputs(self, algorithm_key):
+        n = 64
+        inputs = task_inputs(n)
+        expected = [
+            inputs[e] + (0 if e % 3 == 0 else inputs[inputs[e] % n])
+            for e in range(n)
+        ]
+        for lane in MODES:
+            outcome = run_tasks(algorithm_key, None, lane, k=2, n=n)
+            assert outcome[0] == "finished" and outcome[1].goal_reached
+            assert outcome[2][-n:] == expected
+
+    @pytest.mark.parametrize("algorithm_key", ["X", "V"])
+    def test_tick_by_tick_trace_identical(self, algorithm_key):
+        n, p = 64, 16
+        layout = TASK_ALGORITHMS[algorithm_key]().build_layout(n, p)
+        watch = (0, 1, 2, 3) + tuple(
+            layout.size + n + e for e in range(4)
+        )
+        if algorithm_key == "V":
+            watch += (layout.step_addr, layout.done_addr)
+        traces = []
+        for lane in MODES:
+            tracer = Tracer(watch=watch)
+            adversary = UnionAdversary([
+                tracer, RandomAdversary(0.15, 0.3, seed=13),
+            ])
+            run_tasks(algorithm_key, adversary, lane, k=2, n=n, p=p)
+            traces.append(tracer.records)
+        assert any(
+            label.startswith("task:")
+            for record in traces[-1] for label in record.labels.values()
+        )
+        for trace in traces[:-1]:
+            assert trace == traces[-1]
+
+
+VICTIM = 3
+
+#: Processors per mid-task run: at 64 x 4, V needs more than one
+#: iteration, so a restarted processor has one to re-join.
+MID_TASK_P = {"X": 16, "V": 4}
+
+
+def mid_task_schedule(algorithm_key, down=4):
+    """Fail ``VICTIM`` inside its first task (its ``task:peek`` cycle
+    done, ``task:add`` pending) and restart it ``down`` ticks later.
+
+    The tick comes from a failure-free probe run on the reference lane.
+    """
+    tracer = Tracer()
+    run_tasks(algorithm_key, tracer, LANES["reference"], k=2,
+              p=MID_TASK_P[algorithm_key])
+    tick = next(
+        tick for tick, label in tracer.labels_of(VICTIM)
+        if label == "task:add"
+    )
+    return tick, {tick: ([VICTIM], []), tick + down: ([], [VICTIM])}
+
+
+class TestFailureInsideATask:
+    """A processor failed between a task's cycles loses the task (its
+    private state) and must redo it after the restart, on every lane."""
+
+    @pytest.mark.parametrize("algorithm_key", ["X", "V"])
+    def test_every_lane_identical(self, algorithm_key):
+        _tick, schedule = mid_task_schedule(algorithm_key)
+        outcomes = [
+            run_tasks(algorithm_key, ScheduledAdversary(schedule), lane, k=2,
+                      p=MID_TASK_P[algorithm_key])
+            for lane in MODES
+        ]
+        assert outcomes[-1][0] == "finished"
+        assert outcomes[-1][1].goal_reached
+        assert outcomes[-1][1].pattern_size == 2
+        assert_outcomes_agree(outcomes)
+
+    def traced(self, algorithm_key, watch=()):
+        tick, schedule = mid_task_schedule(algorithm_key)
+        traces = []
+        for lane in MODES:
+            tracer = Tracer(watch=watch)
+            adversary = UnionAdversary([tracer, ScheduledAdversary(schedule)])
+            run_tasks(algorithm_key, adversary, lane, k=2,
+                      p=MID_TASK_P[algorithm_key])
+            traces.append(tracer)
+        for tracer in traces[:-1]:
+            assert tracer.records == traces[-1].records
+        return tick, traces[-1]
+
+    def test_x_resumes_at_its_leaf_and_reruns_the_task(self):
+        layout = AlgorithmX().build_layout(64, 16)
+        w_victim = layout.w_base + VICTIM
+        tick, tracer = self.traced("X", watch=(w_victim,))
+        leaf = dict(tracer.watched_series(w_victim))[tick]
+        assert layout.n <= leaf < 2 * layout.n
+        after = [
+            label for at, label in tracer.labels_of(VICTIM) if at > tick
+        ]
+        # Back on its leaf from w[pid]: the update cycle finds x still 0,
+        # and the whole task runs again before the leaf is marked.
+        assert after[:4] == ["x:step", "task:peek", "task:add", "x:mark"]
+        assert dict(tracer.watched_series(w_victim))[tick + 5] == leaf
+
+    def test_v_rejoins_an_iteration(self):
+        tick, tracer = self.traced("V")
+        after = [
+            label for at, label in tracer.labels_of(VICTIM) if at > tick
+        ]
+        assert after[0] == "vw:wait"
+        assert "vw:alloc-root" in after
+        joined = after.index("vw:alloc-root")
+        assert "task:peek" in after[joined:]
+
+
+def _tasks(make_cycles, k=1):
+    """A task-set builder for :func:`run_tasks` from ``make_cycles(base,
+    n, element, pid)``."""
+    def build(base, n):
+        return CycleFactoryTasks(
+            k, lambda element, pid: make_cycles(base, n, element, pid)
+        )
+    return build
+
+
+def _cycles_with_writes(count):
+    def make(base, n, element, pid):
+        writes = tuple(
+            Write(base + n + (element + i) % n, 1) for i in range(count)
+        )
+        return [Cycle(reads=(base + element,), writes=writes,
+                      label="task:writes")]
+    return make
+
+
+#: Task sets that break the task contract, and the error every lane must
+#: raise for them (the reference lane runs the generator).
+MISBEHAVING_TASKS = {
+    "five-reads": (_tasks(lambda base, n, element, pid: [Cycle(
+        reads=(base,) * 5, label="task:wide",
+    )]), ProgramError),
+    "too-many-writes": (None, ProgramError),  # built per algorithm
+    "address-out-of-range": (_tasks(lambda base, n, element, pid: [Cycle(
+        reads=(base + element,
+               lambda got: 10_000 if element == 5 else None),
+        label="task:far",
+    )]), MemoryError_),
+    "conflicting-writes": (_tasks(lambda base, n, element, pid: [Cycle(
+        writes=(Write(base + n, pid),), label="task:clash",
+    )]), WriteConflictError),
+    "wrong-count": (_tasks(
+        lambda base, n, element, pid: [Cycle(label="task:one")], k=2,
+    ), ValueError),
+    "not-a-cycle-first": (_tasks(
+        lambda base, n, element, pid: ["x", Cycle(label="task:ok")], k=2,
+    ), ProgramError),
+    "not-a-cycle-second": (_tasks(
+        lambda base, n, element, pid: [Cycle(label="task:ok"), "x"], k=2,
+    ), ProgramError),
+}
+
+MISBEHAVIOUR_ADVERSARIES = {
+    "passive": lambda: None,
+    "scheduled": lambda: ScheduledAdversary(
+        {2: ([1], []), 4: ([], [1]), 7: ([2], [2])}
+    ),
+    "random": lambda: RandomAdversary(0.15, 0.3, seed=7),
+}
+
+
+class TestMisbehavingTasks:
+    """A task set that breaks its contract fails the same way on every
+    lane: same exception and message, on the same tick, over the same
+    partially-applied memory."""
+
+    @pytest.mark.parametrize("adversary_key", sorted(MISBEHAVIOUR_ADVERSARIES))
+    @pytest.mark.parametrize("case", sorted(MISBEHAVING_TASKS))
+    @pytest.mark.parametrize("algorithm_key", ["X", "V", "W", "VX"])
+    def test_same_error_same_tick_same_memory(
+        self, algorithm_key, case, adversary_key
+    ):
+        tasks, error_type = MISBEHAVING_TASKS[case]
+        if case == "too-many-writes":
+            # Over X's two-write budget; over the one own write V and W
+            # leave a task beside their step write.
+            count = 3 if algorithm_key == "X" else 2
+            tasks = _tasks(_cycles_with_writes(count))
+        outcomes = [
+            run_tasks(
+                algorithm_key, MISBEHAVIOUR_ADVERSARIES[adversary_key](),
+                lane, tasks=tasks,
+            )
+            for lane in MODES
+        ]
+        reference = outcomes[-1]
+        assert reference[0] == "raised" and reference[1] is error_type
+        assert_outcomes_agree(outcomes)
+
+    @pytest.mark.parametrize("algorithm_key", ["X", "V", "W"])
+    def test_non_cycle_item_raises_program_error_everywhere(
+        self, algorithm_key
+    ):
+        # The error X's program raises, on V and W too, and on the
+        # generator lanes as well as the kernel lanes.
+        tasks, _ = MISBEHAVING_TASKS["not-a-cycle-first"]
+        for lane in MODES:
+            outcome = run_tasks(algorithm_key, None, lane, tasks=tasks)
+            assert outcome[1] is ProgramError
+            assert "program yielded 'x', expected a Cycle" in outcome[2]

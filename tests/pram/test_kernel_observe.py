@@ -26,7 +26,8 @@ from repro.core import (
     TrivialAssignment,
 )
 from repro.core.algorithm_x import ROUTING_RULES, XKernel
-from repro.core.iterative import PhasedKernel
+from repro.core.iterative import _BEAT, _TASK, _WORK_IDLE, PhasedKernel
+from repro.core.tasks import CycleFactoryTasks
 from repro.core.trivial import TrivialKernel
 from repro.faults import RandomAdversary
 from repro.pram.compiled import CompiledProgram
@@ -244,6 +245,181 @@ class TestObserveMatchesCycle:
             if not machine.step():
                 break
         assert turns == {True, False}
+
+
+def task_set(base, n):
+    """Two cycles per task over scratch cells past the layout: a
+    write-free read, then a read-and-write of the element's own cell."""
+    def factory(element, pid):
+        return [
+            Cycle(reads=(base + element,), label="task:peek"),
+            Cycle(
+                reads=(base + element, lambda got: None if element % 2
+                       else base + (got[0] % n)),
+                writes=lambda got: (Write(base + n + element, got[0] + 1),),
+                label="task:add",
+            ),
+        ]
+    return CycleFactoryTasks(2, factory)
+
+
+#: Kernels that carry task sets: X's sub-loop, the phased kernel's task
+#: phase (V at two chunks, W), and VX's round-robin over both.
+TASK_ALGORITHMS = (
+    AlgorithmX, AlgorithmV, partial(AlgorithmV, chunk=2), AlgorithmW,
+    AlgorithmVX,
+)
+
+
+class TestTaskCycleStates:
+    @pytest.mark.parametrize("algorithm", TASK_ALGORITHMS, ids=algorithm_id)
+    def test_observe_returns_none_only_for_task_cycles(self, algorithm):
+        # Along a faulty run over a task set: observe() returns None
+        # exactly when the pending cycle is a task cycle (the machine
+        # interprets those), leaves the state alone, and still equals
+        # the interpreted cycle everywhere else.
+        algorithm = algorithm()
+        n, p = 64, 8
+        layout = algorithm.build_layout(n, p)
+        memory = SharedMemory(layout.size + 2 * n)
+        memory.load([(5 * e) % n for e in range(n)], layout.size)
+        tasks = task_set(layout.size, n)
+        machine = Machine(
+            num_processors=p, memory=memory,
+            adversary=RandomAdversary(0.1, 0.4, seed=5),
+            fast_forward=False, context={"layout": layout},
+        )
+        machine.load_program(
+            algorithm.program(layout, tasks),
+            compiled_program=algorithm.compiled_program(layout, tasks),
+        )
+        cells = memory.raw_cells()
+        seen = {True: 0, False: 0}
+        for _ in range(200):
+            for processor in machine.processors:
+                if not processor.is_running:
+                    continue
+                stepper = processor._stepper
+                is_task = stepper.current_cycle().label.startswith("task:")
+                observed = stepper.observe(cells)
+                seen[is_task] += 1
+                if is_task:
+                    assert observed is None
+                    assert stepper.observe(cells) is None
+                else:
+                    assert observed == interpreted(stepper, cells)
+            if not machine.step():
+                break
+        assert seen[True] > 10 and seen[False] > 10
+
+
+def evaluate(cycle, cells):
+    """A cycle's (values, writes, reads) on ``cells``: the machine's
+    interpretation, as the contract's oracle applies it."""
+    value_list, reads = [], 0
+    for spec in cycle.read_specs():
+        address = spec(tuple(value_list)) if callable(spec) else spec
+        if address is None:
+            value_list.append(0)
+        else:
+            value_list.append(cells[address])
+            reads += 1
+    values = tuple(value_list)
+    return values, cycle.materialize_writes(values), reads
+
+
+class TestTaskStatesInLockstep:
+    """Each kernel beside its generator, cycle by cycle, over a task set.
+
+    Both see the same arbitrary memory state every cycle (done flags
+    raised now and then, V's step cell around its join values), so the
+    task sub-loop and task phase meet done flags, idle processors and
+    rejoins no whole run reaches.  Their cycles must evaluate alike and
+    they must halt on the same cycle.
+    """
+
+    @pytest.mark.parametrize(
+        "algorithm", (AlgorithmV, partial(AlgorithmV, chunk=2), AlgorithmW),
+        ids=algorithm_id,
+    )
+    def test_phased_kernel(self, algorithm):
+        algorithm = algorithm()
+        n, p = 64, 4
+        layout = algorithm.build_layout(n, p)
+        tasks = task_set(layout.size, n)
+        kernels = algorithm.compiled_program(layout, tasks)
+        programs = algorithm.program(layout, tasks)
+        rng = random.Random(algorithm.name)
+        phases = set()
+        halts = 0
+        for pid in range(p):
+            kernel = kernels(pid)
+            kernel.reset()
+            generator = programs(pid)
+            cycle = next(generator)
+            for _ in range(600):
+                phases.add(kernel.phase)
+                cells = random_phased_cells(layout, kernel, rng)
+                # The done flag mostly where the task phase reads it.
+                late = kernel.phase in (_WORK_IDLE, _BEAT)
+                cells[layout.done_addr] = int(rng.random() < (0.2 if late else 0.005))
+                if rng.random() < 0.3:  # a full root: no leaf, work idles
+                    cells[layout.progress_tree.address(1)] = layout.leaves
+                cells += [rng.randrange(n) for _ in range(2 * n)]
+                mine = kernel.current_cycle()
+                assert mine.label == cycle.label
+                observed = evaluate(cycle, cells)
+                assert evaluate(mine, cells) == observed
+                live = kernel.advance(observed[0])
+                try:
+                    cycle = generator.send(observed[0])
+                except StopIteration:
+                    # Halted alike: restart both from the PID.
+                    assert not live
+                    halts += 1
+                    kernel.reset()
+                    generator = programs(pid)
+                    cycle = next(generator)
+                    continue
+                assert live
+        assert {_TASK, _WORK_IDLE} <= phases
+        assert halts > 0
+
+    def test_x_kernel(self):
+        algorithm = AlgorithmX()
+        n, p = 16, 4
+        layout = algorithm.build_layout(n, p)
+        tasks = task_set(layout.size, n)
+        kernels = algorithm.compiled_program(layout, tasks)
+        programs = algorithm.program(layout, tasks)
+        rng = random.Random("X tasks")
+        labels = set()
+        for pid in range(p):
+            kernel = kernels(pid)
+            kernel.reset()
+            generator = programs(pid)
+            cycle = next(generator)
+            for _ in range(300):
+                labels.add(cycle.label)
+                cells = random_x_cells(layout, rng)
+                # Mostly on a leaf, rarely on the exit marker.
+                cells[layout.w_base + pid] = rng.choice(
+                    [rng.randrange(n, 2 * n)] * 6
+                    + [rng.randrange(1, n)] * 3 + [0, layout.exit_marker]
+                )
+                cells += [rng.randrange(n) for _ in range(2 * n)]
+                mine = kernel.current_cycle()
+                assert mine.label == cycle.label
+                observed = evaluate(cycle, cells)
+                assert evaluate(mine, cells) == observed
+                live = kernel.advance(observed[0])
+                try:
+                    cycle = generator.send(observed[0])
+                except StopIteration:
+                    assert not live
+                    break
+                assert live
+        assert {"x:step", "task:peek", "task:add", "x:mark"} <= labels
 
 
 class _Probe(CompiledProgram):

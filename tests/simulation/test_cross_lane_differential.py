@@ -4,7 +4,8 @@ Each program in :mod:`repro.simulation.programs` runs through every
 machine lane of the shared registry (:mod:`repro.pram.lanes`) under at
 least two adversaries, and every run's final simulated memory must be
 bit-identical to the fault-free reference execution — Theorem 4.1's
-semantic transparency, asserted program x adversary x lane.  The
+semantic transparency, asserted program x adversary x lane — and every
+phase's ledger must equal the reference lane's.  The
 Write-All differential suite (``tests/pram/``) proves lane identity for
 the *solver*; this suite proves it for the *simulation layer* on real
 workloads.
@@ -14,7 +15,7 @@ import random
 
 import pytest
 
-from repro.core import AlgorithmX
+from repro.core import AlgorithmVX, AlgorithmX
 from repro.faults import BurstAdversary, NoFailures, RandomAdversary
 from repro.pram.lanes import LANES as LANE_REGISTRY, lane_available
 from repro.simulation import RobustSimulator
@@ -33,8 +34,9 @@ from repro.simulation.programs.list_ranking import list_ranking_input
 
 #: Straight from the shared registry (reference last), minus lanes this
 #: environment cannot run (vec without the numpy extra).  The robust
-#: phases use non-trivial task sets, so the vec/auto lanes exercise
-#: exactly the vector lane's scalar-fallback gating here.
+#: phases use non-trivial task sets, which run on the compiled kernels
+#: of the fast, noff, vec and auto lanes (no vector program runs task
+#: cycles) and on the generators of the nokernel and reference lanes.
 LANES = {
     name: lane
     for name, lane in LANE_REGISTRY.items()
@@ -76,14 +78,34 @@ def _programs():
 PROGRAMS = _programs()
 
 
-def execute(program, initial, adversary, lane):
+ALGORITHMS = {"X": AlgorithmX, "VX": AlgorithmVX}
+
+
+def execute(program, initial, adversary, lane, algorithm=None):
     simulator = RobustSimulator(
         p=4,
-        algorithm=AlgorithmX(),
+        algorithm=algorithm if algorithm is not None else AlgorithmX(),
         adversary=adversary,
         **LANES[lane].solver_kwargs(),
     )
     return simulator.execute(program, list(initial))
+
+
+def ledger_fields(ledger):
+    """Everything a phase's ledger records, for exact comparison."""
+    return (
+        ledger.ticks,
+        dict(ledger.completed_by_pid),
+        dict(ledger.attempted_by_pid),
+        list(ledger.pattern),
+        list(ledger.completed_per_tick),
+        ledger.memory_reads,
+        ledger.memory_writes,
+        ledger.progress_vetoes,
+        ledger.fairness_vetoes,
+        (ledger.halted, ledger.goal_reached, ledger.stalled,
+         ledger.tick_limited),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +133,33 @@ class TestEveryProgramEveryLane:
         )
         assert result.solved
         assert result.memory == fault_free_memories[name]
+
+    @pytest.mark.parametrize("algorithm", ["X", "VX"])
+    @pytest.mark.parametrize("adversary_key", sorted(ADVERSARIES))
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_phase_ledgers_identical_across_lanes(
+        self, name, adversary_key, algorithm
+    ):
+        # The kernel lanes run every phase's task cycles through the
+        # machine's interpretation, the nokernel and reference lanes
+        # through the generators: each phase's ledger must not tell
+        # them apart.
+        program, initial = PROGRAMS[name]
+        runs = [
+            execute(program, initial, ADVERSARIES[adversary_key](), lane,
+                    ALGORITHMS[algorithm]())
+            for lane in LANES
+        ]
+        reference = runs[-1]
+        assert list(LANES)[-1] == "reference"
+        for result in runs[:-1]:
+            assert len(result.phases) == len(reference.phases)
+            for phase, ref_phase in zip(result.phases, reference.phases):
+                assert (phase.step_index, phase.phase, phase.solved) == \
+                    (ref_phase.step_index, ref_phase.phase, ref_phase.solved)
+                assert ledger_fields(phase.ledger) == \
+                    ledger_fields(ref_phase.ledger)
+            assert result.memory == reference.memory
 
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
     def test_adversaries_actually_injected_faults(self, name):

@@ -114,6 +114,22 @@ class TestAccounting:
         with pytest.raises(ValueError, match="no recorded phases"):
             result.step_overhead_ratio(99)
 
+    def test_max_step_overhead_ratio_of_write_free_program(self):
+        # No step writes, so no phase runs and there is no sigma to
+        # maximize: the same descriptive error as step_overhead_ratio.
+        from repro.simulation.step import SimStep
+
+        program = SimProgram(
+            width=2, memory_size=2, steps=[SimStep(), SimStep()],
+            name="all-noop",
+        )
+        result = RobustSimulator(p=2, algorithm=AlgorithmX()).execute(
+            program, [0, 0]
+        )
+        assert result.solved and not result.phases
+        with pytest.raises(ValueError, match="'all-noop' has no recorded phases"):
+            result.max_step_overhead_ratio
+
     def test_phase_snapshots_opt_in(self):
         simulator = RobustSimulator(
             p=2, algorithm=AlgorithmX(), capture_snapshots=True
