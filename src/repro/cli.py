@@ -14,18 +14,10 @@ Commands:
   corruption) and assert the sweep still converges to results
   bit-identical to a fault-free serial run;
 * ``fuzz``      — property-based soak of the Theorem 4.1 simulator:
-  seeded random PRAM programs run through all four machine lanes under
+  seeded random PRAM programs run through all six machine lanes under
   randomly drawn adversaries (plus inline chaos injection), checked
   bit-identical against the ideal fault-free oracle over three passes;
   failures are delta-debugged to minimal replayable JSON fixtures;
-* ``serve``     — run the distributed sweep scheduler: a daemon holding
-  the work queue and the shared content-addressed result store,
-  leasing points to connected workers and re-queueing leases whose
-  worker dies or stalls (the paper's fail-stop/restart model applied
-  to the fleet itself);
-* ``worker``    — one restartable fail-stop worker: connects to a serve
-  daemon, executes leased points in a sandboxed subprocess, and is
-  restarted by its supervisor when it dies;
 * ``perf``      — micro-benchmark the simulator core: the ``--lane``
   lane against its ablation lanes (no fast-forward, no kernels, scalar,
   the reference baseline) under selectable fault scenarios
@@ -63,6 +55,7 @@ from repro.core import (
     solve_write_all,
 )
 from repro.experiments import SweepSpec, run_sweep, run_sweep_parallel
+from repro.experiments.backends import BACKEND_NAMES
 from repro.experiments.factories import (
     NamedAdversary,
     build_named_adversary,
@@ -161,15 +154,29 @@ def _lane_kwargs(args: argparse.Namespace) -> dict:
     return LANES[CLI_LANES[args.lane]].solver_kwargs()
 
 
+def _positive_seconds(text: str) -> float:
+    """``--timeout`` values: a wall-clock budget must be positive."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}"
+        ) from None
+    if not seconds > 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number of seconds, got {text!r}"
+        )
+    return seconds
+
+
 def _add_engine(parser: argparse.ArgumentParser) -> None:
     """Parallel-engine flags shared by ``sweep`` and ``bench``."""
     parser.add_argument("--workers", type=int, default=None,
                         help="worker processes (default: in-process)")
-    parser.add_argument("--backend", default=None,
-                        help="executor backend: 'serial', 'pool', or "
-                             "'remote:host:port' (a `repro serve` "
-                             "daemon; results are bit-identical across "
-                             "backends). Default: chosen by --workers")
+    parser.add_argument("--backend", default=None, choices=BACKEND_NAMES,
+                        help="executor backend (results are bit-identical "
+                             "across backends). Default: chosen by "
+                             "--workers")
     parser.add_argument("--cache-dir", default=None,
                         help="result cache directory "
                              "(default: .repro-cache)")
@@ -181,7 +188,7 @@ def _add_engine(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-resume", action="store_true",
                         help="recompute every point, overwriting cache "
                              "entries")
-    parser.add_argument("--timeout", type=float, default=None,
+    parser.add_argument("--timeout", type=_positive_seconds, default=None,
                         help="per-point wall-clock timeout in seconds")
     parser.add_argument("--retries", type=int, default=1,
                         help="extra attempts per timed-out/crashed point")
@@ -279,13 +286,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"{stats.failed} failed, {stats.retries} retries, "
             f"{stats.wall_s:.2f}s wall"
         )
-        if (stats.crashes or stats.pool_restarts or stats.cache_corrupt
-                or stats.requeues):
+        if stats.crashes or stats.pool_restarts or stats.cache_corrupt:
             degraded = ", degraded to serial" if stats.degraded_serial else ""
             print(
                 f"recovery: {stats.crashes} crash attempts, "
                 f"{stats.pool_restarts} pool restarts{degraded}, "
-                f"{stats.requeues} lease re-queues, "
                 f"{stats.cache_corrupt} corrupt cache entries discarded"
             )
         if stats.injected:
@@ -422,69 +427,12 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         stall=args.chaos_stall,
         error=args.chaos_error,
         corrupt=args.chaos_corrupt,
-        worker_kill=args.worker_kill,
         backend=args.backend,
         log=lambda line: print(f"[chaos] {line}"),
     )
     converged = sum(1 for outcome in outcomes if outcome.converged)
     print(f"[chaos] {converged}/{len(outcomes)} iteration(s) converged")
     return 0 if ok else 1
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.experiments.serve import SweepServer, fetch_status
-    from repro.experiments.wire import TOKEN_ENV, WireError
-
-    if args.status is not None:
-        try:
-            status = fetch_status(args.status)
-        except WireError as exc:
-            raise SystemExit(
-                f"[serve] {args.status}: {exc} "
-                f"(set {TOKEN_ENV} if the daemon requires auth)"
-            )
-        eta = status.get("eta_s")
-        mean = status.get("mean_point_s")
-        print(f"[serve] {args.status}: "
-              f"{status.get('workers', 0)} worker(s) "
-              f"{status.get('worker_names', [])}, "
-              f"{status.get('pending', 0)} pending, "
-              f"{status.get('leased', 0)} leased, "
-              f"{status.get('completed', 0)} completed "
-              f"({status.get('cache_hits', 0)} cache hits, "
-              f"{status.get('requeues', 0)} re-queues, "
-              f"{status.get('quarantined', 0)} quarantined)")
-        print(f"[serve] mean point "
-              f"{'n/a' if mean is None else f'{mean:.3f}s'}, "
-              f"eta {'n/a' if eta is None else f'~{eta:.0f}s'}; "
-              f"store: {status.get('cache_dir')}")
-        return 0
-    server = SweepServer(
-        host=args.host, port=args.port,
-        cache_dir=None if args.no_cache else (args.cache_dir
-                                              or ".repro-cache"),
-        lease_ttl=args.lease_ttl,
-        max_lease_tries=args.max_lease_tries,
-    )
-    server.start()
-    print(f"[serve] listening on {server.address}", flush=True)
-    print(f"[serve] shared store: "
-          f"{'disabled' if server.cache is None else server.cache.root}",
-          flush=True)
-    server.serve_forever()
-    return 0
-
-
-def cmd_worker(args: argparse.Namespace) -> int:
-    from repro.experiments.worker import run_worker
-
-    code = run_worker(
-        args.connect,
-        name=args.name,
-        max_restarts=args.max_restarts,
-        log=lambda line: print(f"[worker] {line}", flush=True),
-    )
-    return 0 if code == 0 else 1
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
@@ -520,7 +468,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         chaos=not args.no_chaos,
         fixture_dir=args.fixture_dir,
         max_fixtures=args.max_fixtures,
-        backend=args.backend,
         log=lambda line: print(f"[fuzz] {line}"),
     )
     wall_s = time_module.perf_counter() - started
@@ -752,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--chaos-seed", type=int, default=0,
                        help="base chaos seed (stepped deterministically "
                             "until the plan covers crash+stall+corrupt)")
-    chaos.add_argument("--timeout", type=float, default=2.0,
+    chaos.add_argument("--timeout", type=_positive_seconds, default=2.0,
                        help="per-point wall-clock budget; injected "
                             "stalls spin past it")
     chaos.add_argument("--retries", type=int, default=8,
@@ -766,63 +713,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="transient-error injection rate per attempt")
     chaos.add_argument("--chaos-corrupt", type=float, default=0.25,
                        help="cache-corruption injection rate per point")
-    chaos.add_argument("--worker-kill", type=float, default=0.0,
-                       help="whole-worker fail-stop injection rate per "
-                            "attempt (the distributed fabric's lease "
-                            "re-queue path; local backends degrade it "
-                            "to an ordinary crash)")
-    chaos.add_argument("--backend", default=None,
-                       help="soak a specific backend: 'serial', 'pool', "
-                            "'remote:host:port', or plain 'remote' to "
-                            "self-host a serve daemon plus --workers "
-                            "spawned CLI workers for the chaos pass")
+    chaos.add_argument("--backend", default=None, choices=BACKEND_NAMES,
+                       help="soak a specific backend for the chaos pass "
+                            "(default: chosen by --workers)")
     chaos.set_defaults(func=cmd_chaos)
-
-    serve = commands.add_parser(
-        "serve",
-        help="run the distributed sweep scheduler daemon",
-    )
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="bind address (default: loopback; the "
-                            "protocol trusts its peers — never expose "
-                            "it beyond hosts you control; export "
-                            "REPRO_SERVE_TOKEN on daemon and fleet to "
-                            "require a shared secret at the handshake)")
-    serve.add_argument("--port", type=int, default=0,
-                       help="TCP port (default: OS-assigned; printed "
-                            "on startup)")
-    serve.add_argument("--cache-dir", default=None,
-                       help="shared content-addressed result store "
-                            "(default: .repro-cache)")
-    serve.add_argument("--no-cache", action="store_true",
-                       help="schedule without a shared store (no "
-                            "dedupe across clients)")
-    serve.add_argument("--lease-ttl", type=float, default=60.0,
-                       help="seconds a worker may hold a lease before "
-                            "it is presumed dead and the job re-queues")
-    serve.add_argument("--max-lease-tries", type=int, default=5,
-                       help="leases a job may burn before it is "
-                            "quarantined as a crash")
-    serve.add_argument("--status", default=None, metavar="HOST:PORT",
-                       help="query a running daemon's status (queue "
-                            "depth, fleet, ETA) and exit")
-    serve.set_defaults(func=cmd_serve)
-
-    worker = commands.add_parser(
-        "worker",
-        help="run one restartable fail-stop worker against a serve "
-             "daemon",
-    )
-    worker.add_argument("--connect", required=True, metavar="HOST:PORT",
-                        help="address of the serve daemon")
-    worker.add_argument("--name", default=None,
-                        help="worker name shown in serve status "
-                             "(default: assigned by the server)")
-    worker.add_argument("--max-restarts", type=int, default=None,
-                        help="session restarts before the supervisor "
-                             "gives up (default: unbounded — the "
-                             "paper's restartable processor)")
-    worker.set_defaults(func=cmd_worker)
 
     fuzz = commands.add_parser(
         "fuzz",
@@ -853,11 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="where shrunk failure fixtures land "
                            "(loaded forever after by "
                            "tests/fuzz/test_fixtures.py)")
-    fuzz.add_argument("--backend", default=None,
-                      help="'serial' (default, in-process) or "
-                           "'remote:HOST:PORT' to fan complete fuzz "
-                           "iterations out over a repro serve fleet "
-                           "(bit-identical outcome)")
     fuzz.add_argument("--max-fixtures", type=int, default=5,
                       help="cap on shrunk fixtures per run")
     fuzz.set_defaults(func=cmd_fuzz)

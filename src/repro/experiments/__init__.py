@@ -34,15 +34,13 @@ fanned out over worker processes with on-disk caching and resume::
     result = run_sweep_parallel(spec, workers=4, cache_dir=".sweep-cache")
     print(result.stats.hit_rate)
 
-The engine executes through a pluggable executor seam — pass
-``backend="serial" | "pool" | "remote:host:port"`` to fan a sweep out
-over a ``python -m repro serve`` daemon's worker fleet with the same
-bit-identical results.
+The engine executes through a small executor seam: inline
+(``backend="serial"``, the default for ``workers <= 1``) or a local
+process pool (``backend="pool"``), with bit-identical results.
 
 See :mod:`repro.experiments.parallel` (the engine),
 :mod:`repro.experiments.backends` (the executor seam),
-:mod:`repro.experiments.serve` / :mod:`repro.experiments.worker` (the
-distributed fabric), :mod:`repro.experiments.cache` (content-hashed
+:mod:`repro.experiments.cache` (content-hashed
 result store), :mod:`repro.experiments.factories` (picklable adversary
 factories), :mod:`repro.experiments.chaos` (deterministic fault
 injection for the engine itself) and :mod:`repro.experiments.bench`
@@ -59,7 +57,6 @@ from repro.experiments.runner import (
 from repro.experiments.backends import (
     AttemptResult,
     Backend,
-    BackendCapabilities,
     PoolBackend,
     SerialBackend,
     resolve_backend,
@@ -80,7 +77,6 @@ from repro.experiments.parallel import (
 __all__ = [
     "AttemptResult",
     "Backend",
-    "BackendCapabilities",
     "ChaosPolicy",
     "EtaEstimator",
     "ParallelSweepResult",

@@ -1,8 +1,7 @@
 """Executor backends for the parallel sweep engine.
 
-``serial`` and ``pool`` reproduce the pre-seam engine bit for bit in
-this process / a local process pool; ``remote`` ships points to a
-``python -m repro serve`` daemon's worker fleet over sockets.  See
+``serial`` executes inline in this process and ``pool`` in a local
+process pool; both produce bit-identical results.  See
 :mod:`repro.experiments.backends.base` for the protocol.
 """
 
@@ -10,15 +9,11 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.experiments.backends.base import (
-    AttemptResult,
-    Backend,
-    BackendCapabilities,
-)
+from repro.experiments.backends.base import AttemptResult, Backend
 from repro.experiments.backends.local import PoolBackend, SerialBackend
 
-#: Accepted ``--backend`` spellings (remote takes ``remote:host:port``).
-BACKEND_NAMES = ("serial", "pool", "remote")
+#: Accepted ``--backend`` spellings.
+BACKEND_NAMES = ("serial", "pool")
 
 
 def resolve_backend(
@@ -26,7 +21,6 @@ def resolve_backend(
     workers: Optional[int] = None,
     timeout: Optional[float] = None,
     chaos=None,
-    resume: bool = True,
     max_pool_restarts: int = 3,
     backoff_base: float = 0.05,
     backoff_cap: float = 2.0,
@@ -34,9 +28,8 @@ def resolve_backend(
 ) -> Tuple[Backend, bool]:
     """Turn an engine-level backend request into a live Backend.
 
-    ``backend`` may be ``None`` (legacy behavior: ``workers <= 1`` is
-    serial, more is a local pool), a string (``"serial"``, ``"pool"``,
-    ``"remote:host:port"``), or an already-constructed
+    ``backend`` may be ``None`` (``workers <= 1`` is serial, more is a
+    local pool), one of :data:`BACKEND_NAMES`, or an already-constructed
     :class:`Backend`.  Returns ``(backend, owns)`` — ``owns`` tells the
     caller whether it should close the backend when the sweep ends.
     """
@@ -59,39 +52,17 @@ def resolve_backend(
             backoff_base=backoff_base, backoff_cap=backoff_cap,
             backoff_seed=backoff_seed,
         ), True
-    if backend.startswith("remote:") or backend == "remote":
-        if backend == "remote":
-            raise ValueError(
-                "the remote backend needs an address: remote:host:port"
-            )
-        from repro.experiments.backends.remote import RemoteBackend
-
-        return RemoteBackend(
-            backend, timeout=timeout, chaos=chaos, resume=resume,
-        ), True
     raise ValueError(
         f"unknown backend {backend!r}: expected one of "
-        f"{', '.join(BACKEND_NAMES)} (remote as remote:host:port)"
+        f"{', '.join(BACKEND_NAMES)}"
     )
-
-
-def __getattr__(name: str):
-    # RemoteBackend pulls in the socket stack; import it on demand so
-    # plain local sweeps never pay for it.
-    if name == "RemoteBackend":
-        from repro.experiments.backends.remote import RemoteBackend
-
-        return RemoteBackend
-    raise AttributeError(name)
 
 
 __all__ = [
     "AttemptResult",
     "Backend",
-    "BackendCapabilities",
     "BACKEND_NAMES",
     "PoolBackend",
-    "RemoteBackend",
     "SerialBackend",
     "resolve_backend",
 ]

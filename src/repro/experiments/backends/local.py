@@ -16,11 +16,7 @@ import random
 import time
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.experiments.backends.base import (
-    AttemptResult,
-    Backend,
-    BackendCapabilities,
-)
+from repro.experiments.backends.base import AttemptResult, Backend
 
 _BrokenPool = concurrent.futures.process.BrokenProcessPool
 
@@ -49,10 +45,6 @@ class SerialBackend(Backend):
     every completed point's cache entry on disk, which the
     SIGKILL-resume tests assert.
     """
-
-    capabilities = BackendCapabilities(
-        name="serial", supports_timeout=True, isolates_crashes=False,
-    )
 
     def __init__(self, timeout: Optional[float] = None, chaos=None) -> None:
         self._timeout = timeout
@@ -84,10 +76,7 @@ class PoolBackend(Backend):
     attempts.
     """
 
-    capabilities = BackendCapabilities(
-        name="pool", supports_timeout=True, isolates_crashes=True,
-        requires_picklable=True,
-    )
+    requires_picklable = True
 
     def __init__(
         self,

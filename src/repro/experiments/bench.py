@@ -541,8 +541,8 @@ def run_benchmarks(
     run's start until its last point settled.  ``chaos`` (a
     :class:`~repro.experiments.chaos.ChaosPolicy`) is the opt-in
     fault-injection hook; leave ``None`` for real measurements.
-    ``backend`` selects the executor (``serial``, ``pool``,
-    ``remote:host:port``); results are backend-independent.
+    ``backend`` selects the executor (``serial`` or ``pool``); results
+    are backend-independent.
 
     Returns ``(report, results_by_scenario)`` — the latter so callers
     (the driver, tests) can also render text tables.

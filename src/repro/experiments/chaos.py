@@ -16,11 +16,6 @@ module is the harness's adversary: a seeded, deterministic
 * **cache corruption** — truncating or bit-flipping a just-written
   result-cache entry, exercising checksum detection and self-healing
   recompute on resume,
-* **worker kills** — fail-stopping an entire remote worker process
-  (supervisor, session and sandbox) on the distributed fabric,
-  exercising the serve daemon's lease re-queue path; on local
-  backends, which have no worker session to kill, the same plan
-  degrades to an ordinary injected crash,
 
 on a schedule that is a pure function of ``(seed, point index,
 attempt)``.  Like the PRAM adversaries in :mod:`repro.faults`, the
@@ -50,9 +45,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 CHAOS_EXIT_CODE = 113
 
 #: Execution-fault kinds, in threshold order (see ChaosPolicy.plan).
-#: ``worker-kill`` is appended *after* the original three so schedules
-#: drawn with ``worker_kill=0`` are bit-identical to pre-fabric seeds.
-EXEC_KINDS = ("crash", "stall", "error", "worker-kill")
+#: The order is part of every schedule: reordering it re-seeds every
+#: soak (``tests/experiments/test_chaos.py`` pins the schedules).
+EXEC_KINDS = ("crash", "stall", "error")
 
 
 class ChaosError(RuntimeError):
@@ -100,7 +95,6 @@ class ChaosPolicy:
     corrupt: float = 0.0  # P(corrupting the point's cache entry)
     stall_s: float = 5.0  # how long an injected stall spins
     max_faults_per_point: int = 2
-    worker_kill: float = 0.0  # P(killing the whole remote worker)
 
     def plan(self, index: int, attempt: int) -> Optional[str]:
         """The fault injected at ``(index, attempt)``, or ``None``."""
@@ -109,8 +103,7 @@ class ChaosPolicy:
         draw = _unit(self.seed, "exec", index, attempt)
         edge = 0.0
         for kind, rate in zip(EXEC_KINDS,
-                              (self.crash, self.stall, self.error,
-                               self.worker_kill)):
+                              (self.crash, self.stall, self.error)):
             edge += rate
             if draw < edge:
                 return kind
@@ -125,17 +118,6 @@ class ChaosPolicy:
         kind = self.plan(index, attempt)
         if kind is None:
             return
-        if kind == "worker-kill":
-            # On the remote fabric the *session* acts on this plan (it
-            # fail-stops the whole worker before executing, and only on
-            # the job's first lease — see repro.experiments.worker); the
-            # sandbox subprocess it hands work to is marked with this
-            # env var so the same draw is not acted on twice.  Local
-            # backends have no worker session, so the kill degrades to
-            # an ordinary injected crash.
-            if os.environ.get("REPRO_REMOTE_WORKER"):
-                return
-            kind = "crash"
         if kind == "crash":
             if multiprocessing.parent_process() is not None:
                 os._exit(CHAOS_EXIT_CODE)
@@ -252,7 +234,6 @@ def run_soak(
     stall: float = 0.10,
     error: float = 0.10,
     corrupt: float = 0.25,
-    worker_kill: float = 0.0,
     backend: Optional[str] = None,
     log: Optional[Callable[[str], None]] = None,
 ) -> SoakOutcome:
@@ -270,15 +251,9 @@ def run_soak(
     Convergence means passes 2 and 3 both produced points bit-identical
     to pass 1, nothing was quarantined, and every injected corruption
     was detected.  The grid and all draws derive from ``chaos_seed``,
-    so a failure reproduces exactly.
-
-    ``backend="remote"`` self-hosts the distributed fabric for pass 2:
-    an in-process serve daemon owning the cache, ``workers`` spawned
-    CLI worker subprocesses, and the chaos pass running as a remote
-    client.  ``worker_kill`` then injects whole-worker fail-stops —
-    the supervisor restarts the session, the server re-queues the
-    abandoned lease, and the soak asserts the books balance.  Any
-    other ``backend`` string is handed to the engine verbatim.
+    so a failure reproduces exactly.  ``backend`` (``"serial"`` or
+    ``"pool"``) is handed to the engine for pass 2; ``None`` lets
+    ``workers`` choose.
     """
     from repro.core import AlgorithmX
     from repro.experiments.factories import RandomChurn
@@ -290,7 +265,6 @@ def run_soak(
         if log is not None:
             log(line)
 
-    remote = backend == "remote"
     spec = SweepSpec(
         name="chaos-soak",
         algorithm=AlgorithmX,
@@ -301,13 +275,9 @@ def run_soak(
         max_ticks=200_000,
     )
     total = len(list(spec.points()))
-    require = ["crash", "stall", "corrupt"]
-    if worker_kill > 0.0:
-        require.append("worker-kill")
     policy = ensure_coverage(
-        chaos_seed, total, require=tuple(require),
+        chaos_seed, total,
         crash=crash, stall=stall, error=error, corrupt=corrupt,
-        worker_kill=worker_kill,
         stall_s=max(4.0 * timeout, 2.0),
     )
     planned = policy.planned(total)
@@ -322,39 +292,16 @@ def run_soak(
         else cache_dir
     )
     problems: List[str] = []
-    server = None
-    fleet: List[object] = []
     try:
-        if remote:
-            from repro.experiments.serve import SweepServer
-            from repro.experiments.worker import spawn_worker
-
-            # The daemon owns the cache (the shared content-addressed
-            # store); the client runs cache-less and trusts the
-            # stored/healed accounting flowing back over the wire.
-            server = SweepServer(cache_dir=root)
-            server.start()
-            emit(f"serve daemon at {server.address}; "
-                 f"spawning {max(2, workers)} worker(s)")
-            for index in range(max(2, workers)):
-                fleet.append(spawn_worker(
-                    server.address, name=f"soak-w{index}",
-                ))
-            stormy = run_sweep_parallel(
-                spec, timeout=timeout, retries=retries, chaos=policy,
-                backend=f"remote:{server.address}",
-            )
-        else:
-            stormy = run_sweep_parallel(
-                spec, workers=workers, cache_dir=root,
-                timeout=timeout, retries=retries, chaos=policy,
-                backoff_base=0.01, backoff_cap=0.25,
-                backend=backend,
-            )
+        stormy = run_sweep_parallel(
+            spec, workers=workers, cache_dir=root,
+            timeout=timeout, retries=retries, chaos=policy,
+            backoff_base=0.01, backoff_cap=0.25,
+            backend=backend,
+        )
         emit(f"chaos pass: {stormy.stats.executed} executed, "
              f"{stormy.stats.retries} retries, "
              f"{stormy.stats.pool_restarts} pool restarts, "
-             f"{stormy.stats.requeues} lease re-queues, "
              f"injected {stormy.stats.injected}")
         if stormy.failures:
             problems.append(
@@ -368,29 +315,13 @@ def run_soak(
             problems.append(
                 "chaos pass diverged from the fault-free serial baseline"
             )
-        for kind in ("crash", "stall", "error", "worker-kill", "corrupt"):
+        for kind in ("crash", "stall", "error", "corrupt"):
             if planned.get(kind, 0) > stormy.stats.injected.get(kind, 0):
                 problems.append(
                     f"stats under-report injected {kind} faults: planned "
                     f">= {planned[kind]}, recorded "
                     f"{stormy.stats.injected.get(kind, 0)}"
                 )
-        if remote and stormy.stats.requeues < planned.get("worker-kill", 0):
-            problems.append(
-                f"lease re-queues under-count injected worker kills: "
-                f"planned >= {planned.get('worker-kill', 0)}, "
-                f"recorded {stormy.stats.requeues}"
-            )
-
-        if remote:
-            # Quiesce the fabric before the resume pass: the store must
-            # not move under the local engine reading it.
-            server.stop()
-            server = None
-            for proc in fleet:
-                proc.terminate()
-                proc.wait(timeout=10)
-            fleet = []
 
         healed = run_sweep_parallel(spec, workers=1, cache_dir=root)
         injected_corrupt = stormy.stats.injected.get("corrupt", 0)
@@ -420,14 +351,6 @@ def run_soak(
             problems=problems,
         )
     finally:
-        for proc in fleet:
-            try:
-                proc.terminate()
-                proc.wait(timeout=10)
-            except OSError:
-                pass
-        if server is not None:
-            server.stop()
         if owns_cache_dir:
             shutil.rmtree(root, ignore_errors=True)
 

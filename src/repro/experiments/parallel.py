@@ -2,9 +2,8 @@
 
 Fans a :class:`~repro.experiments.spec.SweepSpec` grid — or a batch of
 them, as one run — out over an executor
-:class:`~repro.experiments.backends.Backend` — inline (``serial``), a
-local process pool (``pool``), or a remote worker fleet behind
-``python -m repro serve`` (``remote:host:port``) — with
+:class:`~repro.experiments.backends.Backend` — inline (``serial``) or
+a local process pool (``pool``) — with
 
 * **determinism** — each point seeds its own adversary exactly as the
   serial runner does, and results are reassembled in sweep order, so
@@ -35,11 +34,10 @@ requirement), which is both the fast path for small sweeps and the
 hook tests use to count executions.  ``workers > 1`` requires the
 spec's ``algorithm`` and ``adversary`` to be picklable — use the
 factories in :mod:`repro.experiments.factories`.  ``backend`` selects
-the executor explicitly (``"serial"``, ``"pool"``,
-``"remote:host:port"``, or a live Backend); results are bit-identical
-across backends by construction — the engine's scheduling and
-accounting are backend-agnostic, and every backend reassembles in
-sweep order.
+the executor explicitly (``"serial"``, ``"pool"``, or a live Backend);
+results are bit-identical across backends by construction — the
+engine's scheduling and accounting are backend-agnostic, and every
+backend reassembles in sweep order.
 """
 
 from __future__ import annotations
@@ -81,13 +79,6 @@ class PointSpec:
     max_ticks: Optional[int]
     fairness_window: Optional[int]
     lane: str = "fast"
-    #: Minimum wall seconds one execution takes (0 = off).  The point
-    #: sleeps out any remainder after computing.  Model-invisible, so
-    #: it is *not* cache-key material: it exists to give the fabric
-    #: benchmarks a calibrated latency-bound workload — dispatch
-    #: concurrency measured on any host, including a one-core CI
-    #: runner where CPU-bound points cannot overlap.
-    point_floor_s: float = 0.0
     #: Optional substitute for ``measure_write_all`` (same signature).
     #: Cache-key material — it changes what the point measures.
     runner: Optional[Callable] = None
@@ -137,10 +128,9 @@ class SweepStats:
     ``crashes``, quarantined points (``failed``), pool restarts, the
     degraded-serial flag, corrupted cache entries detected on load, and
     (opt-in) the chaos faults injected by kind.  The backend counters
-    (``pool_restarts``, ``degraded_serial``, ``requeues`` and the
-    server-healed part of ``cache_corrupt``) describe the whole run; a
-    batch records them on its first sweep only, so sums over a batch's
-    sweeps count each once.
+    (``pool_restarts`` and ``degraded_serial``) describe the whole run;
+    a batch records them on its first sweep only, so sums over a
+    batch's sweeps count each once.
     """
 
     total: int = 0
@@ -156,9 +146,6 @@ class SweepStats:
     injected: Dict[str, int] = field(default_factory=dict)
     #: Seconds from the run's start until this sweep's last point settled.
     wall_s: float = 0.0
-    #: Leases the remote fabric re-queued past dead/stalled workers
-    #: (0 for local backends, which have no lease scheduler).
-    requeues: int = 0
     #: Running mean wall seconds per executed point (``None`` when the
     #: run executed nothing) — the ETA estimator's final reading.
     mean_point_s: Optional[float] = None
@@ -180,8 +167,10 @@ class EtaEstimator:
     Feeds on the same per-point wall times the engine already accounts
     into :class:`SweepStats`: a running mean over *executed* points
     (cache hits complete instantly and would poison the mean), times
-    the work still outstanding.  The serve daemon keeps one of these
-    per fleet and surfaces it on the status endpoint.
+    the work still outstanding.  :meth:`render` is the line the engine
+    feeds its ``progress`` callback (``repro sweep`` prints it as
+    ``[sweep]``), and the final mean lands in
+    :attr:`SweepStats.mean_point_s`.
     """
 
     total: int
@@ -238,7 +227,6 @@ def expand_spec(spec: SweepSpec) -> List[PointSpec]:
             max_ticks=spec.max_ticks,
             fairness_window=spec.fairness_window,
             lane=spec.lane,
-            point_floor_s=getattr(spec, "point_floor_s", 0.0),
             runner=getattr(spec, "runner", None),
         )
         for index, (n, p, seed) in enumerate(spec.points())
@@ -263,7 +251,8 @@ class _alarm:
     guarded thread via ``PyThreadState_SetAsyncExc`` (same
     between-bytecodes granularity, still cannot preempt C calls).  A
     one-time ``RuntimeWarning`` records the degradation.  Entering the
-    guard never raises.
+    guard with a positive budget never raises (the engine rejects any
+    other budget before it submits a point).
     """
 
     _soft_warned = False
@@ -372,13 +361,6 @@ def execute_point(
             run_point = run_one_point(
                 point, point.n, point.p, point.seed, measure_write_all
             )
-            floor = getattr(point, "point_floor_s", 0.0)
-            if floor > 0.0:
-                remaining = floor - (time.perf_counter() - started)
-                if remaining > 0.0:
-                    # Sleep is interruptible by the timeout guard, so a
-                    # floor larger than the budget still times out.
-                    time.sleep(remaining)
     except PointTimeout:
         return _TIMEOUT, f"exceeded {timeout:.3f}s", \
             time.perf_counter() - started
@@ -473,7 +455,8 @@ def run_sweep_parallel(
         resume: with a cache, load already-completed points instead of
             recomputing them.  ``False`` recomputes (and overwrites)
             every point while still writing the progress manifest.
-        timeout: per-point wall-clock budget in seconds.
+        timeout: per-point wall-clock budget in seconds; must be
+            positive (``None`` means no budget).
         retries: extra attempts a timed-out/crashed point gets before
             it is quarantined as a :class:`PointFailure`.
         chaos: opt-in deterministic fault injection
@@ -484,26 +467,28 @@ def run_sweep_parallel(
         backoff_base / backoff_cap / backoff_seed: capped exponential
             backoff between pool rebuilds, with deterministic jitter
             drawn from ``random.Random(backoff_seed)``.
-        backend: where attempts execute — ``None`` keeps the legacy
-            mapping (``workers <= 1`` is serial in-process, more is a
-            local process pool), or pass ``"serial"``, ``"pool"``,
-            ``"remote:host:port"`` (a ``python -m repro serve``
-            daemon), or an already-built
-            :class:`~repro.experiments.backends.Backend`.  Falls back
-            to the (first) spec's ``backend`` when it carries one.  The
-            backend is *not* cache-key material: the same point
-            computed anywhere lands on the same content-hash entry.
+        backend: where attempts execute — ``None`` maps ``workers``
+            (``<= 1`` is serial in-process, more is a local process
+            pool), or pass ``"serial"``, ``"pool"``, or an
+            already-built :class:`~repro.experiments.backends.Backend`.
+            Falls back to the (first) spec's ``backend`` when it
+            carries one.  The backend is *not* cache-key material: the
+            same point computed anywhere lands on the same content-hash
+            entry.
         progress: optional callable fed human-readable ETA lines
             (:class:`EtaEstimator` output) while the sweep runs.
         progress_every: emit a progress line every N settled points.
 
     Each result's ``stats`` account for its own sweep; ``wall_s`` is
     the seconds from the run's start until the sweep's last point
-    settled.  The backend's counters (``pool_restarts``,
-    ``degraded_serial``, ``requeues`` and the corrupt entries a serve
-    daemon healed) belong to the run, so a batch records them once, on
-    its first sweep's stats.
+    settled.  The backend's counters (``pool_restarts`` and
+    ``degraded_serial``) belong to the run, so a batch records them
+    once, on its first sweep's stats.
     """
+    if timeout is not None and timeout <= 0:
+        # setitimer rejects a negative delay and reads zero as "disarm",
+        # so neither could ever act as a budget.
+        raise ValueError(f"timeout must be positive, got {timeout!r}")
     started = time.perf_counter()
     batch = isinstance(spec, (list, tuple))
     sweeps = [_Sweep.of(one) for one in (spec if batch else (spec,))]
@@ -518,14 +503,6 @@ def run_sweep_parallel(
         if sweep.settled():
             sweep.stats.wall_s = time.perf_counter() - started
 
-    def hit(sweep: _Sweep, point: PointSpec, payload: RunPoint) -> None:
-        sweep.stats.cache_hits += 1
-        sweep.results[point.index] = payload
-        sweep.metas[point.index] = PointMeta(
-            index=point.index, elapsed_s=0.0, cached=True, attempts=0,
-        )
-        settle(sweep, 0.0, cached=True)
-
     def lookup(sweep: _Sweep, point: PointSpec, key: str) -> bool:
         """Serve ``point`` from the cache; False on a miss."""
         corrupt_before = cache.corrupt_discarded
@@ -533,7 +510,12 @@ def run_sweep_parallel(
         sweep.stats.cache_corrupt += cache.corrupt_discarded - corrupt_before
         if cached is None:
             return False
-        hit(sweep, point, cached)
+        sweep.stats.cache_hits += 1
+        sweep.results[point.index] = cached
+        sweep.metas[point.index] = PointMeta(
+            index=point.index, elapsed_s=0.0, cached=True, attempts=0,
+        )
+        settle(sweep, 0.0, cached=True)
         return True
 
     pending: List[PointSpec] = []
@@ -571,13 +553,8 @@ def run_sweep_parallel(
             injected[kind] = injected.get(kind, 0) + 1
 
     def record(sweep: _Sweep, point: PointSpec, status: str, payload,
-               elapsed: float, attempt: int, stored: bool = False) -> bool:
-        """Account one attempt; returns True when the point is settled.
-
-        ``stored`` marks results the backend already persisted (the
-        serve daemon's shared store); the engine then only accounts the
-        chaos corruption the server applied instead of writing locally.
-        """
+               elapsed: float, attempt: int) -> bool:
+        """Account one attempt; returns True when the point is settled."""
         stats = sweep.stats
         if status == _OK:
             stats.executed += 1
@@ -594,13 +571,6 @@ def run_sweep_parallel(
                     stats.injected["corrupt"] = (
                         stats.injected.get("corrupt", 0) + 1
                     )
-            elif stored and chaos is not None and chaos.corrupts(point.index):
-                # The server stored this entry and (same pure draw)
-                # corrupted it; count the injection on the client so
-                # the soak's books balance without a back-channel.
-                stats.injected["corrupt"] = (
-                    stats.injected.get("corrupt", 0) + 1
-                )
             return True
         if status == _TIMEOUT:
             stats.timeouts += 1
@@ -621,12 +591,12 @@ def run_sweep_parallel(
             getattr(sweeps[0].spec, "backend", None)
         engine, owns = resolve_backend(
             requested, workers=workers, timeout=timeout, chaos=chaos,
-            resume=resume, max_pool_restarts=max_pool_restarts,
+            max_pool_restarts=max_pool_restarts,
             backoff_base=backoff_base, backoff_cap=backoff_cap,
             backoff_seed=backoff_seed,
         )
         try:
-            if engine.capabilities.requires_picklable:
+            if engine.requires_picklable:
                 # Every point of a spec shares its algorithm and
                 # adversary, so one point checks the whole spec.
                 for sweep in sweeps:
@@ -641,13 +611,8 @@ def run_sweep_parallel(
                 for res in engine.collect():
                     point = res.point
                     sweep = owner[id(point)]
-                    if res.cached:
-                        # The serve daemon answered from its shared
-                        # content-addressed store: a global cache hit.
-                        hit(sweep, point, res.payload)
-                    elif record(sweep, point, res.status, res.payload,
-                                res.elapsed, res.attempt,
-                                stored=res.stored):
+                    if record(sweep, point, res.status, res.payload,
+                              res.elapsed, res.attempt):
                         settle(sweep, res.elapsed)
                     else:
                         note_injection(point, res.attempt + 1)
@@ -667,13 +632,8 @@ def run_sweep_parallel(
                     ):
                         progress(eta.render())
             run_stats = sweeps[0].stats
-            run_stats.pool_restarts = getattr(engine, "pool_restarts", 0)
-            run_stats.degraded_serial = getattr(
-                engine, "degraded_serial", False
-            )
-            run_stats.requeues = getattr(engine, "requeues", 0)
-            # Corrupt entries the server's shared store healed for us.
-            run_stats.cache_corrupt += getattr(engine, "cache_corrupt", 0)
+            run_stats.pool_restarts = engine.pool_restarts
+            run_stats.degraded_serial = engine.degraded_serial
         finally:
             if owns:
                 engine.close()

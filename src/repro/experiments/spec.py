@@ -36,17 +36,10 @@ class SweepSpec:
             ``"vec"`` needs the optional numpy extra).  Cache-key
             material for every lane but the default.
         backend: preferred executor backend for this sweep
-            (``"serial"``, ``"pool"``, ``"remote:host:port"``); ``None``
-            defers to the engine's ``workers`` mapping.  An explicit
-            ``backend=`` argument to the engine wins over this.  Not
-            cache-key material — results are backend-independent.
-        point_floor_s: minimum wall-clock per point, enforced by
-            sleeping out the remainder *after* the measures are taken.
-            Zero (the default) is a no-op.  This exists for the
-            distributed-fabric benchmarks: it pins per-point latency so
-            1 -> N worker scaling measures dispatch concurrency rather
-            than this host's core count.  Model-invisible and not
-            cache-key material.
+            (``"serial"`` or ``"pool"``); ``None`` defers to the
+            engine's ``workers`` mapping.  An explicit ``backend=``
+            argument to the engine wins over this.  Not cache-key
+            material — results are backend-independent.
         runner: optional picklable callable with the signature of
             :func:`repro.core.runner.measure_write_all`, substituted
             for it when executing each point — how a sweep measures
@@ -67,7 +60,6 @@ class SweepSpec:
     fairness_window: Optional[int] = None
     lane: str = "fast"
     backend: Optional[str] = None
-    point_floor_s: float = 0.0
     runner: Optional[Callable] = None
 
     def processors_for(self, n: int) -> int:

@@ -212,14 +212,14 @@ class FuzzOutcome:
 
 def _perturb_inline(policy: ChaosPolicy, point: int, attempt: int) -> None:
     """Act on the chaos plan like :meth:`ChaosPolicy.perturb`, but
-    always inline: crashes surface as :class:`ChaosCrash` even inside a
-    subprocess.  The fuzz driver's retry loop is the recovery path
-    under test — the process tree (a remote worker's sandbox, say) must
-    not die for it."""
+    always inline: a crash surfaces as :class:`ChaosCrash` even in a
+    child process, where ``perturb`` would ``os._exit``.  The fuzz
+    loop's retries are the recovery path under test, so the process
+    must survive the crash."""
     kind = policy.plan(point, attempt)
     if kind is None:
         return
-    if kind in ("crash", "worker-kill"):
+    if kind == "crash":
         raise ChaosCrash(
             f"chaos: injected crash (point {point}, attempt {attempt})"
         )
@@ -256,9 +256,8 @@ def run_fuzz_iteration(
 ) -> FuzzIterationResult:
     """One complete fuzz iteration: draw, oracle, lanes x passes.
 
-    Pure function of its arguments (every draw is hash-derived), so
-    iterations can run locally in a loop or fan out across a remote
-    worker fleet and produce identical results.  Shrinking and fixture
+    Pure function of its arguments (every draw is hash-derived), so an
+    iteration replays identically on its own.  Shrinking and fixture
     emission stay with the caller.
     """
     program = generate_program(
@@ -342,46 +341,6 @@ def run_fuzz_iteration(
     )
 
 
-@dataclass(frozen=True)
-class FuzzIterationTask:
-    """A fuzz iteration shaped like a sweep point for the remote
-    backend: ``sweep``/``index``/``cache_key()`` for scheduling and a
-    ``to_wire_job`` whose ``run`` executes the iteration in the worker
-    sandbox.  ``cache_key`` is ``None`` on purpose — fuzz results do
-    not land in the shared sweep store."""
-
-    seed: int
-    iteration: int
-    passes: int
-    lanes: Tuple[str, ...]
-    config: GeneratorConfig
-    chaos: bool
-    chaos_retries: int
-
-    @property
-    def sweep(self) -> str:
-        return f"fuzz/{self.seed}"
-
-    @property
-    def index(self) -> int:
-        return self.iteration
-
-    def cache_key(self) -> Optional[str]:
-        return None
-
-    def to_wire_job(self) -> "FuzzIterationTask":
-        return self
-
-    def run(self, timeout=None, chaos=None, attempt=1):
-        started = time.perf_counter()
-        result = run_fuzz_iteration(
-            seed=self.seed, iteration=self.iteration, passes=self.passes,
-            lanes=self.lanes, config=self.config, chaos=self.chaos,
-            chaos_retries=self.chaos_retries,
-        )
-        return "ok", result, time.perf_counter() - started
-
-
 def _failure_predicate(
     lane: str, adversary_spec: AdversarySpec, p: int
 ) -> Callable[[GeneratedProgram, List[int]], bool]:
@@ -409,7 +368,6 @@ def run_fuzz(
     fixture_dir: Optional[str] = None,
     max_fixtures: int = 5,
     shrink_budget: int = 250,
-    backend: Optional[str] = None,
     log: Optional[Callable[[str], None]] = None,
 ) -> FuzzOutcome:
     """The fuzz soak: seeded programs, registry lanes, three passes.
@@ -421,12 +379,6 @@ def run_fuzz(
     impossible, but is still checked independently (``nonconverged``)
     so a nondeterminism bug cannot hide behind a coincidentally-correct
     final memory digest.
-
-    ``backend="remote:host:port"`` fans complete iterations out across
-    a ``repro serve`` daemon's worker fleet (each iteration is a pure
-    function of the seed, so results are identical to a local run and
-    are merged in iteration order); ``None``/``"serial"`` runs the loop
-    in-process.  Shrinking and fixture emission always happen locally.
     """
     requested = list(lanes)
     unknown = [lane for lane in requested if lane not in LANES]
@@ -436,13 +388,6 @@ def run_fuzz(
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     if passes < 1:
         raise ValueError(f"passes must be >= 1, got {passes}")
-    if backend not in (None, "serial") \
-            and not str(backend).startswith("remote:"):
-        raise ValueError(
-            f"fuzz backend must be 'serial' or 'remote:host:port', got "
-            f"{backend!r} (iterations are not sweep points; the local "
-            f"process pool does not apply)"
-        )
 
     def emit(line: str) -> None:
         if log is not None:
@@ -505,54 +450,9 @@ def run_fuzz(
                 outcome.fixture_paths.append(str(path))
                 emit(f"fixture written: {path}")
 
-    if backend in (None, "serial"):
-        for iteration in range(iterations):
-            absorb(run_fuzz_iteration(
-                seed, iteration, passes, tuple(active), config,
-                chaos, chaos_retries,
-            ))
-        return outcome
-
-    # Remote fan-out: one task per iteration, results merged in
-    # iteration order so the outcome (and any fixtures) are identical
-    # to a local run regardless of fleet scheduling.
-    from repro.experiments.backends.remote import RemoteBackend
-
-    client = RemoteBackend(str(backend), timeout=None, chaos=None,
-                           resume=False)
-    by_iteration: Dict[int, FuzzIterationResult] = {}
-    attempts: Dict[int, int] = {}
-    try:
-        for iteration in range(iterations):
-            task = FuzzIterationTask(
-                seed=seed, iteration=iteration, passes=passes,
-                lanes=tuple(active), config=config, chaos=chaos,
-                chaos_retries=chaos_retries,
-            )
-            attempts[iteration] = 1
-            client.submit(task, 1)
-        outstanding = iterations
-        while outstanding:
-            for res in client.collect():
-                iteration = res.point.iteration
-                if res.status == "ok":
-                    by_iteration[iteration] = res.payload
-                    outstanding -= 1
-                elif attempts[iteration] < 3:
-                    # A worker died mid-iteration (fleet-level fault,
-                    # not a fuzz finding); re-run the pure function.
-                    attempts[iteration] += 1
-                    emit(f"iteration {iteration} lost to a worker "
-                         f"fault ({res.status}); resubmitting")
-                    client.submit(res.point, attempts[iteration])
-                else:
-                    raise RuntimeError(
-                        f"fuzz iteration {iteration} failed remotely "
-                        f"after {attempts[iteration]} attempts "
-                        f"({res.status}): {res.payload}"
-                    )
-    finally:
-        client.close()
     for iteration in range(iterations):
-        absorb(by_iteration[iteration])
+        absorb(run_fuzz_iteration(
+            seed, iteration, passes, tuple(active), config,
+            chaos, chaos_retries,
+        ))
     return outcome

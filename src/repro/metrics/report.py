@@ -14,12 +14,11 @@ Schema (``repro-bench/1``)::
       "tag": "<run tag>",
       "created_unix": <float>,
       "workers": <int>,
-      "backend": "serial|pool|remote:host:port",  # optional
+      "backend": "serial|pool",  # optional
       "environment": {"python":..,"python_build":..,"platform":..,
                       "cpu_count":..,"cpu_governor":..,"cpu_turbo":..,
-                      "load_avg_1min":..,"numpy":..},  # since PR 8;
-                      # governor/turbo/load joined with the fabric,
-                      # null where the host does not expose them
+                      "load_avg_1min":..,"numpy":..},  # optional;
+                      # null where the host does not expose a field
       "scenarios": [
         {
           "tag": "E1_thrashing",
@@ -40,7 +39,7 @@ Schema (``repro-bench/1``)::
               ],
               "stats": {"retries":..,"timeouts":..,"crashes":..,
                         "pool_restarts":..,"degraded_serial":..,
-                        "requeues":..,"cache_corrupt":..,
+                        "cache_corrupt":..,
                         "injected":{..}}  # optional
             }
           ]
@@ -48,7 +47,7 @@ Schema (``repro-bench/1``)::
       ],
       "totals": {"points": n, "executed": n, "cache_hits": n,
                  "failed": n, "retries": n, "timeouts": n,
-                 "pool_restarts": n, "requeues": n,
+                 "pool_restarts": n,
                  "degraded_serial": b, "cache_corrupt": n, "wall_s": x}
     }
 
@@ -61,11 +60,10 @@ times are read from one clock that starts with the run: a scenario's
 ``wall_s`` is the seconds from the run's start until its last point
 settled, and ``totals.wall_s`` is the run's wall clock, the largest
 scenario ``wall_s`` (scenarios overlap, so their walls do not add up).
-The backend counters — ``pool_restarts``, ``degraded_serial``,
-``requeues`` and the corrupt entries a serve daemon healed (part of
-``cache_corrupt``) — belong to the run, not to a sweep: the engine
-records them once, on the run's first sweep, so the scenario and
-total sums count each once.  The same goes
+The backend counters — ``pool_restarts`` and ``degraded_serial`` —
+belong to the run, not to a sweep: the engine records them once, on
+the run's first sweep, so the scenario and total sums count each
+once.  The same goes
 for ``environment``: an audit of the host that produced the numbers
 (interpreter, platform, CPU count, numpy version or ``null`` when the
 extra is absent), so wall-clock comparisons across reports can tell a
@@ -213,7 +211,6 @@ def sweep_section(result) -> Dict[str, Any]:
             "pool_restarts": getattr(stats, "pool_restarts", 0),
             "degraded_serial": bool(getattr(stats, "degraded_serial",
                                             False)),
-            "requeues": getattr(stats, "requeues", 0),
             "cache_corrupt": getattr(stats, "cache_corrupt", 0),
             "injected": dict(getattr(stats, "injected", {}) or {}),
         }
@@ -251,8 +248,6 @@ def scenario_section(tag: str, title: str, source: str,
                             for r in results),
             "pool_restarts": sum(getattr(r.stats, "pool_restarts", 0)
                                  for r in results),
-            "requeues": sum(getattr(r.stats, "requeues", 0)
-                            for r in results),
             "cache_corrupt": sum(getattr(r.stats, "cache_corrupt", 0)
                                  for r in results),
         },
@@ -267,11 +262,11 @@ def bench_report(tag: str, scenarios: List[Dict[str, Any]],
                  workers: int, backend: Any = None) -> Dict[str, Any]:
     """Assemble the top-level report from scenario sections.
 
-    ``backend`` records which executor produced the numbers (``serial``,
-    ``pool``, ``remote:host:port``); ``None`` omits the key (legacy
-    reports).  Model measures are backend-independent, but wall-clock
-    comparisons across backends are meaningless — the regression
-    checker refuses them by name (``backend-mismatch``).
+    ``backend`` records which executor produced the numbers (``serial``
+    or ``pool``); ``None`` omits the key (legacy reports).  Model
+    measures are backend-independent, but wall-clock comparisons
+    across backends are meaningless — the regression checker refuses
+    them by name (``backend-mismatch``).
     """
     sweeps = [sweep for scenario in scenarios for sweep in scenario["sweeps"]]
     totals = {
@@ -284,7 +279,6 @@ def bench_report(tag: str, scenarios: List[Dict[str, Any]],
         "pool_restarts": sum(
             s["cache"].get("pool_restarts", 0) for s in scenarios
         ),
-        "requeues": sum(s["cache"].get("requeues", 0) for s in scenarios),
         "degraded_serial": any(
             sweep.get("stats", {}).get("degraded_serial", False)
             for sweep in sweeps
@@ -369,7 +363,7 @@ def validate_bench_report(report: Dict[str, Any]) -> None:
                             f"got {ratio!r}"
                         )
     if "backend" in report:
-        # Optional since the distributed fabric; legacy reports omit it.
+        # Optional; legacy reports omit it.
         if not isinstance(report["backend"], str) or not report["backend"]:
             raise ValueError("backend must be a non-empty string")
     if "environment" in report:
@@ -380,9 +374,9 @@ def validate_bench_report(report: Dict[str, Any]) -> None:
         for key in ("python", "platform", "cpu_count", "numpy"):
             if key not in environment:
                 raise ValueError(f"environment missing key {key!r}")
-        # Governor/turbo/load joined the audit with the distributed
-        # fabric; older reports omit them, and on hosts that do not
-        # expose the state they are recorded as null.
+        # Governor/turbo/load joined the audit later; older reports
+        # omit them, and on hosts that do not expose the state they
+        # are recorded as null.
         if "cpu_governor" in environment:
             governor = environment["cpu_governor"]
             if governor is not None and not isinstance(governor, str):

@@ -202,7 +202,7 @@ def compare_reports(
     if (base_backend is not None and cand_backend is not None
             and base_backend != cand_backend):
         # Model fields are backend-independent, but wall-clock bands
-        # across executors (in-process vs a remote fleet) compare
+        # across executors (inline vs a process pool) compare
         # dispatch fabrics, not code.  Name the problem instead of
         # emitting spurious wall-regression warnings.
         report.findings.append(Finding(

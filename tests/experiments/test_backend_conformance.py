@@ -1,20 +1,14 @@
-"""Backend conformance: one contract, three executors.
+"""Backend conformance: one contract, two executors.
 
 The engine's promise is that the executor seam is unobservable in the
 output — ``run_sweep_parallel(spec, backend=b).points`` must be
 bit-identical to the serial runner for every backend ``b``, and the
 failure paths (crash quarantine, per-point timeout) must classify the
-same way whether a point dies inline, in a pool worker, or in a remote
-fleet sandbox.  Every test here is parametrized over all three.
-
-The remote leg runs against a real in-process :class:`SweepServer`
-with thread-hosted :class:`WorkerSession` workers (``kill_mode="raise"``
-so an injected kill ends the session thread, not the test process); the
-sandbox subprocesses underneath are real, so those legs carry the
-``slow`` marker.
+same way whether a point dies inline or in a pool worker.  Every test
+here is parametrized over both; the pool legs spawn real worker
+processes, so they carry the ``slow`` marker.
 """
 
-import threading
 import time
 from dataclasses import dataclass
 
@@ -25,13 +19,10 @@ from repro.experiments import SweepSpec, run_sweep, run_sweep_parallel
 from repro.experiments.backends import resolve_backend
 from repro.experiments.chaos import ChaosPolicy
 from repro.experiments.factories import FailureFree, RandomChurn
-from repro.experiments.serve import SweepServer
-from repro.experiments.worker import WorkerSession
 
 BACKENDS = [
     pytest.param("serial", id="serial"),
     pytest.param("pool", id="pool", marks=pytest.mark.slow),
-    pytest.param("remote", id="remote", marks=pytest.mark.slow),
 ]
 
 
@@ -65,52 +56,8 @@ class StallPoint(ChaosPolicy):
         return "stall" if index == self.target else None
 
 
-class RemoteFleet:
-    """An in-process serve daemon plus N session threads."""
-
-    def __init__(self, workers: int = 2, cache_dir=None):
-        self.server = SweepServer(port=0, cache_dir=cache_dir)
-        self.workers = workers
-        self.threads = []
-
-    def __enter__(self):
-        self.server.start()
-        for index in range(self.workers):
-            session = WorkerSession(
-                self.server.address, name=f"t{index}", kill_mode="raise",
-            )
-            thread = threading.Thread(
-                target=self._run_forever, args=(session,), daemon=True,
-            )
-            thread.start()
-            self.threads.append(thread)
-        return self
-
-    def _run_forever(self, session):
-        # kill_mode="raise" turns an injected worker-kill into an
-        # exception; restarting the session here is the supervisor
-        # loop's job, inlined.
-        while True:
-            try:
-                session.run()
-                return  # clean exit: server gone
-            except Exception:
-                continue
-
-    def __exit__(self, *exc_info):
-        self.server.stop()
-        for thread in self.threads:
-            thread.join(timeout=10.0)
-        return False
-
-
 def run_with(backend_name, spec, tmp_path, **kwargs):
     """Run one sweep through the named backend."""
-    if backend_name == "remote":
-        with RemoteFleet(workers=2) as fleet:
-            return run_sweep_parallel(
-                spec, backend=f"remote:{fleet.server.address}", **kwargs,
-            )
     workers = 2 if backend_name == "pool" else 1
     return run_sweep_parallel(
         spec, backend=backend_name, workers=workers, **kwargs,
@@ -143,9 +90,10 @@ def test_bit_identical_to_serial_runner(backend_name, tmp_path):
 @pytest.mark.parametrize("backend_name", BACKENDS)
 def test_crash_is_quarantined_not_fatal(backend_name, tmp_path):
     # The poison point must end as PointFailure(kind="crash") after its
-    # retry budget — whether the crash is an inline ChaosCrash, a dead
-    # pool worker, or a dead remote sandbox — and the innocent points
-    # must still match the serial runner.
+    # retry budget — whether the crash is an inline ChaosCrash or a dead
+    # pool worker — and the innocent points must still match the serial
+    # runner.  On the pool leg this is the crash-isolation check: the
+    # injected os._exit kills a worker, never the driving process.
     spec = small_spec(f"conf-poison-{backend_name}")
     serial = run_sweep(spec)
     result = run_with(
@@ -239,33 +187,12 @@ def test_batch_matches_sequential_calls(backend_name, tmp_path):
         assert result.stats.cache_hits == 0
 
 
-@pytest.mark.slow
-def test_remote_server_store_dedupes_across_clients(tmp_path):
-    # Two cacheless clients, one server-side store: the second sweep
-    # must come back entirely as shared-store hits (cached metas,
-    # elapsed 0), bit-identical to the first.
-    spec = small_spec("conf-dedupe")
-    with RemoteFleet(workers=2, cache_dir=tmp_path / "store") as fleet:
-        address = f"remote:{fleet.server.address}"
-        first = run_sweep_parallel(spec, backend=address)
-        second = run_sweep_parallel(spec, backend=address)
-    assert first.points == run_sweep(spec).points
-    assert second.points == first.points
-    assert second.stats.cache_hits == second.stats.total
-    assert second.stats.executed == 0
-    assert all(meta.cached for meta in second.meta)
-
-
 def test_capability_flags_are_coherent():
     serial, _ = resolve_backend("serial", workers=1)
     pool, _ = resolve_backend("pool", workers=2)
     try:
-        assert serial.capabilities.name == "serial"
-        assert not serial.capabilities.requires_picklable
-        assert not serial.capabilities.remote
-        assert pool.capabilities.name == "pool"
-        assert pool.capabilities.requires_picklable
-        assert pool.capabilities.isolates_crashes
+        assert not serial.requires_picklable
+        assert pool.requires_picklable
     finally:
         serial.close()
         pool.close()

@@ -6,6 +6,7 @@ call orders — the property every convergence assertion here leans on.
 """
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -42,6 +43,30 @@ def test_plan_is_deterministic_and_order_independent():
     # is no hidden stream to keep in sync.
     again = ChaosPolicy(seed=7, crash=0.2, stall=0.2, error=0.2)
     assert [again.plan(index, 1) for index in range(32)] == forward
+
+
+def _schedule_digest(policy):
+    """A short sha256 of the policy's plan and corruption draws."""
+    schedule = [
+        [policy.plan(index, attempt)
+         for index in range(256) for attempt in (1, 2, 3)],
+        [policy.corrupts(index) for index in range(256)],
+    ]
+    return hashlib.sha256(json.dumps(schedule).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("policy, digest", [
+    # The `repro chaos` soak rates.
+    (ChaosPolicy(seed=0, crash=0.15, stall=0.10, error=0.10, corrupt=0.25),
+     "d58d87c610128dca"),
+    # The inline-chaos rates of `repro fuzz`.
+    (ChaosPolicy(seed=7, crash=0.02, stall=0.01, error=0.02),
+     "8c90509c16e7851b"),
+])
+def test_schedules_are_pinned(policy, digest):
+    # Every soak's faults follow from these draws: changing a rate
+    # threshold or reordering EXEC_KINDS would silently re-seed them.
+    assert _schedule_digest(policy) == digest
 
 
 def test_injection_stops_after_the_per_point_cap():

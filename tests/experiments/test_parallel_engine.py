@@ -12,7 +12,7 @@ import pytest
 from repro.core import AlgorithmV, AlgorithmX
 from repro.experiments import SweepSpec, run_sweep, run_sweep_parallel
 from repro.experiments import parallel as parallel_module
-from repro.experiments.backends import BackendCapabilities, SerialBackend
+from repro.experiments.backends import SerialBackend
 from repro.experiments.factories import CrashOnly, FailureFree, RandomChurn
 
 
@@ -83,9 +83,7 @@ def test_lambda_adversary_rejected_with_clear_error():
 class PicklingInlineBackend(SerialBackend):
     """Inline execution that demands picklable specs, as a pool does."""
 
-    capabilities = BackendCapabilities(
-        name="pickling-inline", requires_picklable=True,
-    )
+    requires_picklable = True
 
     def __init__(self):
         super().__init__()
@@ -119,6 +117,28 @@ def test_batch_checks_every_spec_before_submitting(monkeypatch):
     with pytest.raises(TypeError, match="picklable"):
         run_sweep_parallel(specs, backend=backend)
     assert backend.submitted == []
+    assert executed == []
+
+
+@pytest.mark.parametrize("timeout", [0, -1])
+def test_non_positive_timeout_rejected_before_submitting(
+    monkeypatch, timeout,
+):
+    # setitimer rejects a negative budget and reads zero as "disarm", so
+    # the engine must refuse both up front: no point may run, let alone
+    # be retried and quarantined as an "error".
+    executed = []
+    real = parallel_module.execute_point
+
+    def counting(*args, **kwargs):
+        executed.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(parallel_module, "execute_point", counting)
+    spec = SweepSpec(name="bad-timeout", algorithm=AlgorithmX, sizes=(8,),
+                     adversary=FailureFree())
+    with pytest.raises(ValueError, match="timeout must be positive"):
+        run_sweep_parallel(spec, workers=1, timeout=timeout)
     assert executed == []
 
 
@@ -300,7 +320,7 @@ class TestAlarmOffMainThread:
 
 
 class TestEtaEstimator:
-    """The running-mean ETA the engine and serve daemon both feed."""
+    """The running-mean ETA behind the engine's progress lines."""
 
     def test_mean_excludes_cache_hits(self):
         from repro.experiments import EtaEstimator

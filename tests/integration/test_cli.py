@@ -49,6 +49,34 @@ class TestSweep:
         assert "n,p,seed" in path.read_text().splitlines()[0]
 
 
+class TestEngineFlagValidation:
+    """Bad engine flags are usage errors (exit 2), never tracebacks."""
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["sweep", "bench", "chaos"])
+    def test_non_positive_timeout_is_a_usage_error(
+        self, command, value, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--timeout", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--timeout" in err
+        assert "positive" in err
+
+    @pytest.mark.parametrize("value", ["bogus", "remote:127.0.0.1:1"])
+    @pytest.mark.parametrize("command", ["sweep", "bench", "chaos"])
+    def test_unknown_backend_is_a_usage_error(self, command, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--backend", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        output = captured.out + captured.err
+        assert "invalid choice" in output
+        assert "'serial', 'pool'" in output
+        assert "Traceback" not in output
+
+
 class TestSimulate:
     @pytest.mark.parametrize("program", [
         "prefix-sum", "max-find", "odd-even-sort", "list-ranking",

@@ -259,9 +259,10 @@ class TestCompareReports:
         assert DEFAULT_WALL_TOLERANCE == 1.0
 
     def test_backend_mismatch_is_one_named_error(self):
-        # Wall-clock from an in-process run vs a remote fleet times the
-        # dispatch fabric, not the code: one named error, not spurious
-        # wall-regression warnings.
+        # Wall-clock from two different executors times the dispatch
+        # fabric, not the code: one named error, not spurious
+        # wall-regression warnings.  Report files may carry any backend
+        # string, including ones this build no longer runs.
         base = _tiny_report()
         base["backend"] = "serial"
         cand = _tiny_report(tag="cand", wall_s=10.0)

@@ -1,8 +1,9 @@
 """Cross-lane differential tests for every library PRAM program.
 
 Each program in :mod:`repro.simulation.programs` runs through every
-machine lane of the shared registry (:mod:`repro.pram.lanes`) under at
-least two adversaries, and every run's final simulated memory must be
+machine lane of the shared registry (:mod:`repro.pram.lanes`) under
+crash/restart churn, failure bursts and speed-class stalls, and every
+run's final simulated memory must be
 bit-identical to the fault-free reference execution — Theorem 4.1's
 semantic transparency, asserted program x adversary x lane — and every
 phase's ledger must equal the reference lane's.  The
@@ -16,7 +17,12 @@ import random
 import pytest
 
 from repro.core import AlgorithmVX, AlgorithmX
-from repro.faults import BurstAdversary, NoFailures, RandomAdversary
+from repro.faults import (
+    BurstAdversary,
+    NoFailures,
+    RandomAdversary,
+    SpeedClassAdversary,
+)
 from repro.pram.lanes import LANES as LANE_REGISTRY, lane_available
 from repro.simulation import RobustSimulator
 from repro.simulation.programs import (
@@ -46,6 +52,7 @@ LANES = {
 ADVERSARIES = {
     "random": lambda: RandomAdversary(0.12, 0.35, seed=5),
     "burst": lambda: BurstAdversary(period=3, fraction=0.5, downtime=1),
+    "speed-classes": lambda: SpeedClassAdversary(seed=3),
 }
 
 
@@ -168,6 +175,19 @@ class TestEveryProgramEveryLane:
             program, initial, ADVERSARIES["random"](), "fast"
         )
         assert result.total_pattern_size > 0
+
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_stalls_cost_time_not_failures(self, name):
+        # The stall axis must actually act: speed classes stretch the
+        # phases' parallel time while the failure pattern stays empty.
+        program, initial = PROGRAMS[name]
+        free = execute(program, initial, NoFailures(), "fast")
+        stalled = execute(
+            program, initial, ADVERSARIES["speed-classes"](), "fast"
+        )
+        assert stalled.total_pattern_size == 0
+        assert sum(phase.ledger.ticks for phase in stalled.phases) > \
+            sum(phase.ledger.ticks for phase in free.phases)
 
 
 class TestSemanticSpotChecks:
