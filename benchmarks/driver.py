@@ -1,12 +1,15 @@
 """Unified benchmark driver.
 
 Runs the registered benchmark scenarios (see
-``repro.experiments.bench``) through the parallel sweep engine and
-writes a machine-readable ``BENCH_<tag>.json`` report plus the usual
-text tables.  This is a thin wrapper over ``python -m repro bench`` so
-the two entry points cannot diverge::
+``repro.experiments.bench``) through the parallel sweep engine, checks
+every paper claim of every scenario it ran, and writes a
+machine-readable ``BENCH_<tag>.json`` report (each claim's measured
+value next to its bound); it exits 1 if a point fails or a claim does
+not hold.  This is a thin wrapper over ``python -m repro bench`` so the
+two entry points cannot diverge::
 
     PYTHONPATH=src python benchmarks/driver.py --workers 4 --tag nightly
+    python benchmarks/driver.py --scenarios all   # every claim
     python benchmarks/driver.py --list
     python benchmarks/driver.py --scenarios E1_thrashing,E2_thm31_lower_bound
     python benchmarks/driver.py --scenarios E1_thrashing --profile bench.prof

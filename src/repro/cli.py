@@ -8,7 +8,8 @@ Commands:
   grid out over processes with caching/resume (``--cache-dir``,
   ``--resume``) and per-point ``--timeout``/``--retries``;
 * ``bench``     — run registered benchmark scenarios through the
-  parallel engine and write a machine-readable ``BENCH_<tag>.json``;
+  parallel engine, check their paper claims and write a
+  machine-readable ``BENCH_<tag>.json`` (exit 1 if a claim fails);
 * ``chaos``     — soak the engine itself under deterministic fault
   injection (worker crashes, stalls, transient errors, cache
   corruption) and assert the sweep still converges to results
@@ -167,6 +168,15 @@ def _positive_seconds(text: str) -> float:
             f"must be a positive number of seconds, got {text!r}"
         )
     return seconds
+
+
+def _scenario_selection(text: str) -> List[str]:
+    """``bench --scenarios`` values: a comma list that names something
+    (an empty selection would pass without checking a claim)."""
+    tags = [token.strip() for token in text.split(",") if token.strip()]
+    if not tags:
+        raise argparse.ArgumentTypeError(f"selects no scenario: {text!r}")
+    return tags
 
 
 def _add_engine(parser: argparse.ArgumentParser) -> None:
@@ -329,7 +339,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     import os
 
     from repro.experiments.bench import (
-        EXCLUDED,
         SCENARIOS,
         default_scenario_tags,
         run_benchmarks,
@@ -346,9 +355,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             adversaries = getattr(scenario, "adversaries", ())
             named = f"  @{','.join(adversaries)}" if adversaries else ""
             print(f"{tag:30s} {scenario.title}{heavy}{named}")
-        print("\nbespoke (not engine-runnable):")
-        for source, reason in sorted(EXCLUDED.items()):
-            print(f"  {source}: {reason}")
         names = (adversary_registry.names_for_tag(args.model_tag)
                  if args.model_tag else adversary_registry.names())
         print(
@@ -364,11 +370,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     if args.scenarios is None:
         tags = default_scenario_tags()
-    elif args.scenarios == "all":
+    elif args.scenarios == ["all"]:
         tags = scenario_tags()
     else:
-        tags = [token.strip() for token in args.scenarios.split(",")
-                if token.strip()]
+        tags = args.scenarios
     unknown = [tag for tag in tags if tag not in SCENARIOS]
     if unknown:
         raise SystemExit(
@@ -397,20 +402,30 @@ def cmd_bench(args: argparse.Namespace) -> int:
         chaos=_chaos_from_args(args),
         progress=lambda line: print(f"[bench] {line}"),
     )
-    for tag in tags:
-        for result in by_scenario[tag]:
+    for results in by_scenario.values():
+        for result in results:
             print(result.table())
             print()
+    for scenario in report["scenarios"]:
+        for claim in scenario["claims"]:
+            measured = claim["measured"]
+            print(
+                f"[claim] {'ok' if claim['ok'] else 'FAILED'} {claim['id']}: "
+                f"{'incomplete' if measured is None else f'{measured:.4g}'} "
+                f"{claim['op']} {claim['bound']:.4g}  ({claim['statement']})"
+            )
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"BENCH_{args.tag}.json")
     dump_report(report, path)
     totals = report["totals"]
     print(
-        f"wrote {path}: {len(tags)} scenarios, {totals['points']} points, "
-        f"{totals['executed']} executed, {totals['cache_hits']} cached, "
-        f"{totals['failed']} failed, {totals['wall_s']:.2f}s"
+        f"wrote {path}: {len(by_scenario)} scenarios, "
+        f"{totals['points']} points, {totals['executed']} executed, "
+        f"{totals['cache_hits']} cached, {totals['failed']} failed, "
+        f"{totals['claims']} claims ({totals['claims_failed']} failed), "
+        f"{totals['wall_s']:.2f}s"
     )
-    return 0 if totals["failed"] == 0 else 1
+    return 0 if totals["failed"] == totals["claims_failed"] == 0 else 1
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
@@ -666,9 +681,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="run benchmark scenarios, write BENCH_<tag>.json",
     )
     bench.add_argument("--scenarios", default=None,
+                       type=_scenario_selection,
                        help="comma-separated scenario tags; 'all' for "
                             "every registered scenario (default: the "
-                            "non-heavy set)")
+                            "non-heavy set); every claim of every "
+                            "selected scenario is checked")
     bench.add_argument("--list", action="store_true",
                        help="list registered scenarios and the adversary "
                             "registry, then exit")

@@ -67,8 +67,9 @@ class XLayout(BaseLayout):
 
 #: Routing rules for the "both subtrees undone" case.  The paper's X
 #: uses the PID bit at the node's depth; the alternatives exist for the
-#: ablation study (benchmarks/bench_ablation_x_routing.py) showing why
-#: the PID split matters.
+#: ablation study (bench scenario ``A1_x_routing``, claims
+#: ``A1.pid_vs_left``/``A1.pid_vs_right``) showing why the PID split
+#: matters.
 ROUTING_RULES = ("pid", "left", "right", "random")
 
 

@@ -1,8 +1,9 @@
 """Machine-readable benchmark reports (the ``BENCH_<tag>.json`` schema).
 
-The text tables under ``benchmarks/results/`` are for humans; perf
-trajectory tracking needs a stable, parseable artifact.  This module
-assembles (and validates) that artifact from engine results.  It is
+The one parseable artifact of a benchmark run: the measured points,
+the engine's accounting and, for registry scenarios, each paper claim's
+measured value next to its bound.  This module assembles (and
+validates) it from engine results.  It is
 deliberately duck-typed — it reads ``points`` / ``stats`` / ``meta`` /
 ``failures`` attributes off whatever sweep result it is handed — so the
 metrics layer does not import the experiments layer.
@@ -23,7 +24,7 @@ Schema (``repro-bench/1``)::
         {
           "tag": "E1_thrashing",
           "title": "...",
-          "source": "bench_example_2_2_thrashing.py",
+          "source": "repro/experiments/bench.py",
           "wall_s": <float>,
           "cache": {"hits": n, "executed": n, "hit_rate": x, "failed": n},
           "sweeps": [
@@ -42,14 +43,25 @@ Schema (``repro-bench/1``)::
                         "cache_corrupt":..,
                         "injected":{..}}  # optional
             }
+          ],
+          "claims": [  # optional
+            {"id": "E1.completed_exponent", "statement": "...",
+             "measured": <number or null>, "op": "<", "bound": 1.4,
+             "ok": true}
           ]
         }
       ],
       "totals": {"points": n, "executed": n, "cache_hits": n,
                  "failed": n, "retries": n, "timeouts": n,
                  "pool_restarts": n,
-                 "degraded_serial": b, "cache_corrupt": n, "wall_s": x}
+                 "degraded_serial": b, "cache_corrupt": n, "wall_s": x,
+                 "claims": n, "claims_failed": n}  # claims*: optional
     }
+
+A claim holds when ``measured <op> bound``; ``measured`` is null when a
+quarantined point left the scenario's series incomplete, and such a
+claim reads ``ok: false``.  Reports written before claims existed omit
+both ``claims`` keys and still validate.
 
 The per-sweep ``stats`` object (and the recovery totals) surface the
 engine's recovery accounting — reports written before they existed
@@ -219,14 +231,16 @@ def sweep_section(result) -> Dict[str, Any]:
 
 def scenario_section(tag: str, title: str, source: str,
                      results: List[Any], wall_s: float,
-                     adversaries: Any = ()) -> Dict[str, Any]:
+                     adversaries: Any = (),
+                     claims: Any = ()) -> Dict[str, Any]:
     """One scenario's JSON section.
 
     ``adversaries`` optionally names the registry adversaries
     (:mod:`repro.faults.registry`) the scenario exercises; when
     non-empty it is recorded so the regression checker can verify the
-    names still resolve (``model-tag-missing``).  Reports written
-    before the key existed simply omit it.
+    names still resolve (``model-tag-missing``).  ``claims`` optionally
+    carries the scenario's checked claim records.  Reports written
+    before either key existed simply omit it.
     """
     hits = sum(getattr(r.stats, "cache_hits", 0) for r in results)
     executed = sum(getattr(r.stats, "executed", 0) for r in results)
@@ -255,6 +269,8 @@ def scenario_section(tag: str, title: str, source: str,
     }
     if adversaries:
         section["adversaries"] = [str(name) for name in adversaries]
+    if claims:
+        section["claims"] = list(claims)
     return section
 
 
@@ -269,6 +285,8 @@ def bench_report(tag: str, scenarios: List[Dict[str, Any]],
     them by name (``backend-mismatch``).
     """
     sweeps = [sweep for scenario in scenarios for sweep in scenario["sweeps"]]
+    claims = [claim for scenario in scenarios
+              for claim in scenario.get("claims", [])]
     totals = {
         "points": sum(len(sweep["points"]) for sweep in sweeps),
         "executed": sum(s["cache"]["executed"] for s in scenarios),
@@ -289,6 +307,8 @@ def bench_report(tag: str, scenarios: List[Dict[str, Any]],
         # One run, one clock: scenarios overlap, so the run's wall is
         # the latest scenario's, not their sum.
         "wall_s": round(max((s["wall_s"] for s in scenarios), default=0.0), 6),
+        "claims": len(claims),
+        "claims_failed": sum(not claim["ok"] for claim in claims),
     }
     report = {
         "schema": SCHEMA,
@@ -308,6 +328,29 @@ _POINT_KEYS = {
     "n", "p", "seed", "solved", "S", "S_prime", "F", "sigma", "ticks",
     "wall_s", "cached",
 }
+
+
+_CLAIM_KEYS = {"id", "statement", "measured", "op", "bound", "ok"}
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _validate_claim(claim: Any) -> None:
+    """One checked-claim record (optional since claims joined the
+    registry)."""
+    if not isinstance(claim, dict) or _CLAIM_KEYS - set(claim):
+        raise ValueError(f"claim records need keys {sorted(_CLAIM_KEYS)}")
+    if not isinstance(claim["ok"], bool):
+        raise ValueError(f"claim {claim['id']!r}: ok must be a boolean")
+    if not _is_number(claim["bound"]) or not (
+        claim["measured"] is None or _is_number(claim["measured"])
+    ):
+        raise ValueError(
+            f"claim {claim['id']!r}: bound and measured must be numbers "
+            f"(measured may be null)"
+        )
 
 
 def validate_bench_report(report: Dict[str, Any]) -> None:
@@ -338,6 +381,8 @@ def validate_bench_report(report: Dict[str, Any]) -> None:
                 raise ValueError(
                     "scenario adversaries must be a list of names"
                 )
+        for claim in scenario.get("claims", []):
+            _validate_claim(claim)
         for sweep in scenario["sweeps"]:
             if "name" not in sweep or "points" not in sweep:
                 raise ValueError("sweep sections need name and points")
@@ -362,6 +407,10 @@ def validate_bench_report(report: Dict[str, Any]) -> None:
                             f"{optional_ratio} must be a positive number, "
                             f"got {ratio!r}"
                         )
+    for key in ("claims", "claims_failed"):
+        count = report["totals"].get(key, 0)
+        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+            raise ValueError(f"totals {key} must be a count, got {count!r}")
     if "backend" in report:
         # Optional; legacy reports omit it.
         if not isinstance(report["backend"], str) or not report["backend"]:

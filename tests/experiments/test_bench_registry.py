@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.experiments.bench import (
-    EXCLUDED,
     default_scenario_tags,
     get_scenario,
     run_benchmarks,
@@ -16,14 +15,29 @@ from repro.experiments.parallel import expand_spec
 from repro.metrics import dump_report, load_report, validate_bench_report
 
 
-def test_registry_covers_the_bench_scripts():
+def test_claim_ids_are_unique_and_every_scenario_checks_solved():
     tags = scenario_tags()
     assert len(tags) >= 5  # acceptance floor
-    sources = {get_scenario(tag).source for tag in tags}
-    assert sources.isdisjoint(EXCLUDED)  # a script is wired xor excluded
+    ids = [claim.id for tag in tags for claim in get_scenario(tag).all_claims()]
+    assert len(ids) == len(set(ids))
+    for tag in tags:
+        prefix = tag.split("_", 1)[0]
+        claims = get_scenario(tag).all_claims()
+        assert claims[0].id == f"{prefix}.solved"
+        assert all(claim.id.startswith(f"{prefix}.") for claim in claims)
     # Default set excludes the heavy (multi-minute) scenarios.
     assert set(default_scenario_tags()) <= set(tags)
     assert all(not get_scenario(t).heavy for t in default_scenario_tags())
+
+
+def test_a8_pairs_each_scalar_sweep_with_an_auto_sweep():
+    lanes = {spec.name: spec.lane
+             for spec in get_scenario("A8_adaptive_smallsize").specs}
+    assert lanes == {
+        f"{label}@sched-sparse/{mode}": lane
+        for label in ("X", "W", "trivial")
+        for mode, lane in (("scalar", "fast"), ("auto", "auto"))
+    }
 
 
 def test_unknown_scenario_raises():
@@ -54,6 +68,13 @@ def test_run_benchmarks_emits_valid_report(tmp_path):
     assert report["totals"]["failed"] == 0
     [scenario] = report["scenarios"]
     assert scenario["tag"] == "E1_thrashing"
+    assert scenario["source"] == "repro/experiments/bench.py"
+    assert [claim["id"] for claim in scenario["claims"]] == [
+        "E1.solved", "E1.charged_exponent", "E1.completed_exponent",
+    ]
+    assert all(claim["ok"] for claim in scenario["claims"])
+    assert report["totals"]["claims"] == 3
+    assert report["totals"]["claims_failed"] == 0
     for sweep in scenario["sweeps"]:
         for record in sweep["points"]:
             assert record["wall_s"] >= 0.0
@@ -73,6 +94,20 @@ def test_run_benchmarks_emits_valid_report(tmp_path):
     assert warm["totals"]["executed"] == 0
     assert warm["totals"]["cache_hits"] == warm["totals"]["points"]
     assert warm["scenarios"][0]["cache"]["hit_rate"] == 1.0
+
+
+def test_repeated_tags_run_once():
+    report, results = run_benchmarks(
+        ["R3_pmem_checkpoint", "E14_lemma45_oversubscription",
+         "R3_pmem_checkpoint"],
+        workers=1,
+    )
+    assert [s["tag"] for s in report["scenarios"]] == [
+        "R3_pmem_checkpoint", "E14_lemma45_oversubscription",
+    ]
+    assert list(results) == ["R3_pmem_checkpoint",
+                             "E14_lemma45_oversubscription"]
+    assert report["totals"]["executed"] == 4 + 8
 
 
 @pytest.mark.slow

@@ -1,7 +1,8 @@
 """Integration: measured work tracks the paper's bound shapes.
 
 These are scaled-down versions of the benchmark experiments, kept fast
-enough for the unit-test suite; the full sweeps live in benchmarks/.
+enough for the unit-test suite; the full sweeps are the scenarios of
+``repro.experiments.bench``, whose claims ``repro bench`` checks.
 """
 
 import math

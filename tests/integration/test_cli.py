@@ -1,8 +1,12 @@
 """Tests for the command-line interface (invoked in-process)."""
 
+import dataclasses
+
 import pytest
 
 from repro.cli import build_adversary, main
+from repro.experiments import bench
+from repro.metrics.report import load_report
 
 
 class TestSolve:
@@ -75,6 +79,33 @@ class TestEngineFlagValidation:
         assert "invalid choice" in output
         assert "'serial', 'pool'" in output
         assert "Traceback" not in output
+
+
+class TestBench:
+    @pytest.mark.parametrize("value", ["", ",", " , "])
+    def test_empty_selection_is_a_usage_error(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--scenarios", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "selects no scenario" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_failed_claim_exits_1_and_names_it(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        scenario = bench.get_scenario("R3_pmem_checkpoint")
+        [amortized] = scenario.claims
+        tightened = dataclasses.replace(amortized, bound=0.5)
+        monkeypatch.setitem(bench.SCENARIOS, scenario.tag,
+                            dataclasses.replace(scenario,
+                                                claims=(tightened,)))
+        code = main(["bench", "--scenarios", scenario.tag, "--workers", "1",
+                     "--no-cache", "--out", str(tmp_path), "--tag", "t"])
+        assert code == 1
+        assert "[claim] FAILED R3.amortized" in capsys.readouterr().out
+        totals = load_report(str(tmp_path / "BENCH_t.json"))["totals"]
+        assert (totals["failed"], totals["claims_failed"]) == (0, 1)
 
 
 class TestSimulate:

@@ -60,7 +60,8 @@ class TestRoundTrip:
     def test_checkpointing_never_changes_the_answer(self):
         baseline, _ = run_prefix(interval=0)
         assert baseline.solved
-        for interval, cost in ((1, 1), (4, 1), (16, 2), (64, 1)):
+        for interval, cost in ((1, 1), (2, 1), (4, 1), (8, 1), (16, 2),
+                               (32, 1), (64, 1)):
             result, policy = run_prefix(interval=interval, cost=cost)
             assert result.solved
             assert list(result.memory) == list(baseline.memory), (
