@@ -1,30 +1,23 @@
-"""Compare two ``BENCH_*.json`` reports for regressions.
+"""Gate a ``BENCH_*.json`` report's model fields against a baseline.
 
-Thin CLI over :mod:`repro.perf.regression`::
+Thin CLI over :mod:`repro.perf.regression`; CI runs it once, against
+the committed golden report of every registry scenario::
 
     PYTHONPATH=src python benchmarks/check_regression.py \
-        benchmarks/results/BENCH_compiled_perf.json \
-        benchmarks/results/BENCH_ci.json
+        benchmarks/results/BENCH_golden.json ci-bench/BENCH_ci_bench.json
 
 Model-level fields (solved, S, S', |F|, ticks) must match exactly —
-they are deterministic, so any difference is a semantics change and an
-error.  Wall-clock is banded: a point is flagged only when the
-candidate exceeds ``baseline * (1 + --wall-tolerance)`` and the
-baseline point was slow enough to measure (``--min-wall``).
+they are deterministic on any host, so any difference is a semantics
+change and an error.  Wall-clock is not compared.
 
-Structural problems get named errors instead of per-point noise:
-``backend-mismatch`` (reports timed different dispatch fabrics),
-``scenario-missing`` / ``lane-mismatch`` (coverage lost wholesale), and
-``model-tag-missing`` (the baseline's ``adversaries`` list names an
-adversary absent from :mod:`repro.faults.registry`, so its fault model
-cannot be reproduced by this build).
+Lost coverage gets named errors instead of per-point noise:
+``scenario-missing`` and ``sweep-missing`` name the scenario or sweep
+the candidate lacks, ``missing-point`` a single point, and
+``model-tag-missing`` an adversary the baseline's ``adversaries`` list
+names but :mod:`repro.faults.registry` no longer has.  Points only the
+candidate has are ``new-point`` info lines.
 
-Exit status: 0 when clean, 1 on errors or perf warnings.  With
-``--gate-model`` only model-level errors (and coverage gaps) fail the
-check while wall-clock warnings stay informational — that is how CI
-runs it: deterministic fields gate on any host, timings are advisory
-across heterogeneous machines.  With ``--informational`` the comparison
-is printed but the exit status is always 0.
+Exit status: 1 on any error, 0 otherwise.
 """
 
 import argparse
@@ -38,49 +31,19 @@ if _SRC.is_dir() and str(_SRC) not in sys.path:
 
 def main(argv=None) -> int:
     from repro.metrics.report import load_report
-    from repro.perf.regression import (
-        DEFAULT_MIN_WALL_S,
-        DEFAULT_WALL_TOLERANCE,
-        compare_reports,
-    )
+    from repro.perf.regression import compare_reports
 
     parser = argparse.ArgumentParser(
-        description="diff two BENCH_*.json reports with tolerance bands"
+        description="diff the model fields of two BENCH_*.json reports"
     )
     parser.add_argument("baseline", help="baseline BENCH_*.json")
     parser.add_argument("candidate", help="candidate BENCH_*.json")
-    parser.add_argument(
-        "--wall-tolerance", type=float, default=DEFAULT_WALL_TOLERANCE,
-        help="relative wall-clock band: candidate may be up to "
-             "(1 + this) x baseline (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--min-wall", type=float, default=DEFAULT_MIN_WALL_S,
-        help="ignore wall-clock of baseline points faster than this "
-             "many seconds (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--gate-model", action="store_true",
-        help="fail only on model-field mismatches and coverage gaps; "
-             "wall-clock warnings are printed but do not gate",
-    )
-    parser.add_argument(
-        "--informational", action="store_true",
-        help="print the comparison but always exit 0",
-    )
     args = parser.parse_args(argv)
 
     report = compare_reports(
-        load_report(args.baseline),
-        load_report(args.candidate),
-        wall_tolerance=args.wall_tolerance,
-        min_wall_s=args.min_wall,
+        load_report(args.baseline), load_report(args.candidate)
     )
     print(report.render())
-    if args.informational:
-        return 0
-    if args.gate_model:
-        return 0 if report.model_ok else 1
     return 0 if report.ok else 1
 
 

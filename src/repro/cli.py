@@ -22,8 +22,8 @@ Commands:
 * ``perf``      — micro-benchmark the simulator core: the ``--lane``
   lane against its ablation lanes (no fast-forward, no kernels, scalar,
   the reference baseline) under selectable fault scenarios
-  (``--adversary``), min-of-k timing, per-phase breakdown, optional
-  cProfile capture and ``BENCH_<tag>.json`` export;
+  (``--adversary``), min-of-k timing, per-phase breakdown and
+  optional cProfile capture;
 * ``simulate``  — robustly execute a library PRAM program and verify it;
 * ``trace``     — run a small instance and print the per-processor
   failure/restart timeline;
@@ -168,6 +168,24 @@ def _positive_seconds(text: str) -> float:
             f"must be a positive number of seconds, got {text!r}"
         )
     return seconds
+
+
+def _count(least: int):
+    """An argparse type for integer counts of at least ``least``
+    (``perf --repeats`` >= 1, ``--warmup`` >= 0)."""
+    def parse(text: str) -> int:
+        try:
+            count = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}"
+            ) from None
+        if count < least:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {least}, got {text!r}"
+            )
+        return count
+    return parse
 
 
 def _scenario_selection(text: str) -> List[str]:
@@ -512,16 +530,11 @@ def _parse_size(token: str) -> tuple:
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
-    import os
-    import time as time_module
-
-    from repro.metrics.report import dump_report
     from repro.perf.micro import (
         DEFAULT_ADVERSARY,
         DEFAULT_ALGORITHM,
         DEFAULT_SIZE,
         describe_comparison,
-        perf_report,
         run_perf,
     )
     from repro.perf.profile_hook import maybe_profile
@@ -534,7 +547,6 @@ def cmd_perf(args: argparse.Namespace) -> int:
     configurations = [
         (algorithm, n, p) for algorithm in algorithms for n, p in sizes
     ]
-    started = time_module.perf_counter()
     with maybe_profile(args.profile):
         comparisons = run_perf(
             configurations,
@@ -544,7 +556,6 @@ def cmd_perf(args: argparse.Namespace) -> int:
             adversaries=adversaries,
             lane=CLI_LANES[args.lane],
         )
-    wall_s = time_module.perf_counter() - started
     for comparison in comparisons:
         print(describe_comparison(comparison))
     ratios: dict = {}
@@ -556,11 +567,6 @@ def cmd_perf(args: argparse.Namespace) -> int:
     for name, values in ratios.items():
         print(f"{name}: worst {min(values):.2f}x, best {max(values):.2f}x "
               f"over {len(values)} configuration(s)")
-    if args.tag is not None:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, f"BENCH_{args.tag}.json")
-        dump_report(perf_report(comparisons, args.tag, wall_s), path)
-        print(f"wrote {path}")
     return 0
 
 
@@ -788,18 +794,14 @@ def build_parser() -> argparse.ArgumentParser:
                       help="fault scenario to time under; repeatable "
                            "(default: none = fault-free)")
     _add_lane(perf)
-    perf.add_argument("--repeats", type=int, default=5,
+    perf.add_argument("--repeats", type=_count(1), default=5,
                       help="measured repeats per leg (min is reported)")
-    perf.add_argument("--warmup", type=int, default=1,
+    perf.add_argument("--warmup", type=_count(0), default=1,
                       help="unmeasured warmup runs per leg")
     perf.add_argument("--no-baseline", action="store_true",
                       help="skip the reference-core baseline leg")
     perf.add_argument("--profile", default=None, metavar="PATH",
                       help="capture a cProfile of the whole run to PATH")
-    perf.add_argument("--tag", default=None,
-                      help="also write BENCH_<tag>.json")
-    perf.add_argument("--out", default="benchmarks/results",
-                      help="output directory for the JSON report")
     perf.set_defaults(func=cmd_perf)
 
     simulate = commands.add_parser(

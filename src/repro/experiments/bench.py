@@ -68,6 +68,7 @@ from repro.metrics.bounds import (
 )
 from repro.metrics.fitting import doubling_exponents, fitted_exponent, ratio_series
 from repro.metrics.report import bench_report, scenario_section
+from repro.pram.lanes import lane_available
 
 #: What a measure reads: sweep name -> that sweep's points.
 Results = Dict[str, List[RunPoint]]
@@ -268,6 +269,60 @@ def _lemma42(point: RunPoint) -> float:
 
 def _thm47(point: RunPoint) -> float:
     return work_upper_thm47(point.n, point.p)
+
+
+def _perf_grid_processors(n: int) -> int:
+    """P on the lane matrix's kernel grid: 512x32 and 4096x64."""
+    return 32 if n <= 512 else 64
+
+
+def _lane_groups() -> List[tuple]:
+    """The lane matrix as ``(group, algorithm, sizes, P, adversary,
+    lanes)`` rows, ``fast`` first in every row: ``repro perf``'s headline
+    configurations, each on the lanes perf times it on.
+    ``sched-sparse`` is perf's schedule, which at P >= 8 victimizes the
+    PIDs ``SparseSchedule(victims=8)`` does at seed 0; ``vec`` rows
+    exist only where numpy does."""
+    sched_sparse = SparseSchedule(victims=8)
+    vec = ("vec",) if lane_available("vec") else ()
+    kernel_lanes = ("fast", "noff", "nokernel")
+    rows = [
+        # The kernel grid: every kernel algorithm, against the reference;
+        # the three with a vector program also on vec, fault-free.
+        (f"{label}@{adversary}/512x32+4096x64", algorithm, (512, 4096),
+         _perf_grid_processors, factory,
+         kernel_lanes + ("reference",)
+         + (vec if factory is None and label not in ("V", "VX") else ()))
+        for label, algorithm in [
+            ("trivial", TrivialAssignment), ("W", AlgorithmW),
+            ("X", AlgorithmX), ("V", AlgorithmV), ("VX", AlgorithmVX),
+        ]
+        for adversary, factory in [("none", None),
+                                   ("sched-sparse", sched_sparse)]
+    ]
+    # The N=65536 headlines, without the O(N)-per-tick reference lane.
+    rows += [
+        ("trivial@none/65536x64", TrivialAssignment, (65536,), 64, None,
+         kernel_lanes + vec + ("auto",)),
+        ("trivial@sched-sparse/65536x64", TrivialAssignment, (65536,), 64,
+         sched_sparse, kernel_lanes + ("auto",)),
+        ("W@none/65536x64", AlgorithmW, (65536,), 64, None, kernel_lanes),
+        ("W@sched-sparse/65536x64", AlgorithmW, (65536,), 64, sched_sparse,
+         kernel_lanes),
+    ]
+    # Adaptive dispatch at the small sizes where forced vec lost.
+    rows += [
+        (f"{label}@sched-sparse/256x8+512x8+1024x8", algorithm,
+         (256, 512, 1024), 8, sched_sparse, kernel_lanes + ("auto",))
+        for label, algorithm in [
+            ("trivial", TrivialAssignment), ("W", AlgorithmW),
+            ("X", AlgorithmX),
+        ]
+    ]
+    # Event-horizon batching's headline.
+    rows.append(("trivial@sched-sparse/65536x8", TrivialAssignment,
+                 (65536,), 8, sched_sparse, ("fast", "noff")))
+    return rows
 
 
 def _build_scenarios() -> Dict[str, BenchScenario]:
@@ -524,7 +579,7 @@ def _build_scenarios() -> Dict[str, BenchScenario]:
             # starver (Section 4.1) and the post-order stalker.
             SweepSpec(name="V/starver", algorithm=AlgorithmV,
                       sizes=(128,), adversary=Starver(), seeds=(0,),
-                      max_ticks=30_000),
+                      max_ticks=3_000),
         ) + tuple(
             SweepSpec(name=f"{label}/stalker", algorithm=algorithm,
                       sizes=(128,), adversary=Stalker(), seeds=(0,),
@@ -783,6 +838,32 @@ def _build_scenarios() -> Dict[str, BenchScenario]:
                             f"{label}@sched-sparse/auto"),
                   "==", 0)
             for label in ("X", "W", "trivial")
+        ),
+    ))
+
+    lane_groups = _lane_groups()
+    scenarios.append(BenchScenario(
+        tag="A9_lane_matrix",
+        title="Lane matrix — each perf headline configuration, on every "
+              "lane perf times it on, matches the fast lane's model",
+        heavy=True,
+        specs=tuple(
+            SweepSpec(
+                name=f"{group}/{lane}", algorithm=algorithm, sizes=sizes,
+                processors=processors, adversary=adversary, seeds=(0,),
+                lane=lane,
+            )
+            for group, algorithm, sizes, processors, adversary, lanes
+            in lane_groups
+            for lane in lanes
+        ),
+        claims=tuple(
+            Claim(f"A9.{group}/{lane}",
+                  f"{lane} and fast lanes, points whose model fields differ",
+                  differing(f"{group}/{lane}", f"{group}/fast"), "==", 0)
+            for group, _algorithm, _sizes, _processors, _adversary, lanes
+            in lane_groups
+            for lane in lanes[1:]
         ),
     ))
 

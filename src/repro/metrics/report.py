@@ -91,7 +91,6 @@ from __future__ import annotations
 import json
 import os
 import platform
-import sys
 import time
 from typing import Any, Dict, List
 
@@ -161,7 +160,6 @@ def environment_section() -> Dict[str, Any]:
         "cpu_turbo": _cpu_turbo(),
         "load_avg_1min": _load_avg_1min(),
         "numpy": numpy_version,
-        "executable": sys.executable,
     }
 
 
@@ -279,10 +277,9 @@ def bench_report(tag: str, scenarios: List[Dict[str, Any]],
     """Assemble the top-level report from scenario sections.
 
     ``backend`` records which executor produced the numbers (``serial``
-    or ``pool``); ``None`` omits the key (legacy reports).  Model
-    measures are backend-independent, but wall-clock comparisons
-    across backends are meaningless — the regression checker refuses
-    them by name (``backend-mismatch``).
+    or ``pool``); ``None`` omits the key.  Model measures are
+    backend-independent; the key only tells wall-clock readers which
+    executor the times came from.
     """
     sweeps = [sweep for scenario in scenarios for sweep in scenario["sweeps"]]
     claims = [claim for scenario in scenarios
@@ -394,19 +391,6 @@ def validate_bench_report(report: Dict[str, Any]) -> None:
                     raise ValueError(
                         f"point record missing keys {sorted(missing)}"
                     )
-                for optional_ratio in ("vec_speedup", "auto_speedup"):
-                    # Optional since the vectorized lane (PR 7) and the
-                    # adaptive-dispatch lane (PR 8) landed; older
-                    # reports simply omit them.
-                    if optional_ratio not in record:
-                        continue
-                    ratio = record[optional_ratio]
-                    if (not isinstance(ratio, (int, float))
-                            or isinstance(ratio, bool) or ratio <= 0):
-                        raise ValueError(
-                            f"{optional_ratio} must be a positive number, "
-                            f"got {ratio!r}"
-                        )
     for key in ("claims", "claims_failed"):
         count = report["totals"].get(key, 0)
         if not isinstance(count, int) or isinstance(count, bool) or count < 0:

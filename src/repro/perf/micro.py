@@ -33,9 +33,12 @@ counters.  The paper-model outputs of the legs (S, S', |F|, ticks,
 solved) are asserted identical — a timing harness must never compare two
 computations that diverged.
 
-Results can be exported as a ``repro-bench/1`` report (scenario tag
-``PERF_micro``) so ``benchmarks/check_regression.py`` can diff perf runs
-over time.
+The command times; it does not gate.  The model fields of its
+headline configurations are gated by the ``A9_lane_matrix`` registry
+scenario (:mod:`repro.experiments.bench`), which runs each on the
+lanes this command times them on, claims that every lane agrees with
+the fast lane, and whose points the committed golden report
+(``benchmarks/results/BENCH_golden.json``) pins.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ from repro.faults import (
     RandomAdversary,
     ScheduledAdversary,
 )
-from repro.metrics.report import bench_report
 from repro.perf.phases import PhaseCounters
 from repro.perf.timing import (
     TimingResult,
@@ -358,78 +360,6 @@ def run_perf(
         for algorithm, n, p in configurations
         for adversary in adversaries
     ]
-
-
-# --------------------------------------------------------------------- #
-# repro-bench/1 export
-# --------------------------------------------------------------------- #
-
-
-def _leg_point(leg: PerfLeg, n: int, p: int) -> Dict[str, object]:
-    result = leg.result
-    return {
-        "n": n, "p": p, "seed": 0,
-        "solved": result.solved,
-        "S": result.completed_work,
-        "S_prime": result.charged_work,
-        "F": result.pattern_size,
-        "sigma": result.overhead_ratio,
-        "ticks": result.ledger.ticks,
-        "wall_s": round(leg.best_s, 6),
-        "cached": False,
-    }
-
-
-def sweep_name(comparison: PerfComparison, leg: PerfLeg) -> str:
-    """The report sweep naming one leg of one configuration.
-
-    Fault-free comparisons keep the historical ``<algo>/<mode>`` names
-    so existing baselines diff cleanly; adversarial ones are
-    ``<algo>@<adversary>/<mode>``.
-    """
-    if comparison.adversary == DEFAULT_ADVERSARY:
-        return f"{comparison.algorithm}/{leg.mode}"
-    return f"{comparison.algorithm}@{comparison.adversary}/{leg.mode}"
-
-
-def perf_report(
-    comparisons: List[PerfComparison],
-    tag: str,
-    wall_s: float,
-) -> Dict[str, object]:
-    """Assemble a ``repro-bench/1`` report (scenario ``PERF_micro``).
-
-    Each configuration contributes one sweep per timed leg (see
-    :func:`sweep_name`); ``wall_s`` per point is the min-of-k best time,
-    which is what the regression comparator bands.
-    """
-    sweeps: List[Dict[str, object]] = []
-    for comparison in comparisons:
-        # The vec_speedup / auto_speedup ratio rides on the head point
-        # so the regression checker can validate it.
-        headline = comparison.ratio_name("novec")
-        ratios = comparison.ratios()
-        for leg in comparison.legs.values():
-            record = _leg_point(leg, comparison.n, comparison.p)
-            if leg is comparison.head and headline in ratios:
-                record[headline] = round(ratios[headline], 4)
-            sweeps.append({
-                "name": sweep_name(comparison, leg),
-                "points": [record],
-                "failures": [],
-            })
-    executed = sum(len(sweep["points"]) for sweep in sweeps)
-    scenario = {
-        "tag": "PERF_micro",
-        "title": "simulator core micro-benchmark (fast vs baseline)",
-        "source": "repro/perf/micro.py",
-        "wall_s": round(wall_s, 6),
-        "cache": {
-            "hits": 0, "executed": executed, "failed": 0, "hit_rate": 0.0,
-        },
-        "sweeps": sweeps,
-    }
-    return bench_report(tag, [scenario], workers=1)
 
 
 def describe_comparison(comparison: PerfComparison) -> str:

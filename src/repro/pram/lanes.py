@@ -16,7 +16,10 @@ reference  no         no            no         no
 Every optimization is a claim of observational equivalence to the
 reference core, so every consumer that enumerates lanes — the
 differential suite in ``tests/pram/``, the fuzz driver
-(``repro.fuzz.driver``), and the perf harness legs (``repro.perf``) —
+(``repro.fuzz.driver``), the perf harness legs (``repro.perf``) and the
+bench registry's lane matrix (``A9_lane_matrix`` in
+``repro.experiments.bench``, whose claims gate each lane's model
+fields against the ``fast`` lane's on the perf configurations) —
 derives them from this registry.  Above ``solve_write_all`` a lane is
 only ever a registry name: sweep specs, point specs, cache keys and
 perf legs carry the name, and :meth:`Lane.solver_kwargs` is the one
@@ -30,7 +33,8 @@ perf`` times beside the chosen lane.
 
 The ``vec`` lane needs the optional numpy extra;
 :func:`lane_available` / :func:`available_lane_names` let consumers
-skip it cleanly (never crash) when numpy is absent.  The ``auto``
+skip it cleanly (never crash) when numpy is absent — the lane matrix
+builds its ``vec`` sweeps only where it is available.  The ``auto``
 lane (``--lane auto``) runs everywhere: with numpy it consults the
 calibrated cost model in :mod:`repro.pram.dispatch` per fused quiet
 window, without numpy it silently degrades to the scalar compiled

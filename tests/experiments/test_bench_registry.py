@@ -1,6 +1,7 @@
 """The benchmark registry and the ``repro-bench/1`` report schema."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,8 +12,14 @@ from repro.experiments.bench import (
     scenario_tags,
 )
 from repro.experiments.chaos import ChaosPolicy
+from repro.experiments.factories import SparseSchedule
 from repro.experiments.parallel import expand_spec
 from repro.metrics import dump_report, load_report, validate_bench_report
+from repro.perf.micro import PERF_ADVERSARIES
+from repro.pram.lanes import lane_available
+
+GOLDEN = (Path(__file__).resolve().parents[2] / "benchmarks" / "results"
+          / "BENCH_golden.json")
 
 
 def test_claim_ids_are_unique_and_every_scenario_checks_solved():
@@ -38,6 +45,90 @@ def test_a8_pairs_each_scalar_sweep_with_an_auto_sweep():
         for label in ("X", "W", "trivial")
         for mode, lane in (("scalar", "fast"), ("auto", "auto"))
     }
+
+
+def test_sweep_names_are_unique_within_each_scenario():
+    # BenchScenario.evaluate keys results by sweep name: two sweeps
+    # with one name would merge silently.
+    for tag in scenario_tags():
+        names = [spec.name for spec in get_scenario(tag).specs]
+        assert len(names) == len(set(names)), tag
+
+
+def test_golden_report_pins_every_registry_point():
+    # CI gates `repro bench --scenarios all` against the golden, so a
+    # registry point without a golden record would run ungated.  (The
+    # registry builds no vec sweep without numpy.)
+    golden = load_report(str(GOLDEN))
+    recorded = {
+        (scenario["tag"], sweep["name"], point["n"], point["p"],
+         point["seed"])
+        for scenario in golden["scenarios"]
+        for sweep in scenario["sweeps"]
+        for point in sweep["points"]
+    }
+    unpinned = [
+        (tag, spec.name, n, p, seed)
+        for tag in scenario_tags()
+        for spec in get_scenario(tag).specs
+        for n, p, seed in spec.points()
+        if (tag, spec.name, n, p, seed) not in recorded
+    ]
+    assert unpinned == []
+    assert golden["totals"]["claims_failed"] == 0
+
+
+def test_golden_report_gates_itself():
+    # Every point record keys cleanly and every adversary the golden
+    # annotates is registered, so the gate's only findings against a
+    # faithful run are model-field differences.
+    from repro.perf.regression import compare_reports
+
+    golden = load_report(str(GOLDEN))
+    report = compare_reports(golden, golden)
+    assert report.ok
+    assert report.findings == []
+    assert report.compared == golden["totals"]["points"]
+
+
+def test_golden_records_no_host_path():
+    # The committed golden audits the host it was recorded on, but
+    # names no path of it (the interpreter's location included).
+    from repro.metrics.report import environment_section
+
+    assert "executable" not in environment_section()
+    environment = load_report(str(GOLDEN))["environment"]
+    assert "executable" not in environment
+    assert not any(isinstance(value, str) and value.startswith("/")
+                   for value in environment.values())
+
+
+def test_a9_holds_every_lane_to_the_fast_lane():
+    scenario = get_scenario("A9_lane_matrix")
+    groups = {}
+    for spec in scenario.specs:
+        group, lane = spec.name.rsplit("/", 1)
+        assert spec.lane == lane
+        groups.setdefault(group, []).append(lane)
+    assert all(lanes[0] == "fast" for lanes in groups.values())
+    assert {claim.id for claim in scenario.claims} == {
+        f"A9.{group}/{lane}"
+        for group, lanes in groups.items() for lane in lanes[1:]
+    }
+    # 139 (configuration, lane) points; 7 of them, in 4 sweeps, run on
+    # the vec lane, which the registry builds only with numpy.
+    vec = sum(lanes.count("vec") for lanes in groups.values())
+    assert vec == (4 if lane_available("vec") else 0)
+    assert scenario.total_points() == (139 if lane_available("vec") else 132)
+
+
+@pytest.mark.parametrize("p", [8, 32, 64])
+def test_a9_sched_sparse_is_perfs_schedule(p):
+    # At P >= 8 perf's schedule victimizes the PIDs that
+    # SparseSchedule(victims=8) does at seed 0, on the same ticks.
+    ours = SparseSchedule(victims=8)(0)
+    perfs = PERF_ADVERSARIES["sched-sparse"](p)
+    assert ours._schedule == perfs._schedule
 
 
 def test_unknown_scenario_raises():

@@ -180,15 +180,26 @@ class TestPerf:
         out = capsys.readouterr().out
         assert "baseline" not in out
 
-    def test_perf_writes_tagged_report(self, tmp_path, capsys):
-        code = main(["perf", "--size", "64x8", "--repeats", "1",
-                     "--warmup", "0", "--tag", "unit",
-                     "--out", str(tmp_path)])
-        assert code == 0
-        from repro.metrics.report import load_report
+    @pytest.mark.parametrize("flag", ["--tag", "--out"])
+    def test_perf_writes_no_report(self, flag, capsys):
+        # perf times; the lane matrix scenario and its golden gate.
+        with pytest.raises(SystemExit) as exc:
+            main(["perf", flag, "unit"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-        report = load_report(str(tmp_path / "BENCH_unit.json"))
-        assert report["tag"] == "unit"
+    @pytest.mark.parametrize("flag, value", [
+        ("--repeats", "0"), ("--repeats", "-2"), ("--repeats", "x"),
+        ("--warmup", "-1"), ("--warmup", "x"),
+    ])
+    def test_bad_timing_arguments_are_usage_errors(self, flag, value,
+                                                   capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["perf", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err
+        assert "Traceback" not in err
 
     def test_perf_rejects_malformed_size(self):
         with pytest.raises(SystemExit):

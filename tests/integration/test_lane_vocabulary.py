@@ -6,11 +6,10 @@ the CLI's ``--lane`` and the perf legs carry the name, and
 ``Lane.solver_kwargs()`` is the one place it turns back into switches.
 These tests hold every layer to that: the name reaches the solver as
 its registry lane's switches, default-lane cache keys keep their bytes,
-the removed switch flags are usage errors, and ``repro perf`` writes
-the sweep names the committed baselines gate.
+the removed switch flags are usage errors, and every ``repro perf``
+leg measures the model the golden report pins for its lane.
 """
 
-import json
 from pathlib import Path
 
 import pytest
@@ -24,12 +23,14 @@ from repro.experiments.bench import get_scenario
 from repro.experiments.cache import point_key
 from repro.experiments.factories import NamedAdversary, SparseSchedule
 from repro.experiments.parallel import expand_spec
+from repro.metrics.report import load_report
 from repro.perf import micro
-from repro.perf.micro import perf_report, run_comparison
+from repro.perf.micro import run_comparison
 from repro.pram.lanes import CLI_LANES, LANES, available_lane_names
 from repro.pram.vectorized import HAVE_NUMPY
 
-RESULTS = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
+GOLDEN = (Path(__file__).resolve().parents[2] / "benchmarks" / "results"
+          / "BENCH_golden.json")
 
 LANE_SWITCHES = ("fast_path", "fast_forward", "compiled", "vectorized")
 
@@ -180,68 +181,69 @@ def test_perf_lane_choice_times_its_lane_and_the_ablations(
 
 
 # --------------------------------------------------------------------- #
-# perf: the sweep names the committed baselines gate
+# perf: every leg's model is the golden lane matrix's for its lane
 # --------------------------------------------------------------------- #
 
-#: (baseline file, --lane choice, adversary, N, P, reference leg timed)
-#: as the CI step that regenerates each baseline runs it.
-PERF_BASELINES = [
-    ("BENCH_compiled_perf.json", "scalar", "none", 512, 32, True),
-    ("BENCH_vector_perf.json", "vec", "none", 512, 32, False),
-    ("BENCH_adaptive_perf.json", "auto", "sched-sparse", 256, 8, False),
+#: (--lane choice, adversary, N, P, reference leg timed): perf
+#: configurations the lane matrix (``A9_lane_matrix``) runs per lane.
+PERF_CONFIGURATIONS = [
+    ("scalar", "none", 512, 32, True),
+    ("vec", "none", 512, 32, False),
+    ("auto", "sched-sparse", 256, 8, False),
 ]
 
-
-def baseline_sweeps(path, prefix, n, p):
-    """Sweep name -> (model fields, speedup fields) of one configuration."""
-    with open(path) as handle:
-        report = json.load(handle)
-    found = {}
-    for sweep in report["scenarios"][0]["sweeps"]:
-        if sweep["name"].split("/")[0] != prefix:
-            continue
-        for point in sweep["points"]:
-            if (point["n"], point["p"]) == (n, p):
-                found[sweep["name"]] = summarize(point)
-    return found
-
-
-def summarize(point):
-    model = tuple(point[key] for key in ("solved", "S", "S_prime", "F",
-                                         "ticks"))
-    return model, sorted(key for key in point if key.endswith("_speedup"))
-
-
-#: (algorithm, baseline row) pairs: trivial, W and X in every baseline;
-#: V and VX only in the scalar one, which CI's ``ci_perf`` step gates.
-PERF_BASELINE_CASES = [
+#: (algorithm, configuration) pairs: trivial, W and X on every lane;
+#: V and VX, which ship no vector program, on the scalar lanes only.
+PERF_CASES = [
     (algorithm, row)
     for algorithm in ("trivial", "W", "X", "V", "VX")
-    for row in PERF_BASELINES
-    if algorithm not in ("V", "VX") or row[0] == "BENCH_compiled_perf.json"
+    for row in PERF_CONFIGURATIONS
+    if algorithm not in ("V", "VX") or row[0] == "scalar"
 ]
+
+MODEL_KEYS = ("solved", "S", "S_prime", "F", "ticks")
+
+
+def golden_models(algorithm, adversary, n, p):
+    """Lane -> model fields of the golden's lane-matrix point at one
+    configuration."""
+    lanes = {
+        spec.name: spec.lane
+        for spec in get_scenario("A9_lane_matrix").specs
+        if spec.name.startswith(f"{algorithm}@{adversary}/")
+    }
+    [scenario] = [
+        scenario for scenario in load_report(str(GOLDEN))["scenarios"]
+        if scenario["tag"] == "A9_lane_matrix"
+    ]
+    return {
+        lanes[sweep["name"]]: tuple(point[key] for key in MODEL_KEYS)
+        for sweep in scenario["sweeps"] if sweep["name"] in lanes
+        for point in sweep["points"] if (point["n"], point["p"]) == (n, p)
+    }
 
 
 @pytest.mark.parametrize(
-    "algorithm, baseline, choice, adversary, n, p, with_reference",
-    [(algorithm, *row) for algorithm, row in PERF_BASELINE_CASES],
-    ids=[f"{row[0]}-{algorithm}" for algorithm, row in PERF_BASELINE_CASES],
+    "algorithm, choice, adversary, n, p, with_reference",
+    [(algorithm, *row) for algorithm, row in PERF_CASES],
+    ids=[f"{row[0]}-{row[1]}-{algorithm}" for algorithm, row in PERF_CASES],
 )
-def test_perf_report_writes_the_baseline_sweeps(
-        algorithm, baseline, choice, adversary, n, p, with_reference):
+def test_perf_legs_match_the_golden_lane_matrix(
+        algorithm, choice, adversary, n, p, with_reference):
     if choice != "scalar" and not HAVE_NUMPY:
         pytest.skip("the novec leg needs the numpy extra")
-    prefix = algorithm if adversary == "none" else f"{algorithm}@{adversary}"
-    expected = baseline_sweeps(RESULTS / baseline, prefix, n, p)
-    assert expected
     comparison = run_comparison(
         algorithm, n, p, repeats=1, warmup=0,
         include_baseline=with_reference, adversary=adversary,
         lane=CLI_LANES[choice],
     )
-    report = perf_report([comparison], tag="unit", wall_s=0.0)
-    written = {
-        sweep["name"]: summarize(sweep["points"][0])
-        for sweep in report["scenarios"][0]["sweeps"]
-    }
-    assert written == expected
+    leg_lanes = {name: lane for name, lane, _label in micro.ABLATIONS}
+    leg_lanes[comparison.head.mode] = comparison.lane
+    expected = golden_models(algorithm, adversary, n, p)
+    assert len(comparison.legs) > 1
+    for name, leg in comparison.legs.items():
+        result = leg.result
+        assert expected[leg_lanes[name]] == (
+            result.solved, result.completed_work, result.charged_work,
+            result.pattern_size, result.ledger.ticks,
+        ), name

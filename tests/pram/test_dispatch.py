@@ -4,8 +4,9 @@ The model's job is pure prediction — both lanes are bit-identical by
 the differential contract, so these tests pin down the *decisions* at
 the calibrated crossovers (trivial dispatches vec almost everywhere,
 X/W stay scalar until P is large), the residency discounts, and the
-process-wide memoization seam.  Wall-clock consequences are gated by
-the committed ``BENCH_adaptive_*.json`` baselines instead.
+process-wide memoization seam.  Wall-clock consequences are the e2e
+benchmark's to measure (``benchmarks/e2e``); the ``auto`` lane's model
+fields are gated by the ``A9_lane_matrix`` scenario's golden points.
 """
 
 import pytest
