@@ -517,15 +517,18 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _parse_size(token: str) -> tuple:
+    """An argparse type for ``perf --size``: ``NxP`` with N, P >= 1."""
     try:
         n_text, p_text = token.lower().split("x", 1)
         n, p = int(n_text), int(p_text)
     except ValueError:
-        raise SystemExit(
-            f"bad --size {token!r}: expected NxP, e.g. 4096x64"
+        raise argparse.ArgumentTypeError(
+            f"expected NxP, e.g. 4096x64, got {token!r}"
         ) from None
     if n < 1 or p < 1:
-        raise SystemExit(f"bad --size {token!r}: N and P must be positive")
+        raise argparse.ArgumentTypeError(
+            f"N and P must be positive, got {token!r}"
+        )
     return n, p
 
 
@@ -540,9 +543,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
     from repro.perf.profile_hook import maybe_profile
 
     algorithms = args.algorithm or [DEFAULT_ALGORITHM]
-    sizes = [_parse_size(token) for token in (args.size or [])]
-    if not sizes:
-        sizes = [DEFAULT_SIZE]
+    sizes = args.size or [DEFAULT_SIZE]
     adversaries = args.adversary or [DEFAULT_ADVERSARY]
     configurations = [
         (algorithm, n, p) for algorithm in algorithms for n, p in sizes
@@ -786,7 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=sorted(PERF_ALGORITHMS),
                       help="algorithm to time; repeatable (default: X)")
     perf.add_argument("--size", action="append", default=None,
-                      metavar="NxP",
+                      type=_parse_size, metavar="NxP",
                       help="instance size, e.g. 4096x64; repeatable "
                            "(default: 4096x64)")
     perf.add_argument("--adversary", action="append", default=None,

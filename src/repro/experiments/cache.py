@@ -64,6 +64,8 @@ def fingerprint(obj: Any) -> str:
     * ``functools.partial`` — the wrapped callable plus bound args;
     * a dataclass *instance* — qualified name plus every field;
     * a class or function — its qualified name;
+    * a slotted record without ``__dict__`` (``Write``, ``Cycle``) —
+      like a dataclass instance, its slots in declaration order;
     * anything else — qualified class name plus sorted ``__dict__``.
     """
     if obj is None:
@@ -90,6 +92,12 @@ def fingerprint(obj: Any) -> str:
         return f"{_qualname(type(obj))}({fields})"
     if isinstance(obj, type) or callable(obj):
         return _qualname(obj)
+    slots = getattr(type(obj), "__slots__", ())
+    if slots and not hasattr(obj, "__dict__"):
+        fields = ",".join(
+            f"{name}={fingerprint(getattr(obj, name))}" for name in slots
+        )
+        return f"{_qualname(type(obj))}({fields})"
     state = ",".join(
         f"{key}={fingerprint(value)}"
         for key, value in sorted(vars(obj).items())

@@ -2,7 +2,7 @@
 
 A processor *program* is normally a Python generator yielding
 :class:`~repro.pram.cycles.Cycle` objects.  That representation is the
-executable specification — every cycle is a fresh dataclass, every tick
+executable specification — every cycle is a fresh record, every tick
 resumes one generator frame per running processor.  After the fast path
 (allocation-lean ticks) and event horizons (batched quiescent windows),
 that generator dispatch is the last big constant factor on the inner

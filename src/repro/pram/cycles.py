@@ -19,18 +19,67 @@ generator).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 from repro.pram.errors import ProgramError
 
 
-@dataclass(frozen=True)
 class Write:
-    """One atomic word write: ``cell[address] = value``."""
+    """One atomic word write: ``cell[address] = value``.
+
+    An immutable record with the interface of a frozen dataclass: the
+    same constructor, field-wise ``==`` and ``hash`` against records of
+    the same class only (so ``Write(1, 2) != (1, 2)``), the same
+    ``repr``, and :class:`dataclasses.FrozenInstanceError` on assignment
+    or deletion.
+
+    It is written by hand with ``__slots__`` rather than as a dataclass
+    because every observed write of a compiled kernel and every write
+    of a generator cycle builds one.  A frozen dataclass's ``__init__``
+    stores each field through ``object.__setattr__``; storing through
+    the slot descriptors, as here, is markedly cheaper (figures in
+    docs/PERFORMANCE.md).  ``dataclass(slots=True)`` does not exist on
+    Python 3.9 and keeps the ``object.__setattr__`` stores; a NamedTuple
+    is faster still but equals a plain tuple.
+    """
+
+    __slots__ = ("address", "value")
+    __match_args__ = ("address", "value")
 
     address: int
     value: int
+
+    def __init__(self, address: int, value: int) -> None:
+        _set_write_address(self, address)
+        _set_write_value(self, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.address, self.value) == (other.address, other.value)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.address, self.value))
+
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}"
+            f"(address={self.address!r}, value={self.value!r})"
+        )
+
+    def __reduce__(self) -> tuple:
+        return (self.__class__, (self.address, self.value))
+
+
+_set_write_address = Write.address.__set__  # type: ignore[attr-defined]
+_set_write_value = Write.value.__set__  # type: ignore[attr-defined]
 
 
 WritesSpec = Union[
@@ -49,7 +98,6 @@ ReadSpec = Union[int, Callable[[Tuple[int, ...]], Optional[int]]]
 SNAPSHOT = "snapshot"
 
 
-@dataclass(frozen=True)
 class Cycle:
     """One update cycle request.
 
@@ -62,11 +110,55 @@ class Cycle:
             depend on this cycle's reads) or a pure function mapping the
             tuple of read values to a sequence of :class:`Write`.
         label: free-form tag surfaced to adversaries and traces.
+
+    A hand-written slotted immutable record, for the reason given on
+    :class:`Write`: every generator cycle, task cycle and kernel
+    ``current_cycle`` builds one.  It keeps the frozen dataclass's
+    constructor and defaults, value equality and hash (same class
+    only), ``repr`` and :class:`dataclasses.FrozenInstanceError`.
     """
 
-    reads: Union[Tuple[ReadSpec, ...], str] = ()
-    writes: WritesSpec = ()
-    label: str = ""
+    __slots__ = ("reads", "writes", "label")
+    __match_args__ = ("reads", "writes", "label")
+
+    reads: Union[Tuple[ReadSpec, ...], str]
+    writes: WritesSpec
+    label: str
+
+    def __init__(
+        self,
+        reads: Union[Tuple[ReadSpec, ...], str] = (),
+        writes: WritesSpec = (),
+        label: str = "",
+    ) -> None:
+        _set_cycle_reads(self, reads)
+        _set_cycle_writes(self, writes)
+        _set_cycle_label(self, label)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.reads, self.writes, self.label) == (
+                other.reads, other.writes, other.label
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.reads, self.writes, self.label))
+
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}(reads={self.reads!r}, "
+            f"writes={self.writes!r}, label={self.label!r})"
+        )
+
+    def __reduce__(self) -> tuple:
+        return (self.__class__, (self.reads, self.writes, self.label))
 
     @property
     def is_snapshot(self) -> bool:
@@ -96,6 +188,11 @@ class Cycle:
                     f"(label={self.label!r})"
                 )
         return writes
+
+
+_set_cycle_reads = Cycle.reads.__set__  # type: ignore[attr-defined]
+_set_cycle_writes = Cycle.writes.__set__  # type: ignore[attr-defined]
+_set_cycle_label = Cycle.label.__set__  # type: ignore[attr-defined]
 
 
 def expect_cycle(pid: int, item: object) -> Cycle:

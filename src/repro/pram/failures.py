@@ -38,7 +38,9 @@ class FailureEvent(NamedTuple):
     """One ``<tag, PID, t>`` triple of a failure pattern.
 
     A NamedTuple (one tuple allocation, no per-field ``__setattr__``):
-    dense adversaries record an event for most processors on every tick.
+    dense adversaries record an event for most processors on every tick,
+    and :meth:`FailurePattern.record` builds it with ``tuple.__new__``,
+    skipping the NamedTuple's Python-level ``__new__`` as well.
     """
 
     tag: FailureTag
@@ -52,6 +54,9 @@ class FailureEvent(NamedTuple):
         return self.tag is FailureTag.RESTART
 
 
+_new_tuple = tuple.__new__
+
+
 class FailurePattern:
     """An ordered record of failure/restart events.
 
@@ -63,7 +68,7 @@ class FailurePattern:
         self._events: List[FailureEvent] = list(events)
 
     def record(self, tag: FailureTag, pid: int, time: int) -> None:
-        self._events.append(FailureEvent(tag, pid, time))
+        self._events.append(_new_tuple(FailureEvent, (tag, pid, time)))
 
     def __len__(self) -> int:
         return len(self._events)

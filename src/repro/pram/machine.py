@@ -51,7 +51,12 @@ Five tick bodies implement these semantics:
   processors evaluate their pending cycle through the kernel's
   ``observe`` rather than the cycle's read-spec and write closures (the
   gate cross-checks the two); their task cycles are interpreted like a
-  generator's.
+  generator's.  Under a dense adversary every tick is observable, so
+  this tick keeps its per-processor work to the records the view
+  needs: each ``PendingCycleView`` is built with ``tuple.__new__``, the
+  view's ``failed_pids`` come from the status cache, and a running
+  kernel processor completes its cycle in place instead of through
+  ``Processor.complete_cycle``, which generator processors keep.
 
 The other three bodies run only inside **quiet windows**.
 :meth:`Machine.run` is event-driven: before each tick it asks the
@@ -89,6 +94,7 @@ algorithm × adversary matrix, windows included.
 
 from __future__ import annotations
 
+import operator
 from collections import defaultdict
 from time import perf_counter
 from types import MappingProxyType
@@ -135,6 +141,21 @@ _NO_HORIZON = 1 << 62
 _WINDOW_RAN = "ran"
 _WINDOW_GOAL = "goal"
 _WINDOW_IDLE = "idle"
+
+
+def _as_index(value: object) -> Optional[int]:
+    """``value`` as an ``int`` pid or write count, or None if it is not one.
+
+    Accepts what :func:`operator.index` accepts (``int`` and integer
+    types such as numpy's) except ``bool``, as :class:`SharedMemory`
+    rejects bool addresses and values.
+    """
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)  # type: ignore[arg-type]
+    except TypeError:
+        return None
 
 
 def _is_passive(adversary: object) -> bool:
@@ -251,7 +272,7 @@ class Machine:
         self._status_epoch: List[int] = [0]
         self._cache_epoch = -1
         self._running_cache: List[Processor] = []
-        self._failed_count = 0
+        self._failed_pids: Tuple[int, ...] = ()
         self._statuses_view: Mapping[int, ProcessorStatus] = MappingProxyType({})
         # Raw cell array (validated accesses fall back to memory.read /
         # memory.write); raw value storage is only safe without a word
@@ -488,19 +509,25 @@ class Machine:
     ) -> Dict[int, int]:
         failures: Dict[int, int] = {}
         for pid, writes_applied in decision.failures.items():
-            if pid not in pending:
+            key = pid if pid.__class__ is int else _as_index(pid)
+            if key is None or key not in pending:
                 raise AdversaryError(
-                    f"adversary failed pid {pid}, which has no pending cycle"
+                    f"adversary failed pid {pid!r}, which has no pending cycle"
                 )
-            write_count = len(pending[pid].writes)
-            if writes_applied == AFTER_ALL_WRITES:
-                writes_applied = write_count
-            if not 0 <= writes_applied <= write_count:
+            write_count = len(pending[key].writes)
+            count = (
+                writes_applied
+                if writes_applied.__class__ is int
+                else _as_index(writes_applied)
+            )
+            if count == AFTER_ALL_WRITES:
+                count = write_count
+            if count is None or not 0 <= count <= write_count:
                 raise AdversaryError(
-                    f"adversary applied {writes_applied} writes for pid {pid}, "
-                    f"cycle has {write_count}"
+                    f"adversary applied {writes_applied!r} writes for pid "
+                    f"{key}, cycle has {write_count}"
                 )
-            failures[pid] = writes_applied
+            failures[key] = count
         return failures
 
     def _validated_stalls(
@@ -643,7 +670,13 @@ class Machine:
         pending: Mapping[int, PendingCycleView],
         tick: int,
     ) -> None:
-        for pid in sorted(decision.restarts):
+        pids: List[int] = []
+        for pid in decision.restarts:
+            key = pid if pid.__class__ is int else _as_index(pid)
+            if key is None:
+                raise AdversaryError(f"adversary restarted unknown pid {pid!r}")
+            pids.append(key)
+        for pid in sorted(pids):
             if not 0 <= pid < self.num_processors:
                 raise AdversaryError(f"adversary restarted unknown pid {pid}")
             processor = self._processors[pid]
@@ -686,16 +719,16 @@ class Machine:
             return
         running: List[Processor] = []
         statuses: Dict[int, ProcessorStatus] = {}
-        failed = 0
+        failed: List[int] = []
         for proc in self._processors:
             status = proc.status
             statuses[proc.pid] = status
             if status is ProcessorStatus.RUNNING:
                 running.append(proc)
             elif status is ProcessorStatus.FAILED:
-                failed += 1
+                failed.append(proc.pid)
         self._running_cache = running
-        self._failed_count = failed
+        self._failed_pids = tuple(failed)
         self._statuses_view = MappingProxyType(statuses)
         self._cache_epoch = epoch
 
@@ -734,7 +767,7 @@ class Machine:
     def _step_fast(self) -> bool:
         self._refresh_status_caches()
         running = self._running_cache
-        if not running and not self._failed_count:
+        if not running and not self._failed_pids:
             return False
         self.ledger.ticks += 1
         self._tick_fast(self.ledger.ticks, running)
@@ -1184,14 +1217,15 @@ class Machine:
         mark = perf_counter() if phases is not None else 0.0
         collected = self._collect_fast(running)
         pending: Dict[int, PendingCycleView] = {}
+        new_view = tuple.__new__
         for processor, cycle, values, writes in collected:
             pid = processor.pid
-            pending[pid] = PendingCycleView(
+            pending[pid] = new_view(PendingCycleView, (
                 pid,
                 cycle,
                 values,
                 writes if type(writes) is tuple else tuple(writes),
-            )
+            ))
         if phases is not None:
             now = perf_counter()
             phases.collect_s += now - mark
@@ -1203,6 +1237,7 @@ class Machine:
             pending=pending,
             ledger=self.ledger,
             context=self.context,
+            _failed_pids=self._failed_pids,
         )
         decision = self._consult_adversary(view)
         failures = self._validated_failures(decision, pending)
@@ -1254,6 +1289,14 @@ class Machine:
         the running list, so it is already in ascending PID order.  The
         consecutive-interrupt counts are kept only when a fairness
         window reads them.
+
+        A running compiled-kernel processor completes its cycle in
+        place, as :meth:`_quiet_tick_generic` advances generators: it
+        counts the cycle, drops the pending cycle and advances the
+        stepper, halting when the program ends.  Generator processors,
+        and any processor that is not running with a live stepper, keep
+        :meth:`Processor.complete_cycle` with its checks; every failure
+        goes through :meth:`Processor.fail`.
         """
         ledger = self.ledger
         attempts = ledger.attempted_by_pid.backing_list()
@@ -1265,22 +1308,33 @@ class Machine:
             if self.fairness_window is not None
             else None
         )
+        kernel = self._kernel_mode
+        running = ProcessorStatus.RUNNING
         completed_this_tick = 0
         for pid, entry in pending.items():
             if pid in stalls:
                 continue  # deferred: no charge, no completion, no failure
             attempts[pid] += 1
+            processor = processors[pid]
             if pid in failures:
                 if interrupts is not None:
                     interrupts[pid] = interrupts.get(pid, 0) + 1
                 record(FailureTag.FAILURE, pid, tick)
-                processors[pid].fail()
+                processor.fail()
             else:
                 completions[pid] += 1
                 completed_this_tick += 1
                 if interrupts is not None:
                     interrupts[pid] = 0
-                processors[pid].complete_cycle(entry.read_values)
+                stepper = processor._stepper
+                if kernel and processor.status is running and stepper.live:
+                    processor.cycles_completed += 1
+                    processor._pending = None
+                    if not stepper.advance(entry.read_values):
+                        processor.status = ProcessorStatus.HALTED
+                        processor._bump_epoch()
+                else:
+                    processor.complete_cycle(entry.read_values)
         return completed_this_tick
 
     # ================================================================== #

@@ -445,11 +445,17 @@ class MemoryReader:
     """A read-only facade over :class:`SharedMemory`.
 
     Handed to adversaries (which are omniscient about machine state but
-    must not mutate it) and to termination predicates.
+    must not mutate it) and to termination predicates.  Dense
+    adversaries read cells on every tick (the halving adversary reads
+    every x cell), so :meth:`read` and ``[]`` take the machine's raw
+    route: an in-range ``int`` address indexes the backing list
+    directly, and anything else goes through :meth:`SharedMemory.peek`,
+    which serves or rejects it exactly as before.
     """
 
     def __init__(self, memory: SharedMemory) -> None:
         self._memory = memory
+        self._cells = memory.raw_cells()
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -459,10 +465,12 @@ class MemoryReader:
         return self._memory.size
 
     def read(self, address: int) -> int:
+        cells = self._cells
+        if address.__class__ is int and 0 <= address < len(cells):
+            return cells[address]
         return self._memory.peek(address)
 
-    def __getitem__(self, address: int) -> int:
-        return self._memory.peek(address)
+    __getitem__ = read
 
     def region(self, start: int, length: int) -> List[int]:
         return self._memory.region(start, length)

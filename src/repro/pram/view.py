@@ -22,8 +22,8 @@ than a fresh dict — adversaries must treat every view field as frozen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Tuple
+from dataclasses import dataclass, field
+from typing import Mapping, NamedTuple, Optional, Tuple
 
 from repro.pram.cycles import Cycle, Write
 from repro.pram.ledger import RunLedger
@@ -32,7 +32,14 @@ from repro.pram.processor import ProcessorStatus
 
 
 class PendingCycleView(NamedTuple):
-    """What one running processor is about to do this tick."""
+    """What one running processor is about to do this tick.
+
+    A NamedTuple rather than a dataclass: the observable tick builds one
+    per running processor, and the machine builds it with
+    ``tuple.__new__(PendingCycleView, (pid, cycle, read_values,
+    writes))``, which skips even the NamedTuple's Python-level
+    ``__new__``.  Adversaries see the same class and fields either way.
+    """
 
     pid: int
     cycle: Cycle
@@ -57,6 +64,12 @@ class TickView:
     pending: Mapping[int, PendingCycleView]
     ledger: RunLedger
     context: Mapping[str, object]
+    #: ``failed_pids`` precomputed from ``statuses``, set only by the
+    #: machine's fast tick, whose status cache already walks every
+    #: processor on each status change; ``None`` derives it on access.
+    _failed_pids: Optional[Tuple[int, ...]] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def running_pids(self) -> Tuple[int, ...]:
@@ -68,6 +81,9 @@ class TickView:
 
     @property
     def failed_pids(self) -> Tuple[int, ...]:
+        failed = self._failed_pids
+        if failed is not None:
+            return failed
         return tuple(
             pid
             for pid, status in sorted(self.statuses.items())

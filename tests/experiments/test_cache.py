@@ -236,3 +236,15 @@ def test_fingerprint_recurses_through_combinators():
     assert fingerprint(with_chunk) != fingerprint(
         functools.partial(AlgorithmV, chunk=8)
     )
+
+
+def test_fingerprint_of_cycle_records_is_field_by_field():
+    # Write and Cycle are slotted records, not dataclasses; they
+    # fingerprint as the frozen dataclasses they replaced did.
+    from repro.pram.cycles import Cycle, Write
+
+    assert fingerprint(Write(1, 2)) == "repro.pram.cycles.Write(address=1,value=2)"
+    assert fingerprint(Cycle(reads=(3,), writes=(Write(1, 2),), label="x")) == (
+        "repro.pram.cycles.Cycle(reads=[3],"
+        "writes=[repro.pram.cycles.Write(address=1,value=2)],label='x')"
+    )

@@ -201,8 +201,13 @@ class TestPerf:
         assert flag in err
         assert "Traceback" not in err
 
-    def test_perf_rejects_malformed_size(self):
-        with pytest.raises(SystemExit):
-            main(["perf", "--size", "64by8"])
-        with pytest.raises(SystemExit):
-            main(["perf", "--size", "x8"])
+    def test_perf_rejects_malformed_size(self, capsys):
+        # A usage error (exit 2) naming the flag and the token.
+        for size in ("64by8", "x8", "0x8", "8x0"):
+            with pytest.raises(SystemExit) as exc:
+                main(["perf", "--size", size])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "--size" in err
+            assert repr(size) in err
+            assert "Traceback" not in err

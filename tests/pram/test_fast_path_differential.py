@@ -27,7 +27,9 @@ from repro.core import (
     AlgorithmVX,
     AlgorithmW,
     AlgorithmX,
+    FaultRouting,
     SnapshotAlgorithm,
+    TrivialAssignment,
     solve_write_all,
 )
 from repro.core.runner import default_tick_budget
@@ -68,6 +70,10 @@ ALGORITHMS = {
     "VX": AlgorithmVX,
     "X": AlgorithmX,
     "snapshot": SnapshotAlgorithm,
+    # froute is generator-only, so its cycles and writes are built from
+    # the Cycle and Write records on every lane; trivial has a kernel.
+    "froute": FaultRouting,
+    "trivial": TrivialAssignment,
 }
 
 ADVERSARIES = {
@@ -178,6 +184,42 @@ class TestAlgorithmAdversaryMatrix:
                             max_ticks=20_000)
         assert outcomes[0].ledger.pattern_size > 0
         assert_all_identical(outcomes)
+
+    def test_kernel_under_exclusive_reads(self):
+        # Under EREW a kernel processor's pending cycle is interpreted
+        # and cached on the processor rather than observed; settling it
+        # must drop that cycle, or the next tick re-runs a finished one.
+        outcomes = run_both(
+            "trivial", lambda: RandomAdversary(0.15, 0.3, seed=7),
+            policy=Erew(), max_ticks=5_000,
+        )
+        assert outcomes[0].ledger.pattern_size > 0
+        assert_all_identical(outcomes)
+
+    @pytest.mark.parametrize("fast_path", [True, False])
+    def test_processor_counts_match_the_ledger(self, fast_path):
+        # Each tick body keeps Processor.cycles_completed itself (the
+        # fast tick completes kernel cycles in place).
+        algorithm = AlgorithmX()
+        layout = algorithm.build_layout(64, 16)
+        memory = SharedMemory(layout.size)
+        algorithm.initialize_memory(memory, layout)
+        machine = Machine(
+            num_processors=16, memory=memory, fast_path=fast_path,
+            adversary=RandomAdversary(0.15, 0.3, seed=7),
+            context={"layout": layout},
+        )
+        machine.load_program(
+            algorithm.program(layout, None),
+            compiled_program=resolve_kernel(algorithm, layout, None),
+        )
+        ledger = machine.run(
+            until=algorithm.until_predicate(layout), max_ticks=5_000
+        )
+        assert ledger.pattern_size > 0
+        assert [proc.cycles_completed for proc in machine.processors] == [
+            ledger.completed_by_pid[pid] for pid in range(16)
+        ]
 
     def test_v_under_thrashing_hits_tick_limit_identically(self):
         # V need not terminate under restarts; all cores must agree on

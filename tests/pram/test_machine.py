@@ -256,6 +256,77 @@ class TestRestartSemantics:
             machine.step()
 
 
+class _Index:
+    """An integer-like object: what ``operator.index`` accepts."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+class TestMalformedDecisions:
+    """Both lanes reject a malformed decision with the same error."""
+
+    @staticmethod
+    def program(pid):
+        while True:
+            yield Cycle(writes=(Write(pid, 1),))
+
+    def outcomes(self, decision):
+        messages = []
+        for fast_path in (True, False):
+            machine = make_machine(
+                2, 2, self.program, adversary=OneShot(1, decision),
+                fast_path=fast_path,
+            )
+            with pytest.raises(AdversaryError) as exc:
+                machine.step()
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        return messages[0]
+
+    @pytest.mark.parametrize("count", [0.5, 1.0, "1", None, True])
+    def test_non_integer_failure_count(self, count):
+        message = self.outcomes(Decision(failures={0: count}))
+        assert f"{count!r} writes for pid 0" in message
+
+    @pytest.mark.parametrize("pid", [0.0, True, "0"])
+    def test_non_integer_failed_pid(self, pid):
+        message = self.outcomes(Decision(failures={pid: BEFORE_WRITES}))
+        assert f"failed pid {pid!r}" in message
+
+    @pytest.mark.parametrize("pid", ["0", 0.0, True])
+    def test_non_integer_restart_pid(self, pid):
+        message = self.outcomes(Decision(
+            failures={0: BEFORE_WRITES}, restarts=frozenset({pid}),
+        ))
+        assert f"restarted unknown pid {pid!r}" in message
+
+    def test_mixed_restart_pids(self):
+        message = self.outcomes(Decision(
+            failures={0: BEFORE_WRITES, 1: BEFORE_WRITES},
+            restarts=frozenset({"0", 1}),
+        ))
+        assert "restarted unknown pid '0'" in message
+
+    def test_index_types_are_accepted(self):
+        # Integer types other than int (numpy's, say) are integers.
+        ledgers = []
+        for fast_path in (True, False):
+            decision = Decision(failures={_Index(0): _Index(1)})
+            machine = make_machine(
+                2, 2, self.program, adversary=OneShot(1, decision),
+                fast_path=fast_path,
+            )
+            machine.step()
+            assert machine.memory.peek(0) == 1  # its one write landed
+            assert machine.processors[0].is_failed
+            ledgers.append(list(machine.ledger.pattern))
+        assert ledgers[0] == ledgers[1]
+
+
 class TestProgressCondition:
     def fail_all_adversary(self):
         class FailAll(Adversary):

@@ -109,6 +109,21 @@ class TestMemoryReader:
         reader.read(0)
         assert memory.reads_served == 0
 
+    def test_reader_follows_writes_and_rejects_what_peek_rejects(self):
+        memory = SharedMemory(4)
+        reader = MemoryReader(memory)
+        memory.write(1, 5)
+        memory.commit_resolved([(2, 6)])
+        memory.replace_cells([7, 5, 6, 0])
+        assert [reader[a] for a in range(4)] == [7, 5, 6, 0]
+        for address in (True, -1, 4, 1.0, "1", None):
+            with pytest.raises(MemoryError_) as expected:
+                memory.peek(address)
+            for read in (reader.read, reader.__getitem__):
+                with pytest.raises(MemoryError_) as raised:
+                    read(address)
+                assert str(raised.value) == str(expected.value)
+
 
 class TestRegionBoundary:
     """Zero-length regions are legal anywhere in [0, size]."""

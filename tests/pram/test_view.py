@@ -91,3 +91,36 @@ class TestTickView:
         machine.step()
         machine.step()
         assert [view.time for view in recorder.views] == [1, 2]
+
+
+class TestFailedPids:
+    def test_failed_pids_match_statuses_on_every_tick(self):
+        # The fast tick hands the view the failed pids of its status
+        # cache; they must equal the partition the statuses give.
+        from repro.core import AlgorithmX, solve_write_all
+        from repro.faults import RandomAdversary, UnionAdversary
+        from repro.pram.processor import ProcessorStatus
+
+        class Checker(Adversary):
+            failed_ticks = 0
+
+            def decide(self, view):
+                expected = tuple(
+                    pid for pid, status in sorted(view.statuses.items())
+                    if status is ProcessorStatus.FAILED
+                )
+                assert view.failed_pids == expected
+                assert "_failed_pids" not in repr(view)
+                self.failed_ticks += bool(expected)
+                return Decision.none()
+
+        for fast_path in (True, False):
+            checker = Checker()
+            solve_write_all(
+                AlgorithmX(), 64, 16,
+                adversary=UnionAdversary([
+                    checker, RandomAdversary(0.2, 0.3, seed=5),
+                ]),
+                fast_path=fast_path, max_ticks=5_000,
+            )
+            assert checker.failed_ticks > 0
