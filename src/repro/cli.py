@@ -19,11 +19,6 @@ Commands:
   randomly drawn adversaries (plus inline chaos injection), checked
   bit-identical against the ideal fault-free oracle over three passes;
   failures are delta-debugged to minimal replayable JSON fixtures;
-* ``perf``      — micro-benchmark the simulator core: the ``--lane``
-  lane against its ablation lanes (no fast-forward, no kernels, scalar,
-  the reference baseline) under selectable fault scenarios
-  (``--adversary``), min-of-k timing, per-phase breakdown and
-  optional cProfile capture;
 * ``simulate``  — robustly execute a library PRAM program and verify it;
 * ``trace``     — run a small instance and print the per-processor
   failure/restart timeline;
@@ -31,10 +26,11 @@ Commands:
 
 Adversaries are selected by name; stochastic ones take ``--fail``,
 ``--restart-prob`` and ``--seed``.  ``--lane {scalar,vec,auto}`` picks
-the machine lane (``solve``, ``sweep``, ``simulate``, ``trace``,
-``perf``): ``vec`` opts in to the numpy batch lane (needs the optional
-numpy extra — ``pip install .[numpy]``) and ``auto`` dispatches vec vs
-scalar per quiet window.
+the machine lane (``solve``, ``sweep``, ``simulate``, ``trace``):
+``vec`` opts in to the numpy batch lane (needs the optional numpy
+extra — ``pip install .[numpy]``) and ``auto`` dispatches vec vs
+scalar per quiet window.  Wall time is measured by the end-to-end
+benchmark (``benchmarks/e2e``).
 """
 
 from __future__ import annotations
@@ -136,10 +132,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="per-tick restart probability (stochastic)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-ticks", type=int, default=None)
-    _add_lane(parser)
-
-
-def _add_lane(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lane", default="scalar", choices=tuple(CLI_LANES),
                         help="quiet-window lane: 'scalar' (the default) "
                              "steps processors one at a time, 'vec' "
@@ -168,24 +160,6 @@ def _positive_seconds(text: str) -> float:
             f"must be a positive number of seconds, got {text!r}"
         )
     return seconds
-
-
-def _count(least: int):
-    """An argparse type for integer counts of at least ``least``
-    (``perf --repeats`` >= 1, ``--warmup`` >= 0)."""
-    def parse(text: str) -> int:
-        try:
-            count = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"invalid int value: {text!r}"
-            ) from None
-        if count < least:
-            raise argparse.ArgumentTypeError(
-                f"must be at least {least}, got {text!r}"
-            )
-        return count
-    return parse
 
 
 def _scenario_selection(text: str) -> List[str]:
@@ -516,61 +490,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return 0 if outcome.converged else 1
 
 
-def _parse_size(token: str) -> tuple:
-    """An argparse type for ``perf --size``: ``NxP`` with N, P >= 1."""
-    try:
-        n_text, p_text = token.lower().split("x", 1)
-        n, p = int(n_text), int(p_text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected NxP, e.g. 4096x64, got {token!r}"
-        ) from None
-    if n < 1 or p < 1:
-        raise argparse.ArgumentTypeError(
-            f"N and P must be positive, got {token!r}"
-        )
-    return n, p
-
-
-def cmd_perf(args: argparse.Namespace) -> int:
-    from repro.perf.micro import (
-        DEFAULT_ADVERSARY,
-        DEFAULT_ALGORITHM,
-        DEFAULT_SIZE,
-        describe_comparison,
-        run_perf,
-    )
-    from repro.perf.profile_hook import maybe_profile
-
-    algorithms = args.algorithm or [DEFAULT_ALGORITHM]
-    sizes = args.size or [DEFAULT_SIZE]
-    adversaries = args.adversary or [DEFAULT_ADVERSARY]
-    configurations = [
-        (algorithm, n, p) for algorithm in algorithms for n, p in sizes
-    ]
-    with maybe_profile(args.profile):
-        comparisons = run_perf(
-            configurations,
-            repeats=args.repeats,
-            warmup=args.warmup,
-            include_baseline=not args.no_baseline,
-            adversaries=adversaries,
-            lane=CLI_LANES[args.lane],
-        )
-    for comparison in comparisons:
-        print(describe_comparison(comparison))
-    ratios: dict = {}
-    for comparison in comparisons:
-        for name, ratio in comparison.ratios().items():
-            ratios.setdefault(name, []).append(ratio)
-    if ratios:
-        print()
-    for name, values in ratios.items():
-        print(f"{name}: worst {min(values):.2f}x, best {max(values):.2f}x "
-              f"over {len(values)} configuration(s)")
-    return 0
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     width = args.width
@@ -774,36 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--max-fixtures", type=int, default=5,
                       help="cap on shrunk fixtures per run")
     fuzz.set_defaults(func=cmd_fuzz)
-
-    perf = commands.add_parser(
-        "perf",
-        help="micro-benchmark the simulator core (a lane vs its "
-             "ablations)",
-    )
-    # Choices derive from the perf module's own tables, not hand copies.
-    from repro.perf.micro import PERF_ADVERSARIES, PERF_ALGORITHMS
-
-    perf.add_argument("--algorithm", action="append", default=None,
-                      choices=sorted(PERF_ALGORITHMS),
-                      help="algorithm to time; repeatable (default: X)")
-    perf.add_argument("--size", action="append", default=None,
-                      type=_parse_size, metavar="NxP",
-                      help="instance size, e.g. 4096x64; repeatable "
-                           "(default: 4096x64)")
-    perf.add_argument("--adversary", action="append", default=None,
-                      choices=sorted(PERF_ADVERSARIES),
-                      help="fault scenario to time under; repeatable "
-                           "(default: none = fault-free)")
-    _add_lane(perf)
-    perf.add_argument("--repeats", type=_count(1), default=5,
-                      help="measured repeats per leg (min is reported)")
-    perf.add_argument("--warmup", type=_count(0), default=1,
-                      help="unmeasured warmup runs per leg")
-    perf.add_argument("--no-baseline", action="store_true",
-                      help="skip the reference-core baseline leg")
-    perf.add_argument("--profile", default=None, metavar="PATH",
-                      help="capture a cProfile of the whole run to PATH")
-    perf.set_defaults(func=cmd_perf)
 
     simulate = commands.add_parser(
         "simulate", help="robustly execute a PRAM program"

@@ -88,10 +88,10 @@ def solve_write_all(
 
     ``fast_path=False`` selects the machine's reference tick
     implementation (the executable specification — slower, used by the
-    differential suite and perf comparisons); ``fast_forward=False``
+    differential suite and the lane matrix); ``fast_forward=False``
     keeps the fast path but disables event-horizon tick batching (the
-    ``noff`` lane); ``phase_counters`` is an
-    optional per-phase timing accumulator for the perf harness.
+    ``noff`` lane); ``phase_counters`` is an optional per-phase timing
+    accumulator (:class:`repro.perf.phases.PhaseCounters`).
     ``compiled=False`` (the ``nokernel`` lane) forces the
     generator protocol even for algorithms that ship a trusted
     :meth:`~repro.core.base.WriteAllAlgorithm.compiled_program`.

@@ -278,11 +278,12 @@ def _perf_grid_processors(n: int) -> int:
 
 def _lane_groups() -> List[tuple]:
     """The lane matrix as ``(group, algorithm, sizes, P, adversary,
-    lanes)`` rows, ``fast`` first in every row: ``repro perf``'s headline
-    configurations, each on the lanes perf times it on.
-    ``sched-sparse`` is perf's schedule, which at P >= 8 victimizes the
-    PIDs ``SparseSchedule(victims=8)`` does at seed 0; ``vec`` rows
-    exist only where numpy does."""
+    lanes)`` rows, ``fast`` first in every row: the configurations
+    where each lane's optimization was first measured, each on the
+    lanes that isolate it.  ``sched-sparse`` is
+    ``SparseSchedule(victims=8)`` at seed 0, eight fail/restart pairs
+    400 ticks apart on PIDs 0 to 7; ``vec`` rows exist only where
+    numpy does."""
     sched_sparse = SparseSchedule(victims=8)
     vec = ("vec",) if lane_available("vec") else ()
     kernel_lanes = ("fast", "noff", "nokernel")

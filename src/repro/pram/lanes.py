@@ -16,20 +16,19 @@ reference  no         no            no         no
 Every optimization is a claim of observational equivalence to the
 reference core, so every consumer that enumerates lanes — the
 differential suite in ``tests/pram/``, the fuzz driver
-(``repro.fuzz.driver``), the perf harness legs (``repro.perf``) and the
-bench registry's lane matrix (``A9_lane_matrix`` in
-``repro.experiments.bench``, whose claims gate each lane's model
-fields against the ``fast`` lane's on the perf configurations) —
-derives them from this registry.  Above ``solve_write_all`` a lane is
-only ever a registry name: sweep specs, point specs, cache keys and
-perf legs carry the name, and :meth:`Lane.solver_kwargs` is the one
-place it turns back into switches.  Adding a lane is one registration
-here, and it is immediately fuzzed, differentially tested, and
-benchmarkable.
+(``repro.fuzz.driver``) and the bench registry's lane matrix
+(``A9_lane_matrix`` in ``repro.experiments.bench``, whose claims gate
+each lane's model fields against the ``fast`` lane's on its
+configurations) — derives them from this registry.  Above
+``solve_write_all`` a lane is only ever a registry name: sweep specs,
+point specs and cache keys carry the name, and
+:meth:`Lane.solver_kwargs` is the one place it turns back into
+switches.  Adding a lane is one registration here, and it is
+immediately fuzzed, differentially tested, and benchmarkable.
 
 The CLI exposes three lanes through ``--lane`` (:data:`CLI_LANES`);
-``noff``, ``nokernel`` and ``reference`` are ablations that ``repro
-perf`` times beside the chosen lane.
+``noff``, ``nokernel`` and ``reference`` are ablations that only the
+tests, the fuzz driver and the A7 and A9 scenarios run.
 
 The ``vec`` lane needs the optional numpy extra;
 :func:`lane_available` / :func:`available_lane_names` let consumers

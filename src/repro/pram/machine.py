@@ -539,22 +539,31 @@ class Machine:
         not charged, not failed.  The processor keeps its private state
         and re-attempts the same cycle (with fresh reads) on the next
         tick it is allowed to run.  Stalls never enter the failure
-        pattern.  Only pending PIDs may be stalled, and a PID may not be
+        pattern.  Only pending PIDs may be stalled (as for failures, a
+        pid is what :func:`_as_index` accepts), and a PID may not be
         both stalled and failed in one decision.
         """
         stalls = decision.stalls
         if not stalls:
             return frozenset()
+        failed = {
+            pid if pid.__class__ is int else _as_index(pid)
+            for pid in decision.failures
+        }
+        keys = set()
         for pid in stalls:
-            if pid not in pending:
+            key = pid if pid.__class__ is int else _as_index(pid)
+            if key is None or key not in pending:
                 raise AdversaryError(
-                    f"adversary stalled pid {pid}, which has no pending cycle"
+                    f"adversary stalled pid {pid!r}, which has no pending "
+                    f"cycle"
                 )
-            if pid in decision.failures:
+            if key in failed:
                 raise AdversaryError(
-                    f"adversary both stalled and failed pid {pid}"
+                    f"adversary both stalled and failed pid {key}"
                 )
-        return frozenset(stalls)
+            keys.add(key)
+        return frozenset(keys)
 
     def _apply_fairness(self, failures: Dict[int, int]) -> Dict[int, int]:
         if self.fairness_window is None:
@@ -1707,8 +1716,7 @@ class Machine:
         except BaseException:
             # A policy error mid-burst: charge what ran and write back
             # so the caller sees the same partially-applied state the
-            # reference path would leave (matching PR 7's finish()-in-
-            # finally; _sync_traffic is skipped on error there too).
+            # reference path would leave.
             window.charge_traffic()
             window.flush()
             raise

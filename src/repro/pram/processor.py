@@ -56,7 +56,6 @@ class Processor:
         self._generator: Optional[Generator[Cycle, tuple, None]] = None
         self._pending: Optional[Cycle] = None
         self.cycles_completed = 0
-        self.cycles_attempted = 0
         self.restart_count = 0
         # Shared status-epoch cell (a one-element list), installed by the
         # owning machine.  Every status transition bumps it, which is how

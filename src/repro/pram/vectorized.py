@@ -467,11 +467,6 @@ class VectorWindow:
         cells[uaddrs] = uvals
         self.dirty[uaddrs] = True
 
-    def finish(self) -> None:
-        """Charge traffic and flush: the one-shot (non-resident) exit."""
-        self.charge_traffic()
-        self.flush()
-
     def close(self) -> None:
         """Flush and detach the external-write journal (end of residency).
 

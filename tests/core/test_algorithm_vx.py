@@ -34,7 +34,8 @@ class TestLayout:
 
 
 class TestCorrectness:
-    @pytest.mark.parametrize("n,p", [(8, 8), (16, 4), (64, 64), (64, 7)])
+    @pytest.mark.parametrize("n,p", [(8, 8), (16, 4), (64, 64), (64, 7),
+                                     (128, 128)])
     def test_shapes(self, n, p):
         result = solve_write_all(AlgorithmVX(), n, p, adversary=NoFailures())
         assert result.solved

@@ -84,6 +84,16 @@ class TestFaultTolerance:
         )
         assert result.solved
 
+    @pytest.mark.parametrize("n, fail, seed", [(128, 0.1, 1), (256, 0.05, 2)])
+    def test_random_churn_with_p_equal_n(self, n, fail, seed):
+        # The churn runs E13's cycle rate was first timed on.
+        result = solve_write_all(
+            AlgorithmX(), n, n,
+            adversary=RandomAdversary(fail, 0.3, seed=seed),
+            max_ticks=500_000,
+        )
+        assert result.solved
+
     def test_mass_extinction_and_revival(self):
         # Kill everyone at tick 2, revive only pid 5 at tick 4.
         schedule = {2: (list(range(16)), []), 4: ([], [5])}

@@ -15,7 +15,6 @@ from repro.experiments.chaos import ChaosPolicy
 from repro.experiments.factories import SparseSchedule
 from repro.experiments.parallel import expand_spec
 from repro.metrics import dump_report, load_report, validate_bench_report
-from repro.perf.micro import PERF_ADVERSARIES
 from repro.pram.lanes import lane_available
 
 GOLDEN = (Path(__file__).resolve().parents[2] / "benchmarks" / "results"
@@ -123,12 +122,23 @@ def test_a9_holds_every_lane_to_the_fast_lane():
 
 
 @pytest.mark.parametrize("p", [8, 32, 64])
-def test_a9_sched_sparse_is_perfs_schedule(p):
-    # At P >= 8 perf's schedule victimizes the PIDs that
-    # SparseSchedule(victims=8) does at seed 0, on the same ticks.
-    ours = SparseSchedule(victims=8)(0)
-    perfs = PERF_ADVERSARIES["sched-sparse"](p)
-    assert ours._schedule == perfs._schedule
+def test_a9_sched_sparse_schedule_is_pinned(p):
+    # The lane matrix's sched-sparse: pid k fails at tick 50 + 400k and
+    # restarts 7 ticks later, for k = 0..7, a live pid at every P it
+    # runs.
+    schedule = SparseSchedule(victims=8)(0)._schedule
+    assert schedule == {
+        50: ([0], []), 57: ([], [0]),
+        450: ([1], []), 457: ([], [1]),
+        850: ([2], []), 857: ([], [2]),
+        1250: ([3], []), 1257: ([], [3]),
+        1650: ([4], []), 1657: ([], [4]),
+        2050: ([5], []), 2057: ([], [5]),
+        2450: ([6], []), 2457: ([], [6]),
+        2850: ([7], []), 2857: ([], [7]),
+    }
+    assert all(0 <= pid < p for fails, restarts in schedule.values()
+               for pid in fails + restarts)
 
 
 def test_unknown_scenario_raises():

@@ -162,52 +162,3 @@ class TestAdversaryRegistry:
     def test_unknown_name(self):
         with pytest.raises(SystemExit):
             build_adversary("nope", 0.1, 0.3, 0)
-
-
-class TestPerf:
-    def test_perf_runs_and_reports_speedup(self, capsys):
-        code = main(["perf", "--size", "64x8", "--repeats", "1",
-                     "--warmup", "0"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "X(N=64, P=8)" in out
-        assert "speedup" in out
-
-    def test_perf_no_baseline(self, capsys):
-        code = main(["perf", "--size", "64x8", "--repeats", "1",
-                     "--warmup", "0", "--no-baseline"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "baseline" not in out
-
-    @pytest.mark.parametrize("flag", ["--tag", "--out"])
-    def test_perf_writes_no_report(self, flag, capsys):
-        # perf times; the lane matrix scenario and its golden gate.
-        with pytest.raises(SystemExit) as exc:
-            main(["perf", flag, "unit"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flag, value", [
-        ("--repeats", "0"), ("--repeats", "-2"), ("--repeats", "x"),
-        ("--warmup", "-1"), ("--warmup", "x"),
-    ])
-    def test_bad_timing_arguments_are_usage_errors(self, flag, value,
-                                                   capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["perf", flag, value])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert flag in err
-        assert "Traceback" not in err
-
-    def test_perf_rejects_malformed_size(self, capsys):
-        # A usage error (exit 2) naming the flag and the token.
-        for size in ("64by8", "x8", "0x8", "8x0"):
-            with pytest.raises(SystemExit) as exc:
-                main(["perf", "--size", size])
-            assert exc.value.code == 2
-            err = capsys.readouterr().err
-            assert "--size" in err
-            assert repr(size) in err
-            assert "Traceback" not in err

@@ -1,13 +1,13 @@
 """One lane vocabulary above the solver.
 
 Above ``solve_write_all`` a machine lane is only a registry name
-(:data:`repro.pram.lanes.LANES`): sweep specs, point specs, cache keys,
-the CLI's ``--lane`` and the perf legs carry the name, and
-``Lane.solver_kwargs()`` is the one place it turns back into switches.
-These tests hold every layer to that: the name reaches the solver as
-its registry lane's switches, default-lane cache keys keep their bytes,
-the removed switch flags are usage errors, and every ``repro perf``
-leg measures the model the golden report pins for its lane.
+(:data:`repro.pram.lanes.LANES`): sweep specs, point specs, cache keys
+and the CLI's ``--lane`` carry the name, and ``Lane.solver_kwargs()``
+is the one place it turns back into switches.  These tests hold every
+layer to that: the name reaches the solver as its registry lane's
+switches, default-lane cache keys keep their bytes, the removed switch
+flags and the removed ``perf`` command are usage errors, and every lane
+of the lane matrix measures the model the golden report pins for it.
 """
 
 from pathlib import Path
@@ -24,10 +24,12 @@ from repro.experiments.cache import point_key
 from repro.experiments.factories import NamedAdversary, SparseSchedule
 from repro.experiments.parallel import expand_spec
 from repro.metrics.report import load_report
-from repro.perf import micro
-from repro.perf.micro import run_comparison
-from repro.pram.lanes import CLI_LANES, LANES, available_lane_names
-from repro.pram.vectorized import HAVE_NUMPY
+from repro.pram.lanes import (
+    CLI_LANES,
+    LANES,
+    available_lane_names,
+    lane_available,
+)
 
 GOLDEN = (Path(__file__).resolve().parents[2] / "benchmarks" / "results"
           / "BENCH_golden.json")
@@ -136,14 +138,21 @@ def test_registry_lanes_key_pairwise_distinct():
 
 
 @pytest.mark.parametrize("flag", ["--no-fast-forward", "--no-compiled"])
-@pytest.mark.parametrize(
-    "command", ["solve", "sweep", "simulate", "trace", "perf"]
-)
+@pytest.mark.parametrize("command", ["solve", "sweep", "simulate", "trace"])
 def test_removed_switch_flags_are_usage_errors(command, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         main([command, flag])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_perf_is_no_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["perf"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'perf'" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("choice", CLI_CHOICES)
@@ -166,27 +175,15 @@ def test_lane_choice_reaches_the_solver(monkeypatch, capsys, choice, argv,
     assert {lane_of(call) for call in calls} == {CLI_LANES[choice]}
 
 
-@pytest.mark.parametrize("choice", CLI_CHOICES)
-def test_perf_lane_choice_times_its_lane_and_the_ablations(
-        monkeypatch, capsys, choice):
-    calls = spy(monkeypatch, micro, "solve_write_all")
-    assert main(["perf", "--algorithm", "trivial", "--size", "256x8",
-                 "--repeats", "1", "--warmup", "0", "--lane", choice]) == 0
-    head = CLI_LANES[choice]
-    assert lane_of(calls[0]) == head
-    expected = {head, "noff", "nokernel", "reference"}
-    if head != "fast" and HAVE_NUMPY:
-        expected.add("fast")  # the novec leg
-    assert {lane_of(call) for call in calls} == expected
-
-
 # --------------------------------------------------------------------- #
-# perf: every leg's model is the golden lane matrix's for its lane
+# the lane matrix: every lane measures the model the golden pins for it
 # --------------------------------------------------------------------- #
 
-#: (--lane choice, adversary, N, P, reference leg timed): perf
-#: configurations the lane matrix (``A9_lane_matrix``) runs per lane.
-PERF_CONFIGURATIONS = [
+#: (--lane choice, adversary, N, P, reference lane solved): lane matrix
+#: (``A9_lane_matrix``) configurations.  Each is solved on its choice's
+#: lane, the ``fast`` lane and the ``noff`` and ``nokernel`` ablations,
+#: and on the reference lane where the row says so.
+LANE_MATRIX_CONFIGURATIONS = [
     ("scalar", "none", 512, 32, True),
     ("vec", "none", 512, 32, False),
     ("auto", "sched-sparse", 256, 8, False),
@@ -194,24 +191,20 @@ PERF_CONFIGURATIONS = [
 
 #: (algorithm, configuration) pairs: trivial, W and X on every lane;
 #: V and VX, which ship no vector program, on the scalar lanes only.
-PERF_CASES = [
+LANE_MATRIX_CASES = [
     (algorithm, row)
     for algorithm in ("trivial", "W", "X", "V", "VX")
-    for row in PERF_CONFIGURATIONS
+    for row in LANE_MATRIX_CONFIGURATIONS
     if algorithm not in ("V", "VX") or row[0] == "scalar"
 ]
 
 MODEL_KEYS = ("solved", "S", "S_prime", "F", "ticks")
 
 
-def golden_models(algorithm, adversary, n, p):
-    """Lane -> model fields of the golden's lane-matrix point at one
-    configuration."""
-    lanes = {
-        spec.name: spec.lane
-        for spec in get_scenario("A9_lane_matrix").specs
-        if spec.name.startswith(f"{algorithm}@{adversary}/")
-    }
+def golden_models(specs, n, p):
+    """Lane -> model fields of the golden's point at (N, P) in each of
+    the lane-matrix sweeps ``specs``."""
+    lanes = {spec.name: spec.lane for spec in specs}
     [scenario] = [
         scenario for scenario in load_report(str(GOLDEN))["scenarios"]
         if scenario["tag"] == "A9_lane_matrix"
@@ -225,25 +218,32 @@ def golden_models(algorithm, adversary, n, p):
 
 @pytest.mark.parametrize(
     "algorithm, choice, adversary, n, p, with_reference",
-    [(algorithm, *row) for algorithm, row in PERF_CASES],
-    ids=[f"{row[0]}-{row[1]}-{algorithm}" for algorithm, row in PERF_CASES],
+    [(algorithm, *row) for algorithm, row in LANE_MATRIX_CASES],
+    ids=[f"{row[0]}-{row[1]}-{algorithm}"
+         for algorithm, row in LANE_MATRIX_CASES],
 )
-def test_perf_legs_match_the_golden_lane_matrix(
+def test_lane_matrix_lanes_match_the_golden(
         algorithm, choice, adversary, n, p, with_reference):
-    if choice != "scalar" and not HAVE_NUMPY:
-        pytest.skip("the novec leg needs the numpy extra")
-    comparison = run_comparison(
-        algorithm, n, p, repeats=1, warmup=0,
-        include_baseline=with_reference, adversary=adversary,
-        lane=CLI_LANES[choice],
-    )
-    leg_lanes = {name: lane for name, lane, _label in micro.ABLATIONS}
-    leg_lanes[comparison.head.mode] = comparison.lane
-    expected = golden_models(algorithm, adversary, n, p)
-    assert len(comparison.legs) > 1
-    for name, leg in comparison.legs.items():
-        result = leg.result
-        assert expected[leg_lanes[name]] == (
+    if not lane_available(CLI_LANES[choice]):
+        pytest.skip("the vec lane needs the numpy extra")
+    lanes = {"fast", "noff", "nokernel", CLI_LANES[choice]}
+    if with_reference:
+        lanes.add("reference")
+    specs = [
+        spec for spec in get_scenario("A9_lane_matrix").specs
+        if spec.name.startswith(f"{algorithm}@{adversary}/")
+        and n in spec.sizes and spec.lane in lanes
+    ]
+    assert {spec.lane for spec in specs} == lanes
+    expected = golden_models(specs, n, p)
+    for spec in specs:
+        [seed] = spec.seeds
+        result = solve_write_all(
+            spec.algorithm(), n, p,
+            adversary=None if spec.adversary is None else spec.adversary(seed),
+            max_ticks=spec.max_ticks, **LANES[spec.lane].solver_kwargs(),
+        )
+        assert expected[spec.lane] == (
             result.solved, result.completed_work, result.charged_work,
             result.pattern_size, result.ledger.ticks,
-        ), name
+        ), spec.lane

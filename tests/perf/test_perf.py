@@ -1,4 +1,5 @@
-"""Unit tests for the :mod:`repro.perf` subsystem."""
+"""The model gate: ``compare_reports``, ``check_regression.py`` and the
+``repro-bench/1`` report schema."""
 
 from __future__ import annotations
 
@@ -8,98 +9,7 @@ import json
 import pytest
 
 from repro.metrics.report import validate_bench_report
-from repro.perf.micro import (
-    PERF_ADVERSARIES,
-    PERF_ALGORITHMS,
-    describe_comparison,
-    run_comparison,
-)
-from repro.perf.phases import PhaseCounters
-from repro.pram.vectorized import HAVE_NUMPY
 from repro.perf.regression import compare_reports
-from repro.perf.timing import (
-    TimingResult,
-    time_callable,
-    time_callables_interleaved,
-)
-
-
-class TestTimeCallable:
-    def test_runs_warmup_plus_repeats(self):
-        calls = {"count": 0}
-
-        def func():
-            calls["count"] += 1
-
-        timing = time_callable(func, repeats=3, warmup=2)
-        assert calls["count"] == 5
-        assert len(timing.samples_s) == 3
-        assert timing.warmup == 2
-
-    def test_zero_warmup_is_legal(self):
-        timing = time_callable(lambda: None, repeats=1, warmup=0)
-        assert len(timing.samples_s) == 1
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            time_callable(lambda: None, repeats=0)
-        with pytest.raises(ValueError):
-            time_callable(lambda: None, warmup=-1)
-
-    def test_result_statistics(self):
-        timing = TimingResult(samples_s=[0.2, 0.1, 0.4], warmup=1)
-        assert timing.best_s == pytest.approx(0.1)
-        assert timing.mean_s == pytest.approx(0.7 / 3)
-        assert timing.spread == pytest.approx(3.0)
-
-
-class TestTimeCallablesInterleaved:
-    def test_round_robin_order(self):
-        order = []
-        timings = time_callables_interleaved(
-            [lambda: order.append("a"), lambda: order.append("b")],
-            repeats=3, warmup=1,
-        )
-        # Warmup runs each leg once, then the measured repeats strictly
-        # alternate — that alternation is the whole point: slow host
-        # drift hits both legs of a speedup ratio equally.
-        assert order == ["a", "b", "a", "b", "a", "b", "a", "b"]
-        assert [len(t.samples_s) for t in timings] == [3, 3]
-        assert all(t.warmup == 1 for t in timings)
-
-    def test_zero_warmup_is_legal(self):
-        [timing] = time_callables_interleaved([lambda: None],
-                                              repeats=1, warmup=0)
-        assert len(timing.samples_s) == 1
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            time_callables_interleaved([lambda: None], repeats=0)
-        with pytest.raises(ValueError):
-            time_callables_interleaved([lambda: None], warmup=-1)
-
-
-class TestPhaseCounters:
-    def test_total_and_merge(self):
-        first = PhaseCounters(collect_s=1.0, resolve_s=0.5, ticks=10)
-        second = PhaseCounters(adversary_s=0.25, settle_s=0.25, ticks=5)
-        first.merge(second)
-        assert first.total_s == pytest.approx(2.0)
-        assert first.ticks == 15
-
-    def test_as_dict_round_trips_through_json(self):
-        counters = PhaseCounters(collect_s=0.123456789, ticks=3)
-        payload = json.loads(json.dumps(counters.as_dict()))
-        assert payload["collect_s"] == pytest.approx(0.123457)
-        assert payload["ticks"] == 3
-
-    def test_describe_with_and_without_time(self):
-        assert "no phase time" in PhaseCounters(ticks=2).describe()
-        counters = PhaseCounters(collect_s=3.0, settle_s=1.0, ticks=7)
-        line = counters.describe()
-        assert "collect 75.0%" in line
-        assert "settle 25.0%" in line
-        assert "ticks=7" in line
 
 
 def _tiny_report(tag="base", wall_s=0.05, ticks=100, extra_point=None):
@@ -336,62 +246,6 @@ class TestCheckRegressionCli:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-class TestRunComparison:
-    def test_small_comparison_agrees_and_reports(self):
-        comparison = run_comparison("W", 64, 8, repeats=1, warmup=0)
-        assert comparison.head.mode == "fast"
-        assert comparison.head.result.solved
-        assert list(comparison.legs) == ["fast", "noff", "nokernel",
-                                         "baseline"]
-        ratios = comparison.ratios()
-        assert ratios["speedup"] > 0
-        assert ratios["ff_speedup"] > 0
-        # Fused windows bypass the per-phase timers; the dedicated
-        # fused_ticks counter keeps the tick accounting complete.
-        phases = comparison.head.phases
-        assert phases.ticks + phases.fused_ticks == \
-            comparison.head.result.ledger.ticks
-        text = describe_comparison(comparison)
-        assert "W(N=64, P=8)" in text
-        assert "speedup" in text
-        assert "no-ff" in text
-
-    def test_no_baseline_leg(self):
-        comparison = run_comparison("trivial", 64, 8, repeats=1, warmup=0,
-                                    include_baseline=False)
-        assert "baseline" not in comparison.legs
-        assert "speedup" not in comparison.ratios()
-
-    def test_adversarial_legs_replay_identical_pattern(self):
-        comparison = run_comparison("X", 64, 8, repeats=1, warmup=0,
-                                    adversary="sched-sparse")
-        # _check_legs_agree already asserted model equality across the
-        # fast/noff/baseline legs; the pattern itself must be non-empty
-        # or the scenario is not exercising fault handling at all.
-        assert comparison.head.result.pattern_size > 0
-        assert comparison.head.result.solved
-        text = describe_comparison(comparison)
-        assert "@sched-sparse" in text
-
-    def test_unknown_algorithm_rejected(self):
-        with pytest.raises(ValueError, match="unknown perf algorithm"):
-            run_comparison("nope", 64, 8)
-
-    def test_unknown_adversary_rejected(self):
-        with pytest.raises(ValueError, match="unknown perf adversary"):
-            run_comparison("X", 64, 8, adversary="nope")
-
-    def test_all_perf_algorithms_registered(self):
-        assert set(PERF_ALGORITHMS) == {
-            "trivial", "W", "V", "X", "VX", "snapshot"
-        }
-
-    def test_all_perf_adversaries_registered(self):
-        assert set(PERF_ADVERSARIES) == {
-            "none", "sched-sparse", "budget-sparse"
-        }
-
-
 class TestReportSchema:
     def test_environment_section_validated_but_optional(self):
         from repro.metrics.report import environment_section
@@ -408,62 +262,3 @@ class TestReportSchema:
         report["environment"] = {"python": "3.12"}
         with pytest.raises(ValueError, match="environment"):
             validate_bench_report(report)
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="the vec leg needs numpy")
-class TestVectorizedLeg:
-    def test_vec_comparison_times_novec_leg(self):
-        comparison = run_comparison("trivial", 256, 8, repeats=1, warmup=0,
-                                    include_baseline=False, lane="vec")
-        assert "novec" in comparison.legs
-        assert comparison.ratios()["vec_speedup"] > 0
-        text = describe_comparison(comparison)
-        assert "no-vec" in text and "vec-speedup" in text
-
-    def test_default_skips_novec_leg(self):
-        comparison = run_comparison("trivial", 256, 8, repeats=1, warmup=0,
-                                    include_baseline=False)
-        assert "novec" not in comparison.legs
-        assert "vec_speedup" not in comparison.ratios()
-
-    def test_unvectorizable_algorithm_skips_novec_leg(self):
-        # V ships no vector program, so the vec run degrades to the
-        # scalar lanes and a novec leg would time the same thing twice.
-        comparison = run_comparison("V", 64, 8, repeats=1, warmup=0,
-                                    include_baseline=False, lane="vec")
-        assert "novec" not in comparison.legs
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="the auto novec leg needs numpy")
-class TestAutoLeg:
-    def test_auto_comparison_reports_auto_speedup(self):
-        comparison = run_comparison("trivial", 256, 8, repeats=1, warmup=0,
-                                    include_baseline=False, lane="auto")
-        assert comparison.head.mode == "auto"
-        assert "novec" in comparison.legs
-        assert comparison.ratios()["auto_speedup"] > 0
-        # vec_speedup is reserved for the *forced* vec lane: under auto
-        # the fast leg may have run scalar windows, so the ratio gets
-        # its own name.
-        assert "vec_speedup" not in comparison.ratios()
-        text = describe_comparison(comparison)
-        assert "auto-speedup" in text and "vec-speedup" not in text
-
-    def test_forced_vec_has_no_auto_speedup(self):
-        comparison = run_comparison("trivial", 256, 8, repeats=1, warmup=0,
-                                    include_baseline=False, lane="vec")
-        assert "auto_speedup" not in comparison.ratios()
-        assert "vec_speedup" in comparison.ratios()
-
-    def test_auto_model_equals_scalar_model(self):
-        auto = run_comparison("W", 256, 8, repeats=1, warmup=0,
-                              include_baseline=False, adversary="sched-sparse",
-                              lane="auto")
-        scalar = run_comparison("W", 256, 8, repeats=1, warmup=0,
-                                include_baseline=False,
-                                adversary="sched-sparse")
-        for field in ("completed_work", "charged_work", "pattern_size"):
-            assert getattr(auto.head.result, field) == \
-                getattr(scalar.head.result, field)
-        assert auto.head.result.ledger.ticks == \
-            scalar.head.result.ledger.ticks

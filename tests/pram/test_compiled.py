@@ -586,7 +586,7 @@ class TestKernelLifecycle:
 
 
 class TestFusedTickCounter:
-    """Satellite: --phases no longer disables event-horizon fusion."""
+    """Phase counters do not disable event-horizon fusion."""
 
     def test_fused_ticks_accounts_for_batched_windows(self):
         phases = PhaseCounters()
@@ -604,8 +604,3 @@ class TestFusedTickCounter:
         )
         assert phases.fused_ticks == 0
         assert phases.ticks == result.ledger.ticks
-
-    def test_describe_mentions_fused_ticks(self):
-        counters = PhaseCounters(ticks=2, fused_ticks=40)
-        assert "fused_ticks=40" in counters.describe()
-        assert "fused_ticks" not in PhaseCounters(ticks=2).describe()

@@ -311,6 +311,21 @@ class TestMalformedDecisions:
         ))
         assert "restarted unknown pid '0'" in message
 
+    @pytest.mark.parametrize("pid", [True, 0.0, "0", None])
+    def test_non_integer_stalled_pid(self, pid):
+        message = self.outcomes(Decision(stalls=frozenset({pid})))
+        assert f"stalled pid {pid!r}" in message
+
+    @pytest.mark.parametrize("failed, stalled", [
+        (_Index(0), 0), (0, _Index(0)),
+    ])
+    def test_stalled_and_failed_by_another_index_type(self, failed,
+                                                      stalled):
+        message = self.outcomes(Decision(
+            failures={failed: BEFORE_WRITES}, stalls=frozenset({stalled}),
+        ))
+        assert "both stalled and failed pid 0" in message
+
     def test_index_types_are_accepted(self):
         # Integer types other than int (numpy's, say) are integers.
         ledgers = []
@@ -325,6 +340,18 @@ class TestMalformedDecisions:
             assert machine.processors[0].is_failed
             ledgers.append(list(machine.ledger.pattern))
         assert ledgers[0] == ledgers[1]
+
+    def test_index_type_stall_is_accepted(self):
+        for fast_path in (True, False):
+            decision = Decision(stalls=frozenset({_Index(1)}))
+            machine = make_machine(
+                2, 2, self.program, adversary=OneShot(1, decision),
+                fast_path=fast_path,
+            )
+            machine.step()
+            assert machine.memory.raw_cells() == [1, 0]  # pid 1 waited
+            assert machine.ledger.completed_per_tick == [1]
+            assert list(machine.ledger.pattern) == []
 
 
 class TestProgressCondition:
