@@ -9,6 +9,14 @@ from repro.experiments import bench
 from repro.metrics.report import load_report
 
 
+def test_help_lists_the_eight_commands(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert ("{solve,sweep,bench,chaos,fuzz,simulate,trace,showdown}"
+            in capsys.readouterr().out)
+
+
 class TestSolve:
     def test_default_run(self, capsys):
         code = main(["solve", "--n", "32", "--adversary", "random",
