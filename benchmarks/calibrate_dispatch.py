@@ -17,6 +17,11 @@ a paste-ready ``DEFAULT_TABLE`` block:
 * ``vec_pack_lane_ns`` — per-lane cost of ``ensure_packed`` on a cold
   window.
 
+A true ``vectorized`` only lets dispatch choose, so the vector runs
+install a model (``repro.pram.dispatch.set_model``) that sends every
+window to the vector program.  trivial and W are the kinds that ship
+one.
+
 Run on the repository's reference host and commit the output into
 ``src/repro/pram/dispatch.py``; every host uses the table unscaled.
 
@@ -33,8 +38,9 @@ import time
 
 import numpy as np
 
-from repro.core import AlgorithmW, AlgorithmX, TrivialAssignment
+from repro.core import AlgorithmW, TrivialAssignment
 from repro.core.runner import solve_write_all
+from repro.pram.dispatch import DispatchModel, set_model
 from repro.pram.memory import SharedMemory
 from repro.pram.policies import CommonCrcw
 from repro.pram.vectorized import resolve_vectorized
@@ -43,9 +49,12 @@ from repro.pram.vectorized import resolve_vectorized
 #: per-lane slope of the vector per-tick cost is identifiable.
 GRID = {
     "trivial": (TrivialAssignment, [(1024, 8), (4096, 32), (65536, 64)]),
-    "X": (AlgorithmX, [(512, 8), (4096, 64), (16384, 128)]),
     "W": (AlgorithmW, [(1024, 8), (4096, 64), (8192, 128)]),
 }
+
+#: Sends every eligible window to the vector program: the scalar side
+#: scaled far past any vector cost.
+ALWAYS_VECTOR = DispatchModel(scale_scalar=1e9)
 
 #: Memory sizes for the window-construction fit.
 WINDOW_SIZES = [1024, 16384, 65536]
@@ -54,10 +63,14 @@ WINDOW_SIZES = [1024, 16384, 65536]
 def _best_solve(factory, n, p, vectorized, repeats):
     times = []
     result = None
-    for _ in range(repeats):
-        start = time.perf_counter_ns()
-        result = solve_write_all(factory(), n, p, vectorized=vectorized)
-        times.append(time.perf_counter_ns() - start)
+    set_model(ALWAYS_VECTOR if vectorized else None)
+    try:
+        for _ in range(repeats):
+            start = time.perf_counter_ns()
+            result = solve_write_all(factory(), n, p, vectorized=vectorized)
+            times.append(time.perf_counter_ns() - start)
+    finally:
+        set_model(None)
     return min(times), result
 
 
@@ -138,10 +151,7 @@ def main():
 
     print("\n# --- paste into src/repro/pram/dispatch.py ---")
     print("DEFAULT_TABLE: Dict[str, LaneCosts] = {")
-    for kind in [*rows, "generic"]:
-        # Unknown vector programs get the X row: the most vec-hostile
-        # measured kind, so auto only dispatches vec when clearly ahead.
-        row = rows.get(kind, rows["X"])
+    for kind, row in rows.items():
         print(f'    "{kind}": LaneCosts(')
         for field, value in row.items():
             print(f"        {field}={value:_.1f},")

@@ -15,7 +15,7 @@ Commands:
   corruption) and assert the sweep still converges to results
   bit-identical to a fault-free serial run;
 * ``fuzz``      — property-based soak of the Theorem 4.1 simulator:
-  seeded random PRAM programs run through all six machine lanes under
+  seeded random PRAM programs run through all five machine lanes under
   randomly drawn adversaries (plus inline chaos injection), checked
   bit-identical against the ideal fault-free oracle over three passes;
   failures are delta-debugged to minimal replayable JSON fixtures;
@@ -25,12 +25,13 @@ Commands:
 * ``showdown``  — the algorithms × adversaries matrix.
 
 Adversaries are selected by name; stochastic ones take ``--fail``,
-``--restart-prob`` and ``--seed``.  ``--lane {scalar,vec,auto}`` picks
-the machine lane (``solve``, ``sweep``, ``simulate``, ``trace``):
-``vec`` opts in to the numpy batch lane (needs the optional numpy
-extra — ``pip install .[numpy]``) and ``auto`` dispatches vec vs
-scalar per quiet window.  Wall time is measured by the end-to-end
-benchmark (``benchmarks/e2e``).
+``--restart-prob`` and ``--seed``.  ``solve``, ``sweep``, ``simulate``
+and ``trace`` run the machine's ``auto`` lane
+(:data:`repro.pram.lanes.LANES`): the calibrated cost model picks the
+numpy vector body or the scalar kernels per quiet window (scalar
+without the optional numpy extra), with identical results either way.
+Wall time is measured by the end-to-end benchmark
+(``benchmarks/e2e``).
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from repro.faults import (
 )
 from repro.faults import registry as adversary_registry
 from repro.metrics.tables import render_table
-from repro.pram.lanes import CLI_LANES, LANES
+from repro.pram.lanes import LANES
 from repro.pram.trace import Tracer, render_timeline
 from repro.simulation import RobustSimulator
 from repro.simulation.programs import (
@@ -132,19 +133,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="per-tick restart probability (stochastic)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-ticks", type=int, default=None)
-    parser.add_argument("--lane", default="scalar", choices=tuple(CLI_LANES),
-                        help="quiet-window lane: 'scalar' (the default) "
-                             "steps processors one at a time, 'vec' "
-                             "advances all P per tick as numpy array ops "
-                             "(needs the optional numpy extra), 'auto' "
-                             "dispatches vec vs scalar per quiet window "
-                             "via the calibrated cost model (silently "
-                             "scalar without numpy)")
 
 
-def _lane_kwargs(args: argparse.Namespace) -> dict:
-    """The solver switches of the ``--lane`` choice's registry lane."""
-    return LANES[CLI_LANES[args.lane]].solver_kwargs()
+#: The registry lane the solving commands run.
+CLI_LANE = "auto"
 
 
 def _positive_seconds(text: str) -> float:
@@ -233,7 +225,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                                 args.restart_prob, args.seed)
     result = solve_write_all(
         ALGORITHMS[args.algorithm](), args.n, args.p, adversary=adversary,
-        max_ticks=args.max_ticks, **_lane_kwargs(args),
+        max_ticks=args.max_ticks, **LANES[CLI_LANE].solver_kwargs(),
     )
     print(result.summary())
     return 0 if result.solved else 1
@@ -250,7 +242,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                                  args.restart_prob),
         seeds=range(args.seeds),
         max_ticks=args.max_ticks,
-        lane=CLI_LANES[args.lane],
+        lane=CLI_LANE,
     )
     chaos = _chaos_from_args(args)
     use_engine = (
@@ -525,7 +517,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return 0 if result.solved else 1
     simulator = RobustSimulator(
         p=args.p, algorithm=ALGORITHMS[args.algorithm](), adversary=adversary,
-        **_lane_kwargs(args),
+        **LANES[CLI_LANE].solver_kwargs(),
     )
     result = simulator.execute(program, initial)
     status = "solved" if result.solved else "INCOMPLETE"
@@ -547,7 +539,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     ])
     result = solve_write_all(
         ALGORITHMS[args.algorithm](), args.n, args.p, adversary=adversary,
-        max_ticks=args.max_ticks, **_lane_kwargs(args),
+        max_ticks=args.max_ticks, **LANES[CLI_LANE].solver_kwargs(),
     )
     print(result.summary())
     print()
@@ -675,9 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="bit-identical convergence passes per "
                            "program (the repro-chaos contract)")
     fuzz.add_argument("--lanes", default=None,
-                      help="comma-separated lanes to exercise; lanes "
-                           "this environment cannot run (vec without "
-                           "the numpy extra) are skipped with a note "
+                      help="comma-separated lanes to exercise "
                            "(default: all registered lanes)")
     fuzz.add_argument("--max-width", type=int, default=5,
                       help="max simulated processors per program")
@@ -726,16 +716,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from repro.pram.vectorized import VectorizedUnavailable
-
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "p", None) is None and hasattr(args, "n"):
         args.p = args.n
-    try:
-        return args.func(args)
-    except VectorizedUnavailable as exc:
-        raise SystemExit(str(exc))
+    return args.func(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

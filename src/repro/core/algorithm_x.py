@@ -139,20 +139,6 @@ class AlgorithmX(WriteAllAlgorithm):
 
         return factory
 
-    def vectorized_program(
-        self, layout: XLayout, tasks: Optional[TaskSet] = None
-    ) -> Optional[object]:
-        tasks = default_tasks(tasks)
-        if tasks.cycles_per_task != 0:
-            return None  # task sets run on the compiled kernel
-        if self.routing == "random":
-            # The stateless (pid, node) hash coin is evaluated per
-            # descent; there is no array form of derive_seed.
-            return None
-        from repro.core.vector_kernels import XVector
-
-        return XVector(layout, self.routing, self.spread)
-
 
 def _x_initial_leaf(pid: int, layout: XLayout, spread: bool) -> int:
     """The node a position-0 processor takes as its first leaf."""

@@ -90,10 +90,13 @@ class WriteAllAlgorithm:
 
         Returns a :class:`repro.pram.vectorized.VectorProgram` that is
         observationally identical to :meth:`program`, or ``None`` when
-        the configuration cannot be vectorized (the default).  Trusted
-        under the same MRO guard as :meth:`compiled_program`
+        the configuration cannot be vectorized (the default; trivial
+        and W ship one).  Trusted under the same MRO guard as
+        :meth:`compiled_program`
         (``repro.pram.vectorized.trusted_vectorized_program``), and
-        only consulted when the run opted in with ``--lane vec``.
+        only consulted when the run sets ``vectorized`` (the ``auto``
+        lane) with kernels on; the dispatch cost model then decides
+        per quiet window whether it runs.
         """
         return None
 

@@ -94,16 +94,14 @@ def solve_write_all(
     accumulator (:class:`repro.perf.phases.PhaseCounters`).
     ``compiled=False`` (the ``nokernel`` lane) forces the
     generator protocol even for algorithms that ship a trusted
-    :meth:`~repro.core.base.WriteAllAlgorithm.compiled_program`.
-    ``vectorized=True`` opts in to the numpy batch lane
-    (:mod:`repro.pram.vectorized`) for algorithms that ship a trusted
-    ``vectorized_program``; it raises
-    :class:`~repro.pram.vectorized.VectorizedUnavailable` when the
-    optional numpy extra is missing.  ``vectorized="auto"`` (the
-    ``--lane auto`` mode) instead lets the calibrated cost model in
-    :mod:`repro.pram.dispatch` pick vec vs scalar per fused quiet
-    window, and silently degrades to the scalar compiled lane when
-    numpy is absent — results are bit-identical either way.
+    :meth:`~repro.core.base.WriteAllAlgorithm.compiled_program` or
+    ``vectorized_program``.  Any true ``vectorized`` (the ``auto``
+    lane; the string ``"auto"`` too) installs the algorithm's trusted
+    vector program (:mod:`repro.pram.vectorized`), if it ships one,
+    and lets the calibrated cost model in :mod:`repro.pram.dispatch`
+    pick vec vs scalar per fused quiet window; without the optional
+    numpy extra every window runs scalar.  Results are bit-identical
+    either way.
     """
     WriteAllInstance(n, p)  # validates the instance shape
     layout = algorithm.build_layout(n, p)
@@ -131,9 +129,8 @@ def solve_write_all(
         algorithm.program(layout, tasks),
         compiled_program=resolve_kernel(algorithm, layout, tasks, compiled),
         vectorized_program=resolve_vectorized(
-            algorithm, layout, tasks, vectorized
+            algorithm, layout, tasks, vectorized, compiled
         ),
-        vector_dispatch="auto" if vectorized == "auto" else "always",
     )
     if max_ticks is None:
         max_ticks = default_tick_budget(n, p)

@@ -1,4 +1,4 @@
-"""Struct-of-arrays vector programs for trivial, W, and X.
+"""Struct-of-arrays vector programs for trivial and W.
 
 Each class here is the :class:`~repro.pram.vectorized.VectorProgram`
 form of an existing compiled kernel: the scalar kernel's explicit state
@@ -10,13 +10,13 @@ is otherwise non-negative), and ``pack_lane``/``unpack_lane`` round-trip
 the scalar state exactly.
 
 The semantics are a transliteration of the corresponding kernels —
-:class:`~repro.core.trivial.TrivialKernel`,
-:class:`~repro.core.iterative.PhasedKernel`, and
-:class:`~repro.core.algorithm_x.XKernel` — phase by phase and branch by
-branch; the 5-mode differential suite and the fuzz driver enforce the
-equivalence.  This module imports numpy unconditionally: it is only
-ever imported through ``resolve_vectorized``, which checks the optional
-extra first.
+:class:`~repro.core.trivial.TrivialKernel` and
+:class:`~repro.core.iterative.PhasedKernel` — phase by phase and branch
+by branch; the differential suite's forced-vector leg enforces the
+equivalence.  X ships no vector program: the dispatch cost model kept
+every X window of the end-to-end workloads scalar.  This module
+imports numpy unconditionally: it is only ever imported through
+``resolve_vectorized``, which checks the optional extra first.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.core.algorithm_x import XKernel, XLayout, _x_initial_leaf
 from repro.core.iterative import (
     DEAD_POLLS,
     IterativeLayout,
@@ -43,7 +42,6 @@ from repro.core.iterative import (
 )
 from repro.core.trivial import TrivialKernel, TrivialLayout
 from repro.pram.vectorized import Burst, VectorProgram, VectorWindow
-from repro.util.bits import bit_length_of_power
 
 
 def _bit_length(values):
@@ -132,144 +130,6 @@ class TrivialVector(VectorProgram):
         self.live[ids] = alive
         halted = [int(pid) for pid in ids[~alive]]
         return Burst(ticks=ticks, halted=halted)
-
-
-class XVector(VectorProgram):
-    """Vector form of algorithm X's single-cycle loop.
-
-    The kernel is stateless (all recovery state lives in the shared
-    position array ``w``), so the columns hold only the live flags;
-    each tick gathers every lane's position, replays the cycle body's
-    branch ladder as masks, and commits one write per lane through the
-    window's CRCW resolution (concurrent lanes marking the same tree
-    node agree on the value, exactly as COMMON requires).  The
-    ``random`` routing rule hashes (pid, node) per descent and is not
-    vectorizable — the algorithm's hook gates it to the scalar lanes.
-    """
-
-    kind = "X"
-
-    def __init__(self, layout: XLayout, routing: str, spread: bool) -> None:
-        super().__init__(
-            layout, lambda pid: XKernel(pid, layout, routing, spread)
-        )
-        p = layout.p
-        n = layout.n
-        self.n = n
-        self.x_base = layout.x_base
-        self.d1 = layout.d_base - 1
-        self.w_base = layout.w_base
-        self.exit_marker = layout.exit_marker
-        self.log_n = bit_length_of_power(n)
-        self.routing = routing
-        pid_range = np.arange(p, dtype=np.int64)
-        self.route_pid = pid_range % n
-        self.initial_leaf = np.asarray(
-            [_x_initial_leaf(pid, layout, spread) for pid in range(p)],
-            dtype=np.int64,
-        )
-        self.live = np.zeros(p, dtype=bool)
-
-    def pack_lane(self, pid: int) -> None:
-        self.live[pid] = self.kernels[pid].live
-
-    def unpack_lane(self, pid: int) -> None:
-        self.kernels[pid].live = bool(self.live[pid])
-
-    def run_quiet(
-        self, window: VectorWindow, pids: Sequence[int], budget: int
-    ) -> Burst:
-        self.ensure_packed(window, pids)
-        ids = np.asarray(pids, dtype=np.int64)
-        ticks = 0
-        halted: List[int] = []
-        while ticks < budget:
-            ticks += 1
-            self._tick(window, ids)
-            alive = self.live[ids]
-            if not bool(alive.all()):
-                halted = [int(pid) for pid in ids[~alive]]
-                break
-            if window.goal is not None and window.goal_zeros == 0:
-                break
-        return Burst(ticks=ticks, halted=halted)
-
-    def _tick(self, window: VectorWindow, ids) -> None:
-        cells = window.cells
-        n = self.n
-        d1 = self.d1
-        exit_marker = self.exit_marker
-        w_addresses = self.w_base + ids
-        where = cells[w_addresses]
-        reads = int(ids.size)
-
-        in_tree = (where >= 1) & (where < exit_marker)
-        done = np.zeros_like(where)
-        done[in_tree] = cells[d1 + where[in_tree]]
-        reads += int(in_tree.sum())
-        probe = in_tree & (done == 0)
-        at_leaf = probe & (where >= n)
-        interior = probe & (where < n)
-        third = np.zeros_like(where)
-        fourth = np.zeros_like(where)
-        third[at_leaf] = cells[self.x_base + where[at_leaf] - n]
-        third[interior] = cells[d1 + 2 * where[interior]]
-        fourth[interior] = cells[d1 + 2 * where[interior] + 1]
-        reads += int(at_leaf.sum()) + 2 * int(interior.sum())
-        window.reads += reads
-
-        # The cycle body's branch ladder (XKernel.quiet_step), as
-        # mutually exclusive masks in the same elif order.
-        out_addr = np.empty_like(where)
-        out_val = np.empty_like(where)
-        m_init = where == 0
-        m_exit = ~m_init & (where == exit_marker)
-        rest = ~m_init & ~m_exit
-        m_done = rest & (done != 0)
-        rest &= ~m_done
-        m_leaf = rest & (where >= n)
-        m_leaf_new = m_leaf & (third == 0)
-        m_leaf_mark = m_leaf & (third != 0)
-        rest &= ~m_leaf
-        m_both = rest & (third != 0) & (fourth != 0)
-        m_left = rest & (third == 0) & (fourth != 0)
-        m_right = rest & (third != 0) & (fourth == 0)
-        m_route = rest & (third == 0) & (fourth == 0)
-
-        out_addr[m_init] = w_addresses[m_init]
-        out_val[m_init] = self.initial_leaf[ids[m_init]]
-        out_addr[m_exit] = w_addresses[m_exit]
-        out_val[m_exit] = exit_marker
-        if bool(m_done.any()):
-            parent = where[m_done] // 2
-            out_addr[m_done] = w_addresses[m_done]
-            out_val[m_done] = np.where(parent >= 1, parent, exit_marker)
-        out_addr[m_leaf_new] = self.x_base + where[m_leaf_new] - n
-        out_val[m_leaf_new] = 1
-        out_addr[m_leaf_mark] = d1 + where[m_leaf_mark]
-        out_val[m_leaf_mark] = 1
-        out_addr[m_both] = d1 + where[m_both]
-        out_val[m_both] = 1
-        out_addr[m_left] = w_addresses[m_left]
-        out_val[m_left] = 2 * where[m_left]
-        out_addr[m_right] = w_addresses[m_right]
-        out_val[m_right] = 2 * where[m_right] + 1
-        if bool(m_route.any()):
-            if self.routing == "pid":
-                depth = _bit_length(where[m_route]) - 1
-                bit = (
-                    self.route_pid[ids[m_route]] >> (self.log_n - 1 - depth)
-                ) & 1
-            elif self.routing == "left":
-                bit = np.int64(0)
-            else:  # "right" ("random" is gated to the scalar lanes)
-                bit = np.int64(1)
-            out_addr[m_route] = w_addresses[m_route]
-            out_val[m_route] = 2 * where[m_route] + bit
-
-        window.commit(out_addr, ids, out_val)
-        if bool(m_exit.any()):
-            self.live[ids[m_exit]] = False
 
 
 class WVector(VectorProgram):

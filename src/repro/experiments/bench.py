@@ -68,7 +68,6 @@ from repro.metrics.bounds import (
 )
 from repro.metrics.fitting import doubling_exponents, fitted_exponent, ratio_series
 from repro.metrics.report import bench_report, scenario_section
-from repro.pram.lanes import lane_available
 
 #: What a measure reads: sweep name -> that sweep's points.
 Results = Dict[str, List[RunPoint]]
@@ -271,7 +270,7 @@ def _thm47(point: RunPoint) -> float:
     return work_upper_thm47(point.n, point.p)
 
 
-def _perf_grid_processors(n: int) -> int:
+def _kernel_grid_processors(n: int) -> int:
     """P on the lane matrix's kernel grid: 512x32 and 4096x64."""
     return 32 if n <= 512 else 64
 
@@ -282,18 +281,17 @@ def _lane_groups() -> List[tuple]:
     where each lane's optimization was first measured, each on the
     lanes that isolate it.  ``sched-sparse`` is
     ``SparseSchedule(victims=8)`` at seed 0, eight fail/restart pairs
-    400 ticks apart on PIDs 0 to 7; ``vec`` rows exist only where
-    numpy does."""
+    400 ticks apart on PIDs 0 to 7."""
     sched_sparse = SparseSchedule(victims=8)
-    vec = ("vec",) if lane_available("vec") else ()
     kernel_lanes = ("fast", "noff", "nokernel")
     rows = [
         # The kernel grid: every kernel algorithm, against the reference;
-        # the three with a vector program also on vec, fault-free.
+        # the two with a vector program also on auto, fault-free.
         (f"{label}@{adversary}/512x32+4096x64", algorithm, (512, 4096),
-         _perf_grid_processors, factory,
+         _kernel_grid_processors, factory,
          kernel_lanes + ("reference",)
-         + (vec if factory is None and label not in ("V", "VX") else ()))
+         + (("auto",) if factory is None and label in ("trivial", "W")
+            else ()))
         for label, algorithm in [
             ("trivial", TrivialAssignment), ("W", AlgorithmW),
             ("X", AlgorithmX), ("V", AlgorithmV), ("VX", AlgorithmVX),
@@ -304,20 +302,22 @@ def _lane_groups() -> List[tuple]:
     # The N=65536 headlines, without the O(N)-per-tick reference lane.
     rows += [
         ("trivial@none/65536x64", TrivialAssignment, (65536,), 64, None,
-         kernel_lanes + vec + ("auto",)),
+         kernel_lanes + ("auto",)),
         ("trivial@sched-sparse/65536x64", TrivialAssignment, (65536,), 64,
          sched_sparse, kernel_lanes + ("auto",)),
         ("W@none/65536x64", AlgorithmW, (65536,), 64, None, kernel_lanes),
         ("W@sched-sparse/65536x64", AlgorithmW, (65536,), 64, sched_sparse,
          kernel_lanes),
     ]
-    # Adaptive dispatch at the small sizes where forced vec lost.
+    # Adaptive dispatch at the small sizes where vector windows lose;
+    # X, which ships no vector program, on the kernel lanes only.
     rows += [
         (f"{label}@sched-sparse/256x8+512x8+1024x8", algorithm,
-         (256, 512, 1024), 8, sched_sparse, kernel_lanes + ("auto",))
-        for label, algorithm in [
-            ("trivial", TrivialAssignment), ("W", AlgorithmW),
-            ("X", AlgorithmX),
+         (256, 512, 1024), 8, sched_sparse, lanes)
+        for label, algorithm, lanes in [
+            ("trivial", TrivialAssignment, kernel_lanes + ("auto",)),
+            ("W", AlgorithmW, kernel_lanes + ("auto",)),
+            ("X", AlgorithmX, kernel_lanes),
         ]
     ]
     # Event-horizon batching's headline.
@@ -845,8 +845,9 @@ def _build_scenarios() -> Dict[str, BenchScenario]:
     lane_groups = _lane_groups()
     scenarios.append(BenchScenario(
         tag="A9_lane_matrix",
-        title="Lane matrix — each perf headline configuration, on every "
-              "lane perf times it on, matches the fast lane's model",
+        title="Lane matrix — each lane's headline configurations, on "
+              "every lane that isolates an optimization, match the fast "
+              "lane's model",
         heavy=True,
         specs=tuple(
             SweepSpec(

@@ -471,8 +471,7 @@ def run_sweep_parallel(
             (``<= 1`` is serial in-process, more is a local process
             pool), or pass ``"serial"``, ``"pool"``, or an
             already-built :class:`~repro.experiments.backends.Backend`.
-            Falls back to the (first) spec's ``backend`` when it
-            carries one.  The backend is *not* cache-key material: the
+            The backend is *not* cache-key material: the
             same point computed anywhere lands on the same content-hash
             entry.
         progress: optional callable fed human-readable ETA lines
@@ -587,10 +586,8 @@ def run_sweep_parallel(
         return True
 
     if pending:
-        requested = backend if backend is not None else \
-            getattr(sweeps[0].spec, "backend", None)
         engine, owns = resolve_backend(
-            requested, workers=workers, timeout=timeout, chaos=chaos,
+            backend, workers=workers, timeout=timeout, chaos=chaos,
             max_pool_restarts=max_pool_restarts,
             backoff_base=backoff_base, backoff_cap=backoff_cap,
             backoff_seed=backoff_seed,

@@ -32,14 +32,8 @@ class SweepSpec:
         max_ticks: per-run tick budget (``None``: the runner default).
         fairness_window: optional machine fairness guarantee.
         lane: the machine lane, a name in
-            :data:`repro.pram.lanes.LANES` (``"fast"``, the default;
-            ``"vec"`` needs the optional numpy extra).  Cache-key
-            material for every lane but the default.
-        backend: preferred executor backend for this sweep
-            (``"serial"`` or ``"pool"``); ``None`` defers to the
-            engine's ``workers`` mapping.  An explicit ``backend=``
-            argument to the engine wins over this.  Not cache-key
-            material — results are backend-independent.
+            :data:`repro.pram.lanes.LANES` (``"fast"``, the default).
+            Cache-key material for every lane but the default.
         runner: optional picklable callable with the signature of
             :func:`repro.core.runner.measure_write_all`, substituted
             for it when executing each point — how a sweep measures
@@ -59,7 +53,6 @@ class SweepSpec:
     max_ticks: Optional[int] = None
     fairness_window: Optional[int] = None
     lane: str = "fast"
-    backend: Optional[str] = None
     runner: Optional[Callable] = None
 
     def processors_for(self, n: int) -> int:

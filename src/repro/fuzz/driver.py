@@ -5,11 +5,9 @@ from the named-adversary registry (all pure functions of the fuzz
 seed), computes the ideal fault-free oracle, then executes the program
 through :class:`~repro.simulation.executor.RobustSimulator` on every
 machine lane of the registry in :mod:`repro.pram.lanes` (``fast``,
-``noff``, ``nokernel``, ``vec``, ``auto``, ``reference`` — the ``vec``
-lane is skipped with a note when the optional numpy extra is absent,
-``auto`` degrades to the scalar compiled lane instead, and their
-robust phases exercise the vector lane's scalar-fallback path, since
-the phase task sets are never vectorizable),
+``noff``, ``nokernel``, ``auto``, ``reference``; the robust phases'
+task sets are never vectorizable, so ``auto`` runs them on the
+compiled kernels),
 
 under the same three-pass bit-identical convergence contract as
 ``repro chaos``: every (iteration, lane) memory must equal the oracle
@@ -48,7 +46,7 @@ from repro.fuzz.generator import (
 )
 from repro.fuzz.oracle import ideal_run
 from repro.fuzz.shrinker import shrink
-from repro.pram.lanes import LANES, lane_available
+from repro.pram.lanes import LANES
 from repro.simulation.executor import RobustSimulator
 
 #: Adversaries the fuzzer draws from — the registry entries marked
@@ -105,6 +103,13 @@ def draw_adversary_spec(seed: int, iteration: int) -> AdversarySpec:
         name=name, fail=round(fail, 6), restart_prob=round(restart_prob, 6),
         seed=adversary_seed,
     )
+
+
+def check_lanes(lanes: Sequence[str]) -> None:
+    """Raise ``ValueError`` naming any lane the registry lacks."""
+    unknown = [lane for lane in lanes if lane not in LANES]
+    if unknown:
+        raise ValueError(f"unknown lane(s) {unknown}; known: {list(LANES)}")
 
 
 def execute_lane(
@@ -177,9 +182,6 @@ class FuzzOutcome:
     passes: int
     lanes: Tuple[str, ...]
     converged: bool
-    #: Requested lanes dropped because this environment cannot run them
-    #: (today: ``vec`` without the optional numpy extra).
-    skipped_lanes: Tuple[str, ...] = ()
     executions: int = 0
     injected: Dict[str, int] = field(default_factory=dict)
     adversary_histogram: Dict[str, int] = field(default_factory=dict)
@@ -196,11 +198,6 @@ class FuzzOutcome:
             f"{len(self.lanes)} lane(s) x {self.passes} pass(es) = "
             f"{self.executions} robust executions, chaos injected {injected}",
         ]
-        if self.skipped_lanes:
-            lines.append(
-                f"  skipped lane(s) {', '.join(self.skipped_lanes)}: "
-                "the optional numpy extra is not installed"
-            )
         lines.extend(
             f"  FAILURE: {failure.describe()}" for failure in self.failures
         )
@@ -380,10 +377,8 @@ def run_fuzz(
     so a nondeterminism bug cannot hide behind a coincidentally-correct
     final memory digest.
     """
-    requested = list(lanes)
-    unknown = [lane for lane in requested if lane not in LANES]
-    if unknown:
-        raise ValueError(f"unknown lane(s) {unknown}; known: {list(LANES)}")
+    lanes = tuple(lanes)
+    check_lanes(lanes)
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     if passes < 1:
@@ -393,23 +388,9 @@ def run_fuzz(
         if log is not None:
             log(line)
 
-    active = [lane for lane in requested if lane_available(lane)]
-    skipped = tuple(lane for lane in requested if lane not in active)
-    if not active:
-        raise ValueError(
-            f"no runnable lanes left from {requested}: "
-            f"{list(skipped)} need the optional numpy extra "
-            "(pip install .[numpy])"
-        )
-    for lane in skipped:
-        emit(
-            f"skipping lane {lane!r}: the optional numpy extra is not "
-            "installed"
-        )
-
     outcome = FuzzOutcome(
         seed=seed, iterations=iterations, passes=passes,
-        lanes=tuple(active), converged=True, skipped_lanes=skipped,
+        lanes=lanes, converged=True,
     )
     shrinks_left = max_fixtures
 
@@ -452,7 +433,7 @@ def run_fuzz(
 
     for iteration in range(iterations):
         absorb(run_fuzz_iteration(
-            seed, iteration, passes, tuple(active), config,
+            seed, iteration, passes, lanes, config,
             chaos, chaos_retries,
         ))
     return outcome

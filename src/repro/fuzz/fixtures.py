@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.fuzz.generator import GeneratedProgram
@@ -93,10 +93,6 @@ class ReplayResult:
     expected: List[int]
     observed: List[int]
     problems: List[str]
-    #: Lanes actually re-executed, and lanes the environment cannot run
-    #: (e.g. ``vec`` without the optional numpy extra).
-    replayed_lanes: List[str] = field(default_factory=list)
-    skipped_lanes: List[str] = field(default_factory=list)
 
 
 def replay_fixture(payload: Dict[str, object]) -> ReplayResult:
@@ -107,10 +103,10 @@ def replay_fixture(payload: Dict[str, object]) -> ReplayResult:
     fixture was written, the replay fails loudly instead of silently
     testing the wrong claim.  Every lane the detecting run covered (the
     ``lanes`` key; pre-lane-registry fixtures store only the failing
-    ``lane``) is replayed, minus any lane this environment cannot run.
+    ``lane``) is replayed.  A lane the registry lacks is a
+    ``ValueError`` naming it, raised before anything runs.
     """
-    from repro.fuzz.driver import AdversarySpec, execute_lane
-    from repro.pram.lanes import lane_available
+    from repro.fuzz.driver import AdversarySpec, check_lanes, execute_lane
 
     program = GeneratedProgram.from_json(payload["program"])
     initial = [int(value) for value in payload["initial"]]
@@ -125,19 +121,14 @@ def replay_fixture(payload: Dict[str, object]) -> ReplayResult:
     lanes = [str(lane) for lane in payload.get("lanes", [primary])]
     if primary not in lanes:
         lanes.insert(0, primary)
+    check_lanes(lanes)
     adversary = AdversarySpec.from_json(payload["adversary"])
     p = int(payload["p"])
-    replayed: List[str] = []
-    skipped: List[str] = []
     observed: List[int] = []
     solved = True
     for lane in lanes:
-        if not lane_available(lane):
-            skipped.append(lane)
-            continue
         result = execute_lane(program, initial, lane, adversary, p)
-        replayed.append(lane)
-        if lane == primary or not observed:
+        if lane == primary:
             observed = list(result.memory)
         if not result.solved:
             solved = False
@@ -155,6 +146,4 @@ def replay_fixture(payload: Dict[str, object]) -> ReplayResult:
         expected=expected,
         observed=observed,
         problems=problems,
-        replayed_lanes=replayed,
-        skipped_lanes=skipped,
     )

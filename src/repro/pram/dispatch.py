@@ -1,15 +1,14 @@
 """Adaptive lane dispatch: pick vec vs scalar per fused quiet window.
 
-PR 7's vectorized lane wins big when windows are long and P is large
-(5.6x on trivial@65536x64) but *loses* on short-window/small-P runs
-(X@512 ~0.3x): every window used to pay a full pack/unpack plus a
-whole-memory mirror and writeback.  PR 8 made the window resident —
-the boundary cost is now O(touched) — but a real crossover remains:
-the vector lane pays a fixed per-tick array-machinery cost (mask
-builds, lexsort commits) that only amortizes once ``ticks x P`` is
-large enough.  This module is the calibrated cost model behind
-``--lane auto``: a per-program-kind linear model over the window's
-tick budget, the running-lane count, and the residency state.
+The vectorized lane wins big when windows are long and P is large
+(5.6x on trivial@65536x64) but *loses* on short-window/small-P runs:
+it pays a fixed per-tick array-machinery cost (mask builds, lexsort
+commits) that only amortizes once ``ticks x P`` is large enough, and
+a first window pays the memory mirror and the lane packing.  This
+module is the calibrated cost model that is the only way into a
+vector window: a per-program-kind linear model over the window's tick
+budget, the running-lane count, and the residency state.  Only the
+programs in ``repro.core.vector_kernels`` have rows: trivial and W.
 
 The choice is **purely a performance decision**: both lanes are
 bit-identical by the differential contract, so a wrong prediction
@@ -20,7 +19,9 @@ Calibration: ``benchmarks/calibrate_dispatch.py`` regenerates
 ``DEFAULT_TABLE`` by timing real solver runs on both lanes.  The
 model applies it unscaled on every host, so a window's lane depends
 only on the window, never on how loaded the host is when the process
-starts.
+starts.  Tests that need vector windows on small configurations
+install a model through :func:`set_model` that prefers the vector
+body everywhere.
 """
 
 from __future__ import annotations
@@ -71,28 +72,10 @@ DEFAULT_TABLE: Dict[str, LaneCosts] = {
         vec_cell_ns=22.2,
         vec_pack_lane_ns=238.6,
     ),
-    "X": LaneCosts(
-        scalar_tick_lane_ns=762.8,
-        vec_tick_ns=81_609.0,
-        vec_tick_lane_ns=65.7,
-        vec_window_ns=0.0,
-        vec_cell_ns=22.2,
-        vec_pack_lane_ns=238.6,
-    ),
     "W": LaneCosts(
         scalar_tick_lane_ns=1_487.4,
         vec_tick_ns=72_749.6,
         vec_tick_lane_ns=151.1,
-        vec_window_ns=0.0,
-        vec_cell_ns=22.2,
-        vec_pack_lane_ns=238.6,
-    ),
-    # Unknown vector programs: assume X-like per-tick machinery (the
-    # conservative choice — vec only dispatches when clearly ahead).
-    "generic": LaneCosts(
-        scalar_tick_lane_ns=762.8,
-        vec_tick_ns=81_609.0,
-        vec_tick_lane_ns=65.7,
         vec_window_ns=0.0,
         vec_cell_ns=22.2,
         vec_pack_lane_ns=238.6,
@@ -114,13 +97,8 @@ class DispatchModel:
         scale_vector: float = 1.0,
     ) -> None:
         self.table = dict(DEFAULT_TABLE if table is None else table)
-        if "generic" not in self.table:
-            raise ValueError("dispatch table needs a 'generic' fallback row")
         self.scale_scalar = scale_scalar
         self.scale_vector = scale_vector
-
-    def costs_for(self, kind: str) -> LaneCosts:
-        return self.table.get(kind, self.table["generic"])
 
     def prefer_vector(
         self,
@@ -138,9 +116,10 @@ class DispatchModel:
         at dispatch time), ``p`` the running-lane count, ``cells`` the
         memory size, ``mirror`` whether a resident window already holds
         the memory mirror, ``packed`` whether its SoA columns are still
-        warm from the previous window.
+        warm from the previous window.  ``kind`` names the table row
+        (:attr:`repro.pram.vectorized.VectorProgram.kind`).
         """
-        costs = self.costs_for(kind)
+        costs = self.table[kind]
         scalar = ticks * p * costs.scalar_tick_lane_ns * self.scale_scalar
         vector = ticks * (costs.vec_tick_ns + p * costs.vec_tick_lane_ns)
         vector += costs.vec_window_ns
@@ -158,9 +137,8 @@ _MODEL: Optional[DispatchModel] = None
 def get_model() -> DispatchModel:
     """The process-wide dispatch model (memoized).
 
-    Without numpy the question never arises (``resolve_vectorized``
-    already returned None for ``"auto"``), but the model still answers
-    deterministically if asked.
+    Without numpy the question never arises: ``resolve_vectorized``
+    installs no vector program.
     """
     global _MODEL
     if _MODEL is None:

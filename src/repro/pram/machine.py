@@ -81,8 +81,9 @@ tick is one of:
   EREW reads, stateful policies such as ``RotatingArbitraryCrcw``,
   word-width memory): the observable tick's collect and resolve
   without the adversary, then each processor advances;
-* the **vector window**, for vectorized programs (``--lane vec`` /
-  ``auto``) on fusable windows over fault-free memory: whole bursts of
+* the **vector window**, for vectorized programs on fusable windows
+  over fault-free memory, when the dispatch cost model
+  (:mod:`repro.pram.dispatch`) predicts it faster: whole bursts of
   ticks as numpy array operations.
 
 A composed ``Tracer`` pins the horizon to one tick, keeping traces
@@ -312,11 +313,10 @@ class Machine:
         # Resident vector window: persists across consecutive quiet
         # windows (mirror + packed columns stay warm) and is flushed by
         # _flush_resident before anything outside the vector lane can
-        # observe memory or per-PID kernel state.  With
-        # vector_dispatch="auto", _dispatch holds the calibrated cost
-        # model that picks vec vs scalar per fused window.
+        # observe memory or per-PID kernel state.  _dispatch holds the
+        # calibrated cost model that picks vec vs scalar per fused
+        # window.
         self._resident: Optional[object] = None
-        self._vector_auto = False
         self._dispatch: Optional[object] = None
 
     # ------------------------------------------------------------------ #
@@ -328,7 +328,6 @@ class Machine:
         program_factory: ProgramFactory,
         compiled_program: Optional[object] = None,
         vectorized_program: Optional[object] = None,
-        vector_dispatch: str = "always",
     ) -> None:
         """Install the program on all P processors and start them.
 
@@ -344,24 +343,16 @@ class Machine:
         vector program (see :mod:`repro.pram.vectorized`, routed through
         ``resolve_vectorized``): its per-PID scalar kernels then drive
         every observable tick exactly like the compiled lane (it
-        supersedes ``compiled_program``), and fused quiet windows run
-        as batched array bursts instead of per-processor Python steps.
-
-        ``vector_dispatch`` selects how a vector program is used:
-        ``"always"`` (every eligible quiet window runs vectorized —
-        the ``--lane vec`` behaviour) or ``"auto"`` (the calibrated
-        cost model in :mod:`repro.pram.dispatch` picks vec vs scalar
-        per fused window — the ``--lane auto`` behaviour).  Either
-        lane choice produces bit-identical results; dispatch only
-        decides which one is faster.
+        supersedes ``compiled_program``), and the calibrated cost
+        model in :mod:`repro.pram.dispatch` picks, per fused quiet
+        window, batched array bursts or the per-processor scalar
+        steps.  Either choice produces bit-identical results; dispatch
+        only decides which one is faster.
         """
         if self._resident is not None:
             self._resident.close()
             self._resident = None
         self._vector = vectorized_program
-        self._vector_auto = (
-            vectorized_program is not None and vector_dispatch == "auto"
-        )
         if vectorized_program is not None:
             compiled_program = vectorized_program.pid_stepper
         self._kernel_mode = compiled_program is not None
@@ -1576,7 +1567,7 @@ class Machine:
             # ticks below.
             goal = None if until is None else getattr(until, "zero_goal", None)
             if until is None or goal is not None:
-                if not self._vector_auto or self._prefer_vectorized(stop_tick):
+                if self._prefer_vectorized(stop_tick):
                     return self._run_quiet_window_vectorized(
                         stop_tick, until, goal
                     )
@@ -1741,7 +1732,7 @@ class Machine:
         self._refresh_status_caches()
         window = self._resident
         return model.prefer_vector(
-            kind=getattr(self._vector, "kind", "generic"),
+            kind=self._vector.kind,
             ticks=max(1, stop_tick - self.ledger.ticks),
             p=len(self._running_cache),
             cells=len(self._cells),

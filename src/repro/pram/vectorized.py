@@ -13,7 +13,10 @@ CRCW resolution via ``np.lexsort`` + ``np.minimum.reduceat``, scatter
 for commits.  That is exactly how the paper's Write-All algorithms are
 specified: synchronous lockstep phases over shared memory.
 
-The lane is **opt-in** (``--lane vec``) and **windows-only**:
+A run opts in with a true ``vectorized`` switch (the ``auto`` lane),
+and the calibrated cost model in :mod:`repro.pram.dispatch` then picks
+the vector or the scalar body per fused quiet window.  The lane is
+**windows-only**:
 
 * outside quiet windows — adversary-visible ticks, traces, the
   reference core — every processor is driven through the same scalar
@@ -39,10 +42,11 @@ contract in :mod:`repro.pram.compiled`):
 * ``pack_lane``/``unpack_lane`` must round-trip the scalar kernel state
   exactly (a lane untouched by any burst is never written back at all).
 
-The 5-mode differential suite (``tests/pram/``) and the CRCW property
-tests enforce the contract; numpy is an optional extra
-(``pip install .[numpy]``) and everything here degrades with a clear
-error — never a crash at import time — when it is absent.
+The differential suite (``tests/pram/``, whose forced-vector leg sends
+every eligible window to the vector programs) and the CRCW property
+tests enforce the contract.  numpy is an optional extra
+(``pip install .[numpy]``): without it :func:`resolve_vectorized`
+installs no vector program and every window runs scalar.
 """
 
 from __future__ import annotations
@@ -67,26 +71,6 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
 
 #: Whether the optional numpy extra is importable in this environment.
 HAVE_NUMPY = _np is not None
-
-
-class VectorizedUnavailable(RuntimeError):
-    """The vectorized lane was requested but numpy is not installed."""
-
-
-def require_numpy() -> None:
-    """Raise a clear error when the optional numpy extra is missing."""
-    if _np is None:
-        raise VectorizedUnavailable(
-            "the vectorized lane needs numpy, which is an optional "
-            "dependency — install it with `pip install .[numpy]` (or "
-            "`pip install numpy`), or drop --lane vec"
-        )
-
-
-def numpy_module():
-    """The numpy module, raising :class:`VectorizedUnavailable` if absent."""
-    require_numpy()
-    return _np
 
 
 def trusted_vectorized_program(algorithm: object):
@@ -119,27 +103,22 @@ def resolve_vectorized(
     layout: object,
     tasks: object,
     vectorized: Union[bool, str] = False,
+    compiled: bool = True,
 ) -> Optional["VectorProgram"]:
     """The vector program to install for a run, or None for scalar lanes.
 
-    Combines the opt-in switch (``vectorized=True`` is
-    ``--lane vec``; the default stays on the scalar lanes; the
-    string ``"auto"`` is the ``--lane auto`` adaptive mode), the numpy
-    availability check (an explicit ``True`` without numpy is a loud
-    :class:`VectorizedUnavailable`, not a silent downgrade — but
-    ``"auto"`` *does* degrade silently to the scalar compiled lane,
-    that being the whole point of an adaptive default), the MRO trust
-    guard, and the algorithm's own gating (``vectorized_program``
-    returns None for configurations it cannot vectorize, e.g.
-    non-trivial task sets or PID-hashed routing).
+    Combines the opt-in switch (any true ``vectorized``, the string
+    ``"auto"`` included, lets the dispatch cost model choose per
+    window; the default stays scalar), the kernel switch (a vector
+    program drives observable ticks through its scalar kernels, so
+    ``compiled=False`` keeps the generator protocol), the numpy
+    availability check (scalar without numpy), the MRO trust guard,
+    and the algorithm's own gating (``vectorized_program`` returns
+    None for configurations it cannot vectorize, e.g. non-trivial
+    task sets).
     """
-    if not vectorized:
+    if not vectorized or not compiled or not HAVE_NUMPY:
         return None
-    if vectorized == "auto":
-        if not HAVE_NUMPY:
-            return None
-    else:
-        require_numpy()
     hook = trusted_vectorized_program(algorithm)
     if hook is None:
         return None
@@ -223,7 +202,6 @@ def resolve_writes(addresses, pids, values, policy: WritePolicy):
     path cannot express are resolved through ``policy.resolve`` per
     group in ascending address order, raising the reference errors.
     """
-    require_numpy()
     np = _np
     a, w, v, starts = _sorted_groups(addresses, pids, values)
     if a.size == 0:
@@ -489,13 +467,12 @@ class VectorProgram:
     :meth:`unpack_lane` converting at the boundary.
     """
 
-    #: Program-kind tag consumed by the adaptive dispatch cost model
-    #: (:mod:`repro.pram.dispatch`); subclasses override with their
-    #: algorithm name so per-kind calibrated coefficients apply.
-    kind = "generic"
+    #: Program-kind tag: the row of the dispatch cost table
+    #: (:mod:`repro.pram.dispatch`) whose calibrated coefficients
+    #: decide this program's windows.  Every subclass sets it.
+    kind: str
 
     def __init__(self, layout, scalar_factory: Callable[[int], object]) -> None:
-        require_numpy()
         self.layout = layout
         self.p = layout.p
         self.kernels: Dict[int, object] = {}

@@ -162,7 +162,7 @@ class RobustSimulator:
         # V's, W's and VX's compiled kernels carry them wherever the
         # lane enables kernels (the machine interprets the task cycles),
         # and every vectorized_program hook gates them to None, so the
-        # vec and auto lanes run the compiled kernels here.
+        # auto lane runs the compiled kernels here.
         self.fast_path = fast_path
         self.fast_forward = fast_forward
         self.compiled = compiled
@@ -264,9 +264,8 @@ class RobustSimulator:
                 self.algorithm, layout, tasks, self.compiled
             ),
             vectorized_program=resolve_vectorized(
-                self.algorithm, layout, tasks, self.vectorized
+                self.algorithm, layout, tasks, self.vectorized, self.compiled
             ),
-            vector_dispatch="auto" if self.vectorized == "auto" else "always",
         )
         ledger = machine.run(
             until=done_predicate(layout),

@@ -1,5 +1,8 @@
 """Shared fixtures and helpers for the test suite."""
 
+import contextlib
+import dataclasses
+
 import pytest
 
 from repro.core import (
@@ -11,6 +14,35 @@ from repro.core import (
     SnapshotAlgorithm,
     TrivialAssignment,
 )
+from repro.pram.dispatch import DispatchModel, set_model
+from repro.pram.lanes import LANES
+
+#: The ``auto`` lane's switches, run by :func:`lane_dispatch` with every
+#: eligible quiet window sent to the vector program: the leg on which
+#: the differential suites run trivial's and W's vector programs at
+#: sizes where the calibrated model keeps windows scalar.
+FORCED_VEC = dataclasses.replace(LANES["auto"], name="forced-vec")
+
+
+@contextlib.contextmanager
+def vector_windows_forced():
+    """Have dispatch pick the vector body for every eligible window.
+
+    A scalar side scaled by 1e9 outweighs any vector cost, so
+    ``prefer_vector`` answers yes whenever a window has a running lane.
+    """
+    set_model(DispatchModel(scale_scalar=1e9))
+    try:
+        yield
+    finally:
+        set_model(None)
+
+
+def lane_dispatch(lane):
+    """The dispatch context a test leg runs in."""
+    if lane is FORCED_VEC:
+        return vector_windows_forced()
+    return contextlib.nullcontext()
 
 
 def fault_tolerant_algorithms():

@@ -15,7 +15,6 @@ from repro.experiments.chaos import ChaosPolicy
 from repro.experiments.factories import SparseSchedule
 from repro.experiments.parallel import expand_spec
 from repro.metrics import dump_report, load_report, validate_bench_report
-from repro.pram.lanes import lane_available
 
 GOLDEN = (Path(__file__).resolve().parents[2] / "benchmarks" / "results"
           / "BENCH_golden.json")
@@ -114,11 +113,12 @@ def test_a9_holds_every_lane_to_the_fast_lane():
         f"A9.{group}/{lane}"
         for group, lanes in groups.items() for lane in lanes[1:]
     }
-    # 139 (configuration, lane) points; 7 of them, in 4 sweeps, run on
-    # the vec lane, which the registry builds only with numpy.
-    vec = sum(lanes.count("vec") for lanes in groups.values())
-    assert vec == (4 if lane_available("vec") else 0)
-    assert scenario.total_points() == (139 if lane_available("vec") else 132)
+    # 133 (configuration, lane) points in 51 non-fast sweeps; auto runs
+    # only trivial and W, the algorithms that ship vector programs.
+    assert scenario.total_points() == 133
+    assert len(scenario.claims) == 51
+    assert {group.split("@")[0] for group, lanes in groups.items()
+            if "auto" in lanes} == {"trivial", "W"}
 
 
 @pytest.mark.parametrize("p", [8, 32, 64])

@@ -20,7 +20,7 @@ class TestLanesAndDraws:
         # The driver enumerates the shared registry (repro.pram.lanes);
         # the reference lane must stay last (differential anchor).
         assert list(LANES) == [
-            "fast", "noff", "nokernel", "vec", "auto", "reference"
+            "fast", "noff", "nokernel", "auto", "reference"
         ]
 
         def switches(name):
@@ -35,8 +35,7 @@ class TestLanesAndDraws:
         assert switches("fast") == (True, True, True, False)
         assert switches("noff") == (True, False, True, False)
         assert switches("nokernel") == (True, True, False, False)
-        assert switches("vec") == (True, True, True, True)
-        assert switches("auto") == (True, True, True, "auto")
+        assert switches("auto") == (True, True, True, True)
         assert switches("reference") == (False, False, False, False)
 
     def test_adversary_draws_are_pure(self):
@@ -70,11 +69,8 @@ class TestConvergence:
         outcome = run_fuzz(seed=1, iterations=6)
         assert outcome.converged
         assert not outcome.failures
-        # Executions count only the lanes this environment can run
-        # (the vec lane is skipped without the numpy extra).
-        assert outcome.executions == 6 * len(outcome.lanes) * 3
-        assert set(outcome.lanes) | set(outcome.skipped_lanes) \
-            == set(LANES)
+        assert outcome.executions == 6 * len(LANES) * 3
+        assert outcome.lanes == tuple(LANES)
         assert sum(outcome.adversary_histogram.values()) == 6
 
     def test_chaos_injection_is_survivable_and_accounted(self):

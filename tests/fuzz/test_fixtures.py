@@ -11,7 +11,7 @@ import pathlib
 
 import pytest
 
-from repro.fuzz.driver import FuzzFailure, draw_adversary_spec
+from repro.fuzz.driver import LANES, FuzzFailure, draw_adversary_spec
 from repro.fuzz.fixtures import (
     FIXTURE_FORMAT,
     dump_fixture,
@@ -112,3 +112,15 @@ class TestFixtureMechanics:
     def test_replay_of_sound_fixture_passes(self):
         replay = replay_fixture(fixture_payload(_synthetic_failure()))
         assert replay.ok
+
+    @pytest.mark.parametrize("key, value", [
+        ("lane", "bogus"), ("lanes", ["fast", "bogus"]),
+    ], ids=["lane", "lanes"])
+    def test_replay_names_a_lane_the_registry_lacks(self, key, value):
+        payload = fixture_payload(_synthetic_failure())
+        payload[key] = value
+        with pytest.raises(ValueError, match="unknown lane") as caught:
+            replay_fixture(payload)
+        message = str(caught.value)
+        assert "'bogus'" in message
+        assert all(repr(lane) in message for lane in LANES)

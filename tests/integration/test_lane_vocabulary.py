@@ -1,13 +1,14 @@
 """One lane vocabulary above the solver.
 
 Above ``solve_write_all`` a machine lane is only a registry name
-(:data:`repro.pram.lanes.LANES`): sweep specs, point specs, cache keys
-and the CLI's ``--lane`` carry the name, and ``Lane.solver_kwargs()``
-is the one place it turns back into switches.  These tests hold every
-layer to that: the name reaches the solver as its registry lane's
-switches, default-lane cache keys keep their bytes, the removed switch
-flags and the removed ``perf`` command are usage errors, and every lane
-of the lane matrix measures the model the golden report pins for it.
+(:data:`repro.pram.lanes.LANES`): sweep specs, point specs and cache
+keys carry the name, and ``Lane.solver_kwargs()`` is the one place it
+turns back into switches.  These tests hold every layer to that: the
+name reaches the solver as its registry lane's switches, default-lane
+cache keys keep their bytes, the CLI's solving commands run the
+``auto`` lane, the removed lane and switch flags and the removed
+``perf`` command are usage errors, and every lane of the lane matrix
+measures the model the golden report pins for it.
 """
 
 from pathlib import Path
@@ -24,23 +25,12 @@ from repro.experiments.cache import point_key
 from repro.experiments.factories import NamedAdversary, SparseSchedule
 from repro.experiments.parallel import expand_spec
 from repro.metrics.report import load_report
-from repro.pram.lanes import (
-    CLI_LANES,
-    LANES,
-    available_lane_names,
-    lane_available,
-)
+from repro.pram.lanes import LANES
 
 GOLDEN = (Path(__file__).resolve().parents[2] / "benchmarks" / "results"
           / "BENCH_golden.json")
 
 LANE_SWITCHES = ("fast_path", "fast_forward", "compiled", "vectorized")
-
-#: ``--lane`` choices whose registry lane runs here (vec needs numpy).
-CLI_CHOICES = [
-    choice for choice, lane in CLI_LANES.items()
-    if lane in available_lane_names()
-]
 
 
 def spy(monkeypatch, owner, name):
@@ -83,7 +73,7 @@ def model_fields(point):
             point.pattern_size, point.parallel_time)
 
 
-@pytest.mark.parametrize("lane", available_lane_names())
+@pytest.mark.parametrize("lane", LANES)
 def test_sweep_lane_measures_its_registry_lane(monkeypatch, lane):
     direct = solve_write_all(
         AlgorithmW(), 256, 8, adversary=SparseSchedule()(3),
@@ -133,17 +123,29 @@ def test_registry_lanes_key_pairwise_distinct():
 
 
 # --------------------------------------------------------------------- #
-# CLI: --lane is the only lane flag
+# CLI: the solving commands run the auto lane, and no flag picks another
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("flag", ["--no-fast-forward", "--no-compiled"])
+@pytest.mark.parametrize("flag", [
+    ["--no-fast-forward"], ["--no-compiled"], ["--lane", "vec"],
+], ids=["--no-fast-forward", "--no-compiled", "--lane"])
 @pytest.mark.parametrize("command", ["solve", "sweep", "simulate", "trace"])
 def test_removed_switch_flags_are_usage_errors(command, flag, capsys):
     with pytest.raises(SystemExit) as exc:
-        main([command, flag])
+        main([command, *flag])
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err
+    assert "Traceback" not in err
+
+
+def test_fuzz_names_the_registry_lanes_for_an_unknown_lane():
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", "--iterations", "1", "--lanes", "fast,vec"])
+    assert str(exc.value) == (
+        "unknown lane(s): vec (known: fast, noff, nokernel, auto, reference)"
+    )
 
 
 def test_perf_is_no_command(capsys):
@@ -155,7 +157,6 @@ def test_perf_is_no_command(capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("choice", CLI_CHOICES)
 @pytest.mark.parametrize("argv, owner, name", [
     (["solve", "--algorithm", "W", "--n", "64", "--p", "8",
       "--adversary", "sched-sparse"], cli, "solve_write_all"),
@@ -167,35 +168,32 @@ def test_perf_is_no_command(capsys):
     (["simulate", "--width", "8", "--p", "2", "--adversary", "none"],
      cli, "RobustSimulator"),
 ], ids=["solve", "trace", "sweep", "simulate"])
-def test_lane_choice_reaches_the_solver(monkeypatch, capsys, choice, argv,
-                                        owner, name):
+def test_commands_run_the_auto_lane(monkeypatch, capsys, argv, owner, name):
     calls = spy(monkeypatch, owner, name)
-    assert main(argv + ["--lane", choice]) == 0
+    assert main(argv) == 0
     assert calls
-    assert {lane_of(call) for call in calls} == {CLI_LANES[choice]}
+    assert {lane_of(call) for call in calls} == {"auto"}
 
 
 # --------------------------------------------------------------------- #
 # the lane matrix: every lane measures the model the golden pins for it
 # --------------------------------------------------------------------- #
 
-#: (--lane choice, adversary, N, P, reference lane solved): lane matrix
-#: (``A9_lane_matrix``) configurations.  Each is solved on its choice's
+#: (algorithm, lane, adversary, N, P, reference lane solved): lane
+#: matrix (``A9_lane_matrix``) configurations.  Each is solved on its
 #: lane, the ``fast`` lane and the ``noff`` and ``nokernel`` ablations,
-#: and on the reference lane where the row says so.
-LANE_MATRIX_CONFIGURATIONS = [
-    ("scalar", "none", 512, 32, True),
-    ("vec", "none", 512, 32, False),
-    ("auto", "sched-sparse", 256, 8, False),
-]
-
-#: (algorithm, configuration) pairs: trivial, W and X on every lane;
-#: V and VX, which ship no vector program, on the scalar lanes only.
+#: and on the reference lane where the row says so.  trivial and W,
+#: which ship vector programs, run on ``auto``; X, V and VX on the
+#: scalar lanes only.
 LANE_MATRIX_CASES = [
-    (algorithm, row)
-    for algorithm in ("trivial", "W", "X", "V", "VX")
-    for row in LANE_MATRIX_CONFIGURATIONS
-    if algorithm not in ("V", "VX") or row[0] == "scalar"
+    ("trivial", "auto", "none", 512, 32, True),
+    ("trivial", "auto", "sched-sparse", 256, 8, False),
+    ("W", "auto", "none", 512, 32, True),
+    ("W", "auto", "sched-sparse", 256, 8, False),
+    ("X", "fast", "none", 512, 32, True),
+    ("X", "fast", "sched-sparse", 256, 8, False),
+    ("V", "fast", "none", 512, 32, True),
+    ("VX", "fast", "none", 512, 32, True),
 ]
 
 MODEL_KEYS = ("solved", "S", "S_prime", "F", "ticks")
@@ -217,16 +215,13 @@ def golden_models(specs, n, p):
 
 
 @pytest.mark.parametrize(
-    "algorithm, choice, adversary, n, p, with_reference",
-    [(algorithm, *row) for algorithm, row in LANE_MATRIX_CASES],
-    ids=[f"{row[0]}-{row[1]}-{algorithm}"
-         for algorithm, row in LANE_MATRIX_CASES],
+    "algorithm, lane, adversary, n, p, with_reference", LANE_MATRIX_CASES,
+    ids=[f"{lane}-{adversary}-{algorithm}"
+         for algorithm, lane, adversary, *_ in LANE_MATRIX_CASES],
 )
 def test_lane_matrix_lanes_match_the_golden(
-        algorithm, choice, adversary, n, p, with_reference):
-    if not lane_available(CLI_LANES[choice]):
-        pytest.skip("the vec lane needs the numpy extra")
-    lanes = {"fast", "noff", "nokernel", CLI_LANES[choice]}
+        algorithm, lane, adversary, n, p, with_reference):
+    lanes = {"fast", "noff", "nokernel", lane}
     if with_reference:
         lanes.add("reference")
     specs = [

@@ -26,25 +26,29 @@ from repro.core import (
 from repro.core.runner import solve_write_all
 from repro.experiments.factories import SparseSchedule
 from repro.perf.phases import PhaseCounters
-from repro.pram.lanes import LANES, lane_available
+from repro.pram.lanes import LANES
+from tests.conftest import FORCED_VEC, lane_dispatch
 
 ALGORITHMS = {
     "trivial": TrivialAssignment, "W": AlgorithmW, "X": AlgorithmX,
     "V": AlgorithmV, "VX": AlgorithmVX,
 }
 
-#: The lanes that run the fast path, the only instrumented one.
-FAST_PATH_LANES = [name for name, lane in LANES.items() if lane.fast_path]
+#: The legs that run the fast path, the only instrumented one: the
+#: registry's fast-path lanes and the forced-vec leg.
+LEGS = {**LANES, FORCED_VEC.name: FORCED_VEC}
+FAST_PATH_LANES = [name for name, lane in LEGS.items() if lane.fast_path]
 
 
 def solve(algorithm, lane, phase_counters=None):
     # The lane matrix's sched-sparse schedule: eight fail/restart pairs
     # 400 ticks apart, so a run has observable ticks and quiet windows.
-    return solve_write_all(
-        ALGORITHMS[algorithm](), 1024, 8,
-        adversary=SparseSchedule(victims=8)(0),
-        phase_counters=phase_counters, **LANES[lane].solver_kwargs(),
-    )
+    with lane_dispatch(LEGS[lane]):
+        return solve_write_all(
+            ALGORITHMS[algorithm](), 1024, 8,
+            adversary=SparseSchedule(victims=8)(0),
+            phase_counters=phase_counters, **LEGS[lane].solver_kwargs(),
+        )
 
 
 def model(result):
@@ -63,15 +67,13 @@ def test_the_six_fields_the_benchmark_reads():
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 @pytest.mark.parametrize("lane", FAST_PATH_LANES)
 def test_counters_account_for_every_tick(lane, algorithm):
-    if not lane_available(lane):
-        pytest.skip("the vec lane needs the numpy extra")
     phases = PhaseCounters()
     result = solve(algorithm, lane, phases)
     assert result.solved
     assert result.pattern_size > 0
     assert phases.ticks > 0
     assert phases.ticks + phases.fused_ticks == result.ledger.ticks
-    if LANES[lane].fast_forward:
+    if LEGS[lane].fast_forward:
         assert phases.fused_ticks > 0
     else:
         assert phases.fused_ticks == 0

@@ -3,7 +3,7 @@
 The model's job is pure prediction — both lanes are bit-identical by
 the differential contract, so these tests pin down the *decisions* at
 the calibrated crossovers (trivial dispatches vec almost everywhere,
-X/W stay scalar until P is large), the residency discounts, and the
+W stays scalar until P is large), the residency discounts, and the
 process-wide memoization seam.  Wall-clock consequences are the e2e
 benchmark's to measure (``benchmarks/e2e``); the ``auto`` lane's model
 fields are gated by the ``A9_lane_matrix`` scenario's golden points.
@@ -29,8 +29,12 @@ def _fresh_model():
 
 
 class TestDefaultTable:
-    def test_calibrated_kinds_present(self):
-        assert set(DEFAULT_TABLE) == {"trivial", "X", "W", "generic"}
+    def test_a_row_per_vector_program(self):
+        assert set(DEFAULT_TABLE) == {"trivial", "W"}
+        pytest.importorskip("numpy")
+        from repro.core.vector_kernels import TrivialVector, WVector
+
+        assert {TrivialVector.kind, WVector.kind} == set(DEFAULT_TABLE)
 
     def test_coefficients_are_sane(self):
         for kind, costs in DEFAULT_TABLE.items():
@@ -40,13 +44,6 @@ class TestDefaultTable:
             assert costs.vec_window_ns >= 0, kind
             assert costs.vec_cell_ns > 0, kind
             assert costs.vec_pack_lane_ns > 0, kind
-
-    def test_generic_is_conservative(self):
-        # Unknown vector programs must not be assumed cheap: the
-        # fallback row carries X-like per-tick machinery cost, so vec
-        # only dispatches when it is clearly ahead.
-        generic = DEFAULT_TABLE["generic"]
-        assert generic.vec_tick_ns >= DEFAULT_TABLE["trivial"].vec_tick_ns
 
 
 class TestPreferVector:
@@ -66,49 +63,43 @@ class TestPreferVector:
         assert self.prefer("trivial", ticks=1000, p=8)
         assert self.prefer("trivial", ticks=1000, p=64)
 
-    def test_x_stays_scalar_at_small_p(self):
-        # X pays ~80us of array machinery per tick: at P=8 the scalar
-        # lane's ~6us/tick is far cheaper, and only P >= ~110 flips it.
-        assert not self.prefer("X", ticks=1000, p=8)
-        assert not self.prefer("X", ticks=1000, p=64)
-        assert self.prefer("X", ticks=1000, p=128)
-
     def test_w_crossover_near_p64(self):
+        # W pays ~73us of array machinery per tick: at P=8 the scalar
+        # lane's ~12us/tick is far cheaper.
         assert not self.prefer("W", ticks=1000, p=8)
         assert self.prefer("W", ticks=1000, p=64)
         assert self.prefer("W", ticks=1000, p=128)
 
-    def test_unknown_kind_uses_generic_row(self):
-        model = DispatchModel()
-        assert model.costs_for("mystery") is model.table["generic"]
-        assert self.prefer("mystery", ticks=1000, p=8) == \
-            self.prefer("generic", ticks=1000, p=8)
+    def test_kind_without_a_row_is_an_error(self):
+        # Every vector program carries a calibrated row; X ships none.
+        with pytest.raises(KeyError):
+            self.prefer("X", ticks=1000, p=8)
 
     def test_cold_mirror_charges_cell_cost(self):
         # A table where the per-cell mirror build dominates: with a
         # resident mirror vec wins, from cold it must not.
         table = dict(DEFAULT_TABLE)
-        table["generic"] = LaneCosts(
+        table["custom"] = LaneCosts(
             scalar_tick_lane_ns=1000.0, vec_tick_ns=10.0,
             vec_tick_lane_ns=1.0, vec_window_ns=0.0,
             vec_cell_ns=1e6, vec_pack_lane_ns=0.0,
         )
         model = DispatchModel(table)
         common = dict(ticks=10, p=4, cells=65536, packed=True)
-        assert model.prefer_vector("generic", mirror=True, **common)
-        assert not model.prefer_vector("generic", mirror=False, **common)
+        assert model.prefer_vector("custom", mirror=True, **common)
+        assert not model.prefer_vector("custom", mirror=False, **common)
 
     def test_cold_lanes_charge_pack_cost(self):
         table = dict(DEFAULT_TABLE)
-        table["generic"] = LaneCosts(
+        table["custom"] = LaneCosts(
             scalar_tick_lane_ns=1000.0, vec_tick_ns=10.0,
             vec_tick_lane_ns=1.0, vec_window_ns=0.0,
             vec_cell_ns=0.0, vec_pack_lane_ns=1e7,
         )
         model = DispatchModel(table)
         common = dict(ticks=10, p=4, cells=64, mirror=True)
-        assert model.prefer_vector("generic", packed=True, **common)
-        assert not model.prefer_vector("generic", packed=False, **common)
+        assert model.prefer_vector("custom", packed=True, **common)
+        assert not model.prefer_vector("custom", packed=False, **common)
 
     def test_probe_scales_shift_the_crossover(self):
         # A host whose arrays are 100x slower than the reference must
@@ -120,12 +111,8 @@ class TestPreferVector:
         )
         slow_scalar = DispatchModel(scale_scalar=100.0)
         assert slow_scalar.prefer_vector(
-            "X", ticks=1000, p=8, cells=4096, mirror=True, packed=True
+            "W", ticks=1000, p=8, cells=4096, mirror=True, packed=True
         )
-
-    def test_table_without_generic_row_rejected(self):
-        with pytest.raises(ValueError, match="generic"):
-            DispatchModel(table={"trivial": DEFAULT_TABLE["trivial"]})
 
 
 class TestGetModel:

@@ -11,8 +11,11 @@ per-tick completions, memory traffic, veto counters, termination flags,
 final memory contents — and, through a composed
 :class:`~repro.pram.trace.Tracer`, the per-tick execution trace itself.
 
-The ``vec`` lane needs the optional numpy extra and is skipped (not
-failed) when it is absent; the remaining lanes always run.
+Besides the registry lanes, every configuration runs on the
+``forced-vec`` leg: the ``auto`` lane with a dispatch model that sends
+every eligible quiet window to trivial's and W's vector programs
+(``tests.conftest.FORCED_VEC``).  Without the optional numpy extra that
+leg runs scalar, like ``auto``.
 """
 
 from __future__ import annotations
@@ -57,12 +60,13 @@ from repro.pram.errors import (
     ReadConflictError,
     WriteConflictError,
 )
-from repro.pram.lanes import LANES, lane_available
+from repro.pram.lanes import LANES
 from repro.pram.machine import Machine
 from repro.pram.memory import SharedMemory
 from repro.pram.policies import CommonCrcw, Crew, Erew, RotatingArbitraryCrcw
 from repro.pram.trace import Tracer
-from repro.pram.vectorized import resolve_vectorized
+from repro.pram.vectorized import HAVE_NUMPY, resolve_vectorized
+from tests.conftest import FORCED_VEC, lane_dispatch
 
 ALGORITHMS = {
     "W": AlgorithmW,
@@ -92,25 +96,27 @@ ADVERSARIES = {
 }
 
 
-#: The legs every configuration runs through, straight from the lane
-#: registry (``repro.pram.lanes``): fast, noff (no fast-forward),
-#: nokernel (no compiled kernels), vec (``--lane vec``, when numpy is
-#: installed), auto (``--lane auto``), and the reference core last.  Algorithms without a
-#: kernel or vector program silently run the generator protocol on
-#: every leg — the legs still must agree.
-MODES = tuple(LANES[name] for name in LANES if lane_available(name))
+#: The legs every configuration runs through: the lane registry
+#: (``repro.pram.lanes``) — fast, noff (no fast-forward), nokernel (no
+#: compiled kernels), auto (dispatch chooses) — then the forced-vec
+#: leg, and the reference core last.  Algorithms without a kernel or
+#: vector program silently run the generator protocol on every leg —
+#: the legs still must agree.  Each leg runs in
+#: ``lane_dispatch(lane)``.
+MODES = (*tuple(LANES.values())[:-1], FORCED_VEC, LANES["reference"])
 
 
 def run_both(algorithm_key, adversary_factory, n=64, p=16, **kwargs):
-    """Run one configuration through all available lanes, reference last."""
+    """Run one configuration through every leg, reference last."""
     outcomes = []
     for lane in MODES:
-        outcomes.append(solve_write_all(
-            ALGORITHMS[algorithm_key](), n, p,
-            adversary=adversary_factory(),
-            **lane.solver_kwargs(),
-            **kwargs,
-        ))
+        with lane_dispatch(lane):
+            outcomes.append(solve_write_all(
+                ALGORITHMS[algorithm_key](), n, p,
+                adversary=adversary_factory(),
+                **lane.solver_kwargs(),
+                **kwargs,
+            ))
     return outcomes
 
 
@@ -281,6 +287,36 @@ class TestAlgorithmAdversaryMatrix:
             dict(ref_ledger.completed_by_pid)
 
 
+@pytest.mark.skipif(not HAVE_NUMPY, reason="vector programs need numpy")
+class TestForcedVectorLeg:
+    """The forced-vec leg runs the vector programs where the calibrated
+    model alone would not."""
+
+    @pytest.mark.parametrize("lane, expected", [
+        (FORCED_VEC, {"TrivialVector", "WVector"}),
+        # At 64x16 dispatch already sends trivial's windows to its
+        # vector program, but keeps W's scalar.
+        (LANES["auto"], {"TrivialVector"}),
+    ], ids=["forced-vec", "auto"])
+    def test_vector_programs_that_run(self, monkeypatch, lane, expected):
+        from repro.core.vector_kernels import TrivialVector, WVector
+
+        calls = []
+        for cls in (TrivialVector, WVector):
+            original = cls.run_quiet
+
+            def counting(self, *args, _original=original, **kwargs):
+                calls.append(type(self).__name__)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "run_quiet", counting)
+        for algorithm_key in ("trivial", "W"):
+            with lane_dispatch(lane):
+                solve_write_all(ALGORITHMS[algorithm_key](), 64, 16,
+                                **lane.solver_kwargs())
+        assert set(calls) == expected
+
+
 class TestRandomSchedules:
     """Seeded-random offline schedules (the property-test satellite)."""
 
@@ -340,10 +376,11 @@ class TestTraceIdentity:
             adversary = UnionAdversary([
                 tracer, RandomAdversary(0.15, 0.3, seed=13),
             ])
-            solve_write_all(
-                algorithm(), 64, 16, adversary=adversary,
-                max_ticks=5_000, **lane.solver_kwargs(),
-            )
+            with lane_dispatch(lane):
+                solve_write_all(
+                    algorithm(), 64, 16, adversary=adversary,
+                    max_ticks=5_000, **lane.solver_kwargs(),
+                )
             traces.append(tracer.records)
         reference_trace = traces[-1]
         for trace in traces[:-1]:
@@ -382,13 +419,13 @@ class TestVXChurnLaneAgreement:
             vectorized_program=resolve_vectorized(
                 algorithm, layout, None, lane.vectorized
             ),
-            vector_dispatch="auto" if lane.vectorized == "auto" else "always",
         )
         try:
-            ledger = machine.run(
-                until=algorithm.until_predicate(layout),
-                max_ticks=default_tick_budget(n, p),
-            )
+            with lane_dispatch(lane):
+                ledger = machine.run(
+                    until=algorithm.until_predicate(layout),
+                    max_ticks=default_tick_budget(n, p),
+                )
         except WriteConflictError as error:
             return "raised", str(error), machine.ledger.ticks
         return "finished", ledger, memory.snapshot()
@@ -457,38 +494,37 @@ class TestEventHorizonEdges:
     def test_until_goal_breaks_quiet_window(self):
         # With a passive adversary the whole run is one quiet window;
         # the until() predicate must still end it at the exact tick the
-        # per-tick loop would.
+        # per-tick loop would.  trivial and W stop inside a vector
+        # window on the forced-vec leg.
         from repro.core.base import done_predicate
-        from repro.pram.compiled import resolve_kernel
-        from repro.pram.machine import Machine
-        from repro.pram.memory import SharedMemory
-        from repro.pram.vectorized import resolve_vectorized
 
-        ticks = []
-        for lane in MODES:
-            algorithm = AlgorithmX()
-            layout = algorithm.build_layout(32, 8)
-            memory = SharedMemory(layout.size)
-            machine = Machine(num_processors=8, memory=memory,
-                              adversary=NoFailures(),
-                              fast_path=lane.fast_path,
-                              fast_forward=lane.fast_forward,
-                              context={"layout": layout})
-            machine.load_program(
-                algorithm.program(layout, None),
-                compiled_program=resolve_kernel(
-                    algorithm, layout, None, lane.compiled
-                ),
-                vectorized_program=resolve_vectorized(
-                    algorithm, layout, None, lane.vectorized
-                ),
-            )
-            ledger = machine.run(until=done_predicate(layout),
-                                 max_ticks=100_000)
-            assert ledger.goal_reached
-            assert not ledger.tick_limited
-            ticks.append(ledger.ticks)
-        assert len(set(ticks)) == 1
+        for algorithm_cls in (AlgorithmX, AlgorithmW, TrivialAssignment):
+            ticks = []
+            for lane in MODES:
+                algorithm = algorithm_cls()
+                layout = algorithm.build_layout(32, 8)
+                memory = SharedMemory(layout.size)
+                machine = Machine(num_processors=8, memory=memory,
+                                  adversary=NoFailures(),
+                                  fast_path=lane.fast_path,
+                                  fast_forward=lane.fast_forward,
+                                  context={"layout": layout})
+                machine.load_program(
+                    algorithm.program(layout, None),
+                    compiled_program=resolve_kernel(
+                        algorithm, layout, None, lane.compiled
+                    ),
+                    vectorized_program=resolve_vectorized(
+                        algorithm, layout, None, lane.vectorized
+                    ),
+                )
+                with lane_dispatch(lane):
+                    ledger = machine.run(until=done_predicate(layout),
+                                         max_ticks=100_000)
+                assert ledger.goal_reached
+                assert not ledger.tick_limited
+                ticks.append(ledger.ticks)
+            assert len(set(ticks)) == 1, algorithm_cls.__name__
 
     def test_tracer_composition_pins_horizon_to_every_tick(self):
         # A composed Tracer must see every tick even when the other
@@ -786,13 +822,13 @@ def run_tasks(algorithm_key, adversary, lane, tasks=None, k=1, n=64, p=16,
         vectorized_program=resolve_vectorized(
             algorithm, layout, task_set, lane.vectorized
         ),
-        vector_dispatch="auto" if lane.vectorized == "auto" else "always",
     )
     try:
-        ledger = machine.run(
-            until=algorithm.until_predicate(layout), max_ticks=max_ticks,
-            raise_on_limit=False,
-        )
+        with lane_dispatch(lane):
+            ledger = machine.run(
+                until=algorithm.until_predicate(layout), max_ticks=max_ticks,
+                raise_on_limit=False,
+            )
     except Exception as error:
         return ("raised", type(error), str(error), machine.ledger.ticks,
                 memory.snapshot())

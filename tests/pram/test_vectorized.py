@@ -1,11 +1,12 @@
 """Unit tests for the vectorized lane's guards, gating, and registry.
 
-The heavy bit-identity claims live in the 5-mode differential suite
-(``test_fast_path_differential.py``) and the CRCW property tests
+The heavy bit-identity claims live in the differential suite
+(``test_fast_path_differential.py``, whose forced-vec leg sends every
+eligible window to the vector programs) and the CRCW property tests
 (``tests/properties/``); this file covers the plumbing around them —
 the lane registry every consumer enumerates, the optional-dependency
-guard, the MRO trust guard, per-algorithm gating, and the window's
-memory-sync accounting.
+and kernel switches, the MRO trust guard, per-algorithm gating, and
+the window's memory-sync accounting.
 """
 
 import pytest
@@ -13,23 +14,20 @@ import pytest
 from repro.core import AlgorithmW, AlgorithmX, TrivialAssignment
 from repro.core.tasks import CycleFactoryTasks
 from repro.pram.cycles import Cycle
-from repro.pram.lanes import LANES, available_lane_names, lane_available
+from repro.pram.lanes import LANES
 from repro.pram import vectorized as vectorized_module
 from repro.pram.vectorized import (
     HAVE_NUMPY,
-    VectorizedUnavailable,
-    require_numpy,
     resolve_vectorized,
     trusted_vectorized_program,
 )
+from tests.conftest import vector_windows_forced
 
 
 class TestLaneRegistry:
-    def test_six_lanes_reference_last(self):
+    def test_five_lanes_reference_last(self):
         names = list(LANES)
-        assert names == [
-            "fast", "noff", "nokernel", "vec", "auto", "reference"
-        ]
+        assert names == ["fast", "noff", "nokernel", "auto", "reference"]
 
     def test_solver_kwargs_cover_all_switches(self):
         for lane in LANES.values():
@@ -42,42 +40,21 @@ class TestLaneRegistry:
         kwargs = LANES["reference"].solver_kwargs()
         assert not any(kwargs.values())
 
-    def test_only_vec_needs_numpy(self):
-        assert [n for n, lane in LANES.items() if lane.requires_numpy] \
-            == ["vec"]
+    def test_only_auto_is_vectorized(self):
+        assert [n for n, lane in LANES.items() if lane.vectorized] \
+            == ["auto"]
 
-    def test_auto_lane_runs_everywhere(self, monkeypatch):
-        # `auto` must stay available without numpy: it degrades to the
-        # scalar compiled lane instead of being skipped or failing.
-        assert LANES["auto"].vectorized == "auto"
-        assert not LANES["auto"].requires_numpy
+
+class TestSwitches:
+    @pytest.mark.parametrize("vectorized", [True, "auto"])
+    def test_without_numpy_every_true_value_runs_scalar(
+            self, monkeypatch, vectorized):
         monkeypatch.setattr(vectorized_module, "HAVE_NUMPY", False)
-        assert lane_available("auto")
-        assert "auto" in available_lane_names()
-
-    def test_availability_tracks_numpy(self, monkeypatch):
-        assert lane_available("fast")
-        assert lane_available("vec") == HAVE_NUMPY
-        monkeypatch.setattr(vectorized_module, "HAVE_NUMPY", False)
-        assert not lane_available("vec")
-        assert "vec" not in available_lane_names()
-        assert lane_available("reference")
-
-
-class TestNumpyGuard:
-    def test_require_numpy_error_names_the_extra(self, monkeypatch):
-        monkeypatch.setattr(vectorized_module, "_np", None)
-        with pytest.raises(VectorizedUnavailable) as caught:
-            require_numpy()
-        assert "pip install .[numpy]" in str(caught.value)
-        assert "--lane vec" in str(caught.value)
-
-    def test_opt_in_without_numpy_is_loud(self, monkeypatch):
-        monkeypatch.setattr(vectorized_module, "_np", None)
         algorithm = TrivialAssignment()
         layout = algorithm.build_layout(16, 4)
-        with pytest.raises(VectorizedUnavailable):
-            resolve_vectorized(algorithm, layout, None, vectorized=True)
+        assert resolve_vectorized(
+            algorithm, layout, None, vectorized=vectorized
+        ) is None
 
     def test_default_never_touches_numpy(self, monkeypatch):
         monkeypatch.setattr(vectorized_module, "_np", None)
@@ -85,11 +62,77 @@ class TestNumpyGuard:
         layout = algorithm.build_layout(16, 4)
         assert resolve_vectorized(algorithm, layout, None) is None
 
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="vector programs need numpy")
+    @pytest.mark.parametrize("vectorized", [True, "auto"])
+    def test_every_true_value_lets_dispatch_choose(
+            self, monkeypatch, vectorized):
+        # At 64x16 the calibrated model keeps W's windows scalar: a true
+        # switch installs the vector program and no more.
+        from repro.core import solve_write_all
+        from repro.core.vector_kernels import WVector
+        from repro.pram.dispatch import set_model
+
+        bursts = []
+        original = WVector.run_quiet
+
+        def counting(self, *args, **kwargs):
+            bursts.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(WVector, "run_quiet", counting)
+        set_model(None)
+        solve_write_all(AlgorithmW(), 64, 16, vectorized=vectorized)
+        assert bursts == []
+        with vector_windows_forced():
+            solve_write_all(AlgorithmW(), 64, 16, vectorized=vectorized)
+        assert bursts
+
+    @staticmethod
+    def spy_kernel_mode(monkeypatch):
+        """Record whether each loaded program runs on kernels."""
+        from repro.pram.machine import Machine
+
+        modes = []
+        real = Machine.load_program
+
+        def load_program(machine, *args, **kwargs):
+            real(machine, *args, **kwargs)
+            modes.append(machine._kernel_mode)
+
+        monkeypatch.setattr(Machine, "load_program", load_program)
+        return modes
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="vector programs need numpy")
+    @pytest.mark.parametrize("vectorized", [True, "auto"])
+    @pytest.mark.parametrize("algorithm_cls", [TrivialAssignment, AlgorithmW])
+    def test_compiled_false_keeps_the_solver_on_generators(
+            self, monkeypatch, algorithm_cls, vectorized):
+        from repro.core import solve_write_all
+
+        modes = self.spy_kernel_mode(monkeypatch)
+        result = solve_write_all(
+            algorithm_cls(), 64, 4, compiled=False, vectorized=vectorized
+        )
+        assert result.solved
+        assert modes == [False]
+
+    def test_compiled_false_keeps_the_simulator_on_generators(
+            self, monkeypatch):
+        from repro.simulation import RobustSimulator
+        from repro.simulation.programs import prefix_sum_program
+
+        modes = self.spy_kernel_mode(monkeypatch)
+        result = RobustSimulator(
+            p=2, algorithm=AlgorithmW(), compiled=False, vectorized=True,
+        ).execute(prefix_sum_program(4), [1, 2, 3, 4])
+        assert result.solved
+        assert modes and not any(modes)
+
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="vector programs need numpy")
 class TestTrustGuardAndGating:
     def test_stock_algorithms_are_trusted(self):
-        for algorithm in (TrivialAssignment(), AlgorithmW(), AlgorithmX()):
+        for algorithm in (TrivialAssignment(), AlgorithmW()):
             assert trusted_vectorized_program(algorithm) is not None
 
     def test_subclass_overriding_program_is_untrusted(self):
@@ -111,7 +154,7 @@ class TestTrustGuardAndGating:
         assert trusted_vectorized_program(algorithm) is None
 
     def test_resolves_for_default_tasks(self):
-        for algorithm in (TrivialAssignment(), AlgorithmW(), AlgorithmX()):
+        for algorithm in (TrivialAssignment(), AlgorithmW()):
             layout = algorithm.build_layout(16, 4)
             program = resolve_vectorized(
                 algorithm, layout, None, vectorized=True
@@ -123,18 +166,19 @@ class TestTrustGuardAndGating:
             cycles_per_task=2,
             factory=lambda element, pid: [Cycle(label="t")] * 2,
         )
-        for algorithm in (TrivialAssignment(), AlgorithmW(), AlgorithmX()):
+        for algorithm in (TrivialAssignment(), AlgorithmW()):
             layout = algorithm.build_layout(16, 4)
             assert resolve_vectorized(
                 algorithm, layout, tasks, vectorized=True
             ) is None
 
-    def test_random_routing_gates_to_scalar(self):
-        algorithm = AlgorithmX(routing="random")
-        layout = algorithm.build_layout(16, 4)
-        assert resolve_vectorized(
-            algorithm, layout, None, vectorized=True
-        ) is None
+    def test_x_ships_no_vector_program(self):
+        for routing in ("pid", "random"):
+            algorithm = AlgorithmX(routing=routing)
+            layout = algorithm.build_layout(16, 4)
+            assert resolve_vectorized(
+                algorithm, layout, None, vectorized=True
+            ) is None
 
     def test_off_switch_wins_over_everything(self):
         algorithm = TrivialAssignment()
@@ -243,10 +287,11 @@ class TestResidency:
         adversary = ScheduledAdversary({
             4: ([1], []), 8: ([], [1]), 12: ([2], []), 16: ([], [2]),
         })
-        result = solve_write_all(
-            TrivialAssignment(), 256, 8, adversary=adversary,
-            vectorized=True,
-        )
+        with vector_windows_forced():
+            result = solve_write_all(
+                TrivialAssignment(), 256, 8, adversary=adversary,
+                vectorized=True,
+            )
         assert result.solved
         assert result.pattern_size == 4
         # Five quiet windows ran (split by the four adversary events),
@@ -256,7 +301,6 @@ class TestResidency:
     def test_auto_is_bit_identical_to_scalar_under_faults(self):
         from repro.core import solve_write_all
         from repro.faults.base import ScheduledAdversary
-        from repro.pram.dispatch import DispatchModel, set_model
 
         def schedule():
             return ScheduledAdversary({
@@ -266,18 +310,14 @@ class TestResidency:
         # Force auto to actually take the vector lane at this tiny size
         # (the calibrated model would stay scalar): the claim under test
         # is lane bit-identity regardless of what dispatch picks.
-        always_vec = DispatchModel(scale_scalar=1e9)
-        for algorithm_cls in (TrivialAssignment, AlgorithmW, AlgorithmX):
+        for algorithm_cls in (TrivialAssignment, AlgorithmW):
             outcomes = {}
             for mode, vectorized in (("scalar", False), ("auto", "auto")):
-                set_model(always_vec)
-                try:
+                with vector_windows_forced():
                     result = solve_write_all(
                         algorithm_cls(), 64, 8, adversary=schedule(),
                         vectorized=vectorized,
                     )
-                finally:
-                    set_model(None)
                 outcomes[mode] = (
                     result.completed_work, result.charged_work,
                     result.pattern_size, result.ledger.ticks,
@@ -338,14 +378,14 @@ class TestFaultyMemoryStaysScalar:
     static faults: every quiet window runs on the scalar ticks.
     """
 
-    ALGORITHMS = (TrivialAssignment, AlgorithmW, AlgorithmX)
+    ALGORITHMS = (TrivialAssignment, AlgorithmW)
 
     @staticmethod
     def spy_run_quiet(monkeypatch):
-        from repro.core.vector_kernels import TrivialVector, WVector, XVector
+        from repro.core.vector_kernels import TrivialVector, WVector
 
         calls = []
-        for cls in (TrivialVector, WVector, XVector):
+        for cls in (TrivialVector, WVector):
             original = cls.run_quiet
 
             def counting(self, *args, _original=original, **kwargs):
@@ -359,38 +399,32 @@ class TestFaultyMemoryStaysScalar:
     def outcome(algorithm_cls, adversary, lane):
         from repro.core import solve_write_all
         from repro.faults import registry
-        from repro.pram.dispatch import DispatchModel, set_model
 
         # Make `auto` pick vec wherever the machine lets it.
-        set_model(DispatchModel(scale_scalar=1e9))
-        try:
+        with vector_windows_forced():
             result = solve_write_all(
                 algorithm_cls(), 256, 16,
                 adversary=registry.build(adversary, seed=3),
                 **LANES[lane].solver_kwargs(),
             )
-        finally:
-            set_model(None)
         return (
             result.solved, result.completed_work, result.charged_work,
             result.pattern_size, result.ledger.ticks,
             result.memory.snapshot(),
         )
 
-    @pytest.mark.parametrize("lane", ["vec", "auto"])
-    def test_static_mem_makes_no_vector_burst(self, monkeypatch, lane):
+    def test_static_mem_makes_no_vector_burst(self, monkeypatch):
         calls = self.spy_run_quiet(monkeypatch)
         for algorithm_cls in self.ALGORITHMS:
-            outcome = self.outcome(algorithm_cls, "static-mem", lane)
+            outcome = self.outcome(algorithm_cls, "static-mem", "auto")
             reference = self.outcome(algorithm_cls, "static-mem", "reference")
             assert outcome == reference, algorithm_cls.__name__
         assert calls == []
 
-    @pytest.mark.parametrize("lane", ["vec", "auto"])
-    def test_fault_free_memory_still_vectorizes(self, monkeypatch, lane):
+    def test_fault_free_memory_still_vectorizes(self, monkeypatch):
         # The spy's positive control: the same solves on healthy memory
         # do burst through every vector program.
         calls = self.spy_run_quiet(monkeypatch)
         for algorithm_cls in self.ALGORITHMS:
-            self.outcome(algorithm_cls, "none", lane)
-        assert set(calls) == {"TrivialVector", "WVector", "XVector"}
+            self.outcome(algorithm_cls, "none", "auto")
+        assert set(calls) == {"TrivialVector", "WVector"}

@@ -23,7 +23,7 @@ from repro.faults import (
     RandomAdversary,
     SpeedClassAdversary,
 )
-from repro.pram.lanes import LANES as LANE_REGISTRY, lane_available
+from repro.pram.lanes import LANES
 from repro.simulation import RobustSimulator
 from repro.simulation.programs import (
     bfs_input,
@@ -38,16 +38,10 @@ from repro.simulation.programs import (
 )
 from repro.simulation.programs.list_ranking import list_ranking_input
 
-#: Straight from the shared registry (reference last), minus lanes this
-#: environment cannot run (vec without the numpy extra).  The robust
-#: phases use non-trivial task sets, which run on the compiled kernels
-#: of the fast, noff, vec and auto lanes (no vector program runs task
-#: cycles) and on the generators of the nokernel and reference lanes.
-LANES = {
-    name: lane
-    for name, lane in LANE_REGISTRY.items()
-    if lane_available(name)
-}
+# The lanes come straight from the shared registry (reference last).
+# The robust phases use non-trivial task sets, which run on the compiled
+# kernels of the fast, noff and auto lanes (no vector program runs task
+# cycles) and on the generators of the nokernel and reference lanes.
 
 ADVERSARIES = {
     "random": lambda: RandomAdversary(0.12, 0.35, seed=5),
