@@ -6,9 +6,10 @@ keys carry the name, and ``Lane.solver_kwargs()`` is the one place it
 turns back into switches.  These tests hold every layer to that: the
 name reaches the solver as its registry lane's switches, default-lane
 cache keys keep their bytes, the CLI's solving commands run the
-``auto`` lane, the removed lane and switch flags and the removed
-``perf`` command are usage errors, and every lane of the lane matrix
-measures the model the golden report pins for it.
+``auto`` lane, with or without numpy, the removed lane and switch
+flags and the removed ``perf`` command are usage errors, and every
+lane of the lane matrix measures the model the golden report pins for
+it.
 """
 
 from pathlib import Path
@@ -25,7 +26,9 @@ from repro.experiments.cache import point_key
 from repro.experiments.factories import NamedAdversary, SparseSchedule
 from repro.experiments.parallel import expand_spec
 from repro.metrics.report import load_report
+from repro.pram import vectorized as vectorized_module
 from repro.pram.lanes import LANES
+from tests.conftest import vector_windows_forced
 
 GOLDEN = (Path(__file__).resolve().parents[2] / "benchmarks" / "results"
           / "BENCH_golden.json")
@@ -157,22 +160,43 @@ def test_perf_is_no_command(capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv, owner, name", [
-    (["solve", "--algorithm", "W", "--n", "64", "--p", "8",
-      "--adversary", "sched-sparse"], cli, "solve_write_all"),
-    (["trace", "--algorithm", "W", "--n", "16", "--p", "4",
-      "--adversary", "sched-sparse"], cli, "solve_write_all"),
-    (["sweep", "--algorithm", "W", "--sizes", "64", "--p", "8",
-      "--seeds", "1", "--adversary", "sched-sparse"],
-     core_runner, "solve_write_all"),
-    (["simulate", "--width", "8", "--p", "2", "--adversary", "none"],
-     cli, "RobustSimulator"),
-], ids=["solve", "trace", "sweep", "simulate"])
-def test_commands_run_the_auto_lane(monkeypatch, capsys, argv, owner, name):
+#: One small run of each solving command, and the entry point it
+#: solves through.
+COMMANDS = {
+    "solve": (["solve", "--algorithm", "W", "--n", "64", "--p", "8",
+               "--adversary", "sched-sparse"], cli, "solve_write_all"),
+    "trace": (["trace", "--algorithm", "W", "--n", "16", "--p", "4",
+               "--adversary", "sched-sparse"], cli, "solve_write_all"),
+    "sweep": (["sweep", "--algorithm", "W", "--sizes", "64", "--p", "8",
+               "--seeds", "1", "--adversary", "sched-sparse"],
+              core_runner, "solve_write_all"),
+    "simulate": (["simulate", "--width", "8", "--p", "2",
+                  "--adversary", "none"], cli, "RobustSimulator"),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_commands_run_the_auto_lane(monkeypatch, capsys, command):
+    argv, owner, name = COMMANDS[command]
     calls = spy(monkeypatch, owner, name)
     assert main(argv) == 0
     assert calls
     assert {lane_of(call) for call in calls} == {"auto"}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_commands_run_without_numpy(monkeypatch, capsys, command):
+    # The auto lane needs no numpy extra: with the module hidden each
+    # command runs scalar even where dispatch would pick every vector
+    # window, and prints what it prints with numpy.
+    argv = COMMANDS[command][0]
+    with vector_windows_forced():
+        assert main(argv) == 0
+        with_numpy = capsys.readouterr().out
+        monkeypatch.setattr(vectorized_module, "HAVE_NUMPY", False)
+        monkeypatch.setattr(vectorized_module, "_np", None)
+        assert main(argv) == 0
+    assert capsys.readouterr().out == with_numpy
 
 
 # --------------------------------------------------------------------- #

@@ -3,14 +3,24 @@
 The model's job is pure prediction — both lanes are bit-identical by
 the differential contract, so these tests pin down the *decisions* at
 the calibrated crossovers (trivial dispatches vec almost everywhere,
-W stays scalar until P is large), the residency discounts, and the
-process-wide memoization seam.  Wall-clock consequences are the e2e
+W stays scalar until P is large), the residency discounts, which
+algorithms consult the model at all, and the process-wide memoization
+seam.  Wall-clock consequences are the e2e
 benchmark's to measure (``benchmarks/e2e``); the ``auto`` lane's model
 fields are gated by the ``A9_lane_matrix`` scenario's golden points.
 """
 
 import pytest
 
+from repro.core import (
+    AlgorithmV,
+    AlgorithmVX,
+    AlgorithmW,
+    AlgorithmX,
+    TrivialAssignment,
+    solve_write_all,
+)
+from repro.experiments.factories import SparseSchedule
 from repro.pram.dispatch import (
     DEFAULT_TABLE,
     DispatchModel,
@@ -18,6 +28,8 @@ from repro.pram.dispatch import (
     get_model,
     set_model,
 )
+from repro.pram.lanes import LANES
+from repro.pram.vectorized import HAVE_NUMPY
 
 
 @pytest.fixture(autouse=True)
@@ -128,3 +140,36 @@ class TestGetModel:
         sentinel = DispatchModel(scale_scalar=42.0)
         set_model(sentinel)
         assert get_model() is sentinel
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="vector programs need numpy")
+class TestWhoAsks:
+    """Only an installed vector program puts a window to the model."""
+
+    @pytest.mark.parametrize("algorithm, kinds", [
+        (TrivialAssignment, {"trivial"}),
+        (AlgorithmW, {"W"}),
+        (AlgorithmX, set()),
+        (AlgorithmV, set()),
+        (AlgorithmVX, set()),
+    ], ids=["trivial", "W", "X", "V", "VX"])
+    def test_auto_lane_asks_for_its_vector_program_only(
+            self, monkeypatch, algorithm, kinds):
+        # The lane matrix's sched-sparse schedule, so each run has
+        # quiet windows between fail/restart pairs: trivial and W ask
+        # for their own row, X, V and VX (no vector program) never ask.
+        asked = []
+        real = DispatchModel.prefer_vector
+
+        def prefer_vector(model, kind, *args, **kwargs):
+            asked.append(kind)
+            return real(model, kind, *args, **kwargs)
+
+        monkeypatch.setattr(DispatchModel, "prefer_vector", prefer_vector)
+        result = solve_write_all(
+            algorithm(), 1024, 8, adversary=SparseSchedule(victims=8)(0),
+            **LANES["auto"].solver_kwargs(),
+        )
+        assert result.solved
+        assert result.pattern_size > 0
+        assert set(asked) == kinds

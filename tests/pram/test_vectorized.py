@@ -21,7 +21,7 @@ from repro.pram.vectorized import (
     resolve_vectorized,
     trusted_vectorized_program,
 )
-from tests.conftest import vector_windows_forced
+from tests.conftest import FORCED_VEC, lane_dispatch, vector_windows_forced
 
 
 class TestLaneRegistry:
@@ -43,6 +43,39 @@ class TestLaneRegistry:
     def test_only_auto_is_vectorized(self):
         assert [n for n, lane in LANES.items() if lane.vectorized] \
             == ["auto"]
+
+    @staticmethod
+    def sched_sparse_outcomes(lane):
+        from repro.core import solve_write_all
+        from repro.experiments.factories import SparseSchedule
+
+        outcomes = []
+        for algorithm_cls in (TrivialAssignment, AlgorithmW):
+            with lane_dispatch(lane):
+                result = solve_write_all(
+                    algorithm_cls(), 256, 8,
+                    adversary=SparseSchedule(victims=8)(0),
+                    **lane.solver_kwargs(),
+                )
+            outcomes.append((
+                result.solved, result.completed_work, result.charged_work,
+                result.pattern_size, result.ledger.ticks,
+                result.memory.snapshot(),
+            ))
+        return outcomes
+
+    @pytest.mark.parametrize(
+        "lane", [*LANES.values(), FORCED_VEC],
+        ids=[*LANES, FORCED_VEC.name],
+    )
+    def test_every_lane_runs_without_numpy(self, monkeypatch, lane):
+        # No lane needs the numpy extra: without it the vectorized lanes
+        # install no vector program and match the reference lane, and
+        # nothing reaches for the missing module.
+        reference = self.sched_sparse_outcomes(LANES["reference"])
+        monkeypatch.setattr(vectorized_module, "HAVE_NUMPY", False)
+        monkeypatch.setattr(vectorized_module, "_np", None)
+        assert self.sched_sparse_outcomes(lane) == reference
 
 
 class TestSwitches:
