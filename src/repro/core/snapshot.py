@@ -14,12 +14,22 @@ algorithm's completed work is ``Theta(N log N)`` with ``N`` processors —
 matching the Theorem 3.1 lower bound, which is what makes that bound the
 tightest possible under the assumption.  The machine must be created
 with ``allow_snapshot=True`` (the runner does this automatically).
+
+Every processor of a tick reads the same pre-tick memory, and the fast
+lanes hand all of them one tuple (the machine builds one snapshot per
+tick).  The program therefore computes the unvisited list once per
+snapshot *object*: an identity memo holds the last tuple and its list,
+and every processor's write closure and termination test consult it.
+The memo is exact because a tuple never changes and the memo keeps a
+reference to it, so a match by identity is a match by contents.  A new
+tuple (the next tick, or each processor on the reference lane, which
+copies memory per processor) misses and recomputes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, Optional, Sequence, Tuple
+from typing import Callable, Generator, List, Optional, Sequence, Tuple
 
 from repro.core.base import BaseLayout, WriteAllAlgorithm
 from repro.core.tasks import TaskSet
@@ -54,20 +64,31 @@ class SnapshotAlgorithm(WriteAllAlgorithm):
         n = layout.n
         p = layout.p
         x_base = layout.x_base
+        # The identity memo (see the module docstring): the last snapshot
+        # tuple seen and its unvisited elements.
+        memo_values: Optional[Tuple[int, ...]] = None
+        memo_unvisited: List[int] = []
 
-        def compute(pid: int) -> Callable[[Tuple[int, ...]], Sequence[Write]]:
-            def writes(memory_values: Tuple[int, ...]) -> Sequence[Write]:
-                unvisited = [
+        def unvisited(memory_values: Tuple[int, ...]) -> List[int]:
+            nonlocal memo_values, memo_unvisited
+            if memory_values is not memo_values:
+                memo_unvisited = [
                     index
                     for index in range(n)
                     if memory_values[x_base + index] == 0
                 ]
-                if not unvisited:
+                memo_values = memory_values
+            return memo_unvisited
+
+        def compute(pid: int) -> Callable[[Tuple[int, ...]], Sequence[Write]]:
+            def writes(memory_values: Tuple[int, ...]) -> Sequence[Write]:
+                remaining = unvisited(memory_values)
+                if not remaining:
                     return ()
                 # Balanced oblivious assignment: processor PID takes the
                 # floor(PID * U / P)-th unvisited element.
-                slot = (pid * len(unvisited)) // p
-                return (Write(x_base + unvisited[slot], 1),)
+                slot = (pid * len(remaining)) // p
+                return (Write(x_base + remaining[slot], 1),)
 
             return writes
 
@@ -78,9 +99,7 @@ class SnapshotAlgorithm(WriteAllAlgorithm):
                     memory_values = yield snapshot_cycle(
                         writes, label="snapshot:assign"
                     )
-                    if all(
-                        memory_values[x_base + index] != 0 for index in range(n)
-                    ):
+                    if not unvisited(memory_values):
                         return
 
             return run()

@@ -46,9 +46,9 @@ _LOG = logging.getLogger(__name__)
 #: entries then miss instead of deserializing garbage.
 CACHE_VERSION = 1
 
-#: Entry-body schema.  Schema 2 added the content ``checksum``; schema 1
-#: entries (pre-checksum) are still accepted — the migration shim below —
-#: so existing caches are not invalidated wholesale.
+#: Entry-body schema.  Schema 2 added the content ``checksum``.  An
+#: entry or checkpoint of any other schema, or none, is discarded as
+#: corrupt: without a checksum nothing binds its point to its key.
 ENTRY_SCHEMA = 2
 
 
@@ -186,8 +186,8 @@ class ResultCache:
         A missing entry and a corrupted one are the same thing to the
         caller — the point just recomputes.  Corrupted files are
         logged, counted, and deleted so they cannot shadow a later good
-        write.  Schema-1 entries (written before checksums existed) are
-        still accepted; schema-2 entries must pass their checksum.
+        write.  An entry must carry schema :data:`ENTRY_SCHEMA` and pass
+        its checksum; anything else counts as corrupt.
         """
         path = self.entry_path(sweep, key)
         try:
@@ -200,10 +200,13 @@ class ResultCache:
         try:
             if payload["version"] != CACHE_VERSION or payload["key"] != key:
                 raise ValueError("stale or mismatched entry")
-            if payload.get("schema", 1) >= 2:
-                stored = payload.get("checksum")
-                if stored != entry_checksum(key, payload["point"]):
-                    raise ValueError("checksum mismatch")
+            if payload.get("schema") != ENTRY_SCHEMA:
+                raise ValueError(
+                    f"schema {payload.get('schema')!r}, "
+                    f"expected {ENTRY_SCHEMA}"
+                )
+            if payload.get("checksum") != entry_checksum(key, payload["point"]):
+                raise ValueError("checksum mismatch")
             return RunPoint.from_dict(payload["point"])
         except (KeyError, TypeError, ValueError) as exc:
             self._discard(path, str(exc))
@@ -249,10 +252,10 @@ class ResultCache:
     def read_checkpoint(self, sweep: str) -> Optional[Dict[str, Any]]:
         """The progress manifest, or ``None`` when missing or corrupt.
 
-        Pre-checksum (schema-1) checkpoints are accepted as-is; a
-        schema-2 checkpoint failing its checksum is treated as corrupt.
-        The entries are still the truth either way — a bad checkpoint
-        costs nothing but the progress readout.
+        A checkpoint must carry schema :data:`ENTRY_SCHEMA` and pass its
+        checksum; anything else is counted as corrupt.  The entries are
+        still the truth either way — a bad checkpoint costs nothing but
+        the progress readout.
         """
         path = self._sweep_dir(sweep) / "checkpoint.json"
         try:
@@ -261,20 +264,20 @@ class ResultCache:
             return None
         if not isinstance(payload, dict):
             return None
-        if payload.get("schema", 1) >= 2:
-            stored = payload.get("checksum")
-            body = {k: v for k, v in payload.items() if k != "checksum"}
-            expected = hashlib.sha256(
-                json.dumps(body, sort_keys=True,
-                           separators=(",", ":")).encode("utf-8")
-            ).hexdigest()
-            if stored != expected:
-                self.corrupt_discarded += 1
-                _LOG.warning(
-                    "discarding corrupt checkpoint %s: checksum mismatch",
-                    path,
-                )
-                return None
+        body = {k: v for k, v in payload.items() if k != "checksum"}
+        expected = hashlib.sha256(
+            json.dumps(body, sort_keys=True,
+                       separators=(",", ":")).encode("utf-8")
+        ).hexdigest()
+        if payload.get("schema") != ENTRY_SCHEMA or (
+            payload.get("checksum") != expected
+        ):
+            self.corrupt_discarded += 1
+            _LOG.warning(
+                "discarding corrupt checkpoint %s: schema %r or checksum "
+                "mismatch", path, payload.get("schema"),
+            )
+            return None
         return payload
 
     def _discard(self, path: pathlib.Path, reason: str) -> None:

@@ -23,10 +23,11 @@ same algorithm under an *off-line* random pattern is efficient.
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.faults.base import Adversary
 from repro.pram.failures import BEFORE_WRITES, Decision
+from repro.pram.ledger import RunLedger
 from repro.pram.view import TickView
 
 
@@ -52,47 +53,129 @@ class StalkingAdversaryX(Adversary):
     ``w_base`` (algorithm X's shared position array, ``w[pid]`` holding
     the heap index of the processor's current progress-tree node; leaves
     are heap indices ``>= n``).
+
+    **The leaf index.**  Each tick restarts every failed pid whose
+    position is harmless: not a leaf, a finished leaf (``x == 1``), or
+    processor 0's leaf.  Testing a pid reads ``w[pid]`` and its leaf's
+    ``x`` cell, and most pids stay failed for many ticks, so instead of
+    testing every failed pid every tick the adversary keeps, between
+    consecutive consults of one run, the failed pids it tested and left
+    failed (*parked*), indexed by the leaf their position names.  The
+    index is exact.  A failed pid writes nothing, and memory changes
+    only through the writes of the pending cycles the adversary saw
+    last tick.  So a parked pid's test can change its answer only when
+    one of those writes targeted its ``w`` cell (it is tested again in
+    full) or its leaf's ``x`` cell, or when the leader now holds its
+    leaf (every pid parked at that leaf is tested again).  Pids that
+    are failed but not parked are tested in full: those new to
+    ``failed_pids``, and those restarted last tick that are still
+    failed because a wrapper dropped the restart.  Parked pids that
+    left ``failed_pids`` (the machine's progress rule restarts one) are
+    dropped from the index.  When the adversary cannot vouch for
+    continuity (a different ledger, a ``view.time`` that is not one
+    past its last consult, or after :meth:`reset`) it tests every
+    failed pid and rebuilds the index.
     """
 
     # Fully adaptive (tracks the leader's position every tick), so the
     # inherited per-tick event horizon (quiet_until = tick + 1) stands.
+
+    def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
+        #: The run and the tick of the last consult: the index holds
+        #: only for the next tick of that run.
+        self._ledger: Optional[RunLedger] = None
+        self._time = 0
+        #: Parked pids, by pid (their leaf) and by leaf.
+        self._parked: Dict[int, int] = {}
+        self._by_leaf: Dict[int, Set[int]] = {}
+        #: Addresses the pending cycles of the last consult write.
+        self._written: List[int] = []
 
     def decide(self, view: TickView) -> Decision:
         layout = _layout_from(view, "n", "x_base", "w_base")
         n = layout.n
         x_base = layout.x_base
         w_base = layout.w_base
+        read = view.memory.read
 
         # Where is processor 0 working?  (None once it halted/exited.)
         leader_element: Optional[int] = None
-        position_of_leader = view.memory.read(w_base + 0)
+        position_of_leader = read(w_base + 0)
         if position_of_leader >= n:
             leader_element = position_of_leader - n
 
         failures = {}
+        written: List[int] = []
         for pid, pending in view.pending.items():
-            if pid == 0:
-                continue
+            stalked = pid != 0
             for write in pending.writes:
-                element = write.address - x_base
-                if 0 <= element < n and element != leader_element:
-                    if view.memory.read(x_base + element) == 0:
-                        failures[pid] = BEFORE_WRITES
-                        break
+                address = write.address
+                written.append(address)
+                if stalked:
+                    element = address - x_base
+                    if 0 <= element < n and element != leader_element:
+                        if read(address) == 0:
+                            failures[pid] = BEFORE_WRITES
+                            stalked = False
 
-        restarts: Set[int] = set()
-        for pid in view.failed_pids:
-            position = view.memory.read(w_base + pid)
+        restarts: List[int] = []
+        parked = self._parked
+        by_leaf = self._by_leaf
+        failed = set(view.failed_pids)
+        if view.ledger is self._ledger and view.time == self._time + 1:
+            untested = failed.difference(parked)
+            if len(failed) - len(untested) != len(parked):
+                for pid in parked.keys() - failed:
+                    self._unpark(pid)
+            leaves = [] if leader_element is None else [leader_element]
+            for address in self._written:
+                pid = address - w_base
+                if pid in parked:
+                    untested.add(pid)
+                    self._unpark(pid)
+                if address - x_base in by_leaf:
+                    leaves.append(address - x_base)
+            for element in leaves:
+                pids = by_leaf.get(element)
+                if pids and (
+                    element == leader_element or read(x_base + element) == 1
+                ):
+                    del by_leaf[element]
+                    for pid in pids:
+                        del parked[pid]
+                    restarts.extend(pids)
+        else:
+            parked.clear()
+            by_leaf.clear()
+            untested = failed
+        for pid in untested:
+            position = read(w_base + pid)
             if position < n or position >= 2 * n:
                 # Interior node, uninitialized, or exited: travelling is
                 # harmless — revive.
-                restarts.add(pid)
+                restarts.append(pid)
                 continue
             element = position - n
-            if view.memory.read(x_base + element) == 1 or element == leader_element:
-                restarts.add(pid)
+            if read(x_base + element) == 1 or element == leader_element:
+                restarts.append(pid)
+            else:
+                parked[pid] = element
+                by_leaf.setdefault(element, set()).add(pid)
 
+        self._ledger = view.ledger
+        self._time = view.time
+        self._written = written
         return Decision(failures=failures, restarts=frozenset(restarts))
+
+    def _unpark(self, pid: int) -> None:
+        element = self._parked.pop(pid)
+        pids = self._by_leaf[element]
+        pids.discard(pid)
+        if not pids:
+            del self._by_leaf[element]
 
 
 class AccStalker(Adversary):

@@ -52,7 +52,6 @@ class Lane:
     fast_forward: bool
     compiled: bool
     vectorized: bool = False
-    description: str = ""
 
     def solver_kwargs(self) -> Dict[str, bool]:
         """Keyword arguments for ``solve_write_all`` / ``RobustSimulator``."""
@@ -74,21 +73,18 @@ LANES: Dict[str, Lane] = {
             fast_path=True,
             fast_forward=True,
             compiled=True,
-            description="all scalar optimizations on",
         ),
         Lane(
             name="noff",
             fast_path=True,
             fast_forward=False,
             compiled=True,
-            description="fast path without event-horizon batching",
         ),
         Lane(
             name="nokernel",
             fast_path=True,
             fast_forward=True,
             compiled=False,
-            description="fast path without compiled kernels",
         ),
         Lane(
             name="auto",
@@ -96,15 +92,12 @@ LANES: Dict[str, Lane] = {
             fast_forward=True,
             compiled=True,
             vectorized=True,
-            description="adaptive per-window vec/scalar dispatch (the "
-            "CLI's lane; scalar without numpy)",
         ),
         Lane(
             name="reference",
             fast_path=False,
             fast_forward=False,
             compiled=False,
-            description="the executable specification (no optimizations)",
         ),
     )
 }

@@ -451,6 +451,8 @@ class Machine:
                         f"pid {processor.pid}: snapshot read on a machine "
                         f"without allow_snapshot (label={cycle.label!r})"
                     )
+                # A fresh tuple per processor, unlike the fast lanes'
+                # one per tick: programs must not tell the two apart.
                 values: Tuple[int, ...] = tuple(self.memory.snapshot())
                 self.memory.reads_served += 1  # unit cost by assumption
             else:
@@ -813,6 +815,10 @@ class Machine:
         after a type/bounds check, with invalid accesses routed through
         the validated reader so errors match the reference path
         exactly, and are held to the read and write budgets.
+
+        No cell changes during a call, so every snapshot cycle of the
+        call reads one tuple of the memory, built on first use: a tick
+        costs one O(size) copy, not one per processor.
         """
         memory = self.memory
         cells = self._cells
@@ -821,6 +827,7 @@ class Machine:
         max_writes = self.max_writes
         validated = self._validated_labels
         reads_charged = 0
+        snapshot: Optional[Tuple[int, ...]] = None
         for processor in processors:
             cycle = processor._pending
             if cycle is None:
@@ -830,9 +837,12 @@ class Machine:
                 cycle = processor.materialize_pending()
             label = cycle.label
             if label not in validated:
-                collected.append(
-                    self._collect_one_validated(processor, cycle, readers_by_address)
+                entry = self._collect_one_validated(
+                    processor, cycle, readers_by_address, snapshot
                 )
+                if cycle.is_snapshot:
+                    snapshot = entry[2]
+                collected.append(entry)
                 validated.add(label)
                 continue
             reads = cycle.reads
@@ -873,7 +883,9 @@ class Machine:
                         f"pid {processor.pid}: snapshot read on a machine "
                         f"without allow_snapshot (label={cycle.label!r})"
                     )
-                values = tuple(memory.snapshot())
+                if snapshot is None:
+                    snapshot = tuple(memory.snapshot())
+                values = snapshot
                 reads_charged += 1  # unit cost by assumption
             else:
                 cycle.read_specs()  # raises the standard ProgramError
@@ -993,13 +1005,16 @@ class Machine:
         processor: Processor,
         cycle: Cycle,
         readers_by_address: Optional[Dict[int, List[int]]],
+        snapshot: Optional[Tuple[int, ...]] = None,
     ) -> tuple:
         """Reference-semantics collection of one cycle.
 
         The one-time program-validation gate: the first occurrence of
         each cycle label takes this fully validated route (type checks
         on every read spec and produced write); later occurrences are
-        trusted to keep the same shape and take the raw route.
+        trusted to keep the same shape and take the raw route.  A
+        snapshot cycle reads ``snapshot``, the memory tuple its tick has
+        already built, when there is one.
         """
         if cycle.is_snapshot:
             if not self.allow_snapshot:
@@ -1007,7 +1022,10 @@ class Machine:
                     f"pid {processor.pid}: snapshot read on a machine "
                     f"without allow_snapshot (label={cycle.label!r})"
                 )
-            values: Tuple[int, ...] = tuple(self.memory.snapshot())
+            values: Tuple[int, ...] = (
+                snapshot if snapshot is not None
+                else tuple(self.memory.snapshot())
+            )
             self.memory.reads_served += 1  # unit cost by assumption
         else:
             specs = cycle.read_specs()

@@ -7,7 +7,10 @@ import pytest
 from repro.core import SnapshotAlgorithm, solve_write_all
 from repro.core.tasks import CycleFactoryTasks
 from repro.faults import HalvingAdversary, NoFailures, RandomAdversary
+from repro.faults.base import Adversary
 from repro.pram.cycles import Cycle
+from repro.pram.lanes import LANES
+from tests.pram.test_fast_path_differential import assert_identical
 
 
 class TestBasics:
@@ -67,3 +70,78 @@ class TestUnderAdversaries:
             max_ticks=100_000,
         )
         assert result.solved
+
+
+SNAPSHOT_ADVERSARIES = {
+    "halving": HalvingAdversary,
+    "random": lambda: RandomAdversary(0.2, 0.4, seed=3),
+    "none": lambda: None,
+}
+
+
+def snapshot_run(lane, n, p, adversary):
+    return solve_write_all(
+        SnapshotAlgorithm(), n, p, adversary=adversary,
+        max_ticks=100_000, **lane.solver_kwargs(),
+    )
+
+
+class TestLanesAgree:
+    """Every lane's snapshot run equals the reference lane's: the fast
+    lanes share one memory tuple per tick (and so the program's memo
+    hits), the reference copies memory per processor (and misses)."""
+
+    @pytest.mark.parametrize("lane", [
+        lane for lane in LANES.values() if lane.name != "reference"
+    ], ids=lambda lane: lane.name)
+    @pytest.mark.parametrize("adversary", sorted(SNAPSHOT_ADVERSARIES))
+    @pytest.mark.parametrize("n,p", [(64, 64), (64, 16), (256, 256),
+                                     (256, 64)])
+    def test_lane_matches_reference(self, lane, adversary, n, p):
+        factory = SNAPSHOT_ADVERSARIES[adversary]
+        result = snapshot_run(lane, n, p, factory())
+        assert result.solved
+        assert_identical(
+            result, snapshot_run(LANES["reference"], n, p, factory())
+        )
+
+    def test_halving_at_1024(self):
+        fast = snapshot_run(LANES["fast"], 1024, 1024, HalvingAdversary())
+        reference = snapshot_run(
+            LANES["reference"], 1024, 1024, HalvingAdversary()
+        )
+        assert fast.solved
+        assert_identical(fast, reference)
+
+
+class SnapshotRecorder(Adversary):
+    """Rules like ``inner`` and records, per tick, the snapshot read
+    values of every pending cycle beside the pre-tick memory."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.ticks = []
+
+    def decide(self, view):
+        values = [
+            pending.read_values
+            for pending in view.pending.values()
+            if pending.cycle.is_snapshot
+        ]
+        self.ticks.append((values, tuple(view.memory.snapshot())))
+        return self.inner.decide(view)
+
+
+@pytest.mark.parametrize("lane", [
+    lane for lane in LANES.values() if lane.fast_path
+], ids=lambda lane: lane.name)
+@pytest.mark.parametrize("inner", [NoFailures, HalvingAdversary])
+def test_fast_lane_tick_shares_one_read_tuple(lane, inner):
+    recorder = SnapshotRecorder(inner())
+    result = snapshot_run(lane, 64, 64, recorder)
+    assert result.solved
+    assert recorder.ticks
+    for values, memory in recorder.ticks:
+        assert values
+        assert all(read is values[0] for read in values)
+        assert values[0] == memory

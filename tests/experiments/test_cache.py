@@ -134,21 +134,29 @@ def test_bitflipped_measure_is_caught_by_checksum(tmp_path, monkeypatch):
     assert warm.points == cold.points  # the lie did not reach results
 
 
-def test_schema1_entry_without_checksum_still_loads(tmp_path):
-    # Migration shim: entries written before checksums existed carry
-    # neither a schema nor a checksum field and must keep loading —
-    # upgrading the engine must not invalidate a populated cache.
+def test_entry_without_schema_or_checksum_is_recomputed(tmp_path):
+    # Without a schema and a checksum nothing binds a point to its key:
+    # an entry stripped of both, with its point edited, must not load.
     cache = ResultCache(tmp_path)
-    run_sweep_parallel(cache_spec(), workers=1, cache=cache)
+    cold = run_sweep_parallel(cache_spec(), workers=1, cache=cache)
     victim = entry_files(tmp_path)[0]
     payload = json.loads(victim.read_text())
     for field in ("schema", "checksum"):
         del payload[field]
+    payload["point"]["completed_work"] += 1
     victim.write_text(json.dumps(payload))
 
     key = victim.name[: -len(".json")]
-    assert cache.load("cache-behavior", key) is not None
-    assert cache.corrupt_discarded == 0
+    assert cache.load("cache-behavior", key) is None
+    assert cache.corrupt_discarded == 1
+    assert not victim.exists()
+
+    warm = run_sweep_parallel(cache_spec(), workers=1, cache=cache)
+    assert warm.stats.executed == 1
+    assert warm.stats.cache_hits == 3
+    assert [point.completed_work for point in warm.points] == [
+        point.completed_work for point in cold.points
+    ]
 
 
 def test_corrupt_discarded_counts_every_discard(tmp_path):
@@ -179,11 +187,12 @@ def test_checkpoint_checksum_detects_tampering(tmp_path):
     assert cache.read_checkpoint("sweep") is None
     assert cache.corrupt_discarded == 1
 
-    # Pre-checksum (schema-1) checkpoints are accepted as-is.
+    # A checkpoint without schema and checksum is corrupt too.
     path.write_text(json.dumps(
         {"version": 1, "sweep": "sweep", "done": 2, "total": 8}
     ))
-    assert cache.read_checkpoint("sweep")["done"] == 2
+    assert cache.read_checkpoint("sweep") is None
+    assert cache.corrupt_discarded == 2
 
 
 def test_point_key_is_stable_and_spec_sensitive():
