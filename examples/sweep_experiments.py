@@ -11,7 +11,7 @@ import sys
 
 from repro.core import AlgorithmVX, AlgorithmX
 from repro.experiments import SweepSpec, run_sweep
-from repro.faults import RandomAdversary, StalkingAdversaryX
+from repro.faults import registry
 
 
 def main() -> None:
@@ -20,7 +20,7 @@ def main() -> None:
         algorithm=AlgorithmX,
         sizes=[32, 64, 128, 256],
         processors=lambda n: n,
-        adversary=lambda seed: RandomAdversary(0.1, 0.3, seed=seed),
+        adversary=registry.spec("random", fail=0.1, restart_prob=0.3),
         seeds=range(5),
         max_ticks=2_000_000,
     )
@@ -28,7 +28,7 @@ def main() -> None:
         name="X stalked (Theorem 4.8)",
         algorithm=AlgorithmX,
         sizes=[32, 64, 128, 256],
-        adversary=lambda seed: StalkingAdversaryX(),
+        adversary=registry.spec("stalker"),
         seeds=[0],
         max_ticks=20_000_000,
     )
@@ -36,7 +36,7 @@ def main() -> None:
         name="V+X stalked (Theorem 4.9)",
         algorithm=AlgorithmVX,
         sizes=[32, 64, 128],
-        adversary=lambda seed: StalkingAdversaryX(),
+        adversary=registry.spec("stalker"),
         seeds=[0],
         max_ticks=20_000_000,
     )

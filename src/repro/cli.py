@@ -54,17 +54,6 @@ from repro.core import (
 )
 from repro.experiments import SweepSpec, run_sweep, run_sweep_parallel
 from repro.experiments.backends import BACKEND_NAMES
-from repro.experiments.factories import (
-    NamedAdversary,
-    build_named_adversary,
-)
-from repro.faults import (
-    HalvingAdversary,
-    NoFailures,
-    NoRestartAdversary,
-    RandomAdversary,
-    ThrashingAdversary,
-)
 from repro.faults import registry as adversary_registry
 from repro.metrics.tables import render_table
 from repro.pram.lanes import LANES
@@ -106,9 +95,13 @@ PROGRAMS = {
 }
 
 
-def build_adversary(name: str, fail: float, restart_prob: float, seed: int):
+def adversary_spec(args: argparse.Namespace):
+    """The ``--adversary`` spec: ``--fail`` and ``--restart-prob`` reach
+    only the entries that declare them."""
     try:
-        return build_named_adversary(name, fail, restart_prob, seed)
+        return adversary_registry.spec_taking(
+            args.adversary, fail=args.fail, restart_prob=args.restart_prob,
+        )
     except ValueError as exc:
         raise SystemExit(str(exc))
 
@@ -221,8 +214,7 @@ def _chaos_from_args(args: argparse.Namespace):
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    adversary = build_adversary(args.adversary, args.fail,
-                                args.restart_prob, args.seed)
+    adversary = adversary_spec(args).build(args.seed)
     result = solve_write_all(
         ALGORITHMS[args.algorithm](), args.n, args.p, adversary=adversary,
         max_ticks=args.max_ticks, **LANES[CLI_LANE].solver_kwargs(),
@@ -238,8 +230,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         algorithm=ALGORITHMS[args.algorithm],
         sizes=sizes,
         processors=(lambda n: n) if args.p is None else args.p,
-        adversary=NamedAdversary(args.adversary, args.fail,
-                                 args.restart_prob),
+        adversary=adversary_spec(args),
         seeds=range(args.seeds),
         max_ticks=args.max_ticks,
         lane=CLI_LANE,
@@ -303,20 +294,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _scenario_matches_model(scenario, model_tag: Optional[str]) -> bool:
-    """Does a bench scenario exercise the given model tag?
-
-    Scenarios name their adversaries via ``BenchScenario.adversaries``;
-    legacy scenarios that predate the annotation all run KS91
-    adversaries, so they match only ``fail-stop-restart``.
-    """
-    if model_tag is None:
-        return True
-    names = getattr(scenario, "adversaries", ())
-    if not names:
-        return model_tag == "fail-stop-restart"
-    return any(
-        model_tag in adversary_registry.tags_for(name) for name in names
-    )
+    """Does a bench scenario measure the given fault model?"""
+    return model_tag is None or model_tag in scenario.model_tags
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -336,9 +315,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             if not _scenario_matches_model(scenario, args.model_tag):
                 continue
             heavy = "  [heavy]" if scenario.heavy else ""
-            adversaries = getattr(scenario, "adversaries", ())
-            named = f"  @{','.join(adversaries)}" if adversaries else ""
-            print(f"{tag:30s} {scenario.title}{heavy}{named}")
+            print(f"{tag:30s} {scenario.title}{heavy}  "
+                  f"@{','.join(scenario.adversaries)}")
         names = (adversary_registry.names_for_tag(args.model_tag)
                  if args.model_tag else adversary_registry.names())
         print(
@@ -501,8 +479,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         program = PROGRAMS[args.program](width)
         initial = [rng.randint(0, 9) for _ in range(width)]
-    adversary = build_adversary(args.adversary, args.fail,
-                                args.restart_prob, args.seed)
+    adversary = adversary_spec(args).build(args.seed)
     if args.persistent:
         from repro.simulation import PersistentSimulator
 
@@ -532,11 +509,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.faults import UnionAdversary
 
     tracer = Tracer()
-    adversary = UnionAdversary([
-        tracer,
-        build_adversary(args.adversary, args.fail, args.restart_prob,
-                        args.seed),
-    ])
+    adversary = UnionAdversary([tracer, adversary_spec(args).build(args.seed)])
     result = solve_write_all(
         ALGORITHMS[args.algorithm](), args.n, args.p, adversary=adversary,
         max_ticks=args.max_ticks, **LANES[CLI_LANE].solver_kwargs(),
@@ -547,18 +520,22 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0 if result.solved else 1
 
 
+#: ``showdown``'s rows: one adversary per row, seeded with ``--seed``.
+SHOWDOWN = (
+    adversary_registry.spec("none"),
+    adversary_registry.spec("crash", fail=0.05),
+    adversary_registry.spec("random"),
+    adversary_registry.spec("thrashing"),
+    adversary_registry.spec("halving"),
+)
+
+
 def cmd_showdown(args: argparse.Namespace) -> int:
-    adversaries = [
-        ("none", NoFailures()),
-        ("crash", NoRestartAdversary(RandomAdversary(0.05, seed=args.seed))),
-        ("random", RandomAdversary(0.1, 0.3, seed=args.seed)),
-        ("thrashing", ThrashingAdversary()),
-        ("halving", HalvingAdversary()),
-    ]
     names = ["W", "V", "X", "VX"]
     rows = []
-    for label, adversary in adversaries:
-        row = [label]
+    for spec in SHOWDOWN:
+        adversary = spec.build(args.seed)
+        row = [spec.name]
         for name in names:
             result = solve_write_all(
                 ALGORITHMS[name](), args.n, args.p or args.n,

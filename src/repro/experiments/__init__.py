@@ -10,27 +10,28 @@ Example::
 
     from repro.experiments import SweepSpec, run_sweep
     from repro.core import AlgorithmX
-    from repro.faults import RandomAdversary
+    from repro.faults import registry
 
     spec = SweepSpec(
         name="x-under-churn",
         algorithm=AlgorithmX,
         sizes=[64, 128, 256],
         processors=lambda n: n,
-        adversary=lambda seed: RandomAdversary(0.1, 0.3, seed=seed),
+        adversary=registry.spec("random", fail=0.1, restart_prob=0.3),
         seeds=range(5),
     )
     result = run_sweep(spec)
     print(result.table())
     print(result.fitted_exponent())
 
-Large sweeps go through the parallel engine instead — same results,
-fanned out over worker processes with on-disk caching and resume::
+A sweep's adversary is data: a registry name plus keyword parameters
+(:func:`repro.faults.registry.spec`), built afresh with each point's
+seed.  Large sweeps go through the parallel engine instead — same
+results, fanned out over worker processes with on-disk caching and
+resume::
 
     from repro.experiments import run_sweep_parallel
-    from repro.experiments.factories import RandomChurn
 
-    spec = SweepSpec(..., adversary=RandomChurn(0.1, 0.3))
     result = run_sweep_parallel(spec, workers=4, cache_dir=".sweep-cache")
     print(result.stats.hit_rate)
 
@@ -40,11 +41,10 @@ process pool (``backend="pool"``), with bit-identical results.
 
 See :mod:`repro.experiments.parallel` (the engine),
 :mod:`repro.experiments.backends` (the executor seam),
-:mod:`repro.experiments.cache` (content-hashed
-result store), :mod:`repro.experiments.factories` (picklable adversary
-factories), :mod:`repro.experiments.chaos` (deterministic fault
-injection for the engine itself) and :mod:`repro.experiments.bench`
-(the benchmark scenario registry).
+:mod:`repro.experiments.cache` (content-hashed result store),
+:mod:`repro.experiments.chaos` (deterministic fault injection for the
+engine itself) and :mod:`repro.experiments.bench` (the benchmark
+scenario registry).
 """
 
 from repro.experiments.spec import SweepSpec

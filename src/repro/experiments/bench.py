@@ -37,25 +37,10 @@ from repro.core import (
     SnapshotAlgorithm,
     TrivialAssignment,
 )
-from repro.experiments.factories import (
-    Budgeted,
-    Burst,
-    CrashOnly,
-    FailureFree,
-    Halving,
-    NoRestart,
-    PersistentCheckpointRunner,
-    RandomChurn,
-    SparseSchedule,
-    SpeedClasses,
-    Stalker,
-    Starver,
-    StaticFaults,
-    Thrashing,
-)
 from repro.experiments.parallel import ParallelSweepResult, run_sweep_parallel
 from repro.experiments.runner import RunPoint
 from repro.experiments.spec import SweepSpec
+from repro.faults.registry import spec as adversary_spec, tags_for
 from repro.metrics.bounds import (
     log2ceil,
     sigma_bound_thm41,
@@ -68,6 +53,7 @@ from repro.metrics.bounds import (
 )
 from repro.metrics.fitting import doubling_exponents, fitted_exponent, ratio_series
 from repro.metrics.report import bench_report, scenario_section
+from repro.simulation.persistent import PersistentCheckpointRunner
 
 #: What a measure reads: sweep name -> that sweep's points.
 Results = Dict[str, List[RunPoint]]
@@ -204,11 +190,26 @@ class BenchScenario:
     #: ``solved`` claim skips them.
     dnf: Tuple[str, ...] = ()
     heavy: bool = False  # excluded from the driver's default set
-    #: Registry adversary names (repro.faults.registry) the scenario
-    #: exercises; recorded in the report so the regression checker can
-    #: verify the baseline's fault models still exist
-    #: (``model-tag-missing``).  Empty for pre-registry scenarios.
-    adversaries: Tuple[str, ...] = ()
+
+    @property
+    def adversaries(self) -> Tuple[str, ...]:
+        """The registry names the specs use, in order of first use
+        (``none`` for a spec without an adversary).  Recorded in the
+        report, so the regression checker can verify the baseline's
+        fault models still exist (``model-tag-missing``)."""
+        return tuple(dict.fromkeys(
+            "none" if spec.adversary is None else spec.adversary.name
+            for spec in self.specs
+        ))
+
+    @property
+    def model_tags(self) -> Tuple[str, ...]:
+        """The fault models the scenario measures: its adversaries'
+        registry tags, then its runners' (``model_tags``)."""
+        tags = [tag for name in self.adversaries for tag in tags_for(name)]
+        tags += [tag for spec in self.specs if spec.runner is not None
+                 for tag in spec.runner.model_tags]
+        return tuple(dict.fromkeys(tags))
 
     def total_points(self) -> int:
         return sum(len(list(spec.points())) for spec in self.specs)
@@ -279,25 +280,23 @@ def _lane_groups() -> List[tuple]:
     """The lane matrix as ``(group, algorithm, sizes, P, adversary,
     lanes)`` rows, ``fast`` first in every row: the configurations
     where each lane's optimization was first measured, each on the
-    lanes that isolate it.  ``sched-sparse`` is
-    ``SparseSchedule(victims=8)`` at seed 0, eight fail/restart pairs
-    400 ticks apart on PIDs 0 to 7."""
-    sched_sparse = SparseSchedule(victims=8)
+    lanes that isolate it.  ``sched-sparse`` takes ``victims=8``: at
+    seed 0, eight fail/restart pairs 400 ticks apart on PIDs 0 to 7."""
+    sched_sparse = adversary_spec("sched-sparse", victims=8)
     kernel_lanes = ("fast", "noff", "nokernel")
     rows = [
         # The kernel grid: every kernel algorithm, against the reference;
         # the two with a vector program also on auto, fault-free.
-        (f"{label}@{adversary}/512x32+4096x64", algorithm, (512, 4096),
-         _kernel_grid_processors, factory,
+        (f"{label}@{name}/512x32+4096x64", algorithm, (512, 4096),
+         _kernel_grid_processors, fault,
          kernel_lanes + ("reference",)
-         + (("auto",) if factory is None and label in ("trivial", "W")
+         + (("auto",) if fault is None and label in ("trivial", "W")
             else ()))
         for label, algorithm in [
             ("trivial", TrivialAssignment), ("W", AlgorithmW),
             ("X", AlgorithmX), ("V", AlgorithmV), ("VX", AlgorithmVX),
         ]
-        for adversary, factory in [("none", None),
-                                   ("sched-sparse", sched_sparse)]
+        for name, fault in [("none", None), ("sched-sparse", sched_sparse)]
     ]
     # The N=65536 headlines, without the O(N)-per-tick reference lane.
     rows += [
@@ -334,7 +333,7 @@ def _build_scenarios() -> Dict[str, BenchScenario]:
         title="Example 2.2 — thrashing separates S from S'",
         specs=(SweepSpec(
             name="X/thrashing", algorithm=AlgorithmX,
-            sizes=(32, 64, 128, 256), adversary=Thrashing(),
+            sizes=(32, 64, 128, 256), adversary=adversary_spec("thrashing"),
             seeds=(0,), max_ticks=1_000_000,
         ),),
         claims=(
@@ -353,8 +352,9 @@ def _build_scenarios() -> Dict[str, BenchScenario]:
         specs=tuple(
             SweepSpec(
                 name=f"{label}/halving", algorithm=algorithm,
-                sizes=(16, 32, 64, 128, 256), adversary=Halving(),
-                seeds=(0,), max_ticks=2_000_000,
+                sizes=(16, 32, 64, 128, 256),
+                adversary=adversary_spec("halving"), seeds=(0,),
+                max_ticks=2_000_000,
             )
             for label, algorithm in [
                 ("snapshot", SnapshotAlgorithm),
@@ -378,13 +378,14 @@ def _build_scenarios() -> Dict[str, BenchScenario]:
         specs=(
             SweepSpec(
                 name="snapshot/halving", algorithm=SnapshotAlgorithm,
-                sizes=(16, 32, 64, 128, 256, 512), adversary=Halving(),
-                seeds=(0,), max_ticks=2_000_000,
+                sizes=(16, 32, 64, 128, 256, 512),
+                adversary=adversary_spec("halving"), seeds=(0,),
+                max_ticks=2_000_000,
             ),
             SweepSpec(
                 name="snapshot/free", algorithm=SnapshotAlgorithm,
-                sizes=(16, 32, 64, 128, 256, 512), adversary=FailureFree(),
-                seeds=(0,),
+                sizes=(16, 32, 64, 128, 256, 512),
+                adversary=adversary_spec("none"), seeds=(0,),
             ),
         ),
         claims=(
@@ -410,13 +411,14 @@ def _build_scenarios() -> Dict[str, BenchScenario]:
         specs=(
             SweepSpec(
                 name="V/crash-dense", algorithm=AlgorithmV,
-                sizes=(64, 128, 256, 512), adversary=CrashOnly(0.02),
-                seeds=(1,), max_ticks=2_000_000,
+                sizes=(64, 128, 256, 512),
+                adversary=adversary_spec("crash", fail=0.02), seeds=(1,),
+                max_ticks=2_000_000,
             ),
             SweepSpec(
                 name="V/crash-slack", algorithm=AlgorithmV,
                 sizes=(64, 128, 256, 512), processors=_slack_processors,
-                adversary=CrashOnly(0.02), seeds=(2,),
+                adversary=adversary_spec("crash", fail=0.02), seeds=(2,),
                 max_ticks=2_000_000,
             ),
         ),
@@ -438,7 +440,8 @@ def _build_scenarios() -> Dict[str, BenchScenario]:
         SweepSpec(
             name=f"V/budget-{budget}", algorithm=AlgorithmV,
             sizes=(256,),
-            adversary=Budgeted(RandomChurn(0.25, 0.4), budget),
+            adversary=adversary_spec("random", fail=0.25, restart_prob=0.4,
+                                     budget=budget),
             seeds=(3,), max_ticks=4_000_000,
         )
         for budget in (0, 64, 256, 1024, 4096)
@@ -465,23 +468,28 @@ def _build_scenarios() -> Dict[str, BenchScenario]:
         title="Lemma 4.4 — X terminates in every environment",
         specs=(
             SweepSpec(name="X/no-failures", algorithm=AlgorithmX,
-                      sizes=(128,), adversary=FailureFree(), seeds=(0,),
-                      max_ticks=2_000_000),
+                      sizes=(128,), adversary=adversary_spec("none"),
+                      seeds=(0,), max_ticks=2_000_000),
             SweepSpec(name="X/random-10", algorithm=AlgorithmX,
-                      sizes=(128,), adversary=RandomChurn(0.1, 0.3),
+                      sizes=(128,), adversary=adversary_spec("random"),
                       seeds=(1,), max_ticks=2_000_000),
             SweepSpec(name="X/random-30", algorithm=AlgorithmX,
-                      sizes=(128,), adversary=RandomChurn(0.3, 0.5),
+                      sizes=(128,),
+                      adversary=adversary_spec("random", fail=0.3,
+                                               restart_prob=0.5),
                       seeds=(2,), max_ticks=2_000_000),
             SweepSpec(name="X/bursts", algorithm=AlgorithmX,
-                      sizes=(128,), adversary=Burst(2, 0.7, 1),
+                      sizes=(128,),
+                      adversary=adversary_spec("burst", period=2,
+                                               fraction=0.7),
                       seeds=(0,), max_ticks=2_000_000),
             SweepSpec(name="X/thrashing", algorithm=AlgorithmX,
-                      sizes=(128,), adversary=Thrashing(), seeds=(0,),
-                      max_ticks=2_000_000),
-            SweepSpec(name="X/sequential", algorithm=AlgorithmX,
-                      sizes=(128,), processors=1, adversary=FailureFree(),
+                      sizes=(128,), adversary=adversary_spec("thrashing"),
                       seeds=(0,), max_ticks=2_000_000),
+            SweepSpec(name="X/sequential", algorithm=AlgorithmX,
+                      sizes=(128,), processors=1,
+                      adversary=adversary_spec("none"), seeds=(0,),
+                      max_ticks=2_000_000),
         ),
         claims=(
             Claim("E6.free_ticks", "failure-free X finishes in ~log N "
@@ -504,7 +512,7 @@ def _build_scenarios() -> Dict[str, BenchScenario]:
         heavy=True,
         specs=(SweepSpec(
             name="X/stalker", algorithm=AlgorithmX,
-            sizes=(16, 32, 64, 128, 256), adversary=Stalker(),
+            sizes=(16, 32, 64, 128, 256), adversary=adversary_spec("stalker"),
             seeds=(0,), max_ticks=20_000_000,
         ),),
         claims=(
@@ -529,7 +537,7 @@ def _build_scenarios() -> Dict[str, BenchScenario]:
     stalked_specs = tuple(
         SweepSpec(
             name=f"X/stalker-p{p}", algorithm=AlgorithmX,
-            sizes=(256,), processors=p, adversary=Stalker(),
+            sizes=(256,), processors=p, adversary=adversary_spec("stalker"),
             seeds=(0,), max_ticks=20_000_000,
         )
         for p in (1, 4, 16, 64, 256)
@@ -555,10 +563,10 @@ def _build_scenarios() -> Dict[str, BenchScenario]:
         ),
     ))
 
-    regime_factories = [
-        ("crash2", CrashOnly(0.02), 4),
-        ("restarts10", RandomChurn(0.1, 0.3), 5),
-        ("thrashing", Thrashing(), 0),
+    regimes = [
+        ("crash2", adversary_spec("crash", fail=0.02), 4),
+        ("restarts10", adversary_spec("random"), 5),
+        ("thrashing", adversary_spec("thrashing"), 0),
     ]
     scenarios.append(BenchScenario(
         tag="E9_thm49_combined",
@@ -568,10 +576,10 @@ def _build_scenarios() -> Dict[str, BenchScenario]:
         specs=tuple(
             SweepSpec(
                 name=f"{label}/{regime}", algorithm=algorithm,
-                sizes=(128,), adversary=factory, seeds=(seed,),
+                sizes=(128,), adversary=regime_adversary, seeds=(seed,),
                 max_ticks=2_000_000,
             )
-            for regime, factory, seed in regime_factories
+            for regime, regime_adversary, seed in regimes
             for label, algorithm in [
                 ("V", AlgorithmV), ("X", AlgorithmX), ("VX", AlgorithmVX),
             ]
@@ -579,12 +587,12 @@ def _build_scenarios() -> Dict[str, BenchScenario]:
             # Each algorithm's tailored worst case: the iteration
             # starver (Section 4.1) and the post-order stalker.
             SweepSpec(name="V/starver", algorithm=AlgorithmV,
-                      sizes=(128,), adversary=Starver(), seeds=(0,),
-                      max_ticks=3_000),
+                      sizes=(128,), adversary=adversary_spec("starver"),
+                      seeds=(0,), max_ticks=3_000),
         ) + tuple(
             SweepSpec(name=f"{label}/stalker", algorithm=algorithm,
-                      sizes=(128,), adversary=Stalker(), seeds=(0,),
-                      max_ticks=20_000_000)
+                      sizes=(128,), adversary=adversary_spec("stalker"),
+                      seeds=(0,), max_ticks=20_000_000)
             for label, algorithm in [("X", AlgorithmX), ("VX", AlgorithmVX)]
         ),
         claims=(
@@ -608,7 +616,8 @@ def _build_scenarios() -> Dict[str, BenchScenario]:
         specs=tuple(
             SweepSpec(
                 name=f"VX/{label}", algorithm=AlgorithmVX,
-                sizes=(128,), adversary=Budgeted(Thrashing(), budget),
+                sizes=(128,),
+                adversary=adversary_spec("thrashing", budget=budget),
                 seeds=(0,), max_ticks=4_000_000,
             )
             for label, budget in _sigma_regimes(128)
@@ -644,12 +653,13 @@ def _build_scenarios() -> Dict[str, BenchScenario]:
         specs=tuple(
             SweepSpec(
                 name=f"X/{label}-x{multiple}", algorithm=AlgorithmX,
-                sizes=(64,), processors=64 * multiple, adversary=factory,
-                seeds=(0,), max_ticks=2_000_000,
+                sizes=(64,), processors=64 * multiple,
+                adversary=oversubscribed, seeds=(0,), max_ticks=2_000_000,
             )
             for multiple in (1, 2, 4, 8)
-            for label, factory in [
-                ("burst", Burst(2, 0.8, 1)), ("free", FailureFree()),
+            for label, oversubscribed in [
+                ("burst", adversary_spec("burst", period=2, fraction=0.8)),
+                ("free", adversary_spec("none")),
             ]
         ),
         claims=tuple(
@@ -679,8 +689,9 @@ def _build_scenarios() -> Dict[str, BenchScenario]:
             SweepSpec(
                 name=f"X/routing-{routing}",
                 algorithm=functools.partial(AlgorithmX, routing=routing),
-                sizes=(256,), adversary=Burst(2, 0.9, 1), seeds=(0,),
-                max_ticks=4_000_000,
+                sizes=(256,),
+                adversary=adversary_spec("burst", period=2, fraction=0.9),
+                seeds=(0,), max_ticks=4_000_000,
             )
             for routing in ("pid", "random", "left", "right")
         ),
@@ -701,8 +712,9 @@ def _build_scenarios() -> Dict[str, BenchScenario]:
             SweepSpec(
                 name=f"V/chunk-{chunk}",
                 algorithm=functools.partial(AlgorithmV, chunk=chunk),
-                sizes=(256,), processors=64, adversary=CrashOnly(0.02),
-                seeds=(5,), max_ticks=4_000_000,
+                sizes=(256,), processors=64,
+                adversary=adversary_spec("crash", fail=0.02), seeds=(5,),
+                max_ticks=4_000_000,
             )
             for chunk in (1, 8, 16, 64, 256)
         ),
@@ -721,8 +733,9 @@ def _build_scenarios() -> Dict[str, BenchScenario]:
         specs=tuple(
             SweepSpec(
                 name=f"VX/window-{'off' if window is None else window}",
-                algorithm=AlgorithmVX, sizes=(64,), adversary=Starver(),
-                seeds=(0,), max_ticks=2_000_000, fairness_window=window,
+                algorithm=AlgorithmVX, sizes=(64,),
+                adversary=adversary_spec("starver"), seeds=(0,),
+                max_ticks=2_000_000, fairness_window=window,
             )
             for window in (None, 16, 4, 1)
         ),
@@ -743,14 +756,14 @@ def _build_scenarios() -> Dict[str, BenchScenario]:
             SweepSpec(
                 name="X/norestart-halving", algorithm=AlgorithmX,
                 sizes=(32, 64, 128, 256, 512),
-                adversary=NoRestart(Halving()), seeds=(0,),
-                max_ticks=20_000_000,
+                adversary=adversary_spec("halving", restarts=False),
+                seeds=(0,), max_ticks=20_000_000,
             ),
             SweepSpec(
                 name="X/norestart-stalker", algorithm=AlgorithmX,
                 sizes=(32, 64, 128, 256, 512),
-                adversary=NoRestart(Stalker()), seeds=(0,),
-                max_ticks=20_000_000,
+                adversary=adversary_spec("stalker", restarts=False),
+                seeds=(0,), max_ticks=20_000_000,
             ),
         ),
         claims=(
@@ -766,16 +779,18 @@ def _build_scenarios() -> Dict[str, BenchScenario]:
         title="Section 4.1 — V beats W under restart churn",
         specs=(
             SweepSpec(name="V/free", algorithm=AlgorithmV,
-                      sizes=(64, 128, 256), adversary=FailureFree(),
+                      sizes=(64, 128, 256), adversary=adversary_spec("none"),
                       seeds=(0,)),
             SweepSpec(name="W/free", algorithm=AlgorithmW,
-                      sizes=(64, 128, 256), adversary=FailureFree(),
+                      sizes=(64, 128, 256), adversary=adversary_spec("none"),
                       seeds=(0,)),
             SweepSpec(name="V/churn", algorithm=AlgorithmV,
-                      sizes=(64, 128, 256), adversary=RandomChurn(0.08, 0.3),
+                      sizes=(64, 128, 256),
+                      adversary=adversary_spec("random", fail=0.08),
                       seeds=(12,), max_ticks=4_000_000),
             SweepSpec(name="W/churn", algorithm=AlgorithmW,
-                      sizes=(64, 128, 256), adversary=RandomChurn(0.08, 0.3),
+                      sizes=(64, 128, 256),
+                      adversary=adversary_spec("random", fail=0.08),
                       seeds=(12,), max_ticks=4_000_000),
         ),
         claims=(
@@ -795,13 +810,13 @@ def _build_scenarios() -> Dict[str, BenchScenario]:
             SweepSpec(
                 name="X/sched-sparse/ff", algorithm=AlgorithmX,
                 sizes=(256, 1024, 4096), processors=64,
-                adversary=SparseSchedule(), seeds=(0, 1),
+                adversary=adversary_spec("sched-sparse"), seeds=(0, 1),
                 max_ticks=2_000_000,
             ),
             SweepSpec(
                 name="X/sched-sparse/noff", algorithm=AlgorithmX,
                 sizes=(256, 1024, 4096), processors=64,
-                adversary=SparseSchedule(), seeds=(0, 1),
+                adversary=adversary_spec("sched-sparse"), seeds=(0, 1),
                 max_ticks=2_000_000, lane="noff",
             ),
         ),
@@ -815,13 +830,13 @@ def _build_scenarios() -> Dict[str, BenchScenario]:
 
     scenarios.append(BenchScenario(
         tag="A8_adaptive_smallsize",
-        title="Adaptive dispatch — small sizes where forced vec lost; "
-              "auto must match scalar's model exactly",
+        title="Adaptive dispatch — at small sizes the auto lane must "
+              "match scalar's model exactly",
         specs=tuple(
             SweepSpec(
                 name=f"{label}@sched-sparse/{mode}", algorithm=algorithm,
                 sizes=(size,), processors=8,
-                adversary=SparseSchedule(), seeds=(0,),
+                adversary=adversary_spec("sched-sparse"), seeds=(0,),
                 max_ticks=2_000_000, lane=lane,
             )
             for label, algorithm, size in [
@@ -873,11 +888,10 @@ def _build_scenarios() -> Dict[str, BenchScenario]:
         tag="R1_static_proc",
         title="CGP static processor faults — X and froute finish on the "
               "survivors",
-        adversaries=("static-proc",),
         specs=tuple(
             SweepSpec(
                 name=f"{label}/static-proc", algorithm=algorithm,
-                sizes=(64, 128, 256), adversary=StaticFaults(0.25),
+                sizes=(64, 128, 256), adversary=adversary_spec("static-proc"),
                 seeds=(0, 1), max_ticks=2_000_000,
             )
             for label, algorithm in [
@@ -890,18 +904,17 @@ def _build_scenarios() -> Dict[str, BenchScenario]:
         tag="R2_static_mem_routing",
         title="CGP static memory faults — froute routes its certificate "
               "around 25% dead cells",
-        adversaries=("static-mem",),
         specs=(
             SweepSpec(
                 name="froute/static-mem", algorithm=FaultRouting,
                 sizes=(64, 128, 256),
-                adversary=StaticFaults(0.25, 0.25),
+                adversary=adversary_spec("static-mem"),
                 seeds=(0, 1), max_ticks=2_000_000,
             ),
             SweepSpec(
                 name="froute/static-mem-only", algorithm=FaultRouting,
                 sizes=(64, 128, 256),
-                adversary=StaticFaults(0.0, 0.25),
+                adversary=adversary_spec("static-mem", dead_frac=0.0),
                 seeds=(0,), max_ticks=2_000_000,
             ),
         ),
@@ -911,13 +924,13 @@ def _build_scenarios() -> Dict[str, BenchScenario]:
         tag="R3_pmem_checkpoint",
         title="PPM checkpoints — Theorem 4.3's restart re-entry work "
               "collapses as checkpoint frequency rises",
-        adversaries=("random",),
         specs=tuple(
             SweepSpec(
                 name=f"ppm/ck-{interval}", algorithm=TrivialAssignment,
                 sizes=(8,), processors=4,
-                adversary=RandomChurn(0.05, 0.4), seeds=(7,),
-                runner=PersistentCheckpointRunner(interval),
+                adversary=adversary_spec("random", fail=0.05,
+                                         restart_prob=0.4),
+                seeds=(7,), runner=PersistentCheckpointRunner(interval),
             )
             for interval in (0, 2, 8, 32)
         ),
@@ -934,16 +947,16 @@ def _build_scenarios() -> Dict[str, BenchScenario]:
         tag="R4_hetero_speed",
         title="Heterogeneous speeds — stalls cost parallel time, not "
               "pattern size",
-        adversaries=("speed-classes", "none"),
         specs=(
             SweepSpec(
                 name="X/speed-classes", algorithm=AlgorithmX,
-                sizes=(64, 128, 256), adversary=SpeedClasses(),
-                seeds=(0, 1), max_ticks=2_000_000,
+                sizes=(64, 128, 256),
+                adversary=adversary_spec("speed-classes"), seeds=(0, 1),
+                max_ticks=2_000_000,
             ),
             SweepSpec(
                 name="X/uniform", algorithm=AlgorithmX,
-                sizes=(64, 128, 256), adversary=FailureFree(),
+                sizes=(64, 128, 256), adversary=adversary_spec("none"),
                 seeds=(0,), max_ticks=2_000_000,
             ),
         ),

@@ -1,7 +1,7 @@
 """On-disk result cache for experiment sweeps.
 
 Every sweep point is keyed by a content hash of its *spec* — sweep
-name, algorithm, (N, P, seed), adversary factory, tick budget, fairness
+name, algorithm, (N, P, seed), adversary spec, tick budget, fairness
 window — and its :class:`~repro.experiments.runner.RunPoint` is stored
 as one small JSON file under that key.  The cache therefore doubles as
 the sweep's checkpoint: re-running an interrupted sweep skips every key
@@ -56,8 +56,9 @@ def fingerprint(obj: Any) -> str:
     """A stable, process-independent description of a spec component.
 
     Used to build cache keys, so it must not involve ``id()``/``repr``
-    of bare instances (memory addresses) and must recurse through the
-    factory combinators.  Precedence:
+    of bare instances (memory addresses) and must recurse through
+    composite specs (an adversary spec's parameters, a partial's bound
+    arguments).  Precedence:
 
     * ``None`` and scalars — literal;
     * an object with a ``fingerprint()`` method — delegated;

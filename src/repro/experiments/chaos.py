@@ -41,8 +41,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.faults import registry
+
 #: Exit status used for injected worker crashes — distinctive in logs.
 CHAOS_EXIT_CODE = 113
+
+#: The soak grid's PRAM adversary: model-level churn under the
+#: harness-level faults this module injects.
+SOAK_ADVERSARY = registry.spec("random", fail=0.15, restart_prob=0.4)
 
 #: Execution-fault kinds, in threshold order (see ChaosPolicy.plan).
 #: The order is part of every schedule: reordering it re-seeds every
@@ -256,7 +262,6 @@ def run_soak(
     ``workers`` choose.
     """
     from repro.core import AlgorithmX
-    from repro.experiments.factories import RandomChurn
     from repro.experiments.parallel import run_sweep_parallel
     from repro.experiments.runner import run_sweep
     from repro.experiments.spec import SweepSpec
@@ -270,7 +275,7 @@ def run_soak(
         algorithm=AlgorithmX,
         sizes=tuple(sizes),
         processors=lambda n: max(2, n // 4),
-        adversary=RandomChurn(0.15, 0.4),
+        adversary=SOAK_ADVERSARY,
         seeds=tuple(seeds),
         max_ticks=200_000,
     )

@@ -32,8 +32,9 @@ a local process pool (``pool``) — with
 ``workers <= 1`` executes inline (no subprocesses, no pickling
 requirement), which is both the fast path for small sweeps and the
 hook tests use to count executions.  ``workers > 1`` requires the
-spec's ``algorithm`` and ``adversary`` to be picklable — use the
-factories in :mod:`repro.experiments.factories`.  ``backend`` selects
+spec's ``algorithm`` and ``runner`` to be picklable (module-level
+classes or ``functools.partial``); its adversary is a registry spec,
+which always is.  ``backend`` selects
 the executor explicitly (``"serial"``, ``"pool"``, or a live Backend);
 results are bit-identical across backends by construction — the
 engine's scheduling and accounting are backend-agnostic, and every
@@ -58,6 +59,7 @@ from repro.experiments.cache import ResultCache, point_key
 from repro.experiments.chaos import ChaosCrash, ChaosPolicy
 from repro.experiments.runner import RunPoint, SweepResult, run_one_point
 from repro.experiments.spec import SweepSpec
+from repro.faults.registry import AdversarySpec
 
 #: Outcome statuses a worker can report (``crash`` is synthesized by
 #: the engine when the worker died without reporting, and by the inline
@@ -75,7 +77,7 @@ class PointSpec:
     n: int
     p: int
     seed: int
-    adversary: Optional[Callable]
+    adversary: Optional[AdversarySpec]
     max_ticks: Optional[int]
     fairness_window: Optional[int]
     lane: str = "fast"
@@ -375,13 +377,12 @@ def execute_point(
 
 def _check_picklable(point: PointSpec) -> None:
     try:
-        pickle.dumps((point.algorithm, point.adversary))
+        pickle.dumps((point.algorithm, point.runner))
     except Exception as exc:
         raise TypeError(
-            "parallel sweeps need picklable algorithm/adversary specs "
-            "(module-level classes, functools.partial, or the factories "
-            "in repro.experiments.factories — not lambdas); "
-            f"got: {exc}"
+            "parallel sweeps need a picklable algorithm and runner "
+            "(module-level classes or functools.partial — not "
+            f"lambdas); got: {exc}"
         ) from None
 
 
@@ -595,7 +596,7 @@ def run_sweep_parallel(
         try:
             if engine.requires_picklable:
                 # Every point of a spec shares its algorithm and
-                # adversary, so one point checks the whole spec.
+                # runner, so one point checks the whole spec.
                 for sweep in sweeps:
                     if not sweep.settled():
                         _check_picklable(sweep.points[0])

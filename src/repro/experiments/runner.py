@@ -182,17 +182,18 @@ def run_one_point(
 
     ``spec`` is a :class:`SweepSpec` or the engine's
     :class:`~repro.experiments.parallel.PointSpec`; both carry the
-    algorithm, adversary factory, tick budget, fairness window, lane
-    and optional ``runner``.  ``measure`` is the default point runner
+    algorithm, adversary spec, tick budget, fairness window, lane and
+    optional ``runner``.  ``measure`` is the default point runner
     (``spec.runner`` overrides it).  Both the serial loop below and the
     parallel engine's workers call this, so a point's result is by
     construction independent of which path executed it.
     """
     if spec.runner is not None:
         measure = spec.runner
+    adversary = spec.adversary
     measures = measure(
         spec.algorithm, n, p,
-        adversary=None if spec.adversary is None else spec.adversary(seed),
+        adversary=None if adversary is None else adversary.build(seed),
         max_ticks=spec.max_ticks,
         fairness_window=spec.fairness_window,
         lane=spec.lane,

@@ -1,4 +1,4 @@
-"""Sweep specifications."""
+"""Sweep specifications: a grid of runs as data."""
 
 from __future__ import annotations
 
@@ -6,11 +6,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from repro.core.base import WriteAllAlgorithm
+from repro.faults.registry import AdversarySpec
 
 #: Processor count: a constant or a function of N.
 ProcessorRule = Union[int, Callable[[int], int]]
-#: Adversary factory: called per (seed) — return None for failure-free.
-AdversaryFactory = Callable[[int], Optional[object]]
 
 
 @dataclass
@@ -24,8 +23,11 @@ class SweepSpec:
             counters).
         sizes: instance sizes N (powers of two).
         processors: P, constant or ``f(n)``.
-        adversary: factory called with the seed; ``None``/returning
-            ``None`` means failure-free.
+        adversary: a registry spec
+            (:func:`repro.faults.registry.spec`), built afresh with
+            each point's seed, or ``None`` for no adversary.  Anything
+            else raises ``TypeError``: the spec is data, so it pickles
+            to workers and its parameters key the result cache.
         seeds: seeds swept per (N, P) cell; the aggregate takes the
             worst case across them (Definition 2.3 takes maxima over
             failure patterns).
@@ -40,7 +42,7 @@ class SweepSpec:
             something other than a Write-All run (e.g. the
             persistent-memory checkpoint sweep runs a whole simulated
             program per point via
-            :class:`repro.experiments.factories.PersistentCheckpointRunner`).
+            :class:`repro.simulation.persistent.PersistentCheckpointRunner`).
             Cache-key material, since it changes what a point measures.
     """
 
@@ -48,12 +50,21 @@ class SweepSpec:
     algorithm: Callable[[], WriteAllAlgorithm]
     sizes: Sequence[int]
     processors: ProcessorRule = lambda n: n
-    adversary: Optional[AdversaryFactory] = None
+    adversary: Optional[AdversarySpec] = None
     seeds: Iterable[int] = (0,)
     max_ticks: Optional[int] = None
     fairness_window: Optional[int] = None
     lane: str = "fast"
     runner: Optional[Callable] = None
+
+    def __post_init__(self) -> None:
+        if not (self.adversary is None
+                or isinstance(self.adversary, AdversarySpec)):
+            raise TypeError(
+                f"SweepSpec {self.name!r}: adversary must be a registry "
+                f"spec (repro.faults.registry.spec) or None, got "
+                f"{self.adversary!r}"
+            )
 
     def processors_for(self, n: int) -> int:
         if callable(self.processors):
@@ -63,7 +74,7 @@ class SweepSpec:
     def adversary_for(self, seed: int):
         if self.adversary is None:
             return None
-        return self.adversary(seed)
+        return self.adversary.build(seed)
 
     def points(self) -> Iterator[Tuple[int, int, int]]:
         """Yield every ``(n, p, seed)`` of the grid, in sweep order.

@@ -25,8 +25,7 @@ Beyond KS91, the package opens three related fault models (see
   speeds via the machine's stall channel;
 * the persistent-memory axis lives in
   :class:`repro.simulation.persistent.CheckpointPolicy` (Blelloch et
-  al.'s Parallel Persistent Memory model), driven by the registry's
-  ``random`` entry.
+  al.'s Parallel Persistent Memory model), driven by any adversary.
 """
 
 from repro.faults.base import (

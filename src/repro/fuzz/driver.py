@@ -33,7 +33,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import AlgorithmVX
 from repro.experiments.chaos import ChaosCrash, ChaosError, ChaosPolicy
-from repro.experiments.factories import build_named_adversary
 from repro.faults import registry as adversary_registry
 from repro.fuzz.generator import (
     DEFAULT_CONFIG,
@@ -60,8 +59,10 @@ ADVERSARY_DRAWS: Tuple[str, ...] = adversary_registry.fuzz_names()
 
 
 @dataclass(frozen=True)
-class AdversarySpec:
-    """A replayable adversary draw (registry name + parameters)."""
+class AdversaryDraw:
+    """A replayable adversary draw: a registry name, the two drawn
+    probabilities and a seed.  The probabilities reach only the entries
+    that declare them (:func:`repro.faults.registry.spec_taking`)."""
 
     name: str
     fail: float = 0.1
@@ -69,9 +70,9 @@ class AdversarySpec:
     seed: int = 0
 
     def build(self):
-        return build_named_adversary(
-            self.name, self.fail, self.restart_prob, self.seed
-        )
+        return adversary_registry.spec_taking(
+            self.name, fail=self.fail, restart_prob=self.restart_prob,
+        ).build(self.seed)
 
     def to_json(self) -> Dict[str, object]:
         return {
@@ -82,7 +83,7 @@ class AdversarySpec:
         }
 
     @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "AdversarySpec":
+    def from_json(cls, data: Dict[str, object]) -> "AdversaryDraw":
         return cls(
             name=str(data["name"]),
             fail=float(data["fail"]),
@@ -91,7 +92,7 @@ class AdversarySpec:
         )
 
 
-def draw_adversary_spec(seed: int, iteration: int) -> AdversarySpec:
+def draw_adversary_spec(seed: int, iteration: int) -> AdversaryDraw:
     """The adversary for ``(seed, iteration)`` — hash-derived, stable."""
     name = ADVERSARY_DRAWS[
         int_draw(seed, 0, len(ADVERSARY_DRAWS) - 1, "adv", iteration)
@@ -99,7 +100,7 @@ def draw_adversary_spec(seed: int, iteration: int) -> AdversarySpec:
     fail = 0.05 + 0.25 * unit_draw(seed, "adv-fail", iteration)
     restart_prob = 0.2 + 0.4 * unit_draw(seed, "adv-restart", iteration)
     adversary_seed = int_draw(seed, 0, 2**31 - 1, "adv-seed", iteration)
-    return AdversarySpec(
+    return AdversaryDraw(
         name=name, fail=round(fail, 6), restart_prob=round(restart_prob, 6),
         seed=adversary_seed,
     )
@@ -116,7 +117,7 @@ def execute_lane(
     program: GeneratedProgram,
     initial: Sequence[int],
     lane: str,
-    adversary_spec: AdversarySpec,
+    adversary_spec: AdversaryDraw,
     p: int,
     max_ticks_per_phase: int = 300_000,
 ):
@@ -146,7 +147,7 @@ class FuzzFailure:
     iteration: int
     lane: str
     pass_index: int
-    adversary: AdversarySpec
+    adversary: AdversaryDraw
     p: int
     program: GeneratedProgram
     initial: List[int]
@@ -339,7 +340,7 @@ def run_fuzz_iteration(
 
 
 def _failure_predicate(
-    lane: str, adversary_spec: AdversarySpec, p: int
+    lane: str, adversary_spec: AdversaryDraw, p: int
 ) -> Callable[[GeneratedProgram, List[int]], bool]:
     """Does a candidate still diverge from its oracle on this lane?"""
 

@@ -106,7 +106,7 @@ def replay_fixture(payload: Dict[str, object]) -> ReplayResult:
     ``lane``) is replayed.  A lane the registry lacks is a
     ``ValueError`` naming it, raised before anything runs.
     """
-    from repro.fuzz.driver import AdversarySpec, check_lanes, execute_lane
+    from repro.fuzz.driver import AdversaryDraw, check_lanes, execute_lane
 
     program = GeneratedProgram.from_json(payload["program"])
     initial = [int(value) for value in payload["initial"]]
@@ -122,7 +122,7 @@ def replay_fixture(payload: Dict[str, object]) -> ReplayResult:
     if primary not in lanes:
         lanes.insert(0, primary)
     check_lanes(lanes)
-    adversary = AdversarySpec.from_json(payload["adversary"])
+    adversary = AdversaryDraw.from_json(payload["adversary"])
     p = int(payload["p"])
     observed: List[int] = []
     solved = True

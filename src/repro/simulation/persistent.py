@@ -321,3 +321,49 @@ class PersistentSimulator:
             solved=ledger.goal_reached,
             phase_ticks=dict(clock.raised_at),
         )
+
+
+@dataclass(frozen=True)
+class PersistentCheckpointRunner:
+    """A :attr:`SweepSpec.runner` measuring the PPM checkpoint axis.
+
+    Each point runs a whole simulated program (prefix-sum of width N)
+    through :class:`PersistentSimulator` under the point's adversary,
+    with private state checkpointed every ``interval`` completed cycles
+    at ``cost`` no-op cycles apiece (``interval=0``: pure KS91
+    restarts).  The algorithm factory and lane the engine passes are
+    ignored — the generational executor is fixed — and the result maps
+    onto :class:`~repro.core.runner.RunMeasures` so sweeps, caching and
+    reports treat it like any other point.
+    """
+
+    interval: int = 0
+    cost: int = 1
+
+    #: The fault model a sweep through this runner measures, whatever
+    #: adversary drives it (a class attribute, not a field).
+    model_tags = ("persistent-mem",)
+
+    def __call__(self, algorithm_factory, n, p, adversary=None,
+                 max_ticks=None, fairness_window=None, lane="fast"):
+        from repro.core.runner import RunMeasures
+        from repro.simulation.programs import prefix_sum_program
+
+        simulator = PersistentSimulator(
+            p,
+            adversary=adversary,
+            checkpoint=CheckpointPolicy(self.interval, self.cost),
+            **({} if max_ticks is None else {"max_ticks": max_ticks}),
+        )
+        result = simulator.execute(prefix_sum_program(n), list(range(n)))
+        ledger = result.ledger
+        return RunMeasures(
+            algorithm=f"ppm-ck{self.interval}",
+            n=n, p=p,
+            solved=result.solved,
+            completed_work=ledger.completed_work,
+            charged_work=ledger.charged_work,
+            pattern_size=ledger.pattern_size,
+            overhead_ratio=ledger.overhead_ratio(n),
+            parallel_time=ledger.parallel_time,
+        )

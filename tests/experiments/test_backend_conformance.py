@@ -18,7 +18,7 @@ from repro.core import AlgorithmX
 from repro.experiments import SweepSpec, run_sweep, run_sweep_parallel
 from repro.experiments.backends import resolve_backend
 from repro.experiments.chaos import ChaosPolicy
-from repro.experiments.factories import FailureFree, RandomChurn
+from repro.faults import registry
 
 BACKENDS = [
     pytest.param("serial", id="serial"),
@@ -70,7 +70,7 @@ def small_spec(name):
         algorithm=AlgorithmX,
         sizes=(8, 16),
         processors=4,
-        adversary=RandomChurn(0.15, 0.4),
+        adversary=registry.spec("random", fail=0.15, restart_prob=0.4),
         seeds=(0, 1),
         max_ticks=200_000,
     )
@@ -146,12 +146,13 @@ def batch_specs(tag):
     """Three sweeps; the first and last share the keys of N=16."""
     churn = dict(
         name=f"conf-batch-{tag}", algorithm=AlgorithmX, processors=4,
-        adversary=RandomChurn(0.15, 0.4), seeds=(0, 1), max_ticks=200_000,
+        adversary=registry.spec("random", fail=0.15, restart_prob=0.4),
+        seeds=(0, 1), max_ticks=200_000,
     )
     return [
         SweepSpec(sizes=(8, 16), **churn),
         SweepSpec(name=f"conf-batch-{tag}-free", algorithm=AlgorithmX,
-                  sizes=(8,), processors=4, adversary=FailureFree(),
+                  sizes=(8,), processors=4, adversary=registry.spec("none"),
                   seeds=(0, 1)),
         SweepSpec(sizes=(16, 32), **churn),
     ]

@@ -12,7 +12,7 @@ from repro.experiments.bench import (
     scenario_tags,
 )
 from repro.experiments.chaos import ChaosPolicy
-from repro.experiments.factories import SparseSchedule
+from repro.faults import registry
 from repro.experiments.parallel import expand_spec
 from repro.metrics import dump_report, load_report, validate_bench_report
 
@@ -89,6 +89,29 @@ def test_golden_report_gates_itself():
     assert report.compared == golden["totals"]["points"]
 
 
+def test_golden_gate_names_an_adversary_of_a_kernel_scenario(monkeypatch):
+    # Every scenario records its adversaries, so the gate covers names
+    # only the paper's own scenarios use: without `halving`, E2, E3 and
+    # A4 cannot be reproduced.
+    from repro.perf.regression import compare_reports
+
+    golden = load_report(str(GOLDEN))
+    assert all(scenario["adversaries"] for scenario in golden["scenarios"])
+    monkeypatch.setattr(registry, "REGISTRY", {
+        name: entry for name, entry in registry.REGISTRY.items()
+        if name != "halving"
+    })
+    report = compare_reports(golden, golden)
+    missing = [finding for finding in report.errors
+               if finding.kind == "model-tag-missing"]
+    assert [finding.key[0] for finding in missing] == [
+        "A4_x_failstop_conjecture", "E2_thm31_lower_bound",
+        "E3_thm32_snapshot",
+    ]
+    assert all("'halving'" in finding.detail for finding in missing)
+    assert len(report.errors) == len(missing)
+
+
 def test_golden_records_no_host_path():
     # The committed golden audits the host it was recorded on, but
     # names no path of it (the interpreter's location included).
@@ -126,7 +149,12 @@ def test_a9_sched_sparse_schedule_is_pinned(p):
     # The lane matrix's sched-sparse: pid k fails at tick 50 + 400k and
     # restarts 7 ticks later, for k = 0..7, a live pid at every P it
     # runs.
-    schedule = SparseSchedule(victims=8)(0)._schedule
+    [sched_sparse] = {
+        spec.adversary for spec in get_scenario("A9_lane_matrix").specs
+        if spec.adversary is not None
+    }
+    assert sched_sparse == registry.spec("sched-sparse", victims=8)
+    schedule = sched_sparse.build(0)._schedule
     assert schedule == {
         50: ([0], []), 57: ([], [0]),
         450: ([1], []), 457: ([], [1]),
@@ -139,6 +167,55 @@ def test_a9_sched_sparse_schedule_is_pinned(p):
     }
     assert all(0 <= pid < p for fails, restarts in schedule.values()
                for pid in fails + restarts)
+
+
+#: ``bench --list --model-tag T``'s scenarios for each model tag.
+MODEL_TAG_SCENARIOS = {
+    "fail-stop-restart": [
+        "A1_x_routing", "A2_v_chunk", "A3_fairness",
+        "A4_x_failstop_conjecture", "A6_w_vs_v", "A7_horizon_sparse",
+        "A8_adaptive_smallsize", "A9_lane_matrix", "E10_corollaries_sigma",
+        "E14_lemma45_oversubscription", "E1_thrashing",
+        "E2_thm31_lower_bound", "E3_thm32_snapshot",
+        "E4_lemma42_v_failstop", "E5_thm43_v_restarts",
+        "E6_lemma44_x_termination", "E7_thm48_x_stalking",
+        "E8_thm47_x_sublinear", "E9_thm49_combined", "R3_pmem_checkpoint",
+        "R4_hetero_speed",
+    ],
+    "static-proc": ["R1_static_proc", "R2_static_mem_routing"],
+    "static-mem": ["R2_static_mem_routing"],
+    "persistent-mem": ["R3_pmem_checkpoint"],
+    "hetero-speed": ["R4_hetero_speed"],
+}
+
+
+@pytest.mark.parametrize("model_tag", sorted(MODEL_TAG_SCENARIOS))
+def test_list_by_model_tag_selects_its_scenarios(model_tag, capsys):
+    # Tags derive from the specs: each adversary's registry tags, plus
+    # the checkpoint runner's persistent-mem (which no entry carries).
+    from repro.cli import main
+
+    assert main(["bench", "--list", "--model-tag", model_tag]) == 0
+    listing = capsys.readouterr().out.split("\n\nadversary registry")[0]
+    listed = [line.split()[0] for line in listing.splitlines()]
+    assert listed == MODEL_TAG_SCENARIOS[model_tag]
+
+
+def test_every_scenario_names_the_adversaries_its_specs_use():
+    for tag in scenario_tags():
+        scenario = get_scenario(tag)
+        names = [
+            "none" if spec.adversary is None else spec.adversary.name
+            for spec in scenario.specs
+        ]
+        assert list(scenario.adversaries) == list(dict.fromkeys(names))
+        assert set(scenario.adversaries) <= set(registry.names()), tag
+    assert get_scenario("A9_lane_matrix").adversaries == (
+        "none", "sched-sparse",
+    )
+    assert get_scenario("R3_pmem_checkpoint").model_tags == (
+        "fail-stop-restart", "persistent-mem",
+    )
 
 
 def test_unknown_scenario_raises():
@@ -209,6 +286,9 @@ def test_repeated_tags_run_once():
     assert list(results) == ["R3_pmem_checkpoint",
                              "E14_lemma45_oversubscription"]
     assert report["totals"]["executed"] == 4 + 8
+    assert [s["adversaries"] for s in report["scenarios"]] == [
+        ["random"], ["burst", "none"],
+    ]
 
 
 @pytest.mark.slow

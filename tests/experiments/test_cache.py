@@ -8,6 +8,8 @@ these tests run inline.
 import functools
 import json
 
+import pytest
+
 from repro.core import AlgorithmV, AlgorithmX
 from repro.experiments import (
     ResultCache,
@@ -17,7 +19,7 @@ from repro.experiments import (
     run_sweep_parallel,
 )
 from repro.experiments import parallel as parallel_module
-from repro.experiments.factories import Budgeted, RandomChurn, Thrashing
+from repro.faults import RandomAdversary, registry
 
 
 def counting_execute(monkeypatch):
@@ -39,7 +41,7 @@ def cache_spec():
         algorithm=AlgorithmX,
         sizes=(8, 16),
         processors=4,
-        adversary=RandomChurn(0.2, 0.5),
+        adversary=registry.spec("random", fail=0.2, restart_prob=0.5),
         seeds=(0, 1),
         max_ticks=200_000,
     )
@@ -195,31 +197,61 @@ def test_checkpoint_checksum_detects_tampering(tmp_path):
     assert cache.corrupt_discarded == 2
 
 
+def churn(fail=0.2):
+    return registry.spec("random", fail=fail, restart_prob=0.5)
+
+
 def test_point_key_is_stable_and_spec_sensitive():
     base = dict(
         sweep="s", algorithm=AlgorithmX, n=8, p=4, seed=0,
-        adversary=RandomChurn(0.2, 0.5), max_ticks=None,
-        fairness_window=None,
+        adversary=churn(), max_ticks=None, fairness_window=None,
     )
     key = point_key(**base)
     assert key == point_key(**base)  # deterministic across calls
     assert key != point_key(**{**base, "seed": 1})
     assert key != point_key(**{**base, "n": 16})
     assert key != point_key(**{**base, "algorithm": AlgorithmV})
-    assert key != point_key(**{**base, "adversary": RandomChurn(0.3, 0.5)})
+    assert key != point_key(**{**base, "adversary": churn(0.3)})
     assert key != point_key(**{**base, "max_ticks": 10})
+
+
+def test_adversary_parameters_partition_the_cache(tmp_path, monkeypatch):
+    # Two sweeps alike but for their adversary's failure probability
+    # must not share entries: the second computes its own point.
+    calls = counting_execute(monkeypatch)
+    results = [
+        run_sweep_parallel(
+            SweepSpec(name="x", algorithm=AlgorithmX, sizes=(32,),
+                      processors=8, adversary=churn(fail), seeds=(0,)),
+            workers=1, cache_dir=tmp_path,
+        )
+        for fail in (0.05, 0.5)
+    ]
+    assert len(calls) == 2
+    assert [result.stats.cache_hits for result in results] == [0, 0]
+    quiet, dense = (result.points[0] for result in results)
+    assert quiet.pattern_size < dense.pattern_size
+    assert len(entry_files(tmp_path)) == 2
+
+
+def test_adversary_must_be_a_registry_spec():
+    # A callable would key by its qualified name alone, so two lambdas
+    # with different parameters would share cache entries.
+    for adversary in (lambda seed: None, RandomAdversary(0.1, 0.3)):
+        with pytest.raises(TypeError, match="adversary"):
+            SweepSpec(name="x", algorithm=AlgorithmX, sizes=(8,),
+                      adversary=adversary)
 
 
 def test_point_key_runner_substitution_changes_the_key():
     # A custom point runner executes a different measurement entirely,
     # so it must partition the cache; the default (runner=None) leaves
     # the legacy key material untouched so existing caches survive.
-    from repro.experiments.factories import PersistentCheckpointRunner
+    from repro.simulation.persistent import PersistentCheckpointRunner
 
     base = dict(
         sweep="s", algorithm=AlgorithmX, n=8, p=4, seed=0,
-        adversary=RandomChurn(0.2, 0.5), max_ticks=None,
-        fairness_window=None,
+        adversary=churn(), max_ticks=None, fairness_window=None,
     )
     legacy = point_key(**base)
     assert legacy == point_key(**base, runner=None)
@@ -230,12 +262,14 @@ def test_point_key_runner_substitution_changes_the_key():
 
 
 def test_fingerprint_recurses_through_combinators():
-    # Frozen-dataclass factories fingerprint field-by-field...
-    assert fingerprint(RandomChurn(0.2, 0.5)) == fingerprint(
-        RandomChurn(0.2, 0.5)
+    # Adversary specs fingerprint field-by-field, parameters included...
+    assert fingerprint(churn()) == fingerprint(churn())
+    assert fingerprint(registry.spec("thrashing", budget=256)) != fingerprint(
+        registry.spec("thrashing", budget=512)
     )
-    assert fingerprint(Budgeted(Thrashing(), 256)) != fingerprint(
-        Budgeted(Thrashing(), 512)
+    # ...one adversary has one spec, defaults spelled out or not...
+    assert fingerprint(registry.spec("random", fail=0.1)) == fingerprint(
+        registry.spec("random")
     )
     # ...and functools.partial by wrapped callable plus bound arguments.
     with_chunk = functools.partial(AlgorithmV, chunk=4)

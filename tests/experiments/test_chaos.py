@@ -19,7 +19,7 @@ from repro.experiments.chaos import (
     ensure_coverage,
     run_soak,
 )
-from repro.experiments.factories import RandomChurn
+from repro.faults import registry
 
 
 def small_spec(name="chaos-test"):
@@ -28,7 +28,7 @@ def small_spec(name="chaos-test"):
         algorithm=AlgorithmX,
         sizes=(8, 16),
         processors=4,
-        adversary=RandomChurn(0.15, 0.4),
+        adversary=registry.spec("random", fail=0.15, restart_prob=0.4),
         seeds=(0, 1),
         max_ticks=200_000,
     )
@@ -109,7 +109,9 @@ def test_perturb_raises_chaos_crash_outside_a_worker():
 def test_injected_stall_trips_the_timeout_guard():
     spec = SweepSpec(
         name="chaos-stall", algorithm=AlgorithmX, sizes=(8,),
-        processors=4, adversary=RandomChurn(0.15, 0.4), seeds=(0,),
+        processors=4,
+        adversary=registry.spec("random", fail=0.15, restart_prob=0.4),
+        seeds=(0,),
         max_ticks=200_000,
     )
     policy = ChaosPolicy(

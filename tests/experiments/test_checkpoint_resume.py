@@ -14,7 +14,7 @@ from repro.core import AlgorithmX
 from repro.experiments import SweepSpec, run_sweep, run_sweep_parallel
 from repro.experiments import parallel as parallel_module
 from repro.experiments.cache import ResultCache
-from repro.experiments.factories import RandomChurn
+from repro.faults import registry
 
 
 def resume_spec():
@@ -23,7 +23,7 @@ def resume_spec():
         algorithm=AlgorithmX,
         sizes=(8, 16, 32),
         processors=4,
-        adversary=RandomChurn(0.15, 0.4),
+        adversary=registry.spec("random", fail=0.15, restart_prob=0.4),
         seeds=(0, 1),
         max_ticks=200_000,
     )
@@ -125,7 +125,7 @@ def test_timeout_guard_works_across_processes(monkeypatch):
         algorithm=AlgorithmX,
         sizes=(64, 128),
         processors=lambda n: n,
-        adversary=RandomChurn(0.1, 0.3),
+        adversary=registry.spec("random", fail=0.1, restart_prob=0.3),
         seeds=(0,),
         max_ticks=200_000,
     )

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import AlgorithmX
 from repro.experiments import RunPoint, SweepSpec, run_sweep
-from repro.experiments.factories import RandomChurn
+from repro.faults import registry
 
 
 def small_sweep():
@@ -15,7 +15,7 @@ def small_sweep():
         algorithm=AlgorithmX,
         sizes=(8, 16),
         processors=lambda n: n // 2,
-        adversary=RandomChurn(0.2, 0.5),
+        adversary=registry.spec("random", fail=0.2, restart_prob=0.5),
         seeds=(0, 1, 2),
         max_ticks=200_000,
     ))

@@ -13,7 +13,7 @@ from repro.core import AlgorithmV, AlgorithmX
 from repro.experiments import SweepSpec, run_sweep, run_sweep_parallel
 from repro.experiments import parallel as parallel_module
 from repro.experiments.backends import SerialBackend
-from repro.experiments.factories import CrashOnly, FailureFree, RandomChurn
+from repro.faults import registry
 
 
 def churn_spec():
@@ -22,7 +22,7 @@ def churn_spec():
         algorithm=AlgorithmX,
         sizes=(8, 16, 32),
         processors=lambda n: max(2, n // 4),
-        adversary=RandomChurn(0.15, 0.4),
+        adversary=registry.spec("random", fail=0.15, restart_prob=0.4),
         seeds=(0, 1),
         max_ticks=200_000,
     )
@@ -56,7 +56,7 @@ def test_worker_count_is_unobservable():
         algorithm=AlgorithmV,
         sizes=(8, 16),
         processors=8,
-        adversary=CrashOnly(0.1),
+        adversary=registry.spec("crash", fail=0.1),
         seeds=(3, 4, 5),
         max_ticks=200_000,
     )
@@ -67,12 +67,11 @@ def test_worker_count_is_unobservable():
 
 
 @pytest.mark.slow
-def test_lambda_adversary_rejected_with_clear_error():
+def test_lambda_algorithm_rejected_with_clear_error():
     spec = SweepSpec(
         name="unpicklable",
-        algorithm=AlgorithmX,
+        algorithm=lambda: AlgorithmX(),
         sizes=(8,),
-        adversary=lambda seed: None,
     )
     with pytest.raises(TypeError, match="picklable"):
         run_sweep_parallel(spec, workers=2)
@@ -107,11 +106,11 @@ def test_batch_checks_every_spec_before_submitting(monkeypatch):
     monkeypatch.setattr(parallel_module, "execute_point", counting)
     specs = [
         SweepSpec(name=f"pickled-{index}", algorithm=AlgorithmX, sizes=(8,),
-                  adversary=FailureFree())
+                  adversary=registry.spec("none"))
         for index in range(2)
     ] + [
-        SweepSpec(name="unpicklable-last", algorithm=AlgorithmX, sizes=(8,),
-                  adversary=lambda seed: None),
+        SweepSpec(name="unpicklable-last", algorithm=lambda: AlgorithmX(),
+                  sizes=(8,)),
     ]
     backend = PicklingInlineBackend()
     with pytest.raises(TypeError, match="picklable"):
@@ -136,7 +135,7 @@ def test_non_positive_timeout_rejected_before_submitting(
 
     monkeypatch.setattr(parallel_module, "execute_point", counting)
     spec = SweepSpec(name="bad-timeout", algorithm=AlgorithmX, sizes=(8,),
-                     adversary=FailureFree())
+                     adversary=registry.spec("none"))
     with pytest.raises(ValueError, match="timeout must be positive"):
         run_sweep_parallel(spec, workers=1, timeout=timeout)
     assert executed == []
@@ -146,7 +145,7 @@ def test_meta_aligns_with_points():
     result = run_sweep_parallel(
         SweepSpec(
             name="meta-align", algorithm=AlgorithmX, sizes=(8, 16),
-            adversary=FailureFree(), seeds=(0, 1),
+            adversary=registry.spec("none"), seeds=(0, 1),
         ),
         workers=1,
     )
@@ -343,7 +342,7 @@ class TestEtaEstimator:
     def test_engine_reports_progress_through_the_estimator(self):
         spec = SweepSpec(
             name="eta-progress", algorithm=AlgorithmX, sizes=(8, 16),
-            adversary=FailureFree(), seeds=(0, 1),
+            adversary=registry.spec("none"), seeds=(0, 1),
         )
         lines = []
         result = run_sweep_parallel(

@@ -24,7 +24,7 @@ import pytest
 from repro.core import AlgorithmX
 from repro.experiments import SweepSpec, run_sweep, run_sweep_parallel
 from repro.experiments.chaos import ChaosPolicy
-from repro.experiments.factories import RandomChurn
+from repro.faults import registry
 
 pytestmark = pytest.mark.slow
 
@@ -72,7 +72,7 @@ def small_spec(name):
         algorithm=AlgorithmX,
         sizes=(8, 16),
         processors=4,
-        adversary=RandomChurn(0.15, 0.4),
+        adversary=registry.spec("random", fail=0.15, restart_prob=0.4),
         seeds=(0, 1),
         max_ticks=200_000,
     )
@@ -136,7 +136,7 @@ def test_crash_charges_only_the_attempts_inside_the_pool():
         algorithm=AlgorithmX,
         sizes=(64, 128, 256),
         processors=16,
-        adversary=RandomChurn(0.15, 0.4),
+        adversary=registry.spec("random", fail=0.15, restart_prob=0.4),
         seeds=(0, 1, 2, 3),
         max_ticks=2_000_000,
     )
@@ -175,7 +175,7 @@ sys.path.insert(0, {src!r})
 from repro.core import AlgorithmX
 from repro.experiments import SweepSpec, run_sweep_parallel
 from repro.experiments import parallel as parallel_module
-from repro.experiments.factories import RandomChurn
+from repro.faults import registry
 
 real_execute = parallel_module.execute_point
 
@@ -191,7 +191,7 @@ spec = SweepSpec(
     algorithm=AlgorithmX,
     sizes=(8, 16, 32),
     processors=4,
-    adversary=RandomChurn(0.15, 0.4),
+    adversary=registry.spec("random", fail=0.15, restart_prob=0.4),
     seeds=(0, 1),
     max_ticks=200_000,
 )
@@ -215,7 +215,7 @@ def test_sigkill_mid_sweep_resumes_from_checkpoint(tmp_path):
         algorithm=AlgorithmX,
         sizes=(8, 16, 32),
         processors=4,
-        adversary=RandomChurn(0.15, 0.4),
+        adversary=registry.spec("random", fail=0.15, restart_prob=0.4),
         seeds=(0, 1),
         max_ticks=200_000,
     )

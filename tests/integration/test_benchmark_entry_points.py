@@ -8,17 +8,22 @@ the benchmark, not the code it measures.  These tests pin each such
 name, so that the break shows in this suite first.
 """
 
+import pickle
+
 import pytest
 
 import repro.core.runner as runner
 import repro.simulation.executor as executor
 from repro.core import AlgorithmVX, AlgorithmW, TrivialAssignment
 from repro.core.runner import solve_write_all
+from repro.faults import registry
+from repro.faults.base import Adversary
 from repro.perf.phases import PhaseCounters
 from repro.pram.dispatch import DispatchModel
 from repro.pram.vectorized import HAVE_NUMPY, VectorProgram, VectorWindow
 from repro.simulation import RobustSimulator
 from repro.simulation.programs import prefix_sum_program
+from tests.faults.test_adversary_vocabulary import BY_NAME
 
 #: The lane switches the workloads pass: the reference lane's three off
 #: switches and the auto lane's ``vectorized="auto"``.
@@ -98,3 +103,26 @@ def test_shipped_vector_programs_define_run_quiet():
     }
     for program in programs:
         assert program.run_quiet is not VectorProgram.run_quiet, program
+
+
+@pytest.mark.parametrize("name", registry.names())
+def test_registry_builds_each_name_from_its_seed_alone(name):
+    # The workloads build `registry.build(name, seed=seed)`: `dense`
+    # runs every adversary on its defaults, and `seed_independent`
+    # compares those pickles across seeds.
+    for seed in range(5):
+        assert pickle.dumps(registry.build(name, seed=seed)) == \
+            pickle.dumps(BY_NAME[name](seed, 0.1, 0.3)), (name, seed)
+
+
+def test_class_tags_list_every_adversary_class():
+    # The tracer wraps `decide` and `quiet_until` on [Adversary,
+    # *CLASS_TAGS]: a class missing there runs untimed.
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    library = {cls for cls in subclasses(Adversary)
+               if cls.__module__.startswith("repro.faults.")}
+    assert library <= set(registry.CLASS_TAGS)

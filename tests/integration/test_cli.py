@@ -1,10 +1,11 @@
 """Tests for the command-line interface (invoked in-process)."""
 
+import argparse
 import dataclasses
 
 import pytest
 
-from repro.cli import build_adversary, main
+from repro.cli import adversary_spec, main
 from repro.experiments import bench
 from repro.metrics.report import load_report
 
@@ -160,13 +161,17 @@ class TestShowdown:
         assert "VX" in out
 
 
+def flags(name):
+    return argparse.Namespace(adversary=name, fail=0.1, restart_prob=0.3)
+
+
 class TestAdversaryRegistry:
     def test_all_names_build(self):
         from repro.cli import ADVERSARIES
 
         for name in ADVERSARIES:
-            assert build_adversary(name, 0.1, 0.3, 0) is not None
+            assert adversary_spec(flags(name)).build(0) is not None
 
     def test_unknown_name(self):
-        with pytest.raises(SystemExit):
-            build_adversary("nope", 0.1, 0.3, 0)
+        with pytest.raises(SystemExit, match="unknown adversary 'nope'"):
+            adversary_spec(flags("nope"))

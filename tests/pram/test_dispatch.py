@@ -20,7 +20,7 @@ from repro.core import (
     TrivialAssignment,
     solve_write_all,
 )
-from repro.experiments.factories import SparseSchedule
+from repro.faults import registry
 from repro.pram.dispatch import (
     DEFAULT_TABLE,
     DispatchModel,
@@ -167,7 +167,8 @@ class TestWhoAsks:
 
         monkeypatch.setattr(DispatchModel, "prefer_vector", prefer_vector)
         result = solve_write_all(
-            algorithm(), 1024, 8, adversary=SparseSchedule(victims=8)(0),
+            algorithm(), 1024, 8,
+            adversary=registry.build("sched-sparse", seed=0, victims=8),
             **LANES["auto"].solver_kwargs(),
         )
         assert result.solved

@@ -47,14 +47,15 @@ class TestLaneRegistry:
     @staticmethod
     def sched_sparse_outcomes(lane):
         from repro.core import solve_write_all
-        from repro.experiments.factories import SparseSchedule
+        from repro.faults import registry
 
         outcomes = []
         for algorithm_cls in (TrivialAssignment, AlgorithmW):
             with lane_dispatch(lane):
                 result = solve_write_all(
                     algorithm_cls(), 256, 8,
-                    adversary=SparseSchedule(victims=8)(0),
+                    adversary=registry.build("sched-sparse", seed=0,
+                                             victims=8),
                     **lane.solver_kwargs(),
                 )
             outcomes.append((

@@ -10,12 +10,9 @@ at the cost of ``cost`` no-op cycles every ``interval`` completions.
 
 import pytest
 
-from repro.experiments.factories import (
-    PersistentCheckpointRunner,
-    build_named_adversary,
-)
 from repro.faults import RandomAdversary, registry
 from repro.simulation import CheckpointPolicy, PersistentSimulator
+from repro.simulation.persistent import PersistentCheckpointRunner
 from repro.simulation.programs import (
     max_find_program,
     prefix_sum_program,
@@ -112,18 +109,13 @@ class TestRoundTrip:
 
 class TestRegistryIntegration:
     @pytest.mark.parametrize("name", registry.fuzz_names())
-    def test_registry_drawn_adversaries_match_legacy_construction(
-        self, name
-    ):
-        # Bit-identity: building an adversary through the registry and
-        # running the persistent executor must equal the legacy direct
-        # construction path (build_named_adversary was always the CLI's
-        # entry point; the registry now backs it).
+    def test_registry_drawn_adversaries_replay_identically(self, name):
+        # Bit-identity: two fresh builds of one registry spec, through
+        # the spec and by name, run the persistent executor alike.
         runs = []
-        for build in (registry.build, build_named_adversary):
-            simulator = PersistentSimulator(
-                4, adversary=build(name, 0.1, 0.3, 5)
-            )
+        for adversary in (registry.spec(name).build(5),
+                          registry.build(name, seed=5)):
+            simulator = PersistentSimulator(4, adversary=adversary)
             result = simulator.execute(
                 prefix_sum_program(8), list(range(8))
             )
