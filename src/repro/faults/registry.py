@@ -9,8 +9,9 @@ parameters, which pickles across the engine's process boundary and
 keys the result cache field by field.
 
 Each entry declares its own parameters with their defaults (``random``
-takes ``fail`` and ``restart_prob``, ``burst`` its ``period``,
-``fraction`` and ``downtime``, ...).  Every entry also takes the two
+takes ``fail`` and ``restart_prob``, ``burst`` its ``period`` and
+``fraction``, ...); a value no caller varies is a constant of the
+builder, not a parameter.  Every entry also takes the two
 wrapper parameters of :data:`WRAPPERS`: ``restarts=False`` wraps the
 adversary in :class:`NoRestartAdversary` (KS89's fail-stop limit),
 and ``budget=M`` then wraps it in :class:`FailureBudgetAdversary`
@@ -273,10 +274,10 @@ _register(AdversaryEntry(
 _register(AdversaryEntry(
     "burst", ("fail-stop-restart",), "—",
     "periodic mass failure and revival",
-    lambda seed, period, fraction, downtime: BurstAdversary(
-        period=period, fraction=fraction, downtime=downtime
+    lambda seed, period, fraction: BurstAdversary(
+        period=period, fraction=fraction, downtime=1
     ),
-    params=(("period", 3), ("fraction", 0.5), ("downtime", 1)),
+    params=(("period", 3), ("fraction", 0.5)),
     fuzzable=True,
 ))
 _register(AdversaryEntry(
@@ -295,19 +296,16 @@ _register(AdversaryEntry(
     "static-proc", ("static-proc",),
     "Chlebus–Gasieniec–Pelc",
     "kills a seeded 25% of processors at tick 1, forever",
-    lambda seed, dead_frac: StaticFaultAdversary(
-        dead_frac=dead_frac, seed=seed
-    ),
-    params=(("dead_frac", 0.25),),
+    lambda seed: StaticFaultAdversary(dead_frac=0.25, seed=seed),
 ))
 _register(AdversaryEntry(
     "static-mem", ("static-proc", "static-mem"),
     "Chlebus–Gasieniec–Pelc",
     "25% dead processors plus 25% dead Write-All cells (poisoned)",
-    lambda seed, dead_frac, mem_frac: StaticFaultAdversary(
-        dead_frac=dead_frac, mem_frac=mem_frac, seed=seed
+    lambda seed, dead_frac: StaticFaultAdversary(
+        dead_frac=dead_frac, mem_frac=0.25, seed=seed
     ),
-    params=(("dead_frac", 0.25), ("mem_frac", 0.25)),
+    params=(("dead_frac", 0.25),),
 ))
 
 # --------------------------------------------------------------------- #

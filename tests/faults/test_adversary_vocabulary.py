@@ -191,16 +191,6 @@ def test_bench_sweeps_build_what_the_factories_built(tag, spec):
                     construct(seed, *match.groups())), (spec.name, seed)
 
 
-def test_e5_budget_zero_still_wraps():
-    from repro.experiments.bench import get_scenario
-
-    [spec] = [spec for spec in get_scenario("E5_thm43_v_restarts").specs
-              if spec.name == "V/budget-0"]
-    for seed in SEEDS:
-        assert same(spec.adversary_for(seed), FailureBudgetAdversary(
-            RandomAdversary(0.25, 0.4, seed=seed), 0))
-
-
 @pytest.mark.parametrize("name", registry.names())
 def test_cli_flags_build_what_they_built(name):
     from repro.cli import adversary_spec

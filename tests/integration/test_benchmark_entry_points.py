@@ -17,7 +17,6 @@ import repro.simulation.executor as executor
 from repro.core import AlgorithmVX, AlgorithmW, TrivialAssignment
 from repro.core.runner import solve_write_all
 from repro.faults import registry
-from repro.faults.base import Adversary
 from repro.perf.phases import PhaseCounters
 from repro.pram.dispatch import DispatchModel
 from repro.pram.vectorized import HAVE_NUMPY, VectorProgram, VectorWindow
@@ -113,16 +112,3 @@ def test_registry_builds_each_name_from_its_seed_alone(name):
     for seed in range(5):
         assert pickle.dumps(registry.build(name, seed=seed)) == \
             pickle.dumps(BY_NAME[name](seed, 0.1, 0.3)), (name, seed)
-
-
-def test_class_tags_list_every_adversary_class():
-    # The tracer wraps `decide` and `quiet_until` on [Adversary,
-    # *CLASS_TAGS]: a class missing there runs untimed.
-    def subclasses(cls):
-        for sub in cls.__subclasses__():
-            yield sub
-            yield from subclasses(sub)
-
-    library = {cls for cls in subclasses(Adversary)
-               if cls.__module__.startswith("repro.faults.")}
-    assert library <= set(registry.CLASS_TAGS)
