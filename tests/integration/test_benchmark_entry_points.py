@@ -13,12 +13,20 @@ import pickle
 import pytest
 
 import repro.core.runner as runner
+import repro.experiments.bench as bench
+import repro.experiments.parallel as parallel
+import repro.metrics.report as report
 import repro.simulation.executor as executor
+from repro import cli
 from repro.core import AlgorithmVX, AlgorithmW, TrivialAssignment
 from repro.core.runner import solve_write_all
+from repro.experiments.backends.local import PoolBackend
+from repro.experiments.cache import ResultCache
 from repro.faults import registry
 from repro.perf.phases import PhaseCounters
 from repro.pram.dispatch import DispatchModel
+from repro.pram.machine import Machine
+from repro.pram.memory import SharedMemory
 from repro.pram.vectorized import HAVE_NUMPY, VectorProgram, VectorWindow
 from repro.simulation import RobustSimulator
 from repro.simulation.programs import prefix_sum_program
@@ -76,15 +84,71 @@ def test_entry_point_calls_the_module_level_resolver(monkeypatch, module,
     assert calls
 
 
-@pytest.mark.parametrize("owner, name", [
+#: Every other name the tracer wraps (or ``run.py`` imports), with the
+#: class or module it reads it from by ``vars(owner)[name]``.
+TRACED_NAMES = [
     (VectorProgram, "begin_window"),
     (VectorWindow, "resume"),
     (VectorWindow, "flush"),
     (VectorWindow, "close"),
     (DispatchModel, "prefer_vector"),
-], ids=["begin_window", "resume", "flush", "close", "prefer_vector"])
+    (PoolBackend, "__init__"),
+    (PoolBackend, "collect"),
+    (ResultCache, "load"),
+    (ResultCache, "store"),
+    (ResultCache, "write_checkpoint"),
+    (parallel, "point_key"),
+    (bench, "run_sweep_parallel"),
+    (bench, "scenario_section"),
+    (bench, "bench_report"),
+    (cli, "main"),
+    (RobustSimulator, "execute"),
+    (Machine, "__init__"),
+    (Machine, "load_program"),
+    (Machine, "run"),
+    (Machine, "step"),
+    (SharedMemory, "__init__"),
+    (SharedMemory, "sync_cells"),
+    (SharedMemory, "replace_cells"),
+    (runner, "verify_solution"),
+    (report, "environment_section"),
+]
+
+
+@pytest.mark.parametrize(
+    "owner, name", TRACED_NAMES,
+    ids=[f"{getattr(owner, '__name__', owner)}.{name}"
+         for owner, name in TRACED_NAMES],
+)
 def test_traced_hook_is_defined_on_its_class(owner, name):
     assert callable(vars(owner)[name])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("owner, name", [
+    (parallel, "point_key"),
+    (bench, "run_sweep_parallel"),
+    (bench, "scenario_section"),
+    (bench, "bench_report"),
+    (PoolBackend, "collect"),
+], ids=["point_key", "run_sweep_parallel", "scenario_section",
+        "bench_report", "PoolBackend.collect"])
+def test_bench_run_calls_the_traced_name(monkeypatch, tmp_path, owner, name):
+    # The tracer times these by replacing the name on its owner, so a
+    # pooled bench run must look each one up there when it runs.
+    calls = []
+    real = vars(owner)[name]
+
+    def record(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, record)
+    report_, _ = bench.run_benchmarks(
+        ["R1_static_proc"], workers=2, cache_dir=str(tmp_path / "cache"),
+    )
+    assert report_["totals"]["claims_failed"] == 0
+    assert calls
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="vector programs need numpy")
