@@ -6,7 +6,7 @@ Commands:
 * ``sweep``     — sweep N (and seeds), print the aggregate table and the
   fitted growth exponent, optionally export CSV; ``--workers`` fans the
   grid out over processes with caching/resume (``--cache-dir``,
-  ``--resume``) and per-point ``--timeout``/``--retries``;
+  ``--no-resume``) and per-point ``--timeout``/``--retries``;
 * ``bench``     — run registered benchmark scenarios through the
   parallel engine, check their paper claims and write a
   machine-readable ``BENCH_<tag>.json`` (exit 1 if a claim fails);
@@ -53,7 +53,6 @@ from repro.core import (
     solve_write_all,
 )
 from repro.experiments import SweepSpec, run_sweep, run_sweep_parallel
-from repro.experiments.backends import BACKEND_NAMES
 from repro.faults import registry as adversary_registry
 from repro.metrics.tables import render_table
 from repro.pram.lanes import LANES
@@ -147,6 +146,26 @@ def _positive_seconds(text: str) -> float:
     return seconds
 
 
+def _int_at_least(minimum: int):
+    """A count flag's type: an int of at least ``minimum`` (a count
+    below it would select nothing, or nothing sensible)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
 def _scenario_selection(text: str) -> List[str]:
     """``bench --scenarios`` values: a comma list that names something
     (an empty selection would pass without checking a claim)."""
@@ -158,26 +177,20 @@ def _scenario_selection(text: str) -> List[str]:
 
 def _add_engine(parser: argparse.ArgumentParser) -> None:
     """Parallel-engine flags shared by ``sweep`` and ``bench``."""
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes (default: in-process)")
-    parser.add_argument("--backend", default=None, choices=BACKEND_NAMES,
-                        help="executor backend (results are bit-identical "
-                             "across backends). Default: chosen by "
-                             "--workers")
+    parser.add_argument("--workers", type=_int_at_least(1), default=None,
+                        help="worker processes; 1 runs in-process "
+                             "(default: in-process)")
     parser.add_argument("--cache-dir", default=None,
                         help="result cache directory "
                              "(default: .repro-cache)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the on-disk result cache")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume from cached points (sweep: also "
-                             "switches to the engine)")
     parser.add_argument("--no-resume", action="store_true",
                         help="recompute every point, overwriting cache "
                              "entries")
     parser.add_argument("--timeout", type=_positive_seconds, default=None,
                         help="per-point wall-clock timeout in seconds")
-    parser.add_argument("--retries", type=int, default=1,
+    parser.add_argument("--retries", type=_int_at_least(0), default=1,
                         help="extra attempts per timed-out/crashed point")
     parser.add_argument("--chaos-seed", type=int, default=None,
                         help="enable deterministic fault injection with "
@@ -237,15 +250,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     chaos = _chaos_from_args(args)
     use_engine = (
-        args.workers is not None or args.resume
-        or args.timeout is not None or args.cache_dir is not None
-        or chaos is not None or args.backend is not None
+        args.workers is not None or args.timeout is not None
+        or args.cache_dir is not None or chaos is not None
     )
     if use_engine:
         result = run_sweep_parallel(
             spec,
             workers=args.workers,
-            backend=args.backend,
             cache_dir=(
                 None if args.no_cache
                 else (args.cache_dir or ".repro-cache")
@@ -355,7 +366,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         tags,
         tag=args.tag,
         workers=args.workers,
-        backend=args.backend,
         cache_dir=None if args.no_cache else (args.cache_dir
                                               or ".repro-cache"),
         resume=not args.no_resume,
@@ -404,7 +414,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         stall=args.chaos_stall,
         error=args.chaos_error,
         corrupt=args.chaos_corrupt,
-        backend=args.backend,
         log=lambda line: print(f"[chaos] {line}"),
     )
     converged = sum(1 for outcome in outcomes if outcome.converged)
@@ -565,7 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--sizes", default="32,64,128")
     sweep.add_argument("--p", type=int, default=None,
                        help="fixed P (default: P = N)")
-    sweep.add_argument("--seeds", type=int, default=3)
+    sweep.add_argument("--seeds", type=_int_at_least(1), default=3,
+                       help="seeds per size: 0, 1, ..., this - 1")
     sweep.add_argument("--csv", default=None)
     _add_engine(sweep)
     _add_common(sweep)
@@ -600,12 +610,12 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="soak the sweep engine under deterministic fault injection",
     )
-    chaos.add_argument("--workers", type=int, default=2,
+    chaos.add_argument("--workers", type=_int_at_least(1), default=2,
                        help="worker processes for the chaos pass")
-    chaos.add_argument("--seeds", type=int, default=4,
+    chaos.add_argument("--seeds", type=_int_at_least(1), default=4,
                        help="sweep seeds per size (grid is 4 sizes x "
                             "this, 16 points by default)")
-    chaos.add_argument("--iterations", type=int, default=1,
+    chaos.add_argument("--iterations", type=_int_at_least(1), default=1,
                        help="independent soak iterations (chaos seeds "
                             "are spaced 1000 apart)")
     chaos.add_argument("--chaos-seed", type=int, default=0,
@@ -614,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--timeout", type=_positive_seconds, default=2.0,
                        help="per-point wall-clock budget; injected "
                             "stalls spin past it")
-    chaos.add_argument("--retries", type=int, default=8,
+    chaos.add_argument("--retries", type=_int_at_least(0), default=8,
                        help="extra attempts per faulted point (keep "
                             "above the per-point injection cap)")
     chaos.add_argument("--chaos-crash", type=float, default=0.15,
@@ -625,9 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="transient-error injection rate per attempt")
     chaos.add_argument("--chaos-corrupt", type=float, default=0.25,
                        help="cache-corruption injection rate per point")
-    chaos.add_argument("--backend", default=None, choices=BACKEND_NAMES,
-                       help="soak a specific backend for the chaos pass "
-                            "(default: chosen by --workers)")
     chaos.set_defaults(func=cmd_chaos)
 
     fuzz = commands.add_parser(
@@ -638,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--seed", type=int, default=0,
                       help="fuzz seed; every draw is a pure function "
                            "of it")
-    fuzz.add_argument("--iterations", type=int, default=200,
+    fuzz.add_argument("--iterations", type=_int_at_least(1), default=200,
                       help="generated programs per run")
     fuzz.add_argument("--passes", type=int, default=3,
                       help="bit-identical convergence passes per "

@@ -35,12 +35,12 @@ resume::
     result = run_sweep_parallel(spec, workers=4, cache_dir=".sweep-cache")
     print(result.stats.hit_rate)
 
-The engine executes through a small executor seam: inline
-(``backend="serial"``, the default for ``workers <= 1``) or a local
-process pool (``backend="pool"``), with bit-identical results.
+The worker count alone chooses where points run: inline for
+``workers <= 1``, on one local process pool for more, with
+bit-identical results.
 
 See :mod:`repro.experiments.parallel` (the engine),
-:mod:`repro.experiments.backends` (the executor seam),
+:mod:`repro.experiments.backends` (the process pool),
 :mod:`repro.experiments.cache` (content-hashed result store),
 :mod:`repro.experiments.chaos` (deterministic fault injection for the
 engine itself) and :mod:`repro.experiments.bench` (the benchmark
@@ -54,13 +54,7 @@ from repro.experiments.runner import (
     run_one_point,
     run_sweep,
 )
-from repro.experiments.backends import (
-    AttemptResult,
-    Backend,
-    PoolBackend,
-    SerialBackend,
-    resolve_backend,
-)
+from repro.experiments.backends import PoolBackend
 from repro.experiments.cache import ResultCache, fingerprint, point_key
 from repro.experiments.chaos import ChaosPolicy, run_soak
 from repro.experiments.parallel import (
@@ -75,8 +69,6 @@ from repro.experiments.parallel import (
 )
 
 __all__ = [
-    "AttemptResult",
-    "Backend",
     "ChaosPolicy",
     "EtaEstimator",
     "ParallelSweepResult",
@@ -86,14 +78,12 @@ __all__ = [
     "PoolBackend",
     "ResultCache",
     "RunPoint",
-    "SerialBackend",
     "SweepResult",
     "SweepSpec",
     "SweepStats",
     "expand_spec",
     "fingerprint",
     "point_key",
-    "resolve_backend",
     "run_one_point",
     "run_soak",
     "run_sweep",

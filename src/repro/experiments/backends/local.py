@@ -1,10 +1,13 @@
-"""In-process backends: serial (inline) and local process pool.
+"""The local process pool the sweep engine runs attempts on.
 
-Both execute :func:`repro.experiments.parallel.execute_point`, looked
-up as a module attribute at call time so tests (and instrumentation)
-that monkeypatch it keep working.  The chaos-free call signature stays
-exactly ``execute_point(point, timeout)`` — the documented compat hook
-from the pre-chaos engine.
+:func:`repro.experiments.parallel.run_sweep_parallel` runs a point
+inline when ``workers <= 1`` and on one :class:`PoolBackend` when
+``workers > 1``.  Both execute
+:func:`repro.experiments.parallel.execute_point`, looked up as a module
+attribute at call time so tests (and instrumentation) that monkeypatch
+it keep working.  The chaos-free call signature stays exactly
+``execute_point(point, timeout)`` — the documented compat hook from the
+pre-chaos engine.
 """
 
 from __future__ import annotations
@@ -16,9 +19,15 @@ import random
 import time
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.experiments.backends.base import AttemptResult, Backend
-
 _BrokenPool = concurrent.futures.process.BrokenProcessPool
+
+#: One attempt's outcome: ``(point, attempt, status, payload, elapsed)``.
+#: ``point`` is the very object submitted (the engine maps it back to
+#: its sweep by identity); ``status`` is the engine's
+#: ``ok``/``timeout``/``error``/``crash``; ``payload`` is the
+#: :class:`~repro.experiments.runner.RunPoint` on success and a
+#: diagnostic string otherwise.
+Attempt = Tuple[object, int, str, object, float]
 
 #: Attempts a :class:`PoolBackend` keeps inside its executor per worker:
 #: one running and one ready to start, so a worker never waits on the
@@ -26,44 +35,21 @@ _BrokenPool = concurrent.futures.process.BrokenProcessPool
 #: attempts per worker.
 IN_FLIGHT_PER_WORKER = 2
 
+#: Broken-pool rebuilds before a :class:`PoolBackend` degrades to inline
+#: execution for the attempts left.
+MAX_POOL_RESTARTS = 3
 
-def _execute(point, timeout, chaos, attempt) -> Tuple[str, object, float]:
-    """One inline attempt via the live ``parallel.execute_point``."""
-    import repro.experiments.parallel as parallel
-
-    if chaos is None:
-        return parallel.execute_point(point, timeout)
-    return parallel.execute_point(point, timeout, chaos, attempt)
+#: Seed of the jitter drawn for the backoff between pool rebuilds.
+BACKOFF_SEED = 0
 
 
-class SerialBackend(Backend):
-    """Inline execution, one point per :meth:`collect` call.
-
-    Laziness is deliberate: executing inside ``collect`` (not
-    ``submit``) keeps the engine's loop identical across backends, and
-    keeps cache writes incremental — a run killed mid-sweep leaves
-    every completed point's cache entry on disk, which the
-    SIGKILL-resume tests assert.
-    """
-
-    def __init__(self, timeout: Optional[float] = None, chaos=None) -> None:
-        self._timeout = timeout
-        self._chaos = chaos
-        self._queue: Deque[Tuple[object, int]] = collections.deque()
-
-    def submit(self, point, attempt: int) -> None:
-        self._queue.append((point, attempt))
-
-    def collect(self) -> List[AttemptResult]:
-        point, attempt = self._queue.popleft()
-        status, payload, elapsed = _execute(
-            point, self._timeout, self._chaos, attempt
-        )
-        return [AttemptResult(point, attempt, status, payload, elapsed)]
-
-
-class PoolBackend(Backend):
+class PoolBackend:
     """A crash-safe local ``ProcessPoolExecutor``.
+
+    :meth:`submit` enqueues one ``(point, attempt)`` and never blocks;
+    :meth:`collect` blocks until at least one attempt has an outcome and
+    returns the batch as :data:`Attempt` tuples, so a dead worker is an
+    ordinary ``crash`` outcome, not an exception.
 
     At most :data:`IN_FLIGHT_PER_WORKER` attempts per worker sit inside
     the executor; the rest wait in this backend's own queue.  A broken
@@ -71,30 +57,25 @@ class PoolBackend(Backend):
     futures keep their results, each attempt that was inside the broken
     pool comes back as one ``crash`` attempt, queued attempts stay
     queued uncharged, and the next dispatch builds a fresh pool after a
-    capped, seeded-jitter exponential backoff.  A pool that keeps dying
-    degrades the backend to serial inline execution for the remaining
-    attempts.
+    capped, seeded-jitter exponential backoff.  A pool that dies more
+    than :data:`MAX_POOL_RESTARTS` times degrades the backend to inline
+    execution for the remaining attempts.
     """
-
-    requires_picklable = True
 
     def __init__(
         self,
         workers: int,
         timeout: Optional[float] = None,
         chaos=None,
-        max_pool_restarts: int = 3,
         backoff_base: float = 0.05,
         backoff_cap: float = 2.0,
-        backoff_seed: int = 0,
     ) -> None:
-        self._workers = max(1, int(workers))
+        self._workers = workers
         self._timeout = timeout
         self._chaos = chaos
-        self._max_pool_restarts = max_pool_restarts
         self._backoff_base = backoff_base
         self._backoff_cap = backoff_cap
-        self._rng = random.Random(backoff_seed)
+        self._rng = random.Random(BACKOFF_SEED)
         self._queue: Deque[Tuple[object, int]] = collections.deque()
         self._futures: Dict[concurrent.futures.Future,
                             Tuple[object, int]] = {}
@@ -135,15 +116,16 @@ class PoolBackend(Backend):
             self._futures[future] = (point, attempt)
         return True
 
-    def collect(self) -> List[AttemptResult]:
+    def collect(self) -> List[Attempt]:
         if self.degraded_serial:
-            point, attempt = self._queue.popleft()
-            status, payload, elapsed = _execute(
-                point, self._timeout, self._chaos, attempt
-            )
-            return [AttemptResult(point, attempt, status, payload, elapsed)]
+            import repro.experiments.parallel as parallel
 
-        results: List[AttemptResult] = []
+            point, attempt = self._queue.popleft()
+            return [parallel.run_inline(
+                point, attempt, self._timeout, self._chaos
+            )]
+
+        results: List[Attempt] = []
         casualties: List[Tuple[object, int]] = []
         broken = not self._dispatch()
         if not broken:
@@ -161,9 +143,7 @@ class PoolBackend(Backend):
                     continue
                 except Exception as exc:  # worker died mid-task
                     status, payload, elapsed = "error", str(exc), 0.0
-                results.append(AttemptResult(
-                    point, attempt, status, payload, elapsed,
-                ))
+                results.append((point, attempt, status, payload, elapsed))
             if not broken:
                 return results
 
@@ -180,20 +160,18 @@ class PoolBackend(Backend):
                 continue
             except Exception as exc:
                 status, payload, elapsed = "error", str(exc), 0.0
-            results.append(AttemptResult(
-                point, attempt, status, payload, elapsed,
-            ))
+            results.append((point, attempt, status, payload, elapsed))
         self._futures.clear()
         if self._pool is not None:
             self._pool.shutdown(wait=False)
             self._pool = None
         self.pool_restarts += 1
         for point, attempt in casualties:
-            results.append(AttemptResult(
+            results.append((
                 point, attempt, "crash",
                 "worker process died (process pool broken)", 0.0,
             ))
-        if self.pool_restarts > self._max_pool_restarts:
+        if self.pool_restarts > MAX_POOL_RESTARTS:
             self.degraded_serial = True
         elif casualties:
             delay = min(

@@ -4,8 +4,7 @@ Every experiment that reproduces a claim of the paper as a grid of
 Write-All runs is registered here as a :class:`BenchScenario`: a
 bundle of picklable :class:`~repro.experiments.spec.SweepSpec` s that
 the parallel engine can execute, cache and time, plus the scenario's
-:class:`Claim` s, the bounds its measured series must keep.  The driver
-(``benchmarks/driver.py`` / ``python -m repro bench``) runs the
+:class:`Claim` s, the bounds its measured series must keep.  ``python -m repro bench`` runs the
 selected scenarios as one batch through
 :func:`repro.experiments.parallel.run_sweep_parallel`, checks every
 claim of every scenario it ran, and emits a ``BENCH_<tag>.json`` report
@@ -1007,20 +1006,17 @@ def run_benchmarks(
     timeout: Optional[float] = None,
     retries: int = 1,
     chaos=None,
-    backend: Optional[str] = None,
     progress=None,
 ) -> Tuple[dict, Dict[str, List[ParallelSweepResult]]]:
     """Run scenarios as one engine run and assemble the report.
 
     Every selected scenario's specs go to a single
     :func:`~repro.experiments.parallel.run_sweep_parallel` call: one
-    cache pass, one backend (one pool for ``workers > 1``), no barrier
-    between sweeps.  A scenario's ``wall_s`` is the seconds from the
-    run's start until its last point settled.  ``chaos`` (a
+    cache pass, one pool for ``workers > 1`` (inline otherwise), no
+    barrier between sweeps.  A scenario's ``wall_s`` is the seconds
+    from the run's start until its last point settled.  ``chaos`` (a
     :class:`~repro.experiments.chaos.ChaosPolicy`) is the opt-in
     fault-injection hook; leave ``None`` for real measurements.
-    ``backend`` selects the executor (``serial`` or ``pool``); results
-    are backend-independent.
 
     The selection runs once per distinct tag, in first-seen order.
     Every selected scenario's claims are checked and recorded in its
@@ -1028,7 +1024,7 @@ def run_benchmarks(
     ``totals.claims_failed``.
 
     Returns ``(report, results_by_scenario)`` — the latter so callers
-    (the driver, tests) can also render text tables.
+    (``repro bench``, tests) can also render text tables.
     """
     scenarios = [get_scenario(scenario_tag) for scenario_tag in dict.fromkeys(tags)]
     if progress is not None:
@@ -1040,7 +1036,7 @@ def run_benchmarks(
     results = iter(run_sweep_parallel(
         [spec for scenario in scenarios for spec in scenario.specs],
         workers=workers, cache_dir=cache_dir, resume=resume,
-        timeout=timeout, retries=retries, chaos=chaos, backend=backend,
+        timeout=timeout, retries=retries, chaos=chaos,
     ))
     sections = []
     by_scenario: Dict[str, List[ParallelSweepResult]] = {}
@@ -1053,7 +1049,4 @@ def run_benchmarks(
             adversaries=scenario.adversaries,
             claims=scenario.evaluate(own),
         ))
-    report = bench_report(
-        tag, sections, workers=workers or 1, backend=backend,
-    )
-    return report, by_scenario
+    return bench_report(tag, sections, workers=workers or 1), by_scenario

@@ -64,7 +64,7 @@ class ChaosCrash(RuntimeError):
     """Inline stand-in for an injected worker crash.
 
     In a pool worker the policy calls ``os._exit`` — a real fail-stop.
-    Inline (``workers <= 1`` or the engine's degraded-serial mode) that
+    Inline (``workers <= 1`` or a pool degraded to inline execution) that
     would kill the driving process, so the crash surfaces as this
     exception and is accounted with ``kind="crash"``.
     """
@@ -240,7 +240,6 @@ def run_soak(
     stall: float = 0.10,
     error: float = 0.10,
     corrupt: float = 0.25,
-    backend: Optional[str] = None,
     log: Optional[Callable[[str], None]] = None,
 ) -> SoakOutcome:
     """One chaos soak iteration; asserts the engine converges under fire.
@@ -257,9 +256,9 @@ def run_soak(
     Convergence means passes 2 and 3 both produced points bit-identical
     to pass 1, nothing was quarantined, and every injected corruption
     was detected.  The grid and all draws derive from ``chaos_seed``,
-    so a failure reproduces exactly.  ``backend`` (``"serial"`` or
-    ``"pool"``) is handed to the engine for pass 2; ``None`` lets
-    ``workers`` choose.
+    so a failure reproduces exactly.  ``workers`` applies to pass 2:
+    more than one runs it on a process pool, which injected crashes
+    kill and the engine must rebuild.
     """
     from repro.core import AlgorithmX
     from repro.experiments.parallel import run_sweep_parallel
@@ -302,7 +301,6 @@ def run_soak(
             spec, workers=workers, cache_dir=root,
             timeout=timeout, retries=retries, chaos=policy,
             backoff_base=0.01, backoff_cap=0.25,
-            backend=backend,
         )
         emit(f"chaos pass: {stormy.stats.executed} executed, "
              f"{stormy.stats.retries} retries, "

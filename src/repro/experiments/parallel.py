@@ -1,9 +1,9 @@
 """The parallel sweep engine.
 
-Fans a :class:`~repro.experiments.spec.SweepSpec` grid — or a batch of
-them, as one run — out over an executor
-:class:`~repro.experiments.backends.Backend` — inline (``serial``) or
-a local process pool (``pool``) — with
+Runs a :class:`~repro.experiments.spec.SweepSpec` grid — or a batch of
+them, as one run — inline (``workers <= 1``) or on one local process
+pool (:class:`~repro.experiments.backends.PoolBackend`,
+``workers > 1``), with
 
 * **determinism** — each point seeds its own adversary exactly as the
   serial runner does, and results are reassembled in sweep order, so
@@ -23,7 +23,7 @@ a local process pool (``pool``) — with
   fresh pool after a capped, seeded-jitter
   exponential backoff; a point that keeps killing workers is
   quarantined as a :class:`PointFailure` after its retries, and a pool
-  that keeps dying degrades the run to serial in-process execution;
+  that keeps dying degrades the run to inline execution;
 * **fault injection (opt-in)** — a
   :class:`~repro.experiments.chaos.ChaosPolicy` injects deterministic
   crashes/stalls/errors/cache corruption for soak-testing the recovery
@@ -34,15 +34,14 @@ requirement), which is both the fast path for small sweeps and the
 hook tests use to count executions.  ``workers > 1`` requires the
 spec's ``algorithm`` and ``runner`` to be picklable (module-level
 classes or ``functools.partial``); its adversary is a registry spec,
-which always is.  ``backend`` selects
-the executor explicitly (``"serial"``, ``"pool"``, or a live Backend);
-results are bit-identical across backends by construction — the
-engine's scheduling and accounting are backend-agnostic, and every
-backend reassembles in sweep order.
+which always is.  The worker count is the only choice: scheduling and
+accounting are the same inline and on the pool, and both reassemble in
+sweep order, so results are bit-identical for any count.
 """
 
 from __future__ import annotations
 
+import collections
 import ctypes
 import pickle
 import signal
@@ -51,10 +50,10 @@ import time
 import traceback
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.runner import measure_write_all
-from repro.experiments.backends import Backend, resolve_backend
+from repro.experiments.backends.local import Attempt, PoolBackend
 from repro.experiments.cache import ResultCache, point_key
 from repro.experiments.chaos import ChaosCrash, ChaosPolicy
 from repro.experiments.runner import RunPoint, SweepResult, run_one_point
@@ -65,6 +64,9 @@ from repro.faults.registry import AdversarySpec
 #: the engine when the worker died without reporting, and by the inline
 #: path for injected crashes).
 _OK, _TIMEOUT, _ERROR, _CRASH = "ok", "timeout", "error", "crash"
+
+#: Settled points between two ``progress`` lines.
+PROGRESS_EVERY = 25
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,7 @@ class SweepStats:
     the ``BENCH_*.json`` artifact: per-attempt ``retries``/``timeouts``/
     ``crashes``, quarantined points (``failed``), pool restarts, the
     degraded-serial flag, corrupted cache entries detected on load, and
-    (opt-in) the chaos faults injected by kind.  The backend counters
+    (opt-in) the chaos faults injected by kind.  The pool counters
     (``pool_restarts`` and ``degraded_serial``) describe the whole run;
     a batch records them on its first sweep only, so sums over a
     batch's sweeps count each once.
@@ -148,31 +150,21 @@ class SweepStats:
     injected: Dict[str, int] = field(default_factory=dict)
     #: Seconds from the run's start until this sweep's last point settled.
     wall_s: float = 0.0
-    #: Running mean wall seconds per executed point (``None`` when the
-    #: run executed nothing) — the ETA estimator's final reading.
-    mean_point_s: Optional[float] = None
 
     @property
     def hit_rate(self) -> float:
         return self.cache_hits / self.total if self.total else 0.0
 
-    @property
-    def quarantined(self) -> int:
-        """Points recorded as :class:`PointFailure` (alias of ``failed``)."""
-        return self.failed
-
 
 @dataclass
 class EtaEstimator:
-    """SweepStats-driven ETA for long sweeps.
+    """The ETA of an engine run's ``progress`` lines.
 
-    Feeds on the same per-point wall times the engine already accounts
-    into :class:`SweepStats`: a running mean over *executed* points
-    (cache hits complete instantly and would poison the mean), times
-    the work still outstanding.  :meth:`render` is the line the engine
-    feeds its ``progress`` callback (``repro sweep`` prints it as
-    ``[sweep]``), and the final mean lands in
-    :attr:`SweepStats.mean_point_s`.
+    Feeds on the per-point wall times the engine settles: a running
+    mean over *executed* points (cache hits complete instantly and
+    would poison the mean), times the work still outstanding.
+    :meth:`render` is the line the engine feeds its ``progress``
+    callback (``repro sweep`` prints it as ``[sweep]``).
     """
 
     total: int
@@ -375,6 +367,19 @@ def execute_point(
     return _OK, run_point, elapsed
 
 
+def run_inline(point: PointSpec, attempt: int, timeout: Optional[float],
+               chaos: Optional[ChaosPolicy]) -> Attempt:
+    """One attempt in this process, as the pool reports it.
+
+    ``execute_point`` is looked up here at call time, the seam tests
+    patch; without chaos it is called as ``execute_point(point,
+    timeout)``.
+    """
+    if chaos is None:
+        return (point, attempt) + execute_point(point, timeout)
+    return (point, attempt) + execute_point(point, timeout, chaos, attempt)
+
+
 def _check_picklable(point: PointSpec) -> None:
     try:
         pickle.dumps((point.algorithm, point.runner))
@@ -393,7 +398,6 @@ class _Sweep:
     spec: SweepSpec
     points: List[PointSpec]
     stats: SweepStats
-    eta: EtaEstimator
     results: Dict[int, RunPoint] = field(default_factory=dict)
     metas: Dict[int, PointMeta] = field(default_factory=dict)
     failures: List[PointFailure] = field(default_factory=list)
@@ -401,15 +405,13 @@ class _Sweep:
     @classmethod
     def of(cls, spec: SweepSpec) -> "_Sweep":
         points = expand_spec(spec)
-        return cls(spec, points, SweepStats(total=len(points)),
-                   EtaEstimator(total=len(points)))
+        return cls(spec, points, SweepStats(total=len(points)))
 
     def settled(self) -> bool:
         return len(self.results) + len(self.failures) == len(self.points)
 
     def result(self) -> ParallelSweepResult:
         self.failures.sort(key=lambda failure: failure.index)
-        self.stats.mean_point_s = self.eta.mean_point_s
         return ParallelSweepResult(
             spec=self.spec,
             points=[self.results[point.index] for point in self.points
@@ -430,27 +432,24 @@ def run_sweep_parallel(
     timeout: Optional[float] = None,
     retries: int = 1,
     chaos: Optional[ChaosPolicy] = None,
-    max_pool_restarts: int = 3,
     backoff_base: float = 0.05,
     backoff_cap: float = 2.0,
-    backoff_seed: int = 0,
-    backend: Optional[Union[str, Backend]] = None,
     progress: Optional[Callable[[str], None]] = None,
-    progress_every: int = 25,
 ) -> Union[ParallelSweepResult, List[ParallelSweepResult]]:
     """Execute ``spec`` through the parallel engine.
 
     ``spec`` is one :class:`SweepSpec` (returns one result) or a list
     or tuple of them (returns one result per spec, in order).  A batch
     is one engine run: every point of every spec is looked up in the
-    cache once, every miss goes to one backend, and the results are
-    reassembled per sweep.  A point whose cache key an earlier sweep of
-    the batch has pending is held until that copy settles and only then
-    looked up, so a batch executes exactly the points that sequential
-    calls on the same cache would.
+    cache once, every miss goes to one pool (or runs inline), and the
+    results are reassembled per sweep.  A point whose cache key an
+    earlier sweep of the batch has pending is held until that copy
+    settles and only then looked up, so a batch executes exactly the
+    points that sequential calls on the same cache would.
 
     Args:
-        workers: process count; ``None`` or ``<= 1`` executes inline.
+        workers: process count; ``None`` or ``<= 1`` executes inline,
+            more runs on one :class:`~repro.experiments.backends.PoolBackend`.
         cache / cache_dir: enable the on-disk result cache (pass either
             a :class:`ResultCache` or a directory path).
         resume: with a cache, load already-completed points instead of
@@ -463,25 +462,21 @@ def run_sweep_parallel(
         chaos: opt-in deterministic fault injection
             (:class:`~repro.experiments.chaos.ChaosPolicy`); ``None``
             leaves the default path untouched.
-        max_pool_restarts: broken-pool rebuilds before the run degrades
-            to serial in-process execution for the remaining points.
-        backoff_base / backoff_cap / backoff_seed: capped exponential
-            backoff between pool rebuilds, with deterministic jitter
-            drawn from ``random.Random(backoff_seed)``.
-        backend: where attempts execute — ``None`` maps ``workers``
-            (``<= 1`` is serial in-process, more is a local process
-            pool), or pass ``"serial"``, ``"pool"``, or an
-            already-built :class:`~repro.experiments.backends.Backend`.
-            The backend is *not* cache-key material: the
-            same point computed anywhere lands on the same content-hash
-            entry.
+        backoff_base / backoff_cap: capped exponential backoff between
+            pool rebuilds, with seeded jitter
+            (:data:`~repro.experiments.backends.local.BACKOFF_SEED`);
+            the pool degrades to inline execution after
+            :data:`~repro.experiments.backends.local.MAX_POOL_RESTARTS`
+            rebuilds.
         progress: optional callable fed human-readable ETA lines
-            (:class:`EtaEstimator` output) while the sweep runs.
-        progress_every: emit a progress line every N settled points.
+            (:class:`EtaEstimator` output) every
+            :data:`PROGRESS_EVERY` settled points while the sweep runs.
 
-    Each result's ``stats`` account for its own sweep; ``wall_s`` is
-    the seconds from the run's start until the sweep's last point
-    settled.  The backend's counters (``pool_restarts`` and
+    Where a point runs is not cache-key material: the same point
+    computed inline or on the pool lands on the same content-hash
+    entry.  Each result's ``stats`` account for its own sweep;
+    ``wall_s`` is the seconds from the run's start until the sweep's
+    last point settled.  The pool's counters (``pool_restarts`` and
     ``degraded_serial``) belong to the run, so a batch records them
     once, on its first sweep's stats.
     """
@@ -499,7 +494,6 @@ def run_sweep_parallel(
 
     def settle(sweep: _Sweep, elapsed: float, cached: bool = False) -> None:
         eta.observe(elapsed, cached=cached)
-        sweep.eta.observe(elapsed, cached=cached)
         if sweep.settled():
             sweep.stats.wall_s = time.perf_counter() - started
 
@@ -587,54 +581,64 @@ def run_sweep_parallel(
         return True
 
     if pending:
-        engine, owns = resolve_backend(
-            backend, workers=workers, timeout=timeout, chaos=chaos,
-            max_pool_restarts=max_pool_restarts,
-            backoff_base=backoff_base, backoff_cap=backoff_cap,
-            backoff_seed=backoff_seed,
-        )
+        pool: Optional[PoolBackend] = None
+        if workers is not None and workers > 1:
+            # Every point of a spec shares its algorithm and runner, so
+            # one point checks the whole spec.
+            for sweep in sweeps:
+                if not sweep.settled():
+                    _check_picklable(sweep.points[0])
+            pool = PoolBackend(
+                workers, timeout=timeout, chaos=chaos,
+                backoff_base=backoff_base, backoff_cap=backoff_cap,
+            )
+        inline: Deque[Tuple[PointSpec, int]] = collections.deque()
+
+        def submit(point: PointSpec, attempt: int) -> None:
+            note_injection(point, attempt)
+            if pool is None:
+                inline.append((point, attempt))
+            else:
+                pool.submit(point, attempt)
+
+        def collect() -> List[Attempt]:
+            if pool is None:
+                # One attempt per call: a run killed mid-sweep leaves
+                # every finished point's cache entry on disk.
+                return [run_inline(*inline.popleft(), timeout, chaos)]
+            return pool.collect()
+
         try:
-            if engine.requires_picklable:
-                # Every point of a spec shares its algorithm and
-                # runner, so one point checks the whole spec.
-                for sweep in sweeps:
-                    if not sweep.settled():
-                        _check_picklable(sweep.points[0])
             for point in pending:
-                note_injection(point, 1)
-                engine.submit(point, 1)
+                submit(point, 1)
             outstanding = len(pending)
-            step = max(1, progress_every)
             while outstanding:
-                for res in engine.collect():
-                    point = res.point
+                for point, attempt, status, payload, elapsed in collect():
                     sweep = owner[id(point)]
-                    if record(sweep, point, res.status, res.payload,
-                              res.elapsed, res.attempt):
-                        settle(sweep, res.elapsed)
-                    else:
-                        note_injection(point, res.attempt + 1)
-                        engine.submit(point, res.attempt + 1)
+                    if not record(sweep, point, status, payload, elapsed,
+                                  attempt):
+                        submit(point, attempt + 1)
                         continue
+                    settle(sweep, elapsed)
                     outstanding -= 1
                     # Copies held behind this point: look them up now,
                     # as a sequential run would, and submit the misses.
                     for later, duplicate, key in held.pop(id(point), ()):
                         if not lookup(later, duplicate, key):
-                            note_injection(duplicate, 1)
-                            engine.submit(duplicate, 1)
+                            submit(duplicate, 1)
                             outstanding += 1
                     if progress is not None and (
-                        eta.completed % step == 0
+                        eta.completed % PROGRESS_EVERY == 0
                         or eta.completed == eta.total
                     ):
                         progress(eta.render())
-            run_stats = sweeps[0].stats
-            run_stats.pool_restarts = engine.pool_restarts
-            run_stats.degraded_serial = engine.degraded_serial
+            if pool is not None:
+                run_stats = sweeps[0].stats
+                run_stats.pool_restarts = pool.pool_restarts
+                run_stats.degraded_serial = pool.degraded_serial
         finally:
-            if owns:
-                engine.close()
+            if pool is not None:
+                pool.close()
 
     if cache is not None:
         # The progress manifest, once per sweep per run: the entries

@@ -341,10 +341,11 @@ def names_for_tag(tag: str) -> Tuple[str, ...]:
     )
 
 def fuzz_names() -> Tuple[str, ...]:
-    """Names the fuzz driver may draw, in registration order.
+    """Names the fuzz driver may draw.
 
-    Registration order (not sorted) so appending a new entry extends
-    the draw table instead of permuting it.
+    The driver's draw order is its own literal
+    (:data:`repro.fuzz.driver.ADVERSARY_DRAWS`), which holds exactly
+    these names.
     """
     return tuple(
         name for name, entry in REGISTRY.items() if entry.fuzzable

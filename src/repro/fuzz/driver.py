@@ -52,10 +52,14 @@ from repro.simulation.executor import RobustSimulator
 #: ``fuzzable``: layout-agnostic and terminating for the simulator's
 #: V+X engine (``stalker``/``acc-stalker``/``starver`` are bespoke to
 #: one algorithm's layout, and the ``static-mem`` entries poison cells
-#: that generated programs have no routing discipline for).  Kept in
-#: registration order so a new registry entry extends the draw table
-#: instead of permuting existing draws.
-ADVERSARY_DRAWS: Tuple[str, ...] = adversary_registry.fuzz_names()
+#: that generated programs have no routing discipline for).  Written
+#: out, not read from the registry, because a draw indexes this tuple:
+#: its order is part of every seeded draw, so it must not follow how
+#: the registry dict was filled.  A new fuzzable entry goes at the end.
+ADVERSARY_DRAWS: Tuple[str, ...] = (
+    "none", "random", "crash", "thrashing", "halving", "burst",
+    "sched-sparse", "speed-classes",
+)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ Schema (``repro-bench/1``)::
       "tag": "<run tag>",
       "created_unix": <float>,
       "workers": <int>,
-      "backend": "serial|pool",  # optional
       "environment": {"python":..,"python_build":..,"platform":..,
                       "cpu_count":..,"cpu_governor":..,"cpu_turbo":..,
                       "load_avg_1min":..,"numpy":..},  # optional;
@@ -72,7 +71,7 @@ times are read from one clock that starts with the run: a scenario's
 ``wall_s`` is the seconds from the run's start until its last point
 settled, and ``totals.wall_s`` is the run's wall clock, the largest
 scenario ``wall_s`` (scenarios overlap, so their walls do not add up).
-The backend counters — ``pool_restarts`` and ``degraded_serial`` —
+The pool counters — ``pool_restarts`` and ``degraded_serial`` —
 belong to the run, not to a sweep: the engine records them once, on
 the run's first sweep, so the scenario and total sums count each
 once.  The same goes
@@ -273,14 +272,8 @@ def scenario_section(tag: str, title: str, source: str,
 
 
 def bench_report(tag: str, scenarios: List[Dict[str, Any]],
-                 workers: int, backend: Any = None) -> Dict[str, Any]:
-    """Assemble the top-level report from scenario sections.
-
-    ``backend`` records which executor produced the numbers (``serial``
-    or ``pool``); ``None`` omits the key.  Model measures are
-    backend-independent; the key only tells wall-clock readers which
-    executor the times came from.
-    """
+                 workers: int) -> Dict[str, Any]:
+    """Assemble the top-level report from scenario sections."""
     sweeps = [sweep for scenario in scenarios for sweep in scenario["sweeps"]]
     claims = [claim for scenario in scenarios
               for claim in scenario.get("claims", [])]
@@ -307,7 +300,7 @@ def bench_report(tag: str, scenarios: List[Dict[str, Any]],
         "claims": len(claims),
         "claims_failed": sum(not claim["ok"] for claim in claims),
     }
-    report = {
+    return {
         "schema": SCHEMA,
         "tag": tag,
         "created_unix": time.time(),
@@ -316,9 +309,6 @@ def bench_report(tag: str, scenarios: List[Dict[str, Any]],
         "scenarios": scenarios,
         "totals": totals,
     }
-    if backend is not None:
-        report["backend"] = str(backend)
-    return report
 
 
 _POINT_KEYS = {
@@ -395,10 +385,6 @@ def validate_bench_report(report: Dict[str, Any]) -> None:
         count = report["totals"].get(key, 0)
         if not isinstance(count, int) or isinstance(count, bool) or count < 0:
             raise ValueError(f"totals {key} must be a count, got {count!r}")
-    if "backend" in report:
-        # Optional; legacy reports omit it.
-        if not isinstance(report["backend"], str) or not report["backend"]:
-            raise ValueError("backend must be a non-empty string")
     if "environment" in report:
         # Optional since PR 8; older reports simply omit the audit.
         environment = report["environment"]

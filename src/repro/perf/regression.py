@@ -2,8 +2,8 @@
 
 The model-level outputs of a benchmark point — ``solved``, ``S``,
 ``S'``, ``|F|``, ``ticks`` — are deterministic functions of the
-algorithm and the failure pattern, identical on every lane, backend
-and host, so any difference between a baseline and a candidate report
+algorithm and the failure pattern, identical on every lane, worker
+count and host, so any difference between a baseline and a candidate report
 is a semantics change and is always an **error**.  Wall-clock is not
 compared: it belongs to the end-to-end benchmark (``benchmarks/e2e``).
 

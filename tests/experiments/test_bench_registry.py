@@ -384,18 +384,3 @@ def test_validate_environment_audit_types():
         })
         with pytest.raises(ValueError, match=key):
             validate_bench_report(broken)
-
-
-def test_validate_backend_key():
-    from repro.metrics.report import bench_report
-
-    tagged = bench_report("x", [], workers=1, backend="remote:h:1")
-    assert tagged["backend"] == "remote:h:1"
-    validate_bench_report(tagged)
-    untagged = bench_report("x", [], workers=1)
-    assert "backend" not in untagged
-    validate_bench_report(untagged)
-    with pytest.raises(ValueError, match="backend"):
-        validate_bench_report(_minimal_report(backend=""))
-    with pytest.raises(ValueError, match="backend"):
-        validate_bench_report(_minimal_report(backend=7))

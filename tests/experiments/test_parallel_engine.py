@@ -12,7 +12,7 @@ import pytest
 from repro.core import AlgorithmV, AlgorithmX
 from repro.experiments import SweepSpec, run_sweep, run_sweep_parallel
 from repro.experiments import parallel as parallel_module
-from repro.experiments.backends import SerialBackend
+from repro.experiments.backends import PoolBackend
 from repro.faults import registry
 
 
@@ -79,24 +79,10 @@ def test_lambda_algorithm_rejected_with_clear_error():
     assert run_sweep_parallel(spec, workers=1).points
 
 
-class PicklingInlineBackend(SerialBackend):
-    """Inline execution that demands picklable specs, as a pool does."""
-
-    requires_picklable = True
-
-    def __init__(self):
-        super().__init__()
-        self.submitted = []
-
-    def submit(self, point, attempt):
-        self.submitted.append(point)
-        super().submit(point, attempt)
-
-
 def test_batch_checks_every_spec_before_submitting(monkeypatch):
     # Only the last spec of the batch is unpicklable: the engine must
     # refuse the whole batch up front, before any point runs.
-    executed = []
+    executed, submitted = [], []
     real = parallel_module.execute_point
 
     def counting(*args, **kwargs):
@@ -104,6 +90,8 @@ def test_batch_checks_every_spec_before_submitting(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(parallel_module, "execute_point", counting)
+    monkeypatch.setattr(PoolBackend, "submit",
+                        lambda self, point, attempt: submitted.append(point))
     specs = [
         SweepSpec(name=f"pickled-{index}", algorithm=AlgorithmX, sizes=(8,),
                   adversary=registry.spec("none"))
@@ -112,10 +100,9 @@ def test_batch_checks_every_spec_before_submitting(monkeypatch):
         SweepSpec(name="unpicklable-last", algorithm=lambda: AlgorithmX(),
                   sizes=(8,)),
     ]
-    backend = PicklingInlineBackend()
     with pytest.raises(TypeError, match="picklable"):
-        run_sweep_parallel(specs, backend=backend)
-    assert backend.submitted == []
+        run_sweep_parallel(specs, workers=2)
+    assert submitted == []
     assert executed == []
 
 
@@ -339,17 +326,17 @@ class TestEtaEstimator:
         eta.observe(3.0)
         assert eta.eta_s == pytest.approx(0.0)
 
-    def test_engine_reports_progress_through_the_estimator(self):
+    def test_engine_reports_progress_through_the_estimator(
+        self, monkeypatch,
+    ):
         spec = SweepSpec(
             name="eta-progress", algorithm=AlgorithmX, sizes=(8, 16),
             adversary=registry.spec("none"), seeds=(0, 1),
         )
+        monkeypatch.setattr(parallel_module, "PROGRESS_EVERY", 1)
         lines = []
-        result = run_sweep_parallel(
-            spec, workers=1, progress=lines.append, progress_every=1,
-        )
+        result = run_sweep_parallel(spec, workers=1, progress=lines.append)
         assert len(lines) == result.stats.total
         assert lines[-1].startswith(f"{result.stats.total}/"
                                     f"{result.stats.total} points")
-        assert result.stats.mean_point_s is not None
-        assert result.stats.mean_point_s >= 0.0
+        assert "mean" in lines[-1]

@@ -23,6 +23,7 @@ import pytest
 
 from repro.core import AlgorithmX
 from repro.experiments import SweepSpec, run_sweep, run_sweep_parallel
+from repro.experiments.backends import local
 from repro.experiments.chaos import ChaosPolicy
 from repro.faults import registry
 
@@ -78,16 +79,17 @@ def small_spec(name):
     )
 
 
-def test_worker_death_is_recovered_bit_identical():
+def test_worker_death_is_recovered_bit_identical(monkeypatch):
     # Every point's first attempt kills its worker (os._exit inside the
     # pool), so the pool breaks; the engine must restart it, charge the
     # in-flight points a crash attempt, and converge on the retry.
+    monkeypatch.setattr(local, "MAX_POOL_RESTARTS", 8)
     spec = small_spec("recovery-crash")
     serial = run_sweep(spec)
     policy = ChaosPolicy(seed=11, crash=1.0, max_faults_per_point=1)
     result = run_sweep_parallel(
         spec, workers=2, retries=3, chaos=policy,
-        max_pool_restarts=8, backoff_base=0.01, backoff_cap=0.1,
+        backoff_base=0.01, backoff_cap=0.1,
     )
     assert result.points == serial.points
     assert not result.failures
@@ -96,16 +98,17 @@ def test_worker_death_is_recovered_bit_identical():
     assert result.stats.crashes >= len(serial.points)
 
 
-def test_poison_point_is_quarantined_not_fatal():
+def test_poison_point_is_quarantined_not_fatal(monkeypatch):
     # One point crashes every worker that touches it.  After its retry
     # budget it must be quarantined as a PointFailure(kind="crash")
     # while the innocent pool-mates still complete correctly.
+    monkeypatch.setattr(local, "MAX_POOL_RESTARTS", 10)
     spec = small_spec("recovery-poison")
     serial = run_sweep(spec)
     poisoned_index = 0
     result = run_sweep_parallel(
         spec, workers=2, retries=1, chaos=PoisonPoint(target=poisoned_index),
-        max_pool_restarts=10, backoff_base=0.01, backoff_cap=0.1,
+        backoff_base=0.01, backoff_cap=0.1,
     )
     assert len(result.failures) == 1
     failure = result.failures[0]
@@ -114,7 +117,6 @@ def test_poison_point_is_quarantined_not_fatal():
     assert (failure.n, failure.p, failure.seed) == \
         list(spec.points())[poisoned_index]
     assert result.stats.failed == 1
-    assert result.stats.quarantined == 1
     # The surviving points are exactly the serial results minus the
     # quarantined one.
     survivors = [
@@ -124,12 +126,13 @@ def test_poison_point_is_quarantined_not_fatal():
     assert result.points == survivors
 
 
-def test_crash_charges_only_the_attempts_inside_the_pool():
+def test_crash_charges_only_the_attempts_inside_the_pool(monkeypatch):
     # Twelve points on two workers, and point 0's first attempt kills
     # its worker.  The pool holds at most two attempts per worker, so
     # the broken pool charges a crash to at most four of them; the
     # attempts still queued in the backend never reached the pool and
     # stay uncharged.
+    monkeypatch.setattr(local, "MAX_POOL_RESTARTS", 8)
     workers = 2
     spec = SweepSpec(
         name="recovery-charge",
@@ -142,7 +145,7 @@ def test_crash_charges_only_the_attempts_inside_the_pool():
     )
     result = run_sweep_parallel(
         spec, workers=workers, retries=2, chaos=FirstAttemptCrash(target=0),
-        max_pool_restarts=8, backoff_base=0.01, backoff_cap=0.1,
+        backoff_base=0.01, backoff_cap=0.1,
     )
     assert result.points == run_sweep(spec).points
     assert not result.failures
@@ -151,17 +154,18 @@ def test_crash_charges_only_the_attempts_inside_the_pool():
     assert 1 <= stats.crashes <= 2 * workers * stats.pool_restarts
 
 
-def test_repeated_pool_death_degrades_to_serial():
+def test_repeated_pool_death_degrades_to_serial(monkeypatch):
     # With a restart budget of 1 and workers dying on every early
     # attempt, the engine must stop burning pools and fall back to
     # inline execution — where the injected crash surfaces as
     # ChaosCrash, is retried, and the sweep still converges.
+    monkeypatch.setattr(local, "MAX_POOL_RESTARTS", 1)
     spec = small_spec("recovery-degrade")
     serial = run_sweep(spec)
     policy = ChaosPolicy(seed=13, crash=1.0, max_faults_per_point=3)
     result = run_sweep_parallel(
         spec, workers=2, retries=5, chaos=policy,
-        max_pool_restarts=1, backoff_base=0.01, backoff_cap=0.1,
+        backoff_base=0.01, backoff_cap=0.1,
     )
     assert result.stats.degraded_serial
     assert result.stats.pool_restarts >= 2

@@ -89,16 +89,20 @@ class TestEnumeration:
 
         assert tuple(ADVERSARIES) == registry.names()
 
-    def test_fuzz_draws_are_the_fuzzable_subset_in_order(self):
+    def test_fuzz_draws_are_the_fuzzable_subset(self):
+        # The draw table is a literal, so its order (part of every
+        # seeded draw) does not follow how REGISTRY was filled; it
+        # must still name each fuzzable entry exactly once.
         from repro.fuzz.driver import ADVERSARY_DRAWS
 
-        assert ADVERSARY_DRAWS == registry.fuzz_names()
-        fuzzable = [
+        assert len(set(ADVERSARY_DRAWS)) == len(ADVERSARY_DRAWS)
+        assert set(ADVERSARY_DRAWS) == set(registry.fuzz_names())
+        fuzzable = {
             name for name, entry in registry.REGISTRY.items()
             if entry.fuzzable
-        ]
-        assert list(registry.fuzz_names()) == fuzzable  # registration order
-        assert set(fuzzable) <= set(registry.names())
+        }
+        assert set(registry.fuzz_names()) == fuzzable
+        assert fuzzable <= set(registry.names())
 
     def test_static_mem_entries_are_not_fuzzable(self):
         # Generated programs have no fault-routing discipline; poisoned

@@ -62,32 +62,55 @@ class TestSweep:
         assert "n,p,seed" in path.read_text().splitlines()[0]
 
 
+ENGINE_COMMANDS = ("sweep", "bench", "chaos")
+
+#: (command, flag, bad value, what the usage error says): budgets must
+#: be positive, and a count below its floor would select nothing.
+BAD_VALUES = [
+    *[(command, "--timeout", value, "positive")
+      for command in ENGINE_COMMANDS for value in ("0", "-1")],
+    *[(command, "--workers", value, "at least 1")
+      for command in ENGINE_COMMANDS for value in ("0", "-3")],
+    *[(command, "--retries", "-2", "at least 0")
+      for command in ENGINE_COMMANDS],
+    *[(command, "--seeds", "0", "at least 1")
+      for command in ("sweep", "chaos")],
+    *[(command, "--iterations", "0", "at least 1")
+      for command in ("chaos", "fuzz")],
+]
+
+
 class TestEngineFlagValidation:
     """Bad engine flags are usage errors (exit 2), never tracebacks."""
 
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    @pytest.mark.parametrize("command", ["sweep", "bench", "chaos"])
-    def test_non_positive_timeout_is_a_usage_error(
-        self, command, value, capsys
+    @pytest.mark.parametrize(
+        "command, flag, value, message", BAD_VALUES,
+        ids=[f"{command}{flag}={value}"
+             for command, flag, value, _ in BAD_VALUES],
+    )
+    def test_bad_value_is_a_usage_error(
+        self, command, flag, value, message, capsys
     ):
         with pytest.raises(SystemExit) as exc:
-            main([command, "--timeout", value])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "--timeout" in err
-        assert "positive" in err
-
-    @pytest.mark.parametrize("value", ["bogus", "remote:127.0.0.1:1"])
-    @pytest.mark.parametrize("command", ["sweep", "bench", "chaos"])
-    def test_unknown_backend_is_a_usage_error(self, command, value, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--backend", value])
+            main([command, flag, value])
         assert exc.value.code == 2
         captured = capsys.readouterr()
-        output = captured.out + captured.err
-        assert "invalid choice" in output
-        assert "'serial', 'pool'" in output
-        assert "Traceback" not in output
+        assert f"argument {flag}:" in captured.err
+        assert message in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("argv", [["--backend", "pool"], ["--resume"]],
+                             ids=["backend", "resume"])
+    @pytest.mark.parametrize("command", ENGINE_COMMANDS)
+    def test_removed_flag_is_a_usage_error(self, command, argv, capsys):
+        # The worker count alone chooses inline or pool, and resuming
+        # from the cache is the default.
+        with pytest.raises(SystemExit) as exc:
+            main([command, *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {' '.join(argv)}" in captured.err
+        assert "Traceback" not in captured.out + captured.err
 
 
 class TestBench:

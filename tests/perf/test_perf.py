@@ -64,13 +64,13 @@ class TestCompareReports:
         assert finding.kind == "model-mismatch"
         assert "ticks" in finding.detail
 
-    def test_wall_clock_and_backend_are_not_compared(self):
-        # Model fields are host- and backend-independent; wall-clock is
-        # the e2e benchmark's business, not the gate's.
-        base = _tiny_report(wall_s=0.05)
-        base["backend"] = "serial"
+    def test_wall_clock_and_workers_are_not_compared(self):
+        # Model fields are independent of the host and the worker
+        # count; wall-clock is the e2e benchmark's business, not the
+        # gate's.
+        base = _tiny_report(wall_s=0.05)  # workers=1
         cand = _tiny_report(tag="cand", wall_s=10.0)
-        cand["backend"] = "pool"
+        cand["workers"] = 2
         report = compare_reports(base, cand)
         assert report.ok
         assert report.findings == []
