@@ -1,15 +1,16 @@
-"""The benchmark scenario registry, its paper claims, and the driver.
+"""The benchmark scenario registry, its paper claims, and their run.
 
 Every experiment that reproduces a claim of the paper as a grid of
 Write-All runs is registered here as a :class:`BenchScenario`: a
 bundle of picklable :class:`~repro.experiments.spec.SweepSpec` s that
 the parallel engine can execute, cache and time, plus the scenario's
-:class:`Claim` s, the bounds its measured series must keep.  ``python -m repro bench`` runs the
-selected scenarios as one batch through
-:func:`repro.experiments.parallel.run_sweep_parallel`, checks every
-claim of every scenario it ran, and emits a ``BENCH_<tag>.json`` report
-(see :mod:`repro.metrics.report`) with each measured value next to its
-bound.  The run exits 1 if a point fails or a claim does not hold.
+:class:`Claim` s, the bounds its measured series must keep.
+``python -m repro bench`` runs the selected scenarios as one batch
+through :func:`repro.experiments.parallel.run_sweep_parallel`, checks
+every claim of every scenario it ran, and emits a ``BENCH_<tag>.json``
+report (see :mod:`repro.metrics.report`) with each measured value next
+to its bound.  The run exits 1 if a point fails or a claim does not
+hold.
 
 A claim is data: an id, the statement, a measure (one of the helpers
 below, mapping the scenario's results to one number), a comparison and
