@@ -111,7 +111,6 @@ def test_timeout_classifies_as_timeout(workers):
     result = run_sweep_parallel(
         spec, workers=workers, timeout=0.5, retries=0,
         chaos=StallPoint(target=0, stall_s=30.0),
-        backoff_base=0.01, backoff_cap=0.1,
     )
     assert len(result.failures) == 1
     assert result.failures[0].kind == "timeout"
