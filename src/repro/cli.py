@@ -39,7 +39,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.core import (
     AccAlgorithm,
@@ -52,6 +52,7 @@ from repro.core import (
     TrivialAssignment,
     solve_write_all,
 )
+from repro.core.problem import WriteAllInstance
 from repro.experiments import SweepSpec, run_sweep, run_sweep_parallel
 from repro.faults import registry as adversary_registry
 from repro.metrics.tables import render_table
@@ -119,12 +120,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--adversary", default="random",
                         choices=ADVERSARIES, metavar="NAME",
                         help=_adversary_help())
-    parser.add_argument("--fail", type=float, default=0.1,
+    parser.add_argument("--fail", type=_probability, default=0.1,
                         help="per-tick failure probability (stochastic)")
-    parser.add_argument("--restart-prob", type=float, default=0.3,
+    parser.add_argument("--restart-prob", type=_probability, default=0.3,
                         help="per-tick restart probability (stochastic)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-ticks", type=int, default=None)
+    parser.add_argument("--max-ticks", type=_int_at_least(1), default=None)
 
 
 #: The registry lane the solving commands run.
@@ -166,6 +167,49 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _probability(text: str) -> float:
+    """Probability flags: a float in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}"
+        ) from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text!r}")
+    return value
+
+
+def _write_all_size(text: str) -> int:
+    """``--n`` and each ``--sizes`` entry: a Write-All size, which the
+    instance check requires to be a positive power of two."""
+    value = _int_at_least(1)(text)
+    try:
+        WriteAllInstance(value, 1)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
+def _size_list(text: str) -> List[int]:
+    """``sweep --sizes`` values: a comma list of Write-All sizes."""
+    return [_write_all_size(token.strip()) for token in text.split(",")]
+
+
+def _lane_list(text: str) -> Tuple[str, ...]:
+    """``fuzz --lanes`` values: a comma list of registry lane names."""
+    lanes = tuple(token.strip() for token in text.split(",") if token.strip())
+    if not lanes:
+        raise argparse.ArgumentTypeError(f"selects no lane: {text!r}")
+    unknown = [lane for lane in lanes if lane not in LANES]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown lane(s): {', '.join(unknown)} "
+            f"(known: {', '.join(LANES)})"
+        )
+    return lanes
+
+
 def _scenario_selection(text: str) -> List[str]:
     """``bench --scenarios`` values: a comma list that names something
     (an empty selection would pass without checking a claim)."""
@@ -195,16 +239,16 @@ def _add_engine(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--chaos-seed", type=int, default=None,
                         help="enable deterministic fault injection with "
                              "this seed (soak-testing only; default: off)")
-    parser.add_argument("--chaos-crash", type=float, default=0.05,
+    parser.add_argument("--chaos-crash", type=_probability, default=0.05,
                         help="injected worker-crash probability per "
                              "attempt (with --chaos-seed)")
-    parser.add_argument("--chaos-stall", type=float, default=0.05,
+    parser.add_argument("--chaos-stall", type=_probability, default=0.05,
                         help="injected stall probability per attempt "
                              "(with --chaos-seed)")
-    parser.add_argument("--chaos-error", type=float, default=0.05,
+    parser.add_argument("--chaos-error", type=_probability, default=0.05,
                         help="injected transient-error probability per "
                              "attempt (with --chaos-seed)")
-    parser.add_argument("--chaos-corrupt", type=float, default=0.05,
+    parser.add_argument("--chaos-corrupt", type=_probability, default=0.05,
                         help="cache-entry corruption probability per "
                              "point (with --chaos-seed)")
 
@@ -237,11 +281,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    sizes = [int(token) for token in args.sizes.split(",")]
     spec = SweepSpec(
         name=f"{args.algorithm}/{args.adversary}",
         algorithm=ALGORITHMS[args.algorithm],
-        sizes=sizes,
+        sizes=args.sizes,
         processors=(lambda n: n) if args.p is None else args.p,
         adversary=adversary_spec(args),
         seeds=range(args.seeds),
@@ -270,7 +313,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         result = run_sweep(spec)
     print(result.table())
-    if len(sizes) >= 2 and result.points:
+    if len(args.sizes) >= 2 and result.points:
         print(f"\nfitted work exponent (worst case): "
               f"{result.fitted_exponent():.3f}")
     if use_engine:
@@ -425,21 +468,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     import time as time_module
 
     from repro.fuzz import run_fuzz
-    from repro.fuzz.driver import LANES
     from repro.fuzz.generator import GeneratorConfig
 
-    if args.lanes is None:
-        lanes = tuple(LANES)
-    else:
-        lanes = tuple(
-            token.strip() for token in args.lanes.split(",") if token.strip()
-        )
-        unknown = [lane for lane in lanes if lane not in LANES]
-        if unknown:
-            raise SystemExit(
-                f"unknown lane(s): {', '.join(unknown)} "
-                f"(known: {', '.join(LANES)})"
-            )
+    lanes = tuple(LANES) if args.lanes is None else args.lanes
     config = GeneratorConfig(
         max_width=args.max_width,
         max_steps=args.max_steps,
@@ -547,8 +578,8 @@ def cmd_showdown(args: argparse.Namespace) -> int:
         row = [spec.name]
         for name in names:
             result = solve_write_all(
-                ALGORITHMS[name](), args.n, args.p or args.n,
-                adversary=adversary, max_ticks=args.max_ticks or 2_000_000,
+                ALGORITHMS[name](), args.n, args.p, adversary=adversary,
+                max_ticks=args.max_ticks,
             )
             row.append(result.completed_work if result.solved else "DNF")
         rows.append(row)
@@ -565,14 +596,14 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     solve = commands.add_parser("solve", help="run one Write-All instance")
-    solve.add_argument("--n", type=int, default=256)
-    solve.add_argument("--p", type=int, default=None)
+    solve.add_argument("--n", type=_write_all_size, default=256)
+    solve.add_argument("--p", type=_int_at_least(1), default=None)
     _add_common(solve)
     solve.set_defaults(func=cmd_solve)
 
     sweep = commands.add_parser("sweep", help="sweep sizes and seeds")
-    sweep.add_argument("--sizes", default="32,64,128")
-    sweep.add_argument("--p", type=int, default=None,
+    sweep.add_argument("--sizes", type=_size_list, default="32,64,128")
+    sweep.add_argument("--p", type=_int_at_least(1), default=None,
                        help="fixed P (default: P = N)")
     sweep.add_argument("--seeds", type=_int_at_least(1), default=3,
                        help="seeds per size: 0, 1, ..., this - 1")
@@ -627,13 +658,13 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--retries", type=_int_at_least(0), default=8,
                        help="extra attempts per faulted point (keep "
                             "above the per-point injection cap)")
-    chaos.add_argument("--chaos-crash", type=float, default=0.15,
+    chaos.add_argument("--chaos-crash", type=_probability, default=0.15,
                        help="worker-crash injection rate per attempt")
-    chaos.add_argument("--chaos-stall", type=float, default=0.10,
+    chaos.add_argument("--chaos-stall", type=_probability, default=0.10,
                        help="stall injection rate per attempt")
-    chaos.add_argument("--chaos-error", type=float, default=0.10,
+    chaos.add_argument("--chaos-error", type=_probability, default=0.10,
                        help="transient-error injection rate per attempt")
-    chaos.add_argument("--chaos-corrupt", type=float, default=0.25,
+    chaos.add_argument("--chaos-corrupt", type=_probability, default=0.25,
                        help="cache-corruption injection rate per point")
     chaos.set_defaults(func=cmd_chaos)
 
@@ -647,15 +678,15 @@ def build_parser() -> argparse.ArgumentParser:
                            "of it")
     fuzz.add_argument("--iterations", type=_int_at_least(1), default=200,
                       help="generated programs per run")
-    fuzz.add_argument("--passes", type=int, default=3,
+    fuzz.add_argument("--passes", type=_int_at_least(1), default=3,
                       help="bit-identical convergence passes per "
                            "program (the repro-chaos contract)")
-    fuzz.add_argument("--lanes", default=None,
+    fuzz.add_argument("--lanes", type=_lane_list, default=None,
                       help="comma-separated lanes to exercise "
                            "(default: all registered lanes)")
-    fuzz.add_argument("--max-width", type=int, default=5,
+    fuzz.add_argument("--max-width", type=_int_at_least(1), default=5,
                       help="max simulated processors per program")
-    fuzz.add_argument("--max-steps", type=int, default=4,
+    fuzz.add_argument("--max-steps", type=_int_at_least(1), default=4,
                       help="max steps per program")
     fuzz.add_argument("--no-chaos", action="store_true",
                       help="disable inline chaos injection around "
@@ -664,7 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="where shrunk failure fixtures land "
                            "(loaded forever after by "
                            "tests/fuzz/test_fixtures.py)")
-    fuzz.add_argument("--max-fixtures", type=int, default=5,
+    fuzz.add_argument("--max-fixtures", type=_int_at_least(0), default=5,
                       help="cap on shrunk fixtures per run")
     fuzz.set_defaults(func=cmd_fuzz)
 
@@ -673,27 +704,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument("--program", default="prefix-sum",
                           choices=sorted(PROGRAMS))
-    simulate.add_argument("--width", type=int, default=16)
-    simulate.add_argument("--p", type=int, default=4)
+    simulate.add_argument("--width", type=_int_at_least(1), default=16)
+    simulate.add_argument("--p", type=_int_at_least(1), default=4)
     simulate.add_argument("--persistent", action="store_true",
                           help="use the generational no-reset executor")
     _add_common(simulate)
     simulate.set_defaults(func=cmd_simulate)
 
     trace = commands.add_parser("trace", help="print a failure timeline")
-    trace.add_argument("--n", type=int, default=16)
-    trace.add_argument("--p", type=int, default=8)
-    trace.add_argument("--width", type=int, default=72)
+    trace.add_argument("--n", type=_write_all_size, default=16)
+    trace.add_argument("--p", type=_int_at_least(1), default=8)
+    trace.add_argument("--width", type=_int_at_least(1), default=72)
     _add_common(trace)
     trace.set_defaults(func=cmd_trace)
 
     showdown = commands.add_parser(
         "showdown", help="algorithms x adversaries matrix"
     )
-    showdown.add_argument("--n", type=int, default=64)
-    showdown.add_argument("--p", type=int, default=None)
+    showdown.add_argument("--n", type=_write_all_size, default=64)
+    showdown.add_argument("--p", type=_int_at_least(1), default=None)
     showdown.add_argument("--seed", type=int, default=0)
-    showdown.add_argument("--max-ticks", type=int, default=None)
+    showdown.add_argument("--max-ticks", type=_int_at_least(1),
+                          default=2_000_000)
     showdown.set_defaults(func=cmd_showdown)
 
     return parser

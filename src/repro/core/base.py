@@ -74,12 +74,12 @@ class WriteAllAlgorithm:
         to :meth:`program`, or ``None`` when no kernel applies (the
         default — e.g. the trivial assignment's non-trivial task sets;
         X's, V's, W's and VX's kernels carry task sets).  Like the
-        adversary's
-        ``passive``/``quiet_until`` promises, the hook is only honored
+        adversary's ``quiet_until`` promise, the hook is only honored
         when it is declared by the class that defines the effective
-        ``program()`` (``repro.pram.compiled.trusted_compiled_program``
-        enforces this), so a subclass overriding ``program()`` cannot
-        accidentally inherit a stale kernel.
+        ``program()`` or a subclass of it (``repro.util.hooks.trusted_hook``,
+        called by ``repro.pram.compiled.resolve_kernel``), so a
+        subclass overriding ``program()`` cannot accidentally inherit a
+        stale kernel.
         """
         return None
 
@@ -91,9 +91,9 @@ class WriteAllAlgorithm:
         Returns a :class:`repro.pram.vectorized.VectorProgram` that is
         observationally identical to :meth:`program`, or ``None`` when
         the configuration cannot be vectorized (the default; trivial
-        and W ship one).  Trusted under the same MRO guard as
-        :meth:`compiled_program`
-        (``repro.pram.vectorized.trusted_vectorized_program``), and
+        and W ship one).  Trusted under the same rule as
+        :meth:`compiled_program` (``repro.util.hooks.trusted_hook``,
+        called by ``repro.pram.vectorized.resolve_vectorized``), and
         only consulted when the run sets ``vectorized`` (the ``auto``
         lane) with kernels on; the dispatch cost model then decides
         per quiet window whether it runs.

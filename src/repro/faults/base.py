@@ -18,6 +18,7 @@ from typing import Dict, Iterable, List, Mapping, Set, Tuple
 
 from repro.pram.failures import BEFORE_WRITES, Decision
 from repro.pram.view import TickView
+from repro.util.hooks import trusted_hook
 
 #: An event horizon meaning "this adversary never acts again".  Any
 #: value beyond every reachable tick count works; this one is far past
@@ -26,30 +27,22 @@ QUIET_FOREVER = 1 << 62
 
 
 def quiet_horizon(adversary: object, tick: int) -> int:
-    """``adversary.quiet_until(tick)``, tolerating duck-typed adversaries.
+    """``adversary.quiet_until(tick)`` if the hook is trusted, else ``tick + 1``.
 
     The machine accepts any object with a ``decide`` method; wrappers
-    and the fast-forward loop use this helper so an adversary without
-    the hook degrades to the always-sound per-tick horizon.
-
-    A horizon is a promise about ``decide``, so — like the ``passive``
-    flag — it is only honored when defined by the class that defines the
-    instance's effective ``decide`` (or a subclass of it).  A subclass
-    that overrides ``decide()`` while inheriting, say, an infinite
-    horizon has broken the promise and is consulted every tick.
+    use this helper so an adversary without a trusted hook degrades to
+    the always-sound per-tick horizon.  A horizon is a promise about
+    ``decide``, so it is trusted under the rule the machine applies
+    (:func:`repro.util.hooks.trusted_hook`): only when declared by the
+    instance, or by the class that defines the effective ``decide`` or
+    a subclass of it.  A subclass that overrides ``decide()`` while
+    inheriting, say, an infinite horizon has broken the promise and is
+    consulted every tick, and so is a proxy that reaches the hook only
+    through ``__getattr__``.
     """
-    hook = getattr(adversary, "quiet_until", None)
+    hook = trusted_hook(adversary, "quiet_until", "decide")
     if hook is None:
         return tick + 1
-    instance_vars = getattr(adversary, "__dict__", {})
-    if "quiet_until" not in instance_vars:
-        if "decide" in instance_vars:
-            return tick + 1
-        for klass in type(adversary).__mro__:
-            if "quiet_until" in vars(klass):
-                break
-            if "decide" in vars(klass):
-                return tick + 1
     return hook(tick)
 
 
@@ -71,10 +64,10 @@ class Adversary:
     Within such a window the machine never builds the per-tick
     :class:`~repro.pram.view.TickView` and never calls ``decide`` at
     all, so the promise must hold for *every possible* machine state at
-    those ticks, not just the one the adversary last saw.  This mirrors
-    the ``passive`` caveat: an adversary that draws randomness per tick
-    (e.g. ``RandomAdversary``) can never promise a horizon beyond
-    ``tick + 1`` because the skipped draws would shift its RNG stream,
+    those ticks, not just the one the adversary last saw.  An adversary
+    that draws randomness per tick (e.g. ``RandomAdversary``) can never
+    promise a horizon beyond ``tick + 1`` because the skipped draws
+    would shift its RNG stream,
     and an observer like :class:`~repro.pram.trace.Tracer` must pin the
     horizon to ``tick + 1`` because it needs to *see* every tick.
     ``decide`` may still be called during a promised-quiet interval
@@ -82,22 +75,17 @@ class Adversary:
     force a restart); it must return an empty decision there.
 
     The default, ``tick + 1``, means "consult me every tick" — always
-    sound.  Return :data:`QUIET_FOREVER` for "never again".  As with
-    ``passive``, the hook is only honored when defined by the class that
-    defines the instance's effective ``decide``: a subclass overriding
-    ``decide()`` without restating its own horizon is consulted every
-    tick.
+    sound.  Return :data:`QUIET_FOREVER` for "never again" (an
+    adversary that never acts, such as ``NoFailures``, says so this
+    way).  The hook is only honored when defined by the class that
+    defines the instance's effective ``decide`` (see
+    :func:`quiet_horizon`): a subclass overriding ``decide()`` without
+    restating its own horizon is consulted every tick.
     """
 
     #: Whether the adversary adapts to the run (True) or committed to a
     #: schedule beforehand (False).  Purely informational.
     online = True
-    #: A passive adversary *never* fails or restarts anything —
-    #: ``decide`` is ``Decision.none()`` unconditionally.  The machine's
-    #: fast path skips building the per-tick adversary view entirely for
-    #: passive adversaries, so only declare it when decide() truly never
-    #: acts (and never inspects the view for side effects).
-    passive = False
 
     def decide(self, view: TickView) -> Decision:
         return Decision.none()

@@ -11,15 +11,13 @@ class NoFailures(Adversary):
     """The failure-free PRAM (the classical model)."""
 
     online = False
-    # Never acts, so the machine may take its no-adversary fast path.
-    passive = True
 
     def decide(self, view: TickView) -> Decision:
         return Decision.none()
 
     def quiet_until(self, tick: int) -> int:
-        # Redundant with `passive` (the machine already skips passive
-        # adversaries wholesale) but keeps the protocol uniform.
+        # Never acts: a whole run is one quiet window, as with no
+        # adversary at all.
         return QUIET_FOREVER
 
 

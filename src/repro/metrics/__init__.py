@@ -1,4 +1,4 @@
-"""Accounting, bound predictors and analysis helpers.
+"""Bound predictors and analysis helpers.
 
 * :mod:`repro.metrics.bounds` — closed-form predictors for every bound
   the paper states (used by benchmarks to check measured shapes);
@@ -6,13 +6,10 @@
   series;
 * :mod:`repro.metrics.tables` — ASCII tables for benchmark/example
   output;
-* :mod:`repro.metrics.accounting` — aggregation across runs (Definition
-  2.3 takes maxima over inputs and failure patterns);
 * :mod:`repro.metrics.report` — the machine-readable ``repro-bench/1``
   benchmark report schema (``BENCH_<tag>.json``).
 """
 
-from repro.metrics.accounting import WorstCase, aggregate_worst_case
 from repro.metrics.bounds import (
     log2ceil,
     sigma_bound_thm41,
@@ -34,8 +31,6 @@ from repro.metrics.report import (
 from repro.metrics.tables import render_table
 
 __all__ = [
-    "WorstCase",
-    "aggregate_worst_case",
     "bench_report",
     "dump_report",
     "fitted_exponent",

@@ -6,8 +6,8 @@ the four tick phases:
 
 * **collect** — reads + compute (write-set materialization);
 * **adversary** — view construction, the decide() call, and the
-  failure-validation / fairness / progress rulings (a passive or
-  absent adversary is consulted too, as in the reference);
+  failure-validation / fairness / progress rulings (a never-acting
+  or absent adversary is consulted too, as in the reference);
 * **resolve** — CRCW write resolution and the memory commit;
 * **settle** — work charging, processor advancement, and restarts.
 
@@ -15,8 +15,7 @@ Every tick executed inside an event-horizon quiet window skips the
 four-phase breakdown (timing a window per phase would un-batch it) and
 is counted in ``fused_ticks`` instead — whichever window tick ran it
 (kernel, generic or vector), so including ticks of windows whose policy
-or memory rules out the kernel tick (EREW reads, stateful
-policies, word-width memory).  ``ticks + fused_ticks`` is the run's
+rules out the kernel tick (EREW reads, stateful policies).  ``ticks + fused_ticks`` is the run's
 true tick total and the phase seconds cover only the observable
 (consulted) ticks.  Requesting phase counters does not disable
 windows.

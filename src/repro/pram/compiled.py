@@ -70,6 +70,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.pram.cycles import Cycle, Write
+from repro.util.hooks import trusted_hook
 
 #: A compiled-program factory: called with the PID, returns the per-PID
 #: stepper.  The machine calls ``reset()`` before first use.
@@ -174,47 +175,23 @@ class CompiledProgram:
         raise NotImplementedError
 
 
-def trusted_compiled_program(algorithm: object):
-    """The algorithm's ``compiled_program`` hook, or None if untrusted.
-
-    A compiled kernel is a promise about what ``program()`` does, so —
-    exactly like the adversary's ``passive`` flag and ``quiet_until``
-    horizon — it is only trusted when declared by the class that
-    defines the instance's *effective* ``program()`` (or a subclass of
-    it).  A subclass that overrides ``program()`` while inheriting its
-    parent's kernel would silently run the wrong compiled code; it
-    falls back to the always-sound generator path instead.
-    """
-    hook = getattr(algorithm, "compiled_program", None)
-    if hook is None:
-        return None
-    instance_vars = getattr(algorithm, "__dict__", {})
-    if "compiled_program" in instance_vars:
-        return hook
-    if "program" in instance_vars:
-        return None
-    for klass in type(algorithm).__mro__:
-        if "compiled_program" in vars(klass):
-            return hook
-        if "program" in vars(klass):
-            return None
-    return None
-
-
 def resolve_kernel(
     algorithm: object, layout: object, tasks: object, compiled: bool = True
 ) -> Optional[CompiledFactory]:
     """The kernel factory to install for a run, or None for generators.
 
     Combines the opt-out switch (``compiled=False`` — the
-    ``nokernel`` lane), the MRO trust guard, and the
-    algorithm's own gating (``compiled_program`` returns None for
+    ``nokernel`` lane), the trust rule for promise hooks (a kernel is
+    a promise about ``program()``, so it is only installed when
+    declared by the class that defines the effective ``program()`` or
+    a subclass of it; see :func:`repro.util.hooks.trusted_hook`), and
+    the algorithm's own gating (``compiled_program`` returns None for
     configurations it has no kernel for, e.g. the trivial
     assignment's non-trivial task sets).
     """
     if not compiled:
         return None
-    hook = trusted_compiled_program(algorithm)
+    hook = trusted_hook(algorithm, "compiled_program", "program")
     if hook is None:
         return None
     return hook(layout, tasks)

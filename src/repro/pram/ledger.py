@@ -12,14 +12,16 @@ Definitions 2.2 and 2.3 of the paper:
 
 The ledger records everything a single run produced; the aggregate
 measures of Definition 2.3 (maxima over inputs and patterns) are taken by
-the benchmark harness across runs.
+the benchmark harness across runs.  Per-PID counts live in one
+representation, :class:`PidCounter`: a flat array with the mapping
+interface of a sparse dict.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.pram.failures import FailurePattern
 
@@ -31,11 +33,11 @@ class PidCounter(MappingABC):
     completion) per running processor per tick; a plain ``dict`` pays a
     hash + probe per charge.  This counter stores counts in a flat list
     indexed by PID — an O(1) list add per charge — while presenting the
-    same *observable* mapping as the sparse dicts it replaces: PIDs with
-    a zero count are absent (``pid in counter`` is False, iteration
-    skips them, ``len`` counts only non-zero entries), and
-    ``collections.abc.Mapping`` supplies dict-compatible equality, so
-    ledgers from array-backed and dict-backed runs compare equal.
+    *observable* mapping of a sparse dict: PIDs with a zero count are
+    absent (``pid in counter`` is False, iteration skips them, ``len``
+    counts only non-zero entries), and ``collections.abc.Mapping``
+    supplies dict-compatible equality, so a counter compares equal to
+    the plain dict of its non-zero counts.
     """
 
     __slots__ = ("_counts",)
@@ -106,13 +108,14 @@ class RunLedger:
 
     #: Number of clock ticks executed.
     ticks: int = 0
-    #: Completed update cycles, per PID.  A plain dict by default; the
-    #: machine swaps in an array-backed :class:`PidCounter` (same
-    #: observable mapping) via :meth:`use_array_counters`.
-    completed_by_pid: Mapping[int, int] = field(default_factory=dict)
+    #: Completed update cycles, per PID.  The machine sizes both
+    #: counters to P, because its fast settle adds through
+    #: :meth:`PidCounter.backing_list`; a ledger built without a machine
+    #: grows them on first charge.
+    completed_by_pid: PidCounter = field(default_factory=PidCounter)
     #: Update cycles charged under the S' measure, per PID (completed plus
     #: adversary-interrupted attempts).
-    attempted_by_pid: Mapping[int, int] = field(default_factory=dict)
+    attempted_by_pid: PidCounter = field(default_factory=PidCounter)
     #: The realized failure pattern F.
     pattern: FailurePattern = field(default_factory=FailurePattern)
     #: Times the machine vetoed the adversary to preserve the progress
@@ -139,18 +142,12 @@ class RunLedger:
     @property
     def completed_work(self) -> int:
         """``S`` — completed update cycles across all processors."""
-        counter = self.completed_by_pid
-        if type(counter) is PidCounter:
-            return counter.total()
-        return sum(counter.values())
+        return self.completed_by_pid.total()
 
     @property
     def charged_work(self) -> int:
         """``S'`` — completed plus interrupted update cycles."""
-        counter = self.attempted_by_pid
-        if type(counter) is PidCounter:
-            return counter.total()
-        return sum(counter.values())
+        return self.attempted_by_pid.total()
 
     @property
     def pattern_size(self) -> int:
@@ -175,33 +172,11 @@ class RunLedger:
     # recording hooks (called by the machine)
     # ------------------------------------------------------------------ #
 
-    def use_array_counters(self, num_processors: int) -> None:
-        """Switch the per-PID counters to array backing (machine setup).
-
-        Only legal before any work is charged; a no-op if already
-        array-backed.
-        """
-        if type(self.attempted_by_pid) is not PidCounter:
-            if self.attempted_by_pid or self.completed_by_pid:
-                raise ValueError(
-                    "cannot switch counter backing after work was charged"
-                )
-            self.attempted_by_pid = PidCounter(num_processors)
-            self.completed_by_pid = PidCounter(num_processors)
-
     def charge_attempt(self, pid: int) -> None:
-        counter = self.attempted_by_pid
-        if type(counter) is PidCounter:
-            counter.increment(pid)
-        else:
-            counter[pid] = counter.get(pid, 0) + 1
+        self.attempted_by_pid.increment(pid)
 
     def charge_completion(self, pid: int) -> None:
-        counter = self.completed_by_pid
-        if type(counter) is PidCounter:
-            counter.increment(pid)
-        else:
-            counter[pid] = counter.get(pid, 0) + 1
+        self.completed_by_pid.increment(pid)
 
     def charge_quiet_window(self, pids: Sequence[int], ticks: int) -> None:
         """Flush a fast-forwarded quiescent window in one batch.
@@ -215,18 +190,8 @@ class RunLedger:
         """
         if ticks <= 0:
             return
-        attempted = self.attempted_by_pid
-        completed = self.completed_by_pid
-        if type(attempted) is PidCounter:
-            attempted.increment_many(pids, ticks)
-        else:
-            for pid in pids:
-                attempted[pid] = attempted.get(pid, 0) + ticks
-        if type(completed) is PidCounter:
-            completed.increment_many(pids, ticks)
-        else:
-            for pid in pids:
-                completed[pid] = completed.get(pid, 0) + ticks
+        self.attempted_by_pid.increment_many(pids, ticks)
+        self.completed_by_pid.increment_many(pids, ticks)
         self.completed_per_tick.extend([len(pids)] * ticks)
 
     def describe(self, input_size: Optional[int] = None) -> str:

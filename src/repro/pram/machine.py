@@ -44,7 +44,7 @@ Five tick bodies implement these semantics:
   declares agreeing resolution the identity (the normal COMMON CRCW
   tick, where every active processor writes one value into one cell).
   It builds the adversary view and consults
-  the adversary on every tick, passive or absent adversaries included,
+  the adversary on every tick, quiet or absent adversaries included,
   exactly as the reference does.  A one-time program-validation gate
   runs each distinct cycle label through the fully validated reference
   collection once before trusting its shape.  Compiled-kernel
@@ -61,9 +61,11 @@ Five tick bodies implement these semantics:
 The other three bodies run only inside **quiet windows**.
 :meth:`Machine.run` is event-driven: before each tick it asks the
 adversary for its *event horizon* (``Adversary.quiet_until`` — the
-earliest future tick at which it might act; passive adversaries never
-act, and scheduled/budget/periodic adversaries know their horizons
-exactly).  All ticks strictly inside the horizon run in a window
+earliest future tick at which it might act; ``NoFailures`` and an
+absent adversary never act, and scheduled/budget/periodic adversaries
+know their horizons exactly).  A horizon is a promise about ``decide``,
+trusted under :func:`repro.util.hooks.trusted_hook`.  All ticks
+strictly inside the horizon run in a window
 (``fast_forward=True``, the default) that builds no adversary view and
 skips the consult and failure phases, since every cycle completes
 there; per-PID ledger charges are flushed once per status generation,
@@ -72,15 +74,15 @@ tick, so halting, termination and the ledger stay exact.  A window
 tick is one of:
 
 * the **kernel quiet tick**, for compiled kernels under a fusable
-  window (concurrent reads, identity singleton resolve, raw writes):
+  window (concurrent reads and an identity singleton resolve):
   each stepper's ``quiet_step`` reads raw cells and stages flat writes,
   except for a Write-All task cycle (user code, such as a Theorem 4.1
   simulator phase's), which the machine interprets with the same checks
   as a generator's cycle;
 * the **generic quiet tick**, for everything else (generator programs,
-  EREW reads, stateful policies such as ``RotatingArbitraryCrcw``,
-  word-width memory): the observable tick's collect and resolve
-  without the adversary, then each processor advances;
+  EREW reads, stateful policies such as ``RotatingArbitraryCrcw``):
+  the observable tick's collect and resolve without the adversary,
+  then each processor advances;
 * the **vector window**, for vectorized programs on fusable windows
   over fault-free memory, when the dispatch cost model
   (:mod:`repro.pram.dispatch`) predicts it faster: whole bursts of
@@ -123,16 +125,17 @@ from repro.pram.failures import (
     Decision,
     FailureTag,
 )
-from repro.pram.ledger import RunLedger
+from repro.pram.ledger import PidCounter, RunLedger
 from repro.pram.memory import MemoryReader, SharedMemory
 from repro.pram.policies import CommonCrcw, WritePolicy
 from repro.pram.processor import Processor, ProcessorStatus, ProgramFactory
 from repro.pram.view import PendingCycleView, TickView
+from repro.util.hooks import trusted_hook
 
 #: Termination predicate: receives a read-only memory view.
 UntilPredicate = Callable[[MemoryReader], bool]
 
-#: Event horizon of a passive/absent adversary: "never acts again".
+#: Event horizon of an absent adversary: "never acts again".
 #: (Numerically equal to repro.faults.base.QUIET_FOREVER; the pram layer
 #: cannot import the faults layer, which builds on top of it.)
 _NO_HORIZON = 1 << 62
@@ -157,49 +160,6 @@ def _as_index(value: object) -> Optional[int]:
         return operator.index(value)  # type: ignore[arg-type]
     except TypeError:
         return None
-
-
-def _is_passive(adversary: object) -> bool:
-    """Whether ``adversary`` is declared passive (never acts).
-
-    ``passive = True`` is only trusted when it is declared by the same
-    class that defines the instance's ``decide`` — a subclass that
-    overrides ``decide()`` while inheriting the flag (e.g. a spy wrapped
-    around NoFailures) must still be consulted every tick.
-    """
-    if not getattr(adversary, "passive", False):
-        return False
-    for klass in type(adversary).__mro__:
-        if "decide" in vars(klass):
-            return bool(vars(klass).get("passive", False))
-    return False
-
-
-def _trusted_quiet_hook(adversary: object):
-    """The adversary's ``quiet_until`` hook, or None if it can't be trusted.
-
-    A ``quiet_until`` horizon is a promise about what ``decide`` will do,
-    so — exactly like the ``passive`` flag in :func:`_is_passive` — it is
-    only trusted when defined by the class that defines the instance's
-    effective ``decide`` (or a subclass of it).  A subclass that
-    overrides ``decide()`` while inheriting, say, NoFailures' infinite
-    horizon has broken the promise and falls back to the always-sound
-    per-tick horizon.
-    """
-    hook = getattr(adversary, "quiet_until", None)
-    if hook is None:
-        return None
-    instance_vars = getattr(adversary, "__dict__", {})
-    if "quiet_until" in instance_vars:
-        return hook
-    if "decide" in instance_vars:
-        return None
-    for klass in type(adversary).__mro__:
-        if "quiet_until" in vars(klass):
-            return hook
-        if "decide" in vars(klass):
-            return None
-    return None
 
 
 class Machine:
@@ -250,8 +210,10 @@ class Machine:
         self.fairness_window = fairness_window
         self._consecutive_interrupts: Dict[int, int] = {}
         self.context: Dict[str, object] = dict(context or {})
-        self.ledger = RunLedger()
-        self.ledger.use_array_counters(num_processors)
+        self.ledger = RunLedger(
+            completed_by_pid=PidCounter(num_processors),
+            attempted_by_pid=PidCounter(num_processors),
+        )
         self._processors: List[Processor] = []
         self._reader = MemoryReader(memory)
         #: Selects the optimized tick implementation (see module docs).
@@ -276,18 +238,15 @@ class Machine:
         self._failed_pids: Tuple[int, ...] = ()
         self._statuses_view: Mapping[int, ProcessorStatus] = MappingProxyType({})
         # Raw cell array (validated accesses fall back to memory.read /
-        # memory.write); raw value storage is only safe without a word
-        # width to enforce.
+        # memory.write).
         self._cells = memory.raw_cells()
-        self._raw_write_ok = memory.word_bits is None
         # One-time program-validation gate: cycle labels whose shape ran
         # through the fully validated reference collection once.
         self._validated_labels: set = set()
-        # Memoized passivity and event-horizon hook of the
-        # currently-attached adversary (the sentinel object never
-        # compares `is` to a real adversary).
-        self._passivity_for: object = object()
-        self._passivity = False
+        # Memoized trusted event-horizon hook of the currently-attached
+        # adversary (the sentinel object never compares `is` to a real
+        # adversary).
+        self._quiet_hook_for: object = object()
         self._quiet_hook: Optional[Callable[[int], int]] = None
         # Reusable per-tick scratch (the point is zero steady-state
         # allocation; cleared, never reallocated).
@@ -302,7 +261,6 @@ class Machine:
         # commits collect one resolved value per address in
         # _staged_writes.
         self._kernel_mode = False
-        self._kernel_procs_scratch: List[Processor] = []
         self._kernel_raw_scratch: List[int] = []
         self._kernel_ends_scratch: List[int] = []
         self._staged_writes: Dict[int, int] = {}
@@ -337,7 +295,7 @@ class Machine:
         instead of a generator, and quiet-window ticks take the fused
         kernel lane.  Callers are expected to route the factory through
         :func:`repro.pram.compiled.resolve_kernel`, which applies the
-        MRO trust guard and the ``compiled=False`` opt-out.
+        trust rule for promise hooks and the ``compiled=False`` opt-out.
 
         ``vectorized_program`` optionally installs a whole-machine
         vector program (see :mod:`repro.pram.vectorized`, routed through
@@ -441,43 +399,19 @@ class Machine:
     def _collect_pending(
         self, running: List[Processor]
     ) -> Dict[int, PendingCycleView]:
+        """Every running processor's cycle, through the validated route.
+
+        Each processor's cycle takes :meth:`_collect_one_validated` with
+        no shared snapshot, so a snapshot cycle reads a fresh tuple per
+        processor, unlike the fast lanes' one per tick: programs must
+        not tell the two apart.
+        """
         pending: Dict[int, PendingCycleView] = {}
         readers_by_address: Dict[int, List[int]] = defaultdict(list)
         for processor in running:
-            cycle = processor.pending_cycle
-            if cycle.is_snapshot:
-                if not self.allow_snapshot:
-                    raise ProgramError(
-                        f"pid {processor.pid}: snapshot read on a machine "
-                        f"without allow_snapshot (label={cycle.label!r})"
-                    )
-                # A fresh tuple per processor, unlike the fast lanes'
-                # one per tick: programs must not tell the two apart.
-                values: Tuple[int, ...] = tuple(self.memory.snapshot())
-                self.memory.reads_served += 1  # unit cost by assumption
-            else:
-                specs = cycle.read_specs()
-                if len(specs) > self.max_reads:
-                    raise ProgramError(
-                        f"pid {processor.pid}: cycle reads {len(specs)} "
-                        f"cells, limit is {self.max_reads} "
-                        f"(label={cycle.label!r})"
-                    )
-                value_list: List[int] = []
-                for spec in specs:
-                    address = spec(tuple(value_list)) if callable(spec) else spec
-                    if address is None:
-                        value_list.append(0)
-                        continue
-                    value_list.append(self.memory.read(address))
-                    readers_by_address[address].append(processor.pid)
-                values = tuple(value_list)
-            writes = cycle.materialize_writes(values)
-            if len(writes) > self.max_writes:
-                raise ProgramError(
-                    f"pid {processor.pid}: cycle writes {len(writes)} cells, "
-                    f"limit is {self.max_writes} (label={cycle.label!r})"
-                )
+            _, cycle, values, writes = self._collect_one_validated(
+                processor, processor.pending_cycle, readers_by_address
+            )
             pending[processor.pid] = PendingCycleView(
                 pid=processor.pid, cycle=cycle, read_values=values, writes=writes
             )
@@ -734,27 +668,23 @@ class Machine:
         self._statuses_view = MappingProxyType(statuses)
         self._cache_epoch = epoch
 
-    def _refresh_adversary_memo(self) -> None:
-        adversary = self.adversary
-        if adversary is not self._passivity_for:
-            # self.adversary is public and may be swapped between runs.
-            self._passivity_for = adversary
-            self._passivity = adversary is None or _is_passive(adversary)
-            self._quiet_hook = (
-                None if adversary is None else _trusted_quiet_hook(adversary)
-            )
-
     def _event_horizon(self) -> int:
         """First future tick at which the adversary might act.
 
-        A passive (or absent) adversary never acts; an adversary without
-        the ``quiet_until`` hook is consulted every tick.  Malformed or
-        stale horizons are clamped to the always-sound next tick.
+        An absent adversary never acts.  An adversary's ``quiet_until``
+        horizon is a promise about its ``decide``, so it is trusted under
+        :func:`repro.util.hooks.trusted_hook`; an adversary without a
+        trusted hook is consulted every tick.  Malformed or stale
+        horizons are clamped to the always-sound next tick.
         """
-        self._refresh_adversary_memo()
-        tick = self.ledger.ticks
-        if self._passivity:
+        adversary = self.adversary
+        if adversary is None:
             return _NO_HORIZON
+        if adversary is not self._quiet_hook_for:
+            # self.adversary is public and may be swapped between runs.
+            self._quiet_hook_for = adversary
+            self._quiet_hook = trusted_hook(adversary, "quiet_until", "decide")
+        tick = self.ledger.ticks
         hook = self._quiet_hook
         if hook is None:
             return tick + 1
@@ -1009,12 +939,16 @@ class Machine:
     ) -> tuple:
         """Reference-semantics collection of one cycle.
 
-        The one-time program-validation gate: the first occurrence of
-        each cycle label takes this fully validated route (type checks
-        on every read spec and produced write); later occurrences are
-        trusted to keep the same shape and take the raw route.  A
-        snapshot cycle reads ``snapshot``, the memory tuple its tick has
-        already built, when there is one.
+        Checks snapshot permission and the read budget, runs the read
+        loop (with EREW bookkeeping into ``readers_by_address`` when
+        given), and checks the write budget.  The reference tick
+        collects every cycle here (:meth:`_collect_pending`); on the
+        fast lanes it is the one-time program-validation gate: the first
+        occurrence of each cycle label takes this fully validated route
+        (type checks on every read spec and produced write), and later
+        occurrences are trusted to keep the same shape and take the raw
+        route.  A snapshot cycle reads ``snapshot``, the memory tuple
+        its tick has already built, when there is one.
         """
         if cycle.is_snapshot:
             if not self.allow_snapshot:
@@ -1061,36 +995,25 @@ class Machine:
         writes land through one batched commit.  A tick with one writer
         per address — or, under a policy whose agreeing resolve is the
         identity, only agreeing writers — commits with no grouping at
-        all (:meth:`_commit_batch`); otherwise the whole tick is grouped
-        and only the multi-writer addresses are sorted and resolved.
+        all (:meth:`_commit_batch`); otherwise the writes are flattened
+        into ``address, value`` pairs and the whole tick is grouped by
+        :meth:`_resolve_and_apply_raw`.
         """
         policy = self.policy
-        if (
-            policy.singleton_resolve_is_identity
-            and self._raw_write_ok
-            and self._commit_batch(pairs, policy.agreeing_resolve_is_identity)
+        if policy.singleton_resolve_is_identity and self._commit_batch(
+            pairs, policy.agreeing_resolve_is_identity
         ):
             return
-        single = self._single_scratch
-        single.clear()
-        groups: Optional[Dict[int, List[Tuple[int, int]]]] = None
+        pids: List[int] = []
+        ends: List[int] = []
+        raw: List[int] = []
         for pid, writes in pairs:
             for write in writes:
-                address = write.address
-                if groups is not None:
-                    group = groups.get(address)
-                    if group is not None:
-                        group.append((pid, write.value))
-                        continue
-                prev = single.get(address)
-                if prev is None:
-                    single[address] = (pid, write.value)
-                else:
-                    if groups is None:
-                        groups = {}
-                    groups[address] = [prev, (pid, write.value)]
-                    del single[address]
-        self._commit_grouped(single, groups)
+                raw.append(write.address)
+                raw.append(write.value)
+            pids.append(pid)
+            ends.append(len(raw))
+        self._resolve_and_apply_raw(pids, ends, raw)
 
     def _commit_batch(self, pairs: List[tuple], agreeing: bool) -> bool:
         """Commit a tick with one value per address, in one batch.
@@ -1120,25 +1043,24 @@ class Machine:
         return True
 
     def _resolve_and_apply_raw(
-        self,
-        procs: List[Processor],
-        ends: List[int],
-        raw: List[int],
+        self, pids: Sequence[int], ends: List[int], raw: List[int]
     ) -> None:
-        """Resolve and apply kernel-staged flat ``address, value`` pairs.
+        """Group flat ``address, value`` writes by address and commit them.
 
-        The compiled-kernel analogue of :meth:`_resolve_and_apply_fast`:
-        ``raw`` holds each processor's writes as flat pairs in cycle
-        write order, ``ends[i]`` is processor ``i``'s end offset into
-        ``raw``, and ``procs`` is in ascending-PID (running-list) order,
-        so grouping order matches the reference ``_apply_writes``.
+        The one grouping of colliding writers, for every tick body whose
+        batch commit fell back: ``raw`` holds each writer's writes as
+        flat pairs in cycle write order, ``ends[i]`` is writer ``i``'s
+        end offset into ``raw`` and ``pids[i]`` its PID, in ascending
+        PID order, so grouping order matches the reference
+        ``_apply_writes``.  Addresses with one writer are collected in
+        ``single``, the rest in ``groups``; :meth:`_commit_grouped`
+        resolves and commits them.
         """
         single = self._single_scratch
         single.clear()
         groups: Optional[Dict[int, List[Tuple[int, int]]]] = None
         start = 0
-        for index, processor in enumerate(procs):
-            pid = processor.pid
+        for index, pid in enumerate(pids):
             end = ends[index]
             i = start
             while i < end:
@@ -1177,7 +1099,7 @@ class Machine:
         """
         policy = self.policy
         memory = self.memory
-        if policy.singleton_resolve_is_identity and self._raw_write_ok:
+        if policy.singleton_resolve_is_identity:
             size = len(self._cells)
             resolved = self._resolved_scratch
             resolved.clear()
@@ -1207,10 +1129,10 @@ class Machine:
             if clean:
                 memory.commit_resolved(resolved)
                 return
-        # General path: a stateful policy, a word-width-enforcing
-        # memory, or an invalid address.  Reproduce the reference
-        # semantics exactly (same resolve calls, same ascending-address
-        # application order, same errors and partial state on error).
+        # General path: a stateful policy or an invalid address.
+        # Reproduce the reference semantics exactly (same resolve calls,
+        # same ascending-address application order, same errors and
+        # partial state on error).
         writers_by_address: Dict[int, List[Tuple[int, int]]] = {
             address: [pid_value] for address, pid_value in single.items()
         }
@@ -1227,8 +1149,8 @@ class Machine:
         Builds the full adversary view (from cached statuses and the
         fast collection) and then runs the reference failure-handling
         phases, so adversary-visible state and the realized pattern are
-        identical to the reference path.  An absent or passive adversary
-        takes the same route (the reference consults it every tick too);
+        identical to the reference path.  An absent or never-acting
+        adversary takes the same route (the reference consults it every tick too);
         only quiet windows skip the view.
         """
         phases = self.phase_counters
@@ -1375,7 +1297,7 @@ class Machine:
         processor's cycle (:meth:`_collect_fast`, which also enforces
         EREW read exclusion), resolve and commit the writes
         (:meth:`_resolve_and_apply_fast`, which serves stateful policies
-        and word-width memory through the reference-exact route), then
+        through the reference-exact route), then
         advance each processor.  Every cycle completes; the window
         batches the per-PID ledger charges.  Generator programs (froute,
         the trivial assignment's and generational X's task cycles, and
@@ -1418,28 +1340,28 @@ class Machine:
         ``quiet_step``, which reads the raw cells, stages flat
         ``address, value`` pairs, and advances its own state — no
         ``Cycle`` or ``Write`` allocation, no pending views.  Only run
-        when the window is fusable (concurrent reads, identity singleton
-        resolve, raw writes); :meth:`_quiet_tick_generic` serves the
+        when the window is fusable (concurrent reads and an identity
+        singleton resolve); :meth:`_quiet_tick_generic` serves the
         rest.  Kernels are trusted to respect the cycle read/write
         budgets (the soundness contract in :mod:`repro.pram.compiled`);
         addresses are still bounds-checked during staging.  A task cycle
         (``quiet_step`` returned :data:`TASK_CYCLE`) is user code, so
         the machine interprets it with every generator check
-        (:meth:`_quiet_task_cycle`).  A write that
-        repeats an address with the same value stays one write when the
-        policy declares ``agreeing_resolve_is_identity`` (every V and W
-        tick: all active processors write the step cell); a disagreeing
-        write, any repeat under other policies, or an exotic address
-        falls back to the reference-exact resolution for the whole tick.
+        (:meth:`_quiet_task_cycle`).  A write that repeats an address
+        with the same value stays one write when the policy declares
+        ``agreeing_resolve_is_identity`` (every V and W tick: all active
+        processors write the step cell); a disagreeing write, any repeat
+        under other policies, or an exotic address falls back to the
+        reference-exact grouping (:meth:`_resolve_and_apply_raw`) for
+        the whole tick.  ``ends[i]`` is ``running[i]``'s end offset into
+        the staged pairs.
         """
         memory = self.memory
         cells = self._cells
         size = len(cells)
-        procs = self._kernel_procs_scratch
         raw = self._kernel_raw_scratch
         ends = self._kernel_ends_scratch
         staged = self._staged_writes
-        procs.clear()
         raw.clear()
         ends.clear()
         staged.clear()
@@ -1449,15 +1371,12 @@ class Machine:
             try:
                 reads = stepper.quiet_step(cells, raw)
             except Exception:
-                self._commit_raising_tick(running, processor, procs, ends, raw)
+                self._commit_raising_tick(running, ends, raw)
                 raise
             if reads == TASK_CYCLE:
-                reads = self._quiet_task_cycle(
-                    running, processor, procs, ends, raw
-                )
+                reads = self._quiet_task_cycle(running, processor, ends, raw)
             reads_charged += reads
             processor.cycles_completed += 1
-            procs.append(processor)
             ends.append(len(raw))
             if not stepper.live:
                 # Voluntary halt: the compiled analogue of the generator
@@ -1480,13 +1399,14 @@ class Machine:
         if clean:
             memory.commit_resolved(staged.items())
         else:
-            self._resolve_and_apply_raw(procs, ends, raw)
+            self._resolve_and_apply_raw(
+                [processor.pid for processor in running], ends, raw
+            )
 
     def _quiet_task_cycle(
         self,
         running: List[Processor],
         processor: Processor,
-        procs: List[Processor],
         ends: List[int],
         raw: List[int],
     ) -> int:
@@ -1508,17 +1428,12 @@ class Machine:
         try:
             stepper.advance(values)
         except Exception:
-            self._commit_raising_tick(running, processor, procs, ends, raw)
+            self._commit_raising_tick(running, ends, raw)
             raise
         return reads
 
     def _commit_raising_tick(
-        self,
-        running: List[Processor],
-        raising: Processor,
-        procs: List[Processor],
-        ends: List[int],
-        raw: List[int],
+        self, running: List[Processor], ends: List[int], raw: List[int]
     ) -> None:
         """Commit a fused tick whose kernel raised while advancing.
 
@@ -1526,14 +1441,14 @@ class Machine:
         which may raise (a factory error, an item that is not a
         ``Cycle``).  The generator lanes raise that on resuming the
         program, after the tick's writes are committed, so the error
-        leaves here over the same memory: ``raising``'s writes are
-        staged already, the processors after it are evaluated without
-        advancing, and the whole tick is resolved and applied.
+        leaves here over the same memory: the raising processor,
+        ``running[len(ends)]``, has its writes staged already, the
+        processors after it are evaluated without advancing, and the
+        whole tick is resolved and applied.
         """
-        procs.append(raising)
         ends.append(len(raw))
         cells = self._cells
-        for processor in running[len(procs):]:
+        for processor in running[len(ends):]:
             stepper = processor._stepper
             observed = stepper.observe(cells)
             if observed is None:
@@ -1543,9 +1458,10 @@ class Machine:
             for write in observed[1]:
                 raw.append(write.address)
                 raw.append(write.value)
-            procs.append(processor)
             ends.append(len(raw))
-        self._resolve_and_apply_raw(procs, ends, raw)
+        self._resolve_and_apply_raw(
+            [processor.pid for processor in running], ends, raw
+        )
 
     def _run_quiet_window(
         self, stop_tick: int, until: Optional[UntilPredicate]
@@ -1553,7 +1469,7 @@ class Machine:
         """Run ticks up to ``stop_tick`` without consulting the adversary.
 
         Only called inside a window the adversary promised quiet (or
-        with a passive adversary), so every collected cycle completes:
+        with no adversary), so every collected cycle completes:
         the per-tick adversary view, failure phases, and status checks
         collapse, and per-PID ledger charges batch into one flush per
         status generation.  The status epoch is still checked every tick
@@ -1570,8 +1486,7 @@ class Machine:
         """
         policy = self.policy
         fusable = (
-            self._raw_write_ok
-            and policy.allows_concurrent_reads
+            policy.allows_concurrent_reads
             and policy.singleton_resolve_is_identity
         )
         # The vector mirror applies POISON only when it flushes, so a

@@ -4,7 +4,9 @@ Model assumptions from Section 2.1/2.3 of the paper:
 
 * shared memory is reliable — failures never corrupt it;
 * cells store ``O(log max(N, P))``-bit words and word writes are atomic
-  (failures land between writes, never inside one);
+  (failures land between writes, never inside one).  Cells here hold
+  Python integers and no word width is checked (``docs/MODEL.md``
+  lists this among what the simulator does not model);
 * the input occupies the first cells and the rest is cleared (zeroes).
 
 The class also keeps running read/write counters; they feed the ledger's
@@ -96,12 +98,10 @@ class SharedMemory:
         self,
         size: int,
         initial: Optional[Sequence[int]] = None,
-        word_bits: Optional[int] = None,
     ) -> None:
         if size <= 0:
             raise MemoryError_(f"shared memory size must be positive, got {size}")
         self._cells: List[int] = [0] * size
-        self._word_bits = word_bits
         self._trackers: List[ZeroRegionTracker] = []
         self._watchers: List[WriteWatcher] = []
         self._faulty: frozenset = frozenset()
@@ -123,11 +123,6 @@ class SharedMemory:
     def size(self) -> int:
         return len(self._cells)
 
-    @property
-    def word_bits(self) -> Optional[int]:
-        """Word width enforced on writes, or ``None`` for unbounded."""
-        return self._word_bits
-
     def _validate_address(self, address: int) -> None:
         if not isinstance(address, int) or isinstance(address, bool):
             raise MemoryError_(f"address must be an integer, got {address!r}")
@@ -140,11 +135,6 @@ class SharedMemory:
         if not isinstance(value, int) or isinstance(value, bool):
             raise MemoryError_(
                 f"cell {address}: values must be integers, got {value!r}"
-            )
-        if self._word_bits is not None and abs(value) >= (1 << self._word_bits):
-            raise MemoryError_(
-                f"cell {address}: value {value} does not fit in a "
-                f"{self._word_bits}-bit word"
             )
 
     # ------------------------------------------------------------------ #

@@ -63,6 +63,7 @@ from repro.pram.policies import (
     StrongCrcw,
     WritePolicy,
 )
+from repro.util.hooks import trusted_hook
 
 try:  # pragma: no cover - exercised by the no-numpy CI leg
     import numpy as _np
@@ -71,31 +72,6 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
 
 #: Whether the optional numpy extra is importable in this environment.
 HAVE_NUMPY = _np is not None
-
-
-def trusted_vectorized_program(algorithm: object):
-    """The algorithm's ``vectorized_program`` hook, or None if untrusted.
-
-    Same MRO trust guard as
-    :func:`repro.pram.compiled.trusted_compiled_program`: a vector
-    program is a promise about what ``program()`` does, so it is only
-    honored when declared by the class that defines the instance's
-    effective ``program()`` (or a subclass of it).
-    """
-    hook = getattr(algorithm, "vectorized_program", None)
-    if hook is None:
-        return None
-    instance_vars = getattr(algorithm, "__dict__", {})
-    if "vectorized_program" in instance_vars:
-        return hook
-    if "program" in instance_vars:
-        return None
-    for klass in type(algorithm).__mro__:
-        if "vectorized_program" in vars(klass):
-            return hook
-        if "program" in vars(klass):
-            return None
-    return None
 
 
 def resolve_vectorized(
@@ -112,14 +88,15 @@ def resolve_vectorized(
     window; the default stays scalar), the kernel switch (a vector
     program drives observable ticks through its scalar kernels, so
     ``compiled=False`` keeps the generator protocol), the numpy
-    availability check (scalar without numpy), the MRO trust guard,
-    and the algorithm's own gating (``vectorized_program`` returns
-    None for configurations it cannot vectorize, e.g. non-trivial
-    task sets).
+    availability check (scalar without numpy), the trust rule for
+    promise hooks (:func:`repro.util.hooks.trusted_hook`: a vector
+    program is a promise about ``program()``), and the algorithm's
+    own gating (``vectorized_program`` returns None for configurations
+    it cannot vectorize, e.g. non-trivial task sets).
     """
     if not vectorized or not compiled or not HAVE_NUMPY:
         return None
-    hook = trusted_vectorized_program(algorithm)
+    hook = trusted_hook(algorithm, "vectorized_program", "program")
     if hook is None:
         return None
     return hook(layout, tasks)

@@ -2,8 +2,9 @@
 
 Nothing in this package is specific to the paper; it holds the generic
 helpers (power-of-two arithmetic, bit manipulation, validation, seeded
-randomness) that the PRAM substrate, the algorithms and the benchmark
-harness all rely on.
+randomness, the trust rule for promise hooks) that the PRAM substrate,
+the fault models, the algorithms and the benchmark harness all rely
+on.
 """
 
 from repro.util.bits import (
@@ -16,6 +17,7 @@ from repro.util.bits import (
     next_power_of_two,
 )
 from repro.util.checks import require, require_index, require_positive
+from repro.util.hooks import trusted_hook
 from repro.util.rng import derive_seed, make_rng
 
 __all__ = [
@@ -31,4 +33,5 @@ __all__ = [
     "require",
     "require_index",
     "require_positive",
+    "trusted_hook",
 ]

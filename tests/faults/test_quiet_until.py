@@ -31,6 +31,7 @@ from repro.faults import (
 )
 from repro.pram.failures import BEFORE_WRITES, Decision
 from repro.pram.trace import Tracer
+from repro.util.hooks import trusted_hook
 
 
 class TestBaseContract:
@@ -225,21 +226,19 @@ class TestTrustGuard:
 
     def test_horizons_never_go_backwards_via_machine_clamp(self):
         # The machine clamps a stale horizon to tick + 1 rather than
-        # looping; mirror that contract here for the pram-layer guard.
-        from repro.pram.machine import _trusted_quiet_hook
-
-        hook = _trusted_quiet_hook(SinglePidKiller(0, at_tick=6))
+        # looping; mirror that contract here for the trust rule the
+        # machine applies.
+        hook = trusted_hook(SinglePidKiller(0, at_tick=6), "quiet_until",
+                            "decide")
         assert hook is not None
         assert hook(1) == 6
 
     def test_machine_guard_rejects_overriding_subclass(self):
-        from repro.pram.machine import _trusted_quiet_hook
-
         class Louder(NoFailures):
             def decide(self, view):
                 return Decision.fail([0], BEFORE_WRITES)
 
-        assert _trusted_quiet_hook(Louder()) is None
+        assert trusted_hook(Louder(), "quiet_until", "decide") is None
 
 
 class TestHorizonSanity:

@@ -8,10 +8,17 @@ import repro.simulation.executor as executor_module
 from repro.fuzz.driver import (
     ADVERSARY_DRAWS,
     LANES,
+    AdversaryDraw,
     draw_adversary_spec,
+    execute_lane,
     run_fuzz,
 )
 from repro.fuzz.fixtures import load_fixtures, replay_fixture
+from repro.fuzz.generator import (
+    generate_initial_memory,
+    generate_program,
+    int_draw,
+)
 from repro.pram.cycles import Cycle, Write
 
 
@@ -52,6 +59,35 @@ class TestLanesAndDraws:
         for iteration in range(len(ADVERSARY_DRAWS) * 4):
             adversary = draw_adversary_spec(3, iteration).build()
             assert adversary is not None
+
+    def test_every_drawn_adversary_faults_some_draw(self):
+        # A drawn adversary that never acts within a fuzz phase only
+        # repeats the fault-free run.  Each name but `none` must change
+        # at least one of its draws among the first 60 iterations of
+        # seed 0: |F| > 0, or a tick count other than the fault-free
+        # run's on the same program and P (the iteration's own draws).
+        def outcome(iteration, adversary):
+            program = generate_program(
+                int_draw(0, 0, 2**31 - 1, "program", iteration)
+            )
+            initial = generate_initial_memory(
+                int_draw(0, 0, 2**31 - 1, "initial", iteration),
+                program.memory_size,
+            )
+            p = int_draw(0, 1, 4, "p", iteration)
+            result = execute_lane(program, initial, "fast", adversary, p)
+            ticks = sum(record.ledger.ticks for record in result.phases)
+            return result.total_pattern_size, ticks
+
+        changed = {name: 0 for name in ADVERSARY_DRAWS if name != "none"}
+        for iteration in range(60):
+            drawn = draw_adversary_spec(0, iteration)
+            if drawn.name == "none":
+                continue
+            faults, ticks = outcome(iteration, drawn)
+            quiet = outcome(iteration, AdversaryDraw("none"))[1]
+            changed[drawn.name] += faults > 0 or ticks != quiet
+        assert all(changed.values()), changed
 
     def test_unknown_lane_rejected(self):
         with pytest.raises(ValueError, match="unknown lane"):

@@ -87,7 +87,7 @@ class TestGeneratedProgramStability:
         # which name an index draws, but never the parameter draws.
         specs = [draw_adversary_spec(0, i) for i in range(4)]
         assert [spec.name for spec in specs] == [
-            "speed-classes", "crash", "burst", "sched-sparse",
+            "speed-classes", "crash", "halving", "burst",
         ]
         assert [spec.seed for spec in specs] == [
             928716622, 313963622, 601044167, 550815631,

@@ -79,14 +79,44 @@ BAD_VALUES = [
       for command in ("chaos", "fuzz")],
 ]
 
+#: The same for the run flags: sizes are positive powers of two (the
+#: instance check's message), processor counts, widths, tick budgets
+#: and the fuzz bounds at least 1, probabilities in [0, 1], and lanes
+#: registry names.
+BAD_RUN_VALUES = [
+    *[("fuzz", flag, "0", "at least 1")
+      for flag in ("--passes", "--max-width", "--max-steps")],
+    ("fuzz", "--max-fixtures", "-1", "at least 0"),
+    ("fuzz", "--lanes", "bogus", "unknown lane(s): bogus"),
+    ("sweep", "--sizes", "x", "invalid int value"),
+    ("sweep", "--sizes", "0", "at least 1"),
+    ("sweep", "--sizes", "48", "power of two, got 48 (pad to 64)"),
+    ("sweep", "--sizes", "16,48", "power of two, got 48 (pad to 64)"),
+    *[(command, "--n", "0", "at least 1")
+      for command in ("solve", "trace", "showdown")],
+    ("solve", "--n", "48", "power of two, got 48 (pad to 64)"),
+    *[(command, "--p", "0", "at least 1")
+      for command in ("solve", "sweep", "simulate", "trace", "showdown")],
+    *[(command, "--width", "0", "at least 1")
+      for command in ("simulate", "trace")],
+    *[(command, "--max-ticks", value, "at least 1")
+      for command in ("solve", "showdown") for value in ("0", "-5")],
+    *[("solve", flag, value, "must lie in [0, 1]")
+      for flag in ("--fail", "--restart-prob") for value in ("2", "-1")],
+    *[(command, f"--chaos-{kind}", "1.5", "must lie in [0, 1]")
+      for command in ENGINE_COMMANDS
+      for kind in ("crash", "stall", "error", "corrupt")],
+]
+
 
 class TestEngineFlagValidation:
-    """Bad engine flags are usage errors (exit 2), never tracebacks."""
+    """Bad engine and run flags are usage errors (exit 2), never
+    tracebacks."""
 
     @pytest.mark.parametrize(
-        "command, flag, value, message", BAD_VALUES,
+        "command, flag, value, message", BAD_VALUES + BAD_RUN_VALUES,
         ids=[f"{command}{flag}={value}"
-             for command, flag, value, _ in BAD_VALUES],
+             for command, flag, value, _ in BAD_VALUES + BAD_RUN_VALUES],
     )
     def test_bad_value_is_a_usage_error(
         self, command, flag, value, message, capsys

@@ -30,11 +30,7 @@ from repro.core.trivial import TrivialKernel
 from repro.faults import RandomAdversary
 from repro.faults.base import Adversary, ScheduledAdversary
 from repro.perf.phases import PhaseCounters
-from repro.pram.compiled import (
-    CompiledProgram,
-    resolve_kernel,
-    trusted_compiled_program,
-)
+from repro.pram.compiled import CompiledProgram, resolve_kernel
 from repro.pram.cycles import Cycle, Write
 from repro.pram.errors import ProgramError
 from repro.pram.failures import Decision
@@ -42,6 +38,7 @@ from repro.pram.lanes import LANES
 from repro.pram.machine import Machine
 from repro.pram.memory import SharedMemory
 from repro.pram.processor import Processor, ProcessorStatus
+from repro.util.hooks import trusted_hook
 
 
 class TestProtocol:
@@ -351,6 +348,11 @@ class TestVXKernel:
                 ledger.memory_writes, memory.snapshot(),
             ))
         assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+def trusted_compiled_program(algorithm):
+    """The kernel hook under the trust rule ``resolve_kernel`` applies."""
+    return trusted_hook(algorithm, "compiled_program", "program")
 
 
 class TestTrustGuard:

@@ -49,7 +49,7 @@ from repro.faults import (
     ThrashingAdversary,
     UnionAdversary,
 )
-from repro.faults.base import ScheduledAdversary
+from repro.faults.base import QUIET_FOREVER, ScheduledAdversary
 from repro.faults.static import apply_memory_faults
 from repro.pram.compiled import resolve_kernel
 from repro.pram.cycles import Cycle, Write
@@ -63,7 +63,7 @@ from repro.pram.errors import (
 from repro.pram.lanes import LANES
 from repro.pram.machine import Machine
 from repro.pram.memory import SharedMemory
-from repro.pram.policies import CommonCrcw, Crew, Erew, RotatingArbitraryCrcw
+from repro.pram.policies import Crew, Erew, RotatingArbitraryCrcw
 from repro.pram.trace import Tracer
 from repro.pram.vectorized import HAVE_NUMPY, resolve_vectorized
 from tests.conftest import FORCED_VEC, lane_dispatch
@@ -543,9 +543,9 @@ class TestEventHorizonEdges:
 
 class TestPassivityDetection:
     def test_subclass_overriding_decide_is_consulted(self):
-        # `passive = True` must not be trusted through inheritance: a
-        # subclass that overrides decide() (here, to actually kill a
-        # processor) has to be consulted every tick.
+        # NoFailures' `quiet_until -> QUIET_FOREVER` must not be trusted
+        # through inheritance: a subclass that overrides decide() (here,
+        # to actually kill a processor) has to be consulted every tick.
         from repro.pram.failures import BEFORE_WRITES, Decision
 
         class Killer(NoFailures):
@@ -559,12 +559,13 @@ class TestPassivityDetection:
         )
         assert result.ledger.pattern_size == 1
 
-    def test_passive_declared_with_decide_is_honored(self):
+    def test_quiet_until_declared_with_decide_is_honored(self):
         class Quiet(NoFailures):
-            passive = True
-
             def decide(self, view):  # pragma: no cover - must be skipped
-                raise AssertionError("passive adversary was consulted")
+                raise AssertionError("quiet adversary was consulted")
+
+            def quiet_until(self, tick):
+                return QUIET_FOREVER
 
         result = solve_write_all(
             AlgorithmX(), 16, 4, adversary=Quiet(), fast_path=True,
@@ -606,22 +607,18 @@ SHARED_CELL = 2 * CONFIG_P
 COUNT_TO = 10
 #: The counter value at which the conflict programs touch the shared cell.
 HOT = 5
-#: Word width of the bounded memory: values must stay below 2**5 = 32.
-WORD_BITS = 5
 
 
 def config_program(kind):
-    """A memory-driven counting program, one of five kinds.
+    """A memory-driven counting program, one of four kinds.
 
     Each PID counts its own cell up to ``COUNT_TO`` (a restarted PID
     resumes from memory) and halts; every cycle also reads and writes
-    its own double cell.  ``clean`` is conflict-free under every policy
-    and fits the bounded word.  ``erew-read`` reads the shared cell
-    when its counter is ``HOT``, ``crew-write`` writes its PID there
-    then, ``crew-agree`` has the even PIDs write the same value there
-    then (a conflict under CREW although the writers agree), and
-    ``overflow`` doubles twice as fast, leaving the bounded word once
-    the counter reaches 8.
+    its own double cell.  ``clean`` is conflict-free under every policy.
+    ``erew-read`` reads the shared cell when its counter is ``HOT``,
+    ``crew-write`` writes its PID there then, and ``crew-agree`` has
+    the even PIDs write the same value there then (a conflict under
+    CREW although the writers agree).
     """
     def second_read(pid):
         if kind == "erew-read":
@@ -630,15 +627,13 @@ def config_program(kind):
         return lambda values: None if values[0] % 2 else CONFIG_P + pid
 
     def writes(pid):
-        factor = 4 if kind == "overflow" else 2
-
         def compute(values):
             count = values[0] + 1
             if kind == "crew-write" and values[0] == HOT:
                 return (Write(pid, count), Write(SHARED_CELL, pid))
             if kind == "crew-agree" and values[0] == HOT and pid % 2 == 0:
                 return (Write(pid, count), Write(SHARED_CELL, HOT))
-            return (Write(pid, count), Write(CONFIG_P + pid, factor * count))
+            return (Write(pid, count), Write(CONFIG_P + pid, 2 * count))
 
         return compute
 
@@ -654,9 +649,8 @@ def config_program(kind):
 
 
 CONFIG_POLICIES = {
-    "EREW": lambda: (Erew(), None),
-    "CREW": lambda: (Crew(), None),
-    "word-width": lambda: (CommonCrcw(), WORD_BITS),
+    "EREW": Erew,
+    "CREW": Crew,
 }
 
 CONFIG_ADVERSARIES = {
@@ -679,10 +673,10 @@ def run_config(kind, policy_key, adversary_key, lane):
 
     Returns ``(ledger, memory contents, error or None)``.
     """
-    policy, word_bits = CONFIG_POLICIES[policy_key]()
-    memory = SharedMemory(SHARED_CELL + 1, word_bits=word_bits)
+    memory = SharedMemory(SHARED_CELL + 1)
     machine = Machine(
-        num_processors=CONFIG_P, memory=memory, policy=policy,
+        num_processors=CONFIG_P, memory=memory,
+        policy=CONFIG_POLICIES[policy_key](),
         adversary=CONFIG_ADVERSARIES[adversary_key](),
         fast_path=lane.fast_path, fast_forward=lane.fast_forward,
     )
@@ -696,7 +690,7 @@ def run_config(kind, policy_key, adversary_key, lane):
 
 
 class TestPolicyAndMemoryConfigurations:
-    """EREW reads, CREW writes and word-width memory on every tick body.
+    """EREW reads and CREW writes on every tick body.
 
     Inside a quiet window these configurations take the generic quiet
     tick (collect, resolve, advance); outside one the observable fast
@@ -723,7 +717,6 @@ class TestPolicyAndMemoryConfigurations:
         ("erew-read", "EREW", ReadConflictError),
         ("crew-write", "CREW", WriteConflictError),
         ("crew-agree", "CREW", WriteConflictError),
-        ("overflow", "word-width", MemoryError_),
     ])
     def test_error_at_same_tick_with_same_partial_memory(
         self, kind, policy_key, error_type, adversary_key

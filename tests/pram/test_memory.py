@@ -44,6 +44,12 @@ class TestReadWrite:
         with pytest.raises(MemoryError_):
             memory.write(0, True)
 
+    def test_cells_hold_unbounded_python_integers(self):
+        # No word width is enforced: a cell holds any Python int.
+        memory = SharedMemory(1)
+        memory.write(0, 10**30)
+        assert memory.read(0) == 10**30
+
     def test_traffic_counters(self):
         memory = SharedMemory(4)
         memory.write(0, 1)
@@ -58,23 +64,6 @@ class TestReadWrite:
         assert memory.peek(0) == 9
         assert memory.reads_served == 0
         assert memory.writes_applied == 0
-
-
-class TestWordBits:
-    def test_enforced_on_write(self):
-        memory = SharedMemory(4, word_bits=8)
-        memory.write(0, 255)
-        with pytest.raises(MemoryError_):
-            memory.write(0, 256)
-
-    def test_enforced_on_initial(self):
-        with pytest.raises(MemoryError_):
-            SharedMemory(4, initial=[300], word_bits=8)
-
-    def test_unbounded_by_default(self):
-        memory = SharedMemory(1)
-        memory.write(0, 10**30)
-        assert memory.read(0) == 10**30
 
 
 class TestRegion:

@@ -5,8 +5,8 @@ The heavy bit-identity claims live in the differential suite
 eligible window to the vector programs) and the CRCW property tests
 (``tests/properties/``); this file covers the plumbing around them —
 the lane registry every consumer enumerates, the optional-dependency
-and kernel switches, the MRO trust guard, per-algorithm gating, and
-the window's memory-sync accounting.
+and kernel switches, the trust rule for the hook, per-algorithm
+gating, and the window's memory-sync accounting.
 """
 
 import pytest
@@ -16,11 +16,8 @@ from repro.core.tasks import CycleFactoryTasks
 from repro.pram.cycles import Cycle
 from repro.pram.lanes import LANES
 from repro.pram import vectorized as vectorized_module
-from repro.pram.vectorized import (
-    HAVE_NUMPY,
-    resolve_vectorized,
-    trusted_vectorized_program,
-)
+from repro.pram.vectorized import HAVE_NUMPY, resolve_vectorized
+from repro.util.hooks import trusted_hook
 from tests.conftest import FORCED_VEC, lane_dispatch, vector_windows_forced
 
 
@@ -161,6 +158,12 @@ class TestSwitches:
         ).execute(prefix_sum_program(4), [1, 2, 3, 4])
         assert result.solved
         assert modes and not any(modes)
+
+
+def trusted_vectorized_program(algorithm):
+    """The vector hook under the trust rule ``resolve_vectorized``
+    applies."""
+    return trusted_hook(algorithm, "vectorized_program", "program")
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="vector programs need numpy")
