@@ -10,15 +10,16 @@ Commands:
 * ``bench``     — run registered benchmark scenarios through the
   parallel engine, check their paper claims and write a
   machine-readable ``BENCH_<tag>.json`` (exit 1 if a claim fails);
+  ``--chaos-seed`` arms the engine's fault injection for the run;
 * ``chaos``     — soak the engine itself under deterministic fault
   injection (worker crashes, stalls, transient errors, cache
   corruption) and assert the sweep still converges to results
   bit-identical to a fault-free serial run;
 * ``fuzz``      — property-based soak of the Theorem 4.1 simulator:
   seeded random PRAM programs run through all five machine lanes under
-  randomly drawn adversaries (plus inline chaos injection), checked
-  bit-identical against the ideal fault-free oracle over three passes;
-  failures are delta-debugged to minimal replayable JSON fixtures;
+  randomly drawn adversaries, checked bit-identical against the ideal
+  fault-free PRAM over three passes; failures are delta-debugged to
+  minimal replayable JSON fixtures;
 * ``simulate``  — robustly execute a library PRAM program and verify it;
 * ``trace``     — run a small instance and print the per-processor
   failure/restart timeline;
@@ -236,26 +237,11 @@ def _add_engine(parser: argparse.ArgumentParser) -> None:
                         help="per-point wall-clock timeout in seconds")
     parser.add_argument("--retries", type=_int_at_least(0), default=1,
                         help="extra attempts per timed-out/crashed point")
-    parser.add_argument("--chaos-seed", type=int, default=None,
-                        help="enable deterministic fault injection with "
-                             "this seed (soak-testing only; default: off)")
-    parser.add_argument("--chaos-crash", type=_probability, default=0.05,
-                        help="injected worker-crash probability per "
-                             "attempt (with --chaos-seed)")
-    parser.add_argument("--chaos-stall", type=_probability, default=0.05,
-                        help="injected stall probability per attempt "
-                             "(with --chaos-seed)")
-    parser.add_argument("--chaos-error", type=_probability, default=0.05,
-                        help="injected transient-error probability per "
-                             "attempt (with --chaos-seed)")
-    parser.add_argument("--chaos-corrupt", type=_probability, default=0.05,
-                        help="cache-entry corruption probability per "
-                             "point (with --chaos-seed)")
 
 
 def _chaos_from_args(args: argparse.Namespace):
-    """The opt-in ChaosPolicy for engine commands, or None (default)."""
-    if getattr(args, "chaos_seed", None) is None:
+    """``bench``'s opt-in ChaosPolicy, or None (the default)."""
+    if args.chaos_seed is None:
         return None
     from repro.experiments.chaos import ChaosPolicy
 
@@ -291,10 +277,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         max_ticks=args.max_ticks,
         lane=CLI_LANE,
     )
-    chaos = _chaos_from_args(args)
     use_engine = (
         args.workers is not None or args.timeout is not None
-        or args.cache_dir is not None or chaos is not None
+        or args.cache_dir is not None
     )
     if use_engine:
         result = run_sweep_parallel(
@@ -307,7 +292,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             resume=not args.no_resume,
             timeout=args.timeout,
             retries=args.retries,
-            chaos=chaos,
             progress=lambda line: print(f"[sweep] {line}"),
         )
     else:
@@ -332,8 +316,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 f"{stats.pool_restarts} pool restarts{degraded}, "
                 f"{stats.cache_corrupt} corrupt cache entries discarded"
             )
-        if stats.injected:
-            print(f"chaos injected: {stats.injected}")
         for failure in result.failures:
             print(
                 f"  FAILED (N={failure.n}, P={failure.p}, "
@@ -364,6 +346,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from repro.metrics.report import dump_report
 
     if args.list:
+        from repro.fuzz.driver import ADVERSARY_DRAWS
+
         for tag in scenario_tags():
             scenario = SCENARIOS[tag]
             if not _scenario_matches_model(scenario, args.model_tag):
@@ -379,7 +363,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
         for name in names:
             entry = adversary_registry.get(name)
-            fuzz = "  [fuzzable]" if entry.fuzzable else ""
+            fuzz = "  [fuzzable]" if name in ADVERSARY_DRAWS else ""
             print(f"  {name:14s} [{', '.join(entry.tags)}]  "
                   f"{entry.summary}{fuzz}")
         return 0
@@ -482,7 +466,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         passes=args.passes,
         lanes=lanes,
         config=config,
-        chaos=not args.no_chaos,
         fixture_dir=args.fixture_dir,
         max_fixtures=args.max_fixtures,
         log=lambda line: print(f"[fuzz] {line}"),
@@ -520,10 +503,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         program = PROGRAMS[args.program](width)
         initial = [rng.randint(0, 9) for _ in range(width)]
     adversary = adversary_spec(args).build(args.seed)
+    # --max-ticks bounds the whole persistent run, or each robust phase.
+    ticks = args.max_ticks
     if args.persistent:
         from repro.simulation import PersistentSimulator
 
-        persistent = PersistentSimulator(p=args.p, adversary=adversary)
+        persistent = PersistentSimulator(
+            p=args.p, adversary=adversary,
+            **({} if ticks is None else {"max_ticks": ticks}),
+        )
         result = persistent.execute(program, initial)
         status = "solved" if result.solved else "INCOMPLETE"
         print(f"{program.name} (persistent): {status}; "
@@ -534,6 +522,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return 0 if result.solved else 1
     simulator = RobustSimulator(
         p=args.p, algorithm=ALGORITHMS[args.algorithm](), adversary=adversary,
+        **({} if ticks is None else {"max_ticks_per_phase": ticks}),
         **LANES[CLI_LANE].solver_kwargs(),
     )
     result = simulator.execute(program, initial)
@@ -635,6 +624,21 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--out", default="benchmarks/results",
                        help="output directory for the JSON report")
     _add_engine(bench)
+    bench.add_argument("--chaos-seed", type=int, default=None,
+                       help="enable deterministic fault injection with "
+                            "this seed (soak-testing only; default: off)")
+    bench.add_argument("--chaos-crash", type=_probability, default=0.05,
+                       help="injected worker-crash probability per "
+                            "attempt (with --chaos-seed)")
+    bench.add_argument("--chaos-stall", type=_probability, default=0.05,
+                       help="injected stall probability per attempt "
+                            "(with --chaos-seed)")
+    bench.add_argument("--chaos-error", type=_probability, default=0.05,
+                       help="injected transient-error probability per "
+                            "attempt (with --chaos-seed)")
+    bench.add_argument("--chaos-corrupt", type=_probability, default=0.05,
+                       help="cache-entry corruption probability per "
+                            "point (with --chaos-seed)")
     bench.set_defaults(func=cmd_bench)
 
     chaos = commands.add_parser(
@@ -688,9 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="max simulated processors per program")
     fuzz.add_argument("--max-steps", type=_int_at_least(1), default=4,
                       help="max steps per program")
-    fuzz.add_argument("--no-chaos", action="store_true",
-                      help="disable inline chaos injection around "
-                           "executions")
     fuzz.add_argument("--fixture-dir", default="tests/fuzz/fixtures",
                       help="where shrunk failure fixtures land "
                            "(loaded forever after by "

@@ -36,12 +36,8 @@ model from the literature:
 * ``hetero-speed`` — Zavou & Fernández Anta's latency heterogeneity
   (adversarial per-processor speed classes).
 
-``fuzzable`` marks entries the fuzz driver may draw: layout-agnostic
-adversaries that are safe under arbitrary generated programs and can
-fault a fuzz run.  Entries that poison memory cells (``static-mem``)
-or assume a Write-All layout are excluded — generated programs have no
-fault-routing discipline — and so is ``sched-sparse``, whose first
-event (tick 50 + seed) lies past the tens of ticks a fuzz phase runs.
+Which names the fuzz driver draws is its own table,
+:data:`repro.fuzz.driver.ADVERSARY_DRAWS`.
 
 Registering a new adversary means adding one :class:`AdversaryEntry`
 here (and a :data:`CLASS_TAGS` row for its class); the CI completeness
@@ -107,7 +103,6 @@ class AdversaryEntry:
     summary: str
     builder: Builder
     params: Tuple[Tuple[str, Any], ...] = ()
-    fuzzable: bool = False
 
     def parameters(self) -> Tuple[str, ...]:
         """Every parameter the entry takes: its own, then the wrappers'."""
@@ -228,7 +223,6 @@ _register(AdversaryEntry(
     "none", ("fail-stop-restart",), "—",
     "failure-free PRAM baseline",
     lambda seed: NoFailures(),
-    fuzzable=True,
 ))
 _register(AdversaryEntry(
     "random", ("fail-stop-restart",), "[KPS 90]-style",
@@ -237,26 +231,22 @@ _register(AdversaryEntry(
         fail, restart_prob, seed=seed
     ),
     params=(("fail", 0.1), ("restart_prob", 0.3)),
-    fuzzable=True,
 ))
 _register(AdversaryEntry(
     "crash", ("fail-stop-restart",), "[KS 89]",
     "random crashes, no restarts (fail-stop limit of KS91)",
     lambda seed, fail: NoRestartAdversary(RandomAdversary(fail, seed=seed)),
     params=(("fail", 0.1),),
-    fuzzable=True,
 ))
 _register(AdversaryEntry(
     "thrashing", ("fail-stop-restart",), "Example 2.2",
     "read-then-mass-fail churn separating S from S'",
     lambda seed: ThrashingAdversary(),
-    fuzzable=True,
 ))
 _register(AdversaryEntry(
     "halving", ("fail-stop-restart",), "Theorem 3.1",
     "pigeonhole halving strategy (Omega(N log N) lower bound)",
     lambda seed: HalvingAdversary(),
-    fuzzable=True,
 ))
 _register(AdversaryEntry(
     "stalker", ("fail-stop-restart",), "Theorem 4.8",
@@ -280,7 +270,6 @@ _register(AdversaryEntry(
         period=period, fraction=fraction, downtime=1
     ),
     params=(("period", 3), ("fraction", 0.5)),
-    fuzzable=True,
 ))
 _register(AdversaryEntry(
     "sched-sparse", ("fail-stop-restart",), "Sec 5 (off-line)",
@@ -318,7 +307,6 @@ _register(AdversaryEntry(
     "Zavou & Fernández Anta",
     "seeded speed classes: class-k PIDs advance every k-th tick",
     lambda seed: SpeedClassAdversary(seed=seed),
-    fuzzable=True,
 ))
 
 
@@ -339,17 +327,6 @@ def names_for_tag(tag: str) -> Tuple[str, ...]:
     return tuple(
         sorted(name for name, entry in REGISTRY.items()
                if tag in entry.tags)
-    )
-
-def fuzz_names() -> Tuple[str, ...]:
-    """Names the fuzz driver may draw.
-
-    The driver's draw order is its own literal
-    (:data:`repro.fuzz.driver.ADVERSARY_DRAWS`), which holds exactly
-    these names.
-    """
-    return tuple(
-        name for name, entry in REGISTRY.items() if entry.fuzzable
     )
 
 def tags_for(name: str) -> Tuple[str, ...]:

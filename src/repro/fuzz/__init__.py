@@ -11,14 +11,12 @@ claim; this package scales the witness the way the chaos harness
   acyclic straight-line data dependencies) whose draws are pure
   functions of ``(seed, coordinates)`` via SHA-256, so a pinned seed
   reproduces the same program on every Python version;
-* :mod:`repro.fuzz.oracle` — the ideal fault-free synchronous PRAM
-  evaluator, the differential ground truth;
 * :mod:`repro.fuzz.driver` — runs each generated program through
   :class:`~repro.simulation.executor.RobustSimulator` on every
-  machine lane of :mod:`repro.pram.lanes` under
-  randomly drawn adversaries, with inline chaos injection, under the
-  same three-pass bit-identical convergence contract as ``repro
-  chaos``;
+  machine lane of :mod:`repro.pram.lanes` under randomly drawn
+  adversaries, checks every run against the ideal fault-free PRAM
+  (:func:`repro.simulation.classify.ideal_run`), under the same
+  three-pass bit-identical convergence contract as ``repro chaos``;
 * :mod:`repro.fuzz.shrinker` — delta-debugs a failing program to a
   minimal reproduction;
 * :mod:`repro.fuzz.fixtures` — replayable JSON fixtures that
@@ -49,7 +47,6 @@ from repro.fuzz.generator import (
     generate_program,
     unit_draw,
 )
-from repro.fuzz.oracle import ideal_run
 from repro.fuzz.shrinker import shrink
 
 __all__ = [
@@ -65,7 +62,6 @@ __all__ = [
     "dump_fixture",
     "generate_initial_memory",
     "generate_program",
-    "ideal_run",
     "load_fixtures",
     "replay_fixture",
     "run_fuzz",

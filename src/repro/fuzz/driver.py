@@ -2,21 +2,17 @@
 
 Each iteration draws a program, an initial memory, and an adversary
 from the named-adversary registry (all pure functions of the fuzz
-seed), computes the ideal fault-free oracle, then executes the program
-through :class:`~repro.simulation.executor.RobustSimulator` on every
-machine lane of the registry in :mod:`repro.pram.lanes` (``fast``,
-``noff``, ``nokernel``, ``auto``, ``reference``; the robust phases'
-task sets are never vectorizable, so ``auto`` runs them on the
-compiled kernels),
-
-under the same three-pass bit-identical convergence contract as
-``repro chaos``: every (iteration, lane) memory must equal the oracle
-*and* reproduce bit-identically across all passes.  A
-:class:`~repro.experiments.chaos.ChaosPolicy` additionally injects
-inline crashes, stalls and transient errors around executions (the
-driver retries, and the retried run must still converge) — the
-harness-level faults of PR 5 layered on top of the model-level
-adversaries.
+seed), computes the ideal fault-free run
+(:func:`repro.simulation.classify.ideal_run`), then executes the
+program through :class:`~repro.simulation.executor.RobustSimulator` on
+every machine lane of the registry in :mod:`repro.pram.lanes`
+(``fast``, ``noff``, ``nokernel``, ``auto``, ``reference``; the robust
+phases' task sets are never vectorizable, so ``auto`` runs them on the
+compiled kernels), under the same three-pass bit-identical convergence
+contract as ``repro chaos``: every (iteration, lane) memory must equal
+the ideal run *and* reproduce bit-identically across all passes.  The
+drawn adversary is the only fault source: it acts inside the
+simulator's machine, where the recovery under test lives.
 
 On mismatch the driver delta-debugs the program to a minimal
 reproduction (:mod:`repro.fuzz.shrinker`) and emits a replayable JSON
@@ -27,12 +23,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import AlgorithmVX
-from repro.experiments.chaos import ChaosCrash, ChaosError, ChaosPolicy
 from repro.faults import registry as adversary_registry
 from repro.fuzz.generator import (
     DEFAULT_CONFIG,
@@ -43,21 +37,21 @@ from repro.fuzz.generator import (
     int_draw,
     unit_draw,
 )
-from repro.fuzz.oracle import ideal_run
 from repro.fuzz.shrinker import shrink
 from repro.pram.lanes import LANES
+from repro.simulation.classify import ideal_run
 from repro.simulation.executor import RobustSimulator
 
-#: Adversaries the fuzzer draws from — the registry entries marked
-#: ``fuzzable``: layout-agnostic and terminating for the simulator's
-#: V+X engine (``stalker``/``acc-stalker``/``starver`` are bespoke to
-#: one algorithm's layout, the ``static-mem`` entries poison cells
-#: that generated programs have no routing discipline for, and
-#: ``sched-sparse`` acts first at tick 50 + seed, past every fuzz
-#: phase, so its draws ran fault-free).  Written
-#: out, not read from the registry, because a draw indexes this tuple:
-#: its order is part of every seeded draw, so it must not follow how
-#: the registry dict was filled.  A new fuzzable entry goes at the end.
+#: The registry names the fuzzer draws: layout-agnostic adversaries
+#: that terminate for the simulator's V+X engine and act within a fuzz
+#: phase.  Excluded: ``stalker``, ``acc-stalker`` and ``starver``
+#: (bespoke to one algorithm's layout); the ``static-mem`` entries
+#: (they poison cells, and generated programs have no fault-routing
+#: discipline — a poison-aware ideal run would let them in); and
+#: ``sched-sparse`` (its first event, at tick 50 + seed, lies past the
+#: tens of ticks a fuzz phase runs, so its draws ran fault-free).  A
+#: draw indexes this tuple, so its order is part of every seeded draw:
+#: a new entry goes at the end.
 ADVERSARY_DRAWS: Tuple[str, ...] = (
     "none", "random", "crash", "thrashing", "halving", "burst",
     "speed-classes",
@@ -190,20 +184,16 @@ class FuzzOutcome:
     lanes: Tuple[str, ...]
     converged: bool
     executions: int = 0
-    injected: Dict[str, int] = field(default_factory=dict)
     adversary_histogram: Dict[str, int] = field(default_factory=dict)
     failures: List[FuzzFailure] = field(default_factory=list)
     fixture_paths: List[str] = field(default_factory=list)
 
     def summary(self) -> str:
         verdict = "CONVERGED" if self.converged else "DIVERGED"
-        injected = ", ".join(
-            f"{kind}={count}" for kind, count in sorted(self.injected.items())
-        ) or "none"
         lines = [
             f"{verdict}: seed {self.seed}, {self.iterations} program(s) x "
             f"{len(self.lanes)} lane(s) x {self.passes} pass(es) = "
-            f"{self.executions} robust executions, chaos injected {injected}",
+            f"{self.executions} robust executions",
         ]
         lines.extend(
             f"  FAILURE: {failure.describe()}" for failure in self.failures
@@ -214,37 +204,12 @@ class FuzzOutcome:
         return "\n".join(lines)
 
 
-def _perturb_inline(policy: ChaosPolicy, point: int, attempt: int) -> None:
-    """Act on the chaos plan like :meth:`ChaosPolicy.perturb`, but
-    always inline: a crash surfaces as :class:`ChaosCrash` even in a
-    child process, where ``perturb`` would ``os._exit``.  The fuzz
-    loop's retries are the recovery path under test, so the process
-    must survive the crash."""
-    kind = policy.plan(point, attempt)
-    if kind is None:
-        return
-    if kind == "crash":
-        raise ChaosCrash(
-            f"chaos: injected crash (point {point}, attempt {attempt})"
-        )
-    if kind == "stall":
-        deadline = time.monotonic() + policy.stall_s
-        while time.monotonic() < deadline:
-            pass
-        return
-    raise ChaosError(
-        f"chaos: injected transient error "
-        f"(point {point}, attempt {attempt})"
-    )
-
-
 @dataclass
 class FuzzIterationResult:
     """One iteration's accounting, mergeable into a FuzzOutcome."""
 
     iteration: int
     executions: int
-    injected: Dict[str, int]
     adversary: str
     failure: Optional[FuzzFailure]
 
@@ -255,10 +220,8 @@ def run_fuzz_iteration(
     passes: int,
     lanes: Sequence[str],
     config: GeneratorConfig = DEFAULT_CONFIG,
-    chaos: bool = True,
-    chaos_retries: int = 4,
 ) -> FuzzIterationResult:
-    """One complete fuzz iteration: draw, oracle, lanes x passes.
+    """One complete fuzz iteration: draw, ideal run, lanes x passes.
 
     Pure function of its arguments (every draw is hash-derived), so an
     iteration replays identically on its own.  Shrinking and fixture
@@ -269,44 +232,20 @@ def run_fuzz_iteration(
     )
     initial = generate_initial_memory(
         int_draw(seed, 0, 2**31 - 1, "initial", iteration),
-        program.memory_size, config,
+        program.memory_size,
     )
     adversary_spec = draw_adversary_spec(seed, iteration)
     p = int_draw(seed, 1, 4, "p", iteration)
-    expected = ideal_run(program, initial)
-    policy = ChaosPolicy(
-        seed=int_draw(seed, 0, 2**31 - 1, "chaos"),
-        crash=0.02, stall=0.01, error=0.02, stall_s=0.01,
-    ) if chaos else None
+    expected = ideal_run(program.to_sim_program(), initial)
 
     executions = 0
-    injected: Dict[str, int] = {}
     failure: Optional[FuzzFailure] = None
     digests: Dict[str, str] = {}
     for pass_index in range(passes):
         if failure is not None:
             break
         for lane in lanes:
-            result = None
-            point = (iteration * passes + pass_index) * len(LANES) \
-                + list(LANES).index(lane)
-            for attempt in range(1, chaos_retries + 2):
-                try:
-                    if policy is not None:
-                        _perturb_inline(policy, point, attempt)
-                    result = execute_lane(
-                        program, initial, lane, adversary_spec, p
-                    )
-                    break
-                except (ChaosCrash, ChaosError) as exc:
-                    kind = ("crash" if isinstance(exc, ChaosCrash)
-                            else "error")
-                    injected[kind] = injected.get(kind, 0) + 1
-            if result is None:  # pragma: no cover - retries exhausted
-                raise RuntimeError(
-                    f"chaos exhausted {chaos_retries} retries at "
-                    f"iteration {iteration}, lane {lane}"
-                )
+            result = execute_lane(program, initial, lane, adversary_spec, p)
             executions += 1
 
             failure_kind = None
@@ -339,7 +278,6 @@ def run_fuzz_iteration(
     return FuzzIterationResult(
         iteration=iteration,
         executions=executions,
-        injected=injected,
         adversary=adversary_spec.name,
         failure=failure,
     )
@@ -348,11 +286,11 @@ def run_fuzz_iteration(
 def _failure_predicate(
     lane: str, adversary_spec: AdversaryDraw, p: int
 ) -> Callable[[GeneratedProgram, List[int]], bool]:
-    """Does a candidate still diverge from its oracle on this lane?"""
+    """Does a candidate still diverge from its ideal run on this lane?"""
 
     def is_failing(program: GeneratedProgram, initial: List[int]) -> bool:
         try:
-            expected = ideal_run(program, initial)
+            expected = ideal_run(program.to_sim_program(), initial)
             result = execute_lane(program, initial, lane, adversary_spec, p)
         except ValueError:
             return False
@@ -367,19 +305,16 @@ def run_fuzz(
     passes: int = 3,
     lanes: Sequence[str] = tuple(LANES),
     config: GeneratorConfig = DEFAULT_CONFIG,
-    chaos: bool = True,
-    chaos_retries: int = 4,
     fixture_dir: Optional[str] = None,
     max_fixtures: int = 5,
-    shrink_budget: int = 250,
     log: Optional[Callable[[str], None]] = None,
 ) -> FuzzOutcome:
     """The fuzz soak: seeded programs, registry lanes, three passes.
 
     Convergence means every (iteration, lane, pass) execution solved
-    and ended bit-identical to the ideal fault-free oracle — which also
+    and ended bit-identical to the ideal fault-free run — which also
     makes every pass bit-identical to every other, the ``repro chaos``
-    contract.  Pass-to-pass divergence with a correct oracle match is
+    contract.  Pass-to-pass divergence with a correct ideal match is
     impossible, but is still checked independently (``nonconverged``)
     so a nondeterminism bug cannot hide behind a coincidentally-correct
     final memory digest.
@@ -404,8 +339,6 @@ def run_fuzz(
     def absorb(result: FuzzIterationResult) -> None:
         nonlocal shrinks_left
         outcome.executions += result.executions
-        for kind, count in result.injected.items():
-            outcome.injected[kind] = outcome.injected.get(kind, 0) + count
         outcome.adversary_histogram[result.adversary] = (
             outcome.adversary_histogram.get(result.adversary, 0) + 1
         )
@@ -422,8 +355,7 @@ def run_fuzz(
             )
             if predicate(failure.program, list(failure.initial)):
                 shrunk, shrunk_initial = shrink(
-                    failure.program, failure.initial, predicate,
-                    max_evaluations=shrink_budget,
+                    failure.program, failure.initial, predicate
                 )
                 failure.shrunk_program = shrunk
                 failure.shrunk_initial = shrunk_initial
@@ -439,8 +371,5 @@ def run_fuzz(
                 emit(f"fixture written: {path}")
 
     for iteration in range(iterations):
-        absorb(run_fuzz_iteration(
-            seed, iteration, passes, lanes, config,
-            chaos, chaos_retries,
-        ))
+        absorb(run_fuzz_iteration(seed, iteration, passes, lanes, config))
     return outcome

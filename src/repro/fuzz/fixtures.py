@@ -3,7 +3,7 @@
 A fixture captures everything needed to re-execute one divergent
 (program, initial memory, adversary, lane, p) point: the shrunk
 program when the shrinker succeeded (the original otherwise), the
-adversary registry draw, and the oracle's expected memory.  Fixtures
+adversary registry draw, and the ideal run's expected memory.  Fixtures
 land in ``tests/fuzz/fixtures/`` and ``tests/fuzz/test_fixtures.py``
 replays every one on every CI run — a failure found once is guarded
 forever.
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.fuzz.generator import GeneratedProgram
-from repro.fuzz.oracle import ideal_run
+from repro.simulation.classify import ideal_run
 
 #: Schema tag; bump on incompatible layout changes.
 FIXTURE_FORMAT = "repro-fuzz-fixture/1"
@@ -30,7 +30,7 @@ FIXTURE_FORMAT = "repro-fuzz-fixture/1"
 def fixture_payload(failure) -> Dict[str, object]:
     """The JSON payload for a :class:`~repro.fuzz.driver.FuzzFailure`.
 
-    Prefers the shrunk program/initial when present; the oracle is
+    Prefers the shrunk program/initial when present; the ideal run is
     recomputed for whichever pair is stored, so the fixture is
     self-consistent.
     """
@@ -50,7 +50,7 @@ def fixture_payload(failure) -> Dict[str, object]:
         "adversary": failure.adversary.to_json(),
         "program": program.to_json(),
         "initial": list(initial),
-        "expected": ideal_run(program, list(initial)),
+        "expected": ideal_run(program.to_sim_program(), initial),
         "note": failure.describe(),
     }
 
@@ -98,8 +98,8 @@ class ReplayResult:
 def replay_fixture(payload: Dict[str, object]) -> ReplayResult:
     """Re-execute a fixture point; ok iff the divergence is gone.
 
-    The stored ``expected`` memory is cross-checked against a freshly
-    computed oracle first: if opcode semantics drifted since the
+    The stored ``expected`` memory is cross-checked against a fresh
+    ideal run first: if opcode semantics drifted since the
     fixture was written, the replay fails loudly instead of silently
     testing the wrong claim.  Every lane the detecting run covered (the
     ``lanes`` key; pre-lane-registry fixtures store only the failing
@@ -111,10 +111,10 @@ def replay_fixture(payload: Dict[str, object]) -> ReplayResult:
     program = GeneratedProgram.from_json(payload["program"])
     initial = [int(value) for value in payload["initial"]]
     problems: List[str] = []
-    expected = ideal_run(program, list(initial))
+    expected = ideal_run(program.to_sim_program(), initial)
     if expected != list(payload["expected"]):
         problems.append(
-            "stored oracle differs from a fresh ideal run — opcode "
+            "stored expectation differs from a fresh ideal run — opcode "
             "semantics drifted; regenerate the fixture"
         )
     primary = str(payload["lane"])
@@ -138,7 +138,7 @@ def replay_fixture(payload: Dict[str, object]) -> ReplayResult:
         if result.memory != expected:
             problems.append(
                 f"lane {lane!r}: robust execution still diverges from "
-                "the oracle"
+                "the ideal run"
             )
     return ReplayResult(
         ok=not problems,

@@ -17,12 +17,13 @@ properties the fuzzer needs:
 Generated programs respect the model's update-cycle budget (reads <= 4,
 writes <= 2 per simulated processor per step) and keep write sets
 disjoint across processors within a step (exclusive writes), so the
-ideal synchronous PRAM oracle is deterministic and the robust executor
-must reproduce it *exactly* for every failure pattern.  Data
-dependencies are acyclic by construction: programs are straight-line,
-and within a step every read observes the previous step's memory (the
-two-phase executor's synchronous semantics), so the step's dependence
-graph is bipartite reads -> writes.
+ideal synchronous PRAM (:func:`repro.simulation.classify.ideal_run`)
+has one answer and the robust executor must reproduce it *exactly* for
+every failure pattern.  Data dependencies are acyclic by construction:
+programs are straight-line, and within a step every read observes the
+previous step's memory (the two-phase executor's synchronous
+semantics), so the step's dependence graph is bipartite reads ->
+writes.
 """
 
 from __future__ import annotations
@@ -34,16 +35,27 @@ from typing import Dict, List, Sequence, Tuple
 from repro.simulation.step import SimProgram, SimStep
 
 #: Opcodes a generated action may carry.  Semantics live in
-#: :func:`apply_op` — shared by the executor-facing SimStep *and* the
-#: ideal oracle, so the two cannot drift apart on op meaning; what is
-#: being differentially tested is the robust execution machinery, not
-#: the arithmetic.
+#: :func:`apply_op`, which the action table's SimStep computes with;
+#: the robust executors and the ideal PRAM run that one SimStep, so
+#: what is differentially tested is the robust execution machinery,
+#: not the arithmetic.
 OPS: Tuple[str, ...] = ("sum", "max", "min", "const", "copy", "xor")
 
 #: Values are kept in a bounded ring so long programs cannot blow up
 #: fixture files; the modulus is prime so "sum" does not silently
 #: collapse onto a power-of-two mask.
 VALUE_MODULUS = 1_000_003
+
+#: Program bounds no caller varies (``GeneratorConfig`` holds the two
+#: that ``repro fuzz`` sets).  Reads and writes run up to the model's
+#: update-cycle budget.
+MIN_WIDTH = 1
+EXTRA_MEMORY = 4     # memory_size - width upper bound
+MIN_STEPS = 1
+MAX_READS = 4
+MAX_WRITES = 2
+VALUE_RANGE = 50     # initial memory cells in [0, VALUE_RANGE)
+WRITE_DENSITY = 0.8  # P(a processor writes at all) per step
 
 
 def unit_draw(seed: int, *parts: object) -> float:
@@ -173,7 +185,12 @@ class GeneratedProgram:
         )
 
     def validate(self) -> None:
-        """Model-budget and exclusive-write checks on the action table."""
+        """The action table's own checks, then :meth:`SimProgram.validate`.
+
+        The table must give each processor one action, each action at
+        most two writes, and each step exclusive writes; the read budget
+        and the address ranges are the simulated program's checks.
+        """
         for index, actions in enumerate(self.steps):
             if len(actions) != self.width:
                 raise ValueError(
@@ -182,30 +199,19 @@ class GeneratedProgram:
                 )
             seen_writes: Dict[int, int] = {}
             for processor, action in enumerate(actions):
-                if len(action.reads) > 4:
+                if len(action.writes) > MAX_WRITES:
                     raise ValueError(
                         f"{self.name} step {index} processor {processor}: "
-                        f"{len(action.reads)} reads exceed the budget of 4"
+                        f"{len(action.writes)} writes exceed the budget of "
+                        f"{MAX_WRITES}"
                     )
-                if len(action.writes) > 2:
-                    raise ValueError(
-                        f"{self.name} step {index} processor {processor}: "
-                        f"{len(action.writes)} writes exceed the budget of 2"
-                    )
-                for address in action.reads + action.writes:
-                    if not 0 <= address < self.memory_size:
-                        raise ValueError(
-                            f"{self.name} step {index} processor "
-                            f"{processor}: address {address} out of "
-                            f"[0, {self.memory_size})"
-                        )
                 for address in action.writes:
                     if address in seen_writes:
                         raise ValueError(
                             f"{self.name} step {index}: processors "
                             f"{seen_writes[address]} and {processor} both "
                             f"write cell {address} (writes must be "
-                            f"exclusive for a deterministic oracle)"
+                            f"exclusive for a deterministic ideal run)"
                         )
                     seen_writes[address] = processor
         self.to_sim_program().validate()
@@ -236,40 +242,25 @@ class GeneratedProgram:
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Bounds on generated programs.
+    """The two program bounds ``repro fuzz`` sets.
 
     The defaults keep instances tiny — the point is breadth (many
-    seeds) rather than depth, and four lanes x three passes multiply
+    seeds) rather than depth, and five lanes x three passes multiply
     every iteration's cost.
     """
 
-    min_width: int = 1
     max_width: int = 5
-    extra_memory: int = 4       # memory_size - width upper bound
-    min_steps: int = 1
     max_steps: int = 4
-    max_reads: int = 4          # the model budget; do not raise
-    max_writes: int = 2         # the model budget; do not raise
-    value_range: int = 50       # initial memory cells in [0, value_range)
-    ops: Tuple[str, ...] = OPS
-    write_density: float = 0.8  # P(a processor writes at all) per step
 
     def __post_init__(self) -> None:
-        if not 1 <= self.min_width <= self.max_width:
+        if self.max_width < MIN_WIDTH:
             raise ValueError(
-                f"bad width bounds [{self.min_width}, {self.max_width}]"
+                f"bad width bounds [{MIN_WIDTH}, {self.max_width}]"
             )
-        if not 0 <= self.min_steps <= self.max_steps:
+        if self.max_steps < MIN_STEPS:
             raise ValueError(
-                f"bad step bounds [{self.min_steps}, {self.max_steps}]"
+                f"bad step bounds [{MIN_STEPS}, {self.max_steps}]"
             )
-        if not 0 <= self.max_reads <= 4:
-            raise ValueError(f"max_reads {self.max_reads} outside [0, 4]")
-        if not 1 <= self.max_writes <= 2:
-            raise ValueError(f"max_writes {self.max_writes} outside [1, 2]")
-        unknown = [op for op in self.ops if op not in OPS]
-        if unknown:
-            raise ValueError(f"unknown ops {unknown}; known: {OPS}")
 
 
 #: The fuzzer's default bounds.
@@ -283,40 +274,36 @@ def generate_program(
 
     Per step, a deterministic permutation of the address space is dealt
     out to processors as write sets (hence exclusive writes), and each
-    processor draws up to ``max_reads`` read addresses freely: any cell
-    may be read by many processors (CREW), including cells written this
-    step (reads observe the previous step — the synchronous-semantics
-    trap the executor must not fall into).
+    processor draws up to :data:`MAX_READS` read addresses freely: any
+    cell may be read by many processors (CREW), including cells written
+    this step (reads observe the previous step — the synchronous-
+    semantics trap the executor must not fall into).
     """
-    width = int_draw(seed, config.min_width, config.max_width, "width")
-    memory_size = width + int_draw(seed, 0, config.extra_memory, "mem")
-    n_steps = int_draw(seed, config.min_steps, config.max_steps, "steps")
+    width = int_draw(seed, MIN_WIDTH, config.max_width, "width")
+    memory_size = width + int_draw(seed, 0, EXTRA_MEMORY, "mem")
+    n_steps = int_draw(seed, MIN_STEPS, config.max_steps, "steps")
     steps: List[Tuple[ProcessorAction, ...]] = []
     for s in range(n_steps):
         pool = permutation_draw(seed, memory_size, "pool", s)
         cursor = 0
         actions: List[ProcessorAction] = []
         for i in range(width):
-            n_reads = int_draw(seed, 0, config.max_reads, "reads", s, i)
+            n_reads = int_draw(seed, 0, MAX_READS, "reads", s, i)
             reads = tuple(
                 int_draw(seed, 0, memory_size - 1, "read", s, i, k)
                 for k in range(n_reads)
             )
-            if unit_draw(seed, "writer", s, i) < config.write_density:
+            if unit_draw(seed, "writer", s, i) < WRITE_DENSITY:
                 n_writes = min(
-                    int_draw(seed, 1, config.max_writes, "writes", s, i),
+                    int_draw(seed, 1, MAX_WRITES, "writes", s, i),
                     memory_size - cursor,
                 )
             else:
                 n_writes = 0
             writes = tuple(sorted(pool[cursor:cursor + n_writes]))
             cursor += n_writes
-            op = config.ops[
-                int_draw(seed, 0, len(config.ops) - 1, "op", s, i)
-            ]
-            constant = int_draw(
-                seed, 0, config.value_range - 1, "const", s, i
-            )
+            op = OPS[int_draw(seed, 0, len(OPS) - 1, "op", s, i)]
+            constant = int_draw(seed, 0, VALUE_RANGE - 1, "const", s, i)
             actions.append(
                 ProcessorAction(
                     reads=reads, writes=writes, op=op, constant=constant
@@ -333,12 +320,10 @@ def generate_program(
     return program
 
 
-def generate_initial_memory(
-    seed: int, memory_size: int, config: GeneratorConfig = DEFAULT_CONFIG
-) -> List[int]:
+def generate_initial_memory(seed: int, memory_size: int) -> List[int]:
     """The initial simulated memory for ``seed`` — pure and stable."""
     return [
-        int_draw(seed, 0, config.value_range - 1, "init", address)
+        int_draw(seed, 0, VALUE_RANGE - 1, "init", address)
         for address in range(memory_size)
     ]
 

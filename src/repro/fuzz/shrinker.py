@@ -178,7 +178,7 @@ def shrink(
     program: GeneratedProgram,
     initial: Sequence[int],
     is_failing: FailurePredicate,
-    max_evaluations: int = 400,
+    max_evaluations: int = 250,
     max_rounds: int = 8,
 ) -> Tuple[GeneratedProgram, List[int]]:
     """Reduce ``(program, initial)`` while ``is_failing`` holds.

@@ -1,15 +1,24 @@
-"""PRAM-variant classification of simulated programs.
+"""The ideal synchronous PRAM, and the PRAM class a program needs.
 
-Theorem 4.1 distinguishes source models: "EREW, CREW, and WEAK and
+Theorem 4.1's correctness statement is *semantic transparency*: for any
+failure pattern, the robust execution of a program must end with the
+exact memory the ideal synchronous PRAM produces.  This module is that
+ideal machine, written with none of the Write-All machinery: per step,
+every simulated processor's reads (chained read specs included) see the
+previous step's memory, then every write lands.  :func:`ideal_run`
+returns the final memory; the fuzz driver, its fixtures and the
+simulation tests check the robust executors against it.
+
+Theorem 4.1 also distinguishes source models: "EREW, CREW, and WEAK and
 COMMON CRCW PRAM algorithms are simulated on fail-stop COMMON CRCW
 PRAMs; ARBITRARY and STRONG CRCW PRAMs are simulated on fail-stop CRCW
 PRAMs of the same type" (and PRIORITY cannot be simulated directly,
 Remark 4).
 
 A :class:`SimProgram` is data: its concurrency class depends on the
-input.  :func:`classify_program` dry-runs the program on the ideal
-synchronous PRAM for a given input and reports the weakest classical
-model consistent with the observed access patterns:
+input.  :func:`classify_program` runs the program on the same ideal
+machine for a given input and reports the weakest classical model
+consistent with the observed access patterns:
 
 * ``EREW`` — no cell is read or written by two processors in one step;
 * ``CREW`` — concurrent reads occur, writes stay exclusive;
@@ -23,22 +32,30 @@ model consistent with the observed access patterns:
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.simulation.step import SimProgram
 
 CLASSES = ("EREW", "CREW", "COMMON", "ARBITRARY")
 
 
-def classify_program(
-    program: SimProgram, initial_memory: Sequence[int]
-) -> str:
-    """The weakest PRAM class consistent with this program on this input."""
-    memory: List[int] = list(initial_memory)
-    memory += [0] * (program.memory_size - len(memory))
-    rank = 0  # index into CLASSES
-    for step in program.steps:
-        read_counts: Dict[int, int] = defaultdict(int)
+def _synchronous_run(
+    program: SimProgram,
+    initial: Optional[Sequence[int]],
+    observe: Callable[[int, Dict[int, int], Dict[int, List[int]]], None],
+) -> List[int]:
+    """Run ``program`` on the ideal synchronous PRAM; return its memory.
+
+    ``observe(index, reads, writes)`` sees each step's accesses before
+    its writes land: ``reads`` counts the reads of each cell, ``writes``
+    lists each written cell's values in PID order.  A read spec that
+    resolves to ``None`` reads nothing and yields 0; a processor with no
+    write addresses computes nothing.  Where several processors write
+    one cell, the lowest PID's value lands.
+    """
+    memory = program.initial_memory(initial)
+    for index, step in enumerate(program.steps):
+        reads: Dict[int, int] = defaultdict(int)
         writes: Dict[int, List[int]] = defaultdict(list)
         for processor in range(program.width):
             values: List[int] = []
@@ -47,29 +64,58 @@ def classify_program(
                 if address is None:
                     values.append(0)
                     continue
-                read_counts[address] += 1
+                reads[address] += 1
                 values.append(memory[address])
-            write_addresses = step.write_addresses(processor)
-            if not write_addresses:
-                continue  # inactive processor this step: no compute
+            addresses = step.write_addresses(processor)
+            if not addresses:
+                continue
             outputs = step.compute(processor, tuple(values))
-            for address, value in zip(write_addresses, outputs):
+            for address, value in zip(addresses, outputs):
                 writes[address].append(value)
-        concurrent_reads = any(count > 1 for count in read_counts.values())
-        concurrent_writes = any(len(vals) > 1 for vals in writes.values())
-        disagreeing = any(
-            len(set(vals)) > 1 for vals in writes.values()
-        )
-        if disagreeing:
+        observe(index, reads, writes)
+        for address, written in writes.items():
+            memory[address] = written[0]
+    return memory
+
+
+def ideal_run(
+    program: SimProgram, initial: Optional[Sequence[int]] = None
+) -> List[int]:
+    """Final memory of the fault-free synchronous execution.
+
+    Raises ``ValueError`` when two writes hit one cell in one step: the
+    exclusive-write ideal machine has no single answer there, so a
+    hand-edited fuzz fixture fails loudly instead of returning a bogus
+    expectation.
+    """
+
+    def exclusive(index: int, reads, writes) -> None:
+        for address, written in writes.items():
+            if len(written) > 1:
+                raise ValueError(
+                    f"{program.name} step {index}: cell {address} written "
+                    f"twice; the exclusive-write ideal PRAM is undefined"
+                )
+
+    return _synchronous_run(program, initial, exclusive)
+
+
+def classify_program(
+    program: SimProgram, initial_memory: Sequence[int]
+) -> str:
+    """The weakest PRAM class consistent with this program on this input."""
+    rank = 0  # index into CLASSES
+
+    def rank_step(index: int, reads, writes) -> None:
+        nonlocal rank
+        if any(len(set(written)) > 1 for written in writes.values()):
             rank = max(rank, 3)
-        elif concurrent_writes:
+        elif any(len(written) > 1 for written in writes.values()):
             rank = max(rank, 2)
-        elif concurrent_reads:
+        elif any(count > 1 for count in reads.values()):
             rank = max(rank, 1)
-        # Apply the step (lowest processor wins on ties; values agree in
-        # every class below ARBITRARY anyway).
-        for address, vals in writes.items():
-            memory[address] = vals[0]
+
+    _synchronous_run(program, initial_memory, rank_step)
     return CLASSES[rank]
 
 

@@ -53,11 +53,6 @@ class PhaseRecord:
     n_tasks: int
     ledger: RunLedger
     solved: bool
-    #: Simulated-memory snapshot taken right after this phase, when the
-    #: simulator runs with ``capture_snapshots=True`` (None otherwise).
-    #: The fuzz shrinker uses these to localize the first divergent
-    #: phase of a failing program.
-    memory: Optional[List[int]] = None
 
     @property
     def completed_work(self) -> int:
@@ -145,7 +140,6 @@ class RobustSimulator:
         fast_forward: bool = True,
         compiled: bool = True,
         vectorized: "Union[bool, str]" = False,
-        capture_snapshots: bool = False,
     ) -> None:
         if p <= 0:
             raise ValueError(f"simulator needs p > 0, got {p}")
@@ -167,20 +161,13 @@ class RobustSimulator:
         self.fast_forward = fast_forward
         self.compiled = compiled
         self.vectorized = vectorized
-        self.capture_snapshots = capture_snapshots
 
     def execute(
         self, program: SimProgram, initial_memory: Optional[List[int]] = None
     ) -> SimulationResult:
         """Run every step of ``program`` robustly; return the outcome."""
         program.validate()
-        simulated = list(initial_memory or [])
-        if len(simulated) > program.memory_size:
-            raise ValueError(
-                f"initial memory ({len(simulated)} cells) exceeds the "
-                f"program's memory size {program.memory_size}"
-            )
-        simulated += [0] * (program.memory_size - len(simulated))
+        simulated = program.initial_memory(initial_memory)
 
         if self.adversary is not None and hasattr(self.adversary, "reset"):
             self.adversary.reset()
@@ -191,24 +178,15 @@ class RobustSimulator:
             p=self.p,
             algorithm=self.algorithm.name,
         )
-        for step_index, step in enumerate(program.steps):
-            slots = max(
-                (len(step.write_addresses(i)) for i in range(program.width)),
-                default=0,
-            )
-            if slots == 0:
-                continue  # a step that writes nothing is a no-op
+        for step_index, step, slots in program.writing_steps():
             staging = [0] * (program.width * slots)
-            ok = self._run_phase(
-                result, step_index, "compute", step, slots, staging, simulated
-            )
-            if not ok:
-                result.solved = False
-                break
-            ok = self._run_phase(
-                result, step_index, "commit", step, slots, staging, simulated
-            )
-            if not ok:
+            if not all(
+                self._run_phase(
+                    result, step_index, phase, step, slots, staging,
+                    simulated,
+                )
+                for phase in ("compute", "commit")
+            ):
                 result.solved = False
                 break
         result.memory = simulated
@@ -283,7 +261,6 @@ class RobustSimulator:
                 n_tasks=n_tasks,
                 ledger=ledger,
                 solved=solved,
-                memory=list(simulated) if self.capture_snapshots else None,
             )
         )
         return solved

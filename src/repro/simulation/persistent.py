@@ -215,26 +215,12 @@ class PersistentSimulator:
         self, program: SimProgram, initial_memory: Optional[List[int]] = None
     ) -> PersistentResult:
         program.validate()
-        simulated = list(initial_memory or [])
-        if len(simulated) > program.memory_size:
-            raise ValueError(
-                f"initial memory ({len(simulated)} cells) exceeds the "
-                f"program's memory size {program.memory_size}"
-            )
-        simulated += [0] * (program.memory_size - len(simulated))
+        simulated = program.initial_memory(initial_memory)
 
         width = program.width
         n_tasks = next_power_of_two(width)
-        steps = [
-            step for step in program.steps
-            if any(step.write_addresses(i) for i in range(width))
-        ]
-        slot_counts = [
-            max(len(step.write_addresses(i)) for i in range(width))
-            for step in steps
-        ]
-        max_slots = max(slot_counts, default=0)
-        if max_slots == 0:
+        steps = list(program.writing_steps())
+        if not steps:
             return PersistentResult(
                 program=program.name, width=width, p=self.p,
                 generations=0, ledger=RunLedger(),
@@ -250,11 +236,11 @@ class PersistentSimulator:
             [CycleFactoryTasks(0, lambda element, pid: [])] * generations
         )
         staging_base = placeholder.build_layout(n_tasks, self.p).size
-        sim_base = staging_base + width * max_slots
+        sim_base = staging_base + width * max(slots for *_, slots in steps)
         total_size = sim_base + len(simulated)
 
         phase_tasks = []
-        for step, slots in zip(steps, slot_counts):
+        for _index, step, slots in steps:
             phase_tasks.append(
                 CycleFactoryTasks(
                     slots,

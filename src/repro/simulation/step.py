@@ -13,7 +13,7 @@ previous step's memory, which the two-phase executor guarantees.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 #: A read request: a fixed simulated address, or a function of the
 #: values read so far returning the next simulated address (None skips).
@@ -87,6 +87,35 @@ class SimProgram:
 
     def __len__(self) -> int:
         return len(self.steps)
+
+    def initial_memory(self, initial: Optional[Sequence[int]]) -> List[int]:
+        """``initial`` padded with zeros to :attr:`memory_size` cells.
+
+        The one input rule of every executor and evaluator: a memory
+        longer than the program's is a ``ValueError``.
+        """
+        memory = list(initial or ())
+        if len(memory) > self.memory_size:
+            raise ValueError(
+                f"initial memory ({len(memory)} cells) "
+                f"exceeds the program's memory size {self.memory_size}"
+            )
+        return memory + [0] * (self.memory_size - len(memory))
+
+    def writing_steps(self) -> Iterator[Tuple[int, SimStep, int]]:
+        """``(index, step, slots)`` for each step that writes.
+
+        ``slots`` is the step's widest write set, the cycles each of its
+        tasks runs.  A step that writes nothing is a no-op, and no
+        executor runs it.
+        """
+        for index, step in enumerate(self.steps):
+            slots = max(
+                len(step.write_addresses(processor))
+                for processor in range(self.width)
+            )
+            if slots:
+                yield index, step, slots
 
     def validate(self) -> None:
         """Static checks: read/write budgets and address ranges."""

@@ -89,26 +89,21 @@ class TestEnumeration:
 
         assert tuple(ADVERSARIES) == registry.names()
 
-    def test_fuzz_draws_are_the_fuzzable_subset(self):
-        # The draw table is a literal, so its order (part of every
-        # seeded draw) does not follow how REGISTRY was filled; it
-        # must still name each fuzzable entry exactly once.
+    def test_fuzz_draws_name_registered_entries_once(self):
+        # The draw table is the fuzz driver's literal (its order is
+        # part of every seeded draw); each name must build here.
         from repro.fuzz.driver import ADVERSARY_DRAWS
 
         assert len(set(ADVERSARY_DRAWS)) == len(ADVERSARY_DRAWS)
-        assert set(ADVERSARY_DRAWS) == set(registry.fuzz_names())
-        fuzzable = {
-            name for name, entry in registry.REGISTRY.items()
-            if entry.fuzzable
-        }
-        assert set(registry.fuzz_names()) == fuzzable
-        assert fuzzable <= set(registry.names())
+        assert set(ADVERSARY_DRAWS) <= set(registry.names())
 
-    def test_static_mem_entries_are_not_fuzzable(self):
+    def test_static_mem_entries_are_not_drawn(self):
         # Generated programs have no fault-routing discipline; poisoned
-        # cells would make the differential oracle meaningless.
+        # cells would make the exclusive-write ideal run meaningless.
+        from repro.fuzz.driver import ADVERSARY_DRAWS
+
         for name in registry.names_for_tag("static-mem"):
-            assert not registry.get(name).fuzzable, name
+            assert name not in ADVERSARY_DRAWS, name
 
     def test_names_for_tag(self):
         assert "static-proc" in registry.names_for_tag("static-proc")

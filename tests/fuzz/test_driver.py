@@ -109,18 +109,6 @@ class TestConvergence:
         assert outcome.lanes == tuple(LANES)
         assert sum(outcome.adversary_histogram.values()) == 6
 
-    def test_chaos_injection_is_survivable_and_accounted(self):
-        # Seed 0 at 20 iterations is known (golden) to plan injections;
-        # convergence despite them is the point.
-        outcome = run_fuzz(seed=0, iterations=20)
-        assert outcome.converged
-        assert sum(outcome.injected.values()) > 0
-
-    def test_no_chaos_means_no_injections(self):
-        outcome = run_fuzz(seed=1, iterations=3, chaos=False)
-        assert outcome.converged
-        assert outcome.injected == {}
-
     def test_lane_subset_runs(self):
         outcome = run_fuzz(seed=2, iterations=3, passes=1,
                            lanes=("fast", "reference"))
@@ -199,6 +187,6 @@ class TestMutationCatch:
         _plant_commit_bug(monkeypatch)
         outcome = run_fuzz(
             seed=0, iterations=10, passes=1, lanes=("fast",),
-            chaos=False, max_fixtures=0,
+            max_fixtures=0,
         )
         assert not outcome.converged

@@ -20,7 +20,7 @@ from repro.fuzz.fixtures import (
     replay_fixture,
 )
 from repro.fuzz.generator import generate_initial_memory, generate_program
-from repro.fuzz.oracle import ideal_run
+from repro.simulation.classify import ideal_run
 
 FIXTURE_DIR = pathlib.Path(__file__).parent / "fixtures"
 
@@ -39,7 +39,7 @@ def _synthetic_failure(seed=0):
         p=2,
         program=program,
         initial=list(initial),
-        expected=ideal_run(program, initial),
+        expected=ideal_run(program.to_sim_program(), initial),
         observed=None,
     )
 
@@ -90,7 +90,7 @@ class TestFixtureMechanics:
         payload = fixture_payload(failure)
         assert payload["program"] == failure.shrunk_program.to_json()
         assert payload["expected"] == ideal_run(
-            failure.shrunk_program, failure.shrunk_initial
+            failure.shrunk_program.to_sim_program(), failure.shrunk_initial
         )
 
     def test_unknown_format_rejected(self, tmp_path):

@@ -82,9 +82,9 @@ class TestGeneratedProgramStability:
                                                  7, 31]
 
     def test_adversary_draws_pinned(self):
-        # The draw table is the registry's fuzzable subset in
-        # registration order; appending a registry entry may remap
-        # which name an index draws, but never the parameter draws.
+        # The draw table is the driver's ADVERSARY_DRAWS literal;
+        # appending a name may remap which name an index draws, but
+        # never the parameter draws.
         specs = [draw_adversary_spec(0, i) for i in range(4)]
         assert [spec.name for spec in specs] == [
             "speed-classes", "crash", "halving", "burst",

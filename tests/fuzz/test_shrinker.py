@@ -32,7 +32,7 @@ class TestShrink:
     def test_reduces_to_single_relevant_step(self):
         config = GeneratorConfig(max_steps=4)
         seed, program = find_seed_with_cell_zero_write(config)
-        initial = generate_initial_memory(seed, program.memory_size, config)
+        initial = generate_initial_memory(seed, program.memory_size)
         shrunk, shrunk_initial = shrink(program, initial, writes_cell_zero)
         # Still failing, and minimal along every axis the passes cover:
         # one step, exactly one processor still writing (cell 0), no
@@ -51,7 +51,7 @@ class TestShrink:
     def test_original_program_untouched(self):
         config = GeneratorConfig(max_steps=4)
         seed, program = find_seed_with_cell_zero_write(config)
-        initial = generate_initial_memory(seed, program.memory_size, config)
+        initial = generate_initial_memory(seed, program.memory_size)
         before = program.to_json()
         shrink(program, list(initial), writes_cell_zero)
         assert program.to_json() == before
@@ -65,7 +65,7 @@ class TestShrink:
     def test_budget_caps_evaluations(self):
         config = GeneratorConfig(max_steps=4)
         seed, program = find_seed_with_cell_zero_write(config)
-        initial = generate_initial_memory(seed, program.memory_size, config)
+        initial = generate_initial_memory(seed, program.memory_size)
         evaluations = []
 
         def counting(p, i):

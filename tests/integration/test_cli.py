@@ -104,7 +104,7 @@ BAD_RUN_VALUES = [
     *[("solve", flag, value, "must lie in [0, 1]")
       for flag in ("--fail", "--restart-prob") for value in ("2", "-1")],
     *[(command, f"--chaos-{kind}", "1.5", "must lie in [0, 1]")
-      for command in ENGINE_COMMANDS
+      for command in ("bench", "chaos")
       for kind in ("crash", "stall", "error", "corrupt")],
 ]
 
@@ -141,6 +141,16 @@ class TestEngineFlagValidation:
         captured = capsys.readouterr()
         assert f"unrecognized arguments: {' '.join(argv)}" in captured.err
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("kind", ["seed", "crash", "stall", "error",
+                                      "corrupt"])
+    def test_sweep_takes_no_chaos_flag(self, kind, capsys):
+        # Engine fault injection is armed on bench (and repro chaos).
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", f"--chaos-{kind}", "0"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: --chaos-{kind} 0" in captured.err
 
 
 class TestBench:
@@ -184,6 +194,16 @@ class TestSimulate:
         code = main(["simulate", "--program", "matvec", "--width", "4",
                      "--p", "2", "--adversary", "none"])
         assert code == 0
+
+    @pytest.mark.parametrize("persistent", [[], ["--persistent"]],
+                             ids=["robust", "persistent"])
+    def test_max_ticks_bounds_the_run(self, persistent, capsys):
+        # One tick per phase (robust) or per run (persistent) cannot
+        # finish the program: INCOMPLETE, exit 1.
+        code = main(["simulate", "--max-ticks", "1", "--p", "2",
+                     "--width", "8", *persistent])
+        assert code == 1
+        assert "INCOMPLETE" in capsys.readouterr().out
 
     def test_persistent_executor(self, capsys):
         code = main(["simulate", "--program", "prefix-sum", "--width", "8",

@@ -1,6 +1,6 @@
 """Property-based tests: the persistent executor equals the ideal PRAM.
 
-Same oracle approach as test_simulation_properties, but through the
+Same ideal-PRAM check as test_simulation_properties, but through the
 generational no-reset pipeline — stressing that generation tags fully
 isolate phases even when failures span them.
 """
@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 
 from repro.faults import RandomAdversary
 from repro.simulation import PersistentSimulator
+from repro.simulation.classify import ideal_run
 
-from tests.properties.test_simulation_properties import (
-    random_program,
-    reference_execute,
-)
+from tests.properties.test_simulation_properties import random_program
 
 COMMON_SETTINGS = dict(
     max_examples=12,
@@ -44,7 +42,7 @@ def test_persistent_execution_matches_reference(seed, width, num_steps, fail):
     )
     result = simulator.execute(program, initial)
     assert result.solved
-    assert result.memory == reference_execute(program, initial)
+    assert result.memory == ideal_run(program, initial)
     # Generation flags rose in order.
     ticks = [result.phase_ticks[g] for g in sorted(result.phase_ticks)]
     assert ticks == sorted(ticks)

@@ -3,8 +3,9 @@
 The central guarantee of Theorem 4.1 is *semantic transparency*: a
 program executed through the iterated Write-All machinery must compute
 exactly what the ideal synchronous PRAM computes, for any failure
-pattern.  Hypothesis generates random programs and adversaries; a pure
-Python reference evaluator provides the oracle.
+pattern.  Hypothesis generates random programs and adversaries; the
+library's ideal PRAM (``repro.simulation.classify.ideal_run``) gives the
+expected memory.
 """
 
 import random
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from repro.core import AlgorithmVX, AlgorithmX
 from repro.faults import RandomAdversary
 from repro.simulation import FunctionStep, RobustSimulator, SimProgram
+from repro.simulation.classify import ideal_run
 
 COMMON_SETTINGS = dict(
     max_examples=15,
@@ -29,7 +31,8 @@ def random_program(rng, width, memory_size, num_steps):
     Write sets are disjoint across simulated processors within a step
     (CREW-style): concurrent writes with different values would be
     ARBITRARY CRCW, whose winner is legitimately nondeterministic under
-    the robust executor, so a reference oracle could not predict it.
+    the robust executor, so the exclusive-write ideal PRAM could not
+    predict it (``ideal_run`` raises on a cell written twice).
     """
     steps = []
     for _step in range(num_steps):
@@ -72,22 +75,6 @@ def random_program(rng, width, memory_size, num_steps):
                       name="random")
 
 
-def reference_execute(program, initial):
-    """The ideal synchronous PRAM (exclusive writes per step)."""
-    memory = list(initial) + [0] * (program.memory_size - len(initial))
-    for step in program.steps:
-        writes = {}
-        for i in range(program.width):
-            values = tuple(memory[a] for a in step.read_addresses(i))
-            outputs = step.compute(i, values)
-            for address, value in zip(step.write_addresses(i), outputs):
-                assert address not in writes, "generator must keep writes exclusive"
-                writes[address] = value
-        for address, value in writes.items():
-            memory[address] = value
-    return memory
-
-
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
     width=st.integers(min_value=1, max_value=6),
@@ -111,7 +98,7 @@ def test_robust_execution_matches_reference(seed, width, num_steps, fail):
     )
     result = simulator.execute(program, initial)
     assert result.solved
-    assert result.memory == reference_execute(program, initial)
+    assert result.memory == ideal_run(program, initial)
 
 
 @given(seed=st.integers(min_value=0, max_value=2**16))

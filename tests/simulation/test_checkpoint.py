@@ -11,6 +11,7 @@ at the cost of ``cost`` no-op cycles every ``interval`` completions.
 import pytest
 
 from repro.faults import RandomAdversary, registry
+from repro.fuzz.driver import ADVERSARY_DRAWS
 from repro.simulation import CheckpointPolicy, PersistentSimulator
 from repro.simulation.persistent import PersistentCheckpointRunner
 from repro.simulation.programs import (
@@ -110,9 +111,7 @@ class TestRoundTrip:
 class TestRegistryIntegration:
     # The fuzz draws plus sched-sparse, which the fuzzer skips (it acts
     # past every fuzz phase) but which fails processors inside this run.
-    @pytest.mark.parametrize(
-        "name", (*registry.fuzz_names(), "sched-sparse")
-    )
+    @pytest.mark.parametrize("name", (*ADVERSARY_DRAWS, "sched-sparse"))
     def test_registry_drawn_adversaries_replay_identically(self, name):
         # Bit-identity: two fresh builds of one registry spec, through
         # the spec and by name, run the persistent executor alike.

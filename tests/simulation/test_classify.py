@@ -1,5 +1,7 @@
 """Tests for PRAM-variant classification of simulated programs."""
 
+import pytest
+
 from repro.simulation import FunctionStep, SimProgram
 from repro.simulation.classify import (
     classify_program,
@@ -61,6 +63,16 @@ class TestClassification:
             compute=lambda i, values: (1,),
         )
         assert classify_program(program_of([erew, common]), [0] * 4) == "COMMON"
+
+    def test_oversized_initial_memory_rejected(self):
+        # The simulators' input rule: a longer memory is an error, not
+        # a CREW verdict on cells the program does not have.
+        with pytest.raises(
+            ValueError,
+            match=r"initial memory \(12 cells\) exceeds the program's "
+                  r"memory size 4",
+        ):
+            classify_program(prefix_sum_program(4), list(range(1, 13)))
 
     def test_determinism_predicate(self):
         assert simulation_is_deterministic("EREW")

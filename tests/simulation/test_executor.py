@@ -130,20 +130,6 @@ class TestAccounting:
         with pytest.raises(ValueError, match="'all-noop' has no recorded phases"):
             result.max_step_overhead_ratio
 
-    def test_phase_snapshots_opt_in(self):
-        simulator = RobustSimulator(
-            p=2, algorithm=AlgorithmX(), capture_snapshots=True
-        )
-        result = simulator.execute(increment_program(2), [10, 20])
-        # compute phases leave simulated memory untouched; commit
-        # phases land the increments one step at a time.
-        assert [record.memory for record in result.phases] == [
-            [10, 20], [11, 21], [11, 21], [12, 22],
-        ]
-        plain = RobustSimulator(p=2, algorithm=AlgorithmX())
-        result = plain.execute(increment_program(2), [10, 20])
-        assert all(record.memory is None for record in result.phases)
-
 
 class TestUnderFailures:
     @pytest.mark.parametrize("algorithm_factory", [AlgorithmX, AlgorithmVX,

@@ -86,3 +86,29 @@ class TestSimProgram:
         assert step.read_addresses(0) == ()
         assert step.write_addresses(0) == ()
         assert step.compute(0, ()) == ()
+
+    def test_initial_memory_pads_with_zeros(self):
+        program = self.make()
+        assert program.initial_memory([3, 4]) == [3, 4, 0, 0, 0, 0, 0, 0]
+        assert program.initial_memory(None) == [0] * 8
+
+    def test_initial_memory_rejects_a_longer_input(self):
+        with pytest.raises(
+            ValueError,
+            match=r"initial memory \(9 cells\) exceeds the program's "
+                  r"memory size 8",
+        ):
+            self.make().initial_memory([1] * 9)
+
+    def test_writing_steps_skip_no_ops_and_count_slots(self):
+        # Slots are the widest write set; indexes stay program indexes.
+        widening = FunctionStep(
+            reads=lambda i: (),
+            writes=lambda i: (2 * i, 2 * i + 1) if i == 3 else (i,),
+            compute=lambda i, values: (0, 0) if i == 3 else (0,),
+        )
+        program = self.make(steps=[SimStep(), widening, SimStep()])
+        assert [(index, step, slots)
+                for index, step, slots in program.writing_steps()] == [
+            (1, widening, 2),
+        ]
