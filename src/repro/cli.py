@@ -116,8 +116,19 @@ def _adversary_help() -> str:
     return f"named adversary (model tags in brackets): {entries}"
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--algorithm", default="X", choices=sorted(ALGORITHMS))
+def _add_common(
+    parser: argparse.ArgumentParser, algorithm_group: Optional[object] = None
+) -> None:
+    """The run flags every solving command takes.
+
+    ``algorithm_group`` is a mutually exclusive group to hold
+    ``--algorithm``; the flag's default is then None, so that an
+    explicit ``--algorithm X`` counts as given.
+    """
+    (algorithm_group or parser).add_argument(
+        "--algorithm", default=None if algorithm_group else "X",
+        choices=sorted(ALGORITHMS),
+    )
     parser.add_argument("--adversary", default="random",
                         choices=ADVERSARIES, metavar="NAME",
                         help=_adversary_help())
@@ -521,7 +532,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print("memory head:", result.memory[: min(16, len(result.memory))])
         return 0 if result.solved else 1
     simulator = RobustSimulator(
-        p=args.p, algorithm=ALGORITHMS[args.algorithm](), adversary=adversary,
+        p=args.p, algorithm=ALGORITHMS[args.algorithm or "X"](),
+        adversary=adversary,
         **({} if ticks is None else {"max_ticks_per_phase": ticks}),
         **LANES[CLI_LANE].solver_kwargs(),
     )
@@ -707,9 +719,13 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=sorted(PROGRAMS))
     simulate.add_argument("--width", type=_int_at_least(1), default=16)
     simulate.add_argument("--p", type=_int_at_least(1), default=4)
-    simulate.add_argument("--persistent", action="store_true",
-                          help="use the generational no-reset executor")
-    _add_common(simulate)
+    # The persistent executor runs generational X: --algorithm is a
+    # usage error beside it.
+    executor = simulate.add_mutually_exclusive_group()
+    executor.add_argument("--persistent", action="store_true",
+                          help="use the generational no-reset executor "
+                               "(generational X; takes no --algorithm)")
+    _add_common(simulate, executor)
     simulate.set_defaults(func=cmd_simulate)
 
     trace = commands.add_parser("trace", help="print a failure timeline")

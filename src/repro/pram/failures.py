@@ -39,7 +39,7 @@ class FailureEvent(NamedTuple):
 
     A NamedTuple (one tuple allocation, no per-field ``__setattr__``):
     dense adversaries record an event for most processors on every tick,
-    and :meth:`FailurePattern.record` builds it with ``tuple.__new__``,
+    and :class:`FailurePattern` builds it with ``tuple.__new__``,
     skipping the NamedTuple's Python-level ``__new__`` as well.
     """
 
@@ -69,6 +69,13 @@ class FailurePattern:
 
     def record(self, tag: FailureTag, pid: int, time: int) -> None:
         self._events.append(_new_tuple(FailureEvent, (tag, pid, time)))
+
+    def record_many(
+        self, tag: FailureTag, pids: Iterable[int], time: int
+    ) -> None:
+        """Record one ``tag`` event per pid of ``pids``, in their order."""
+        new, event = _new_tuple, FailureEvent
+        self._events.extend([new(event, (tag, pid, time)) for pid in pids])
 
     def __len__(self) -> int:
         return len(self._events)

@@ -33,30 +33,31 @@ Five tick bodies implement these semantics:
   executable specification;
 * the **observable fast tick** (``fast_path=True``, the default) runs
   every ``step()``: the same phases in the same order, with near-zero
-  per-tick allocation.  The running list and status table are cached
-  and invalidated only on status transitions (a shared status-epoch
-  cell bumped by the processors), cell reads go straight to the backing
-  array after an explicit bounds/type check (invalid accesses fall back
-  to the validated reader so errors are identical), per-PID work
-  counters are array-backed, and the CRCW resolve call is skipped when
-  every address has a single writer and the policy declares singleton
-  resolution the identity, or when its writers all agree and the policy
-  declares agreeing resolution the identity (the normal COMMON CRCW
-  tick, where every active processor writes one value into one cell).
-  It builds the adversary view and consults
-  the adversary on every tick, quiet or absent adversaries included,
-  exactly as the reference does.  A one-time program-validation gate
-  runs each distinct cycle label through the fully validated reference
+  per-tick allocation.  Cell reads go straight to the backing array
+  after an explicit bounds/type check (invalid accesses fall back to
+  the validated reader so errors are identical), per-PID work counters
+  are array-backed, and the CRCW resolve call is skipped when every
+  address has a single writer and the policy declares singleton
+  resolution the identity, or when its writers all agree and the
+  policy declares agreeing resolution the identity (the normal COMMON
+  CRCW tick, where every active processor writes one value into one
+  cell).  It builds the adversary view and consults the adversary on
+  every tick, quiet or absent adversaries included, exactly as the
+  reference does.  A one-time program-validation gate runs each
+  distinct cycle label through the fully validated reference
   collection once before trusting its shape.  Compiled-kernel
   processors evaluate their pending cycle through the kernel's
   ``observe`` rather than the cycle's read-spec and write closures (the
   gate cross-checks the two); their task cycles are interpreted like a
   generator's.  Under a dense adversary every tick is observable, so
-  this tick keeps its per-processor work to the records the view
-  needs: each ``PendingCycleView`` is built with ``tuple.__new__``, the
-  view's ``failed_pids`` come from the status cache, and a running
-  kernel processor completes its cycle in place instead of through
-  ``Processor.complete_cycle``, which generator processors keep.
+  each running processor costs two passes: collect builds its
+  ``PendingCycleView`` into the view (with ``tuple.__new__``), from
+  which the commit stages its writes, and settle moves it on, a kernel
+  processor failing, completing and restarting in place.  The running
+  list and the failed pids are cached and follow the tick's own
+  failures, halts and restarts, so a tick with none does no status
+  work; the view's status table is built only if read.  A status-epoch
+  cell, bumped by transitions made outside a tick, forces a rebuild.
 
 The other three bodies run only inside **quiet windows**.
 :meth:`Machine.run` is event-driven: before each tick it asks the
@@ -100,7 +101,6 @@ from __future__ import annotations
 import operator
 from collections import defaultdict
 from time import perf_counter
-from types import MappingProxyType
 from typing import (
     Callable,
     Dict,
@@ -139,6 +139,10 @@ UntilPredicate = Callable[[MemoryReader], bool]
 #: (Numerically equal to repro.faults.base.QUIET_FOREVER; the pram layer
 #: cannot import the faults layer, which builds on top of it.)
 _NO_HORIZON = 1 << 62
+
+_new_tuple = tuple.__new__
+_pid_of = operator.attrgetter("pid")
+_RUNNING = ProcessorStatus.RUNNING
 
 #: Outcomes of one fast-forwarded quiescent window (see
 #: Machine._run_quiet_window).
@@ -230,13 +234,13 @@ class Machine:
         #: executable specification.
         self.phase_counters = phase_counters
         # -- fast-path state ------------------------------------------- #
-        # Shared status-epoch cell: every processor status transition
-        # bumps it, invalidating the cached running list/status table.
+        # Status caches, by ascending PID, which the fast tick updates
+        # from its own transitions.  The shared status-epoch cell moves
+        # on every other transition and triggers a full rebuild.
         self._status_epoch: List[int] = [0]
         self._cache_epoch = -1
         self._running_cache: List[Processor] = []
         self._failed_pids: Tuple[int, ...] = ()
-        self._statuses_view: Mapping[int, ProcessorStatus] = MappingProxyType({})
         # Raw cell array (validated accesses fall back to memory.read /
         # memory.write).
         self._cells = memory.raw_cells()
@@ -250,9 +254,6 @@ class Machine:
         self._quiet_hook: Optional[Callable[[int], int]] = None
         # Reusable per-tick scratch (the point is zero steady-state
         # allocation; cleared, never reallocated).
-        self._collect_scratch: List[tuple] = []
-        self._task_scratch: List[tuple] = []
-        self._pairs_scratch: List[tuple] = []
         self._resolved_scratch: List[Tuple[int, int]] = []
         self._single_scratch: Dict[int, Tuple[int, int]] = {}
         # Compiled-kernel lane (see repro.pram.compiled): set by
@@ -361,7 +362,7 @@ class Machine:
 
     def _step_reference(self) -> bool:
         running = [proc for proc in self._processors if proc.is_running]
-        failed = [proc for proc in self._processors if proc.is_failed]
+        failed = [proc.pid for proc in self._processors if proc.is_failed]
         if not running and not failed:
             return False
 
@@ -390,7 +391,7 @@ class Machine:
             pending, failures, tick, stalls
         )
         self.ledger.completed_per_tick.append(completed_this_tick)
-        self._apply_restarts(decision, failures, pending, tick)
+        self._apply_restarts(decision, failures, pending, tick, failed)
         self._sync_traffic()
         return True
 
@@ -409,11 +410,8 @@ class Machine:
         pending: Dict[int, PendingCycleView] = {}
         readers_by_address: Dict[int, List[int]] = defaultdict(list)
         for processor in running:
-            _, cycle, values, writes = self._collect_one_validated(
+            pending[processor.pid] = self._collect_one_validated(
                 processor, processor.pending_cycle, readers_by_address
-            )
-            pending[processor.pid] = PendingCycleView(
-                pid=processor.pid, cycle=cycle, read_values=values, writes=writes
             )
         for address, reader_pids in readers_by_address.items():
             self.policy.check_reads(address, reader_pids)
@@ -605,41 +603,67 @@ class Machine:
         failures: Mapping[int, int],
         pending: Mapping[int, PendingCycleView],
         tick: int,
-    ) -> None:
+        failed_pids: Sequence[int],
+    ) -> List[Processor]:
+        """Apply the decision's restarts; returns the revived processors.
+
+        Restarts land in ascending PID order and reach the pattern as
+        one record, also when one raises.  Kernel processors restart in
+        place (``reset`` is :meth:`Processor.spawn`'s compiled branch).
+        ``failed_pids`` are the pids failed when the tick began,
+        ascending: if nothing ran and the adversary restarted no one,
+        the progress rule revives the lowest.
+        """
         pids: List[int] = []
         for pid in decision.restarts:
             key = pid if pid.__class__ is int else _as_index(pid)
             if key is None:
                 raise AdversaryError(f"adversary restarted unknown pid {pid!r}")
             pids.append(key)
-        for pid in sorted(pids):
-            if not 0 <= pid < self.num_processors:
-                raise AdversaryError(f"adversary restarted unknown pid {pid}")
-            processor = self._processors[pid]
-            if not processor.is_failed:
-                if processor.is_running and pid in decision.failures:
-                    # The progress veto cancelled this pid's failure, so
-                    # its paired restart is vacuous — skip it.
-                    continue
-                raise AdversaryError(
-                    f"adversary restarted pid {pid}, which is "
-                    f"{processor.status.value}"
-                )
-            self.ledger.pattern.record(FailureTag.RESTART, pid, tick)
-            processor.restart()
-        # Progress policy for an all-failed machine: something must be
-        # executing an update cycle.  If the adversary left every processor
-        # failed, forcibly restart the lowest PID.
-        if self.enforce_progress and not pending and not decision.restarts:
-            self._force_restart_lowest_failed(tick)
-
-    def _force_restart_lowest_failed(self, tick: int) -> None:
-        failed = [proc for proc in self._processors if proc.is_failed]
-        if failed:
-            revived = min(failed, key=lambda proc: proc.pid)
-            self.ledger.pattern.record(FailureTag.RESTART, revived.pid, tick)
-            revived.restart()
+        if not pids:
+            if not (self.enforce_progress and not pending and failed_pids):
+                return []
+            # Progress policy for an all-failed machine: something must
+            # be executing an update cycle.
+            pids.append(failed_pids[0])
             self.ledger.progress_vetoes += 1
+        pids.sort()
+        processors = self._processors
+        kernel = self._kernel_mode
+        running = ProcessorStatus.RUNNING
+        revived: List[Processor] = []
+        try:
+            for pid in pids:
+                if not 0 <= pid < self.num_processors:
+                    raise AdversaryError(
+                        f"adversary restarted unknown pid {pid}"
+                    )
+                processor = processors[pid]
+                if processor.status is not ProcessorStatus.FAILED:
+                    if processor.status is running and pid in decision.failures:
+                        # The progress veto cancelled this pid's failure,
+                        # so its paired restart is vacuous — skip it.
+                        continue
+                    raise AdversaryError(
+                        f"adversary restarted pid {pid}, which is "
+                        f"{processor.status.value}"
+                    )
+                revived.append(processor)
+                if kernel:
+                    processor.restart_count += 1
+                    processor.status = (
+                        running if processor._stepper.reset()
+                        else ProcessorStatus.HALTED
+                    )
+                else:
+                    processor.restart()
+        finally:
+            if revived:
+                self.ledger.pattern.record_many(
+                    FailureTag.RESTART, map(_pid_of, revived), tick
+                )
+                self._status_epoch[0] += 1
+        return revived
 
     def _sync_traffic(self) -> None:
         self.ledger.memory_reads = self.memory.reads_served
@@ -650,22 +674,20 @@ class Machine:
     # ================================================================== #
 
     def _refresh_status_caches(self) -> None:
+        """Walk every processor if a transition escaped the caches."""
         epoch = self._status_epoch[0]
         if epoch == self._cache_epoch:
             return
         running: List[Processor] = []
-        statuses: Dict[int, ProcessorStatus] = {}
         failed: List[int] = []
         for proc in self._processors:
             status = proc.status
-            statuses[proc.pid] = status
             if status is ProcessorStatus.RUNNING:
                 running.append(proc)
             elif status is ProcessorStatus.FAILED:
                 failed.append(proc.pid)
         self._running_cache = running
         self._failed_pids = tuple(failed)
-        self._statuses_view = MappingProxyType(statuses)
         self._cache_epoch = epoch
 
     def _event_horizon(self) -> int:
@@ -697,7 +719,8 @@ class Machine:
         return horizon if horizon > tick else tick + 1
 
     def _step_fast(self) -> bool:
-        self._refresh_status_caches()
+        if self._status_epoch[0] != self._cache_epoch:
+            self._refresh_status_caches()
         running = self._running_cache
         if not running and not self._failed_pids:
             return False
@@ -706,40 +729,44 @@ class Machine:
         self._sync_traffic()
         return True
 
-    def _collect_fast(self, running: List[Processor]) -> List[tuple]:
-        """Collect every running processor's (cycle, reads, writes).
+    def _collect_fast(
+        self, running: List[Processor], views: bool = True
+    ) -> Dict[int, tuple]:
+        """Each running processor's ``(pid, cycle, values, writes)``, by PID.
 
-        Returns reusable ``(processor, cycle, values, writes)`` tuples,
-        interpreted by :meth:`_interpret`.
+        :class:`PendingCycleView` records, or for a window tick, which no
+        adversary sees, plain tuples (several times cheaper to build).
         """
         policy = self.policy
         if self._kernel_mode and policy.allows_concurrent_reads:
-            return self._collect_observed(running)
+            return self._collect_observed(running, views)
         readers_by_address: Optional[Dict[int, List[int]]] = (
             None if policy.allows_concurrent_reads else defaultdict(list)
         )
-        collected = self._collect_scratch
-        collected.clear()
-        reads_charged = self._interpret(running, readers_by_address, collected)
+        pending: Dict[int, tuple] = {}
+        reads_charged = self._interpret(
+            running, readers_by_address, pending, views
+        )
         if readers_by_address is not None:
             for address, reader_pids in readers_by_address.items():
                 policy.check_reads(address, reader_pids)
         self.memory.charge_reads(reads_charged)
-        return collected
+        return pending
 
     def _interpret(
         self,
         processors: Sequence[Processor],
         readers_by_address: Optional[Dict[int, List[int]]],
-        collected: List[tuple],
+        pending: Dict[int, tuple],
+        views: bool,
     ) -> int:
-        """Interpret each processor's pending cycle into ``collected``.
+        """Interpret each processor's pending cycle into ``pending``.
 
         The one route for every cycle the machine evaluates itself:
         generator cycles (:meth:`_collect_fast`) and the task cycles of
-        compiled kernels (:meth:`_interpret_task`).  Appends
-        ``(processor, cycle, values, writes)`` per processor and returns
-        the reads to charge.  The first occurrence of a label takes the
+        compiled kernels (:meth:`_interpret_task`).  Stores each
+        processor's record (see :meth:`_collect_fast`) under its PID and
+        returns the reads to charge.  The first occurrence of a label takes the
         validation gate (:meth:`_collect_one_validated`, which charges
         its reads itself); later ones read straight from the cell array
         after a type/bounds check, with invalid accesses routed through
@@ -771,8 +798,8 @@ class Machine:
                     processor, cycle, readers_by_address, snapshot
                 )
                 if cycle.is_snapshot:
-                    snapshot = entry[2]
-                collected.append(entry)
+                    snapshot = entry.read_values
+                pending[processor.pid] = entry
                 validated.add(label)
                 continue
             reads = cycle.reads
@@ -827,7 +854,11 @@ class Machine:
                     f"pid {processor.pid}: cycle writes {len(writes)} cells, "
                     f"limit is {self.max_writes} (label={cycle.label!r})"
                 )
-            collected.append((processor, cycle, values, writes))
+            pid = processor.pid
+            pending[pid] = (
+                _new_tuple(PendingCycleView, (pid, cycle, values, tuple(writes)))
+                if views else (pid, cycle, values, writes)
+            )
         return reads_charged
 
     def _interpret_task(self, processor: Processor, cycle: Cycle) -> tuple:
@@ -839,17 +870,18 @@ class Machine:
         processor's pending cycle for the interpretation only.  Returns
         ``(values, writes, reads to charge)``.
         """
-        out = self._task_scratch
-        out.clear()
+        out: Dict[int, tuple] = {}
         processor._pending = cycle
         try:
-            reads = self._interpret((processor,), None, out)
+            reads = self._interpret((processor,), None, out, False)
         finally:
             processor._pending = None
-        entry = out[0]
+        entry = out[processor.pid]
         return entry[2], entry[3], reads
 
-    def _collect_observed(self, running: List[Processor]) -> List[tuple]:
+    def _collect_observed(
+        self, running: List[Processor], views: bool
+    ) -> Dict[int, tuple]:
         """Kernel-lane collection: each stepper evaluates its own cycle.
 
         The compiled-kernel analogue of :meth:`_collect_fast`.  The
@@ -867,8 +899,7 @@ class Machine:
         cells = self._cells
         max_writes = self.max_writes
         validated = self._validated_labels
-        collected = self._collect_scratch
-        collected.clear()
+        pending: Dict[int, tuple] = {}
         reads_charged = 0
         for processor in running:
             # A running kernel processor's stepper is live (a halt moves
@@ -880,8 +911,8 @@ class Machine:
             if cycle.__class__ is not Cycle:
                 processor._check_cycle(cycle)
             if cycle.label not in validated:
-                collected.append(
-                    self._collect_validated_observed(processor, cycle)
+                pending[processor.pid] = self._collect_validated_observed(
+                    processor, cycle
                 )
                 validated.add(cycle.label)
                 continue
@@ -899,13 +930,17 @@ class Machine:
                         f"(label={cycle.label!r})"
                     )
             reads_charged += reads
-            collected.append((processor, cycle, values, writes))
+            pid = processor.pid
+            pending[pid] = (
+                _new_tuple(PendingCycleView, (pid, cycle, values, tuple(writes)))
+                if views else (pid, cycle, values, writes)
+            )
         self.memory.charge_reads(reads_charged)
-        return collected
+        return pending
 
     def _collect_validated_observed(
         self, processor: Processor, cycle: Cycle
-    ) -> tuple:
+    ) -> PendingCycleView:
         """The validation gate for a kernel processor's first label.
 
         Collects through the fully validated reference route, then holds
@@ -922,11 +957,12 @@ class Machine:
         if observed is None:
             return entry  # a task cycle: the collection above is its own
         values, writes, reads = observed
-        if (values, tuple(writes), reads) != (entry[2], entry[3], charged):
+        expected = (entry.read_values, entry.writes, charged)
+        if (values, tuple(writes), reads) != expected:
             raise ProgramError(
                 f"pid {processor.pid}: compiled kernel observe() returned "
                 f"{(values, tuple(writes), reads)!r}, its cycle gives "
-                f"{(entry[2], entry[3], charged)!r} (label={cycle.label!r})"
+                f"{expected!r} (label={cycle.label!r})"
             )
         return entry
 
@@ -936,8 +972,8 @@ class Machine:
         cycle: Cycle,
         readers_by_address: Optional[Dict[int, List[int]]],
         snapshot: Optional[Tuple[int, ...]] = None,
-    ) -> tuple:
-        """Reference-semantics collection of one cycle.
+    ) -> PendingCycleView:
+        """Reference-semantics collection of one cycle, as its view.
 
         Checks snapshot permission and the read budget, runs the read
         loop (with EREW bookkeeping into ``readers_by_address`` when
@@ -985,62 +1021,69 @@ class Machine:
                 f"pid {processor.pid}: cycle writes {len(writes)} cells, "
                 f"limit is {self.max_writes} (label={cycle.label!r})"
             )
-        return (processor, cycle, values, writes)
+        return _new_tuple(
+            PendingCycleView, (processor.pid, cycle, values, writes)
+        )
 
-    def _resolve_and_apply_fast(self, pairs: List[tuple]) -> None:
-        """Resolve per-address writers and apply the results.
+    def _commit_pending(
+        self,
+        pending: Mapping[int, tuple],
+        failures: Mapping[int, int],
+        stalls: FrozenSet[int],
+    ) -> None:
+        """Resolve and apply the surviving writes of ``pending``'s records.
 
-        ``pairs`` holds ``(pid, surviving_writes)`` in ascending PID
-        order.  Equivalent to the reference ``_apply_writes``, but the
-        writes land through one batched commit.  A tick with one writer
-        per address — or, under a policy whose agreeing resolve is the
-        identity, only agreeing writers — commits with no grouping at
-        all (:meth:`_commit_batch`); otherwise the writes are flattened
-        into ``address, value`` pairs and the whole tick is grouped by
-        :meth:`_resolve_and_apply_raw`.
+        The reference ``_apply_writes``: a failed pid keeps its first
+        ``failures[pid]`` writes, a stalled pid none.  Under a policy
+        whose singleton resolve is the identity, the survivors are
+        staged from the records in one pass, keeping the first write to
+        each address and, under ``agreeing_resolve_is_identity``,
+        dropping later writes of the same value, which is what
+        ``resolve`` returns for them.  At any other repeated address or
+        an invalid one nothing has been written yet, and the whole tick
+        is grouped by :meth:`_resolve_and_apply_raw`.
         """
         policy = self.policy
-        if policy.singleton_resolve_is_identity and self._commit_batch(
-            pairs, policy.agreeing_resolve_is_identity
-        ):
-            return
+        if policy.singleton_resolve_is_identity:
+            agreeing = policy.agreeing_resolve_is_identity
+            staged = self._staged_writes
+            staged.clear()
+            size = len(self._cells)
+            interrupted = failures or stalls
+            clean = True
+            for pid, entry in pending.items():
+                writes = entry[3]
+                if interrupted:
+                    if pid in failures:
+                        writes = writes[: failures[pid]]
+                    elif pid in stalls:
+                        continue
+                for write in writes:
+                    address = write.address
+                    if address.__class__ is int and 0 <= address < size:
+                        if address not in staged:
+                            staged[address] = write.value
+                            continue
+                        if agreeing and staged[address] == write.value:
+                            continue
+                    clean = False
+                    break
+                if not clean:
+                    break
+            if clean:
+                self.memory.commit_resolved(staged.items())
+                return
         pids: List[int] = []
         ends: List[int] = []
         raw: List[int] = []
-        for pid, writes in pairs:
-            for write in writes:
-                raw.append(write.address)
-                raw.append(write.value)
-            pids.append(pid)
-            ends.append(len(raw))
+        for pid, entry in pending.items():
+            if pid not in stalls:
+                for write in entry[3][: failures.get(pid)]:
+                    raw.append(write.address)
+                    raw.append(write.value)
+                pids.append(pid)
+                ends.append(len(raw))
         self._resolve_and_apply_raw(pids, ends, raw)
-
-    def _commit_batch(self, pairs: List[tuple], agreeing: bool) -> bool:
-        """Commit a tick with one value per address, in one batch.
-
-        Keeps the first write to each address; with ``agreeing`` (the
-        policy declares ``agreeing_resolve_is_identity``) later writes
-        of the same value are dropped, which is exactly what ``resolve``
-        returns for them, so the batch equals the reference's
-        per-address writes.  Returns False, having written nothing, at
-        the first other repeated address or an invalid one; the caller
-        then groups the whole tick.
-        """
-        staged = self._staged_writes
-        staged.clear()
-        size = len(self._cells)
-        for _pid, writes in pairs:
-            for write in writes:
-                address = write.address
-                if address.__class__ is int and 0 <= address < size:
-                    if address not in staged:
-                        staged[address] = write.value
-                        continue
-                    if agreeing and staged[address] == write.value:
-                        continue
-                return False
-        self.memory.commit_resolved(staged.items())
-        return True
 
     def _resolve_and_apply_raw(
         self, pids: Sequence[int], ends: List[int], raw: List[int]
@@ -1146,38 +1189,31 @@ class Machine:
     def _tick_fast(self, tick: int, running: List[Processor]) -> None:
         """One observable tick: every fast-path ``step()`` lands here.
 
-        Builds the full adversary view (from cached statuses and the
+        Builds the full adversary view (from the status caches and the
         fast collection) and then runs the reference failure-handling
         phases, so adversary-visible state and the realized pattern are
         identical to the reference path.  An absent or never-acting
-        adversary takes the same route (the reference consults it every tick too);
-        only quiet windows skip the view.
+        adversary takes the same route (the reference consults it every
+        tick too); only quiet windows skip the view.
+
+        The status caches follow the tick's own transitions: the running
+        list drops what settle failed or halted (before the restarts, so
+        a pid failed and restarted in one tick comes back once) and
+        merges the revived; the failed pids trade the revived for the
+        newly failed.  The epoch is bumped before settle and
+        ``_cache_epoch`` recorded only after the update, so an error in
+        between, or a transition from outside, forces a full rebuild.
         """
         phases = self.phase_counters
         mark = perf_counter() if phases is not None else 0.0
-        collected = self._collect_fast(running)
-        pending: Dict[int, PendingCycleView] = {}
-        new_view = tuple.__new__
-        for processor, cycle, values, writes in collected:
-            pid = processor.pid
-            pending[pid] = new_view(PendingCycleView, (
-                pid,
-                cycle,
-                values,
-                writes if type(writes) is tuple else tuple(writes),
-            ))
+        pending = self._collect_fast(running)
         if phases is not None:
             now = perf_counter()
             phases.collect_s += now - mark
             mark = now
         view = TickView(
-            time=tick,
-            memory=self._reader,
-            statuses=self._statuses_view,
-            pending=pending,
-            ledger=self.ledger,
-            context=self.context,
-            _failed_pids=self._failed_pids,
+            tick, self._reader, None, pending, self.ledger, self.context,
+            self._failed_pids, self.num_processors,
         )
         decision = self._consult_adversary(view)
         failures = self._validated_failures(decision, pending)
@@ -1190,27 +1226,35 @@ class Machine:
             now = perf_counter()
             phases.adversary_s += now - mark
             mark = now
-        pairs = self._pairs_scratch
-        pairs.clear()
-        for pid, entry in pending.items():
-            if pid in stalls:
-                continue
-            if pid in failures:
-                surviving = entry.writes[: failures[pid]]
-                if surviving:
-                    pairs.append((pid, surviving))
-            else:
-                pairs.append((pid, entry.writes))
-        self._resolve_and_apply_fast(pairs)
+        self._commit_pending(pending, failures, stalls)
         if phases is not None:
             now = perf_counter()
             phases.resolve_s += now - mark
             mark = now
-        completed_this_tick = self._settle_fast(
+        epoch_cell = self._status_epoch
+        in_sync = epoch_cell[0] == self._cache_epoch
+        epoch_cell[0] += 1
+        completed, failed_now, halts = self._settle_fast(
             pending, failures, tick, stalls
         )
-        self.ledger.completed_per_tick.append(completed_this_tick)
-        self._apply_restarts(decision, failures, pending, tick)
+        self.ledger.completed_per_tick.append(completed)
+        if failed_now or halts:
+            running = [proc for proc in running if proc.status is _RUNNING]
+        revived = self._apply_restarts(
+            decision, failures, pending, tick, self._failed_pids
+        )
+        if in_sync:
+            if revived or failed_now:
+                back = [proc for proc in revived if proc.status is _RUNNING]
+                if back:
+                    running = sorted(running + back, key=_pid_of)
+                gone = {proc.pid for proc in revived}
+                self._failed_pids = tuple(sorted(
+                    pid for pid in self._failed_pids + tuple(failed_now)
+                    if pid not in gone
+                ))
+            self._running_cache = running
+            self._cache_epoch = epoch_cell[0]
         if phases is not None:
             phases.settle_s += perf_counter() - mark
             phases.ticks += 1
@@ -1221,27 +1265,26 @@ class Machine:
         failures: Mapping[int, int],
         tick: int,
         stalls: FrozenSet[int],
-    ) -> int:
+    ) -> Tuple[int, List[int], int]:
         """:meth:`_settle_processors` over the array-backed counters.
 
-        Same per-PID order of charges, pattern records and processor
-        transitions as the reference settle: ``pending`` is built from
-        the running list, so it is already in ascending PID order.  The
-        consecutive-interrupt counts are kept only when a fairness
-        window reads them.
+        Same per-PID order of charges and transitions as the reference
+        settle (``pending`` is in ascending PID order); the failures
+        reach the pattern as one record, also when a processor raises
+        mid-loop.  Interrupt counts are kept only when a fairness
+        window reads them.  Returns the completed cycles, the failed
+        pids and the number of halts.
 
-        A running compiled-kernel processor completes its cycle in
-        place, as :meth:`_quiet_tick_generic` advances generators: it
-        counts the cycle, drops the pending cycle and advances the
-        stepper, halting when the program ends.  Generator processors,
-        and any processor that is not running with a live stepper, keep
-        :meth:`Processor.complete_cycle` with its checks; every failure
-        goes through :meth:`Processor.fail`.
+        A running kernel processor fails or completes in place: it
+        drops its pending cycle and sets its status, or counts the cycle
+        and advances its stepper, halting when the program ends, with no
+        epoch bump (the tick made one).  Generator processors, and any
+        processor not running with a live stepper, keep
+        :meth:`Processor.fail` and :meth:`Processor.complete_cycle`.
         """
         ledger = self.ledger
         attempts = ledger.attempted_by_pid.backing_list()
         completions = ledger.completed_by_pid.backing_list()
-        record = ledger.pattern.record
         processors = self._processors
         interrupts = (
             self._consecutive_interrupts
@@ -1250,20 +1293,25 @@ class Machine:
         )
         kernel = self._kernel_mode
         running = ProcessorStatus.RUNNING
-        completed_this_tick = 0
-        for pid, entry in pending.items():
-            if pid in stalls:
-                continue  # deferred: no charge, no completion, no failure
-            attempts[pid] += 1
-            processor = processors[pid]
-            if pid in failures:
-                if interrupts is not None:
-                    interrupts[pid] = interrupts.get(pid, 0) + 1
-                record(FailureTag.FAILURE, pid, tick)
-                processor.fail()
-            else:
+        halts = 0
+        failed: List[int] = []
+        try:
+            for pid, entry in pending.items():
+                if pid in stalls:
+                    continue  # deferred: no charge, no completion, no failure
+                attempts[pid] += 1
+                processor = processors[pid]
+                if pid in failures:
+                    if interrupts is not None:
+                        interrupts[pid] = interrupts.get(pid, 0) + 1
+                    failed.append(pid)
+                    if kernel and processor.status is running:
+                        processor._pending = None
+                        processor.status = ProcessorStatus.FAILED
+                    else:
+                        processor.fail()
+                    continue
                 completions[pid] += 1
-                completed_this_tick += 1
                 if interrupts is not None:
                     interrupts[pid] = 0
                 stepper = processor._stepper
@@ -1272,10 +1320,15 @@ class Machine:
                     processor._pending = None
                     if not stepper.advance(entry.read_values):
                         processor.status = ProcessorStatus.HALTED
-                        processor._bump_epoch()
+                        halts += 1
                 else:
                     processor.complete_cycle(entry.read_values)
-        return completed_this_tick
+                    if processor.status is not running:
+                        halts += 1
+        finally:
+            if failed:
+                ledger.pattern.record_many(FailureTag.FAILURE, failed, tick)
+        return len(pending) - len(stalls) - len(failed), failed, halts
 
     # ================================================================== #
     # event-horizon fast-forward (run()-level tick batching)
@@ -1294,23 +1347,22 @@ class Machine:
         """One adversary-free tick of any window the kernel tick cannot run.
 
         The observable tick minus the adversary: collect every running
-        processor's cycle (:meth:`_collect_fast`, which also enforces
-        EREW read exclusion), resolve and commit the writes
-        (:meth:`_resolve_and_apply_fast`, which serves stateful policies
-        through the reference-exact route), then
-        advance each processor.  Every cycle completes; the window
+        processor's cycle as a plain record (:meth:`_collect_fast`,
+        which also enforces EREW read exclusion), resolve and commit the
+        writes (:meth:`_commit_pending`, which serves stateful policies
+        through the reference-exact route), then advance each processor,
+        looked up by PID.  Every cycle completes; the window
         batches the per-PID ledger charges.  Generator programs (froute,
         the trivial assignment's and generational X's task cycles, and
         every program on the ``nokernel`` and ``reference`` lanes) tick
         here; so do kernels under a window the kernel tick cannot run.
         """
-        collected = self._collect_fast(running)
-        pairs = self._pairs_scratch
-        pairs.clear()
-        for entry in collected:
-            pairs.append((entry[0].pid, entry[3]))
-        self._resolve_and_apply_fast(pairs)
-        for processor, _cycle, values, _writes in collected:
+        pending = self._collect_fast(running, views=False)
+        self._commit_pending(pending, {}, frozenset())
+        processors = self._processors
+        for pid, entry in pending.items():
+            processor = processors[pid]
+            values = entry[2]
             generator = processor._generator
             if generator is None:
                 # A compiled stepper (a window the kernel tick cannot run).

@@ -58,9 +58,11 @@ class Processor:
         self.cycles_completed = 0
         self.restart_count = 0
         # Shared status-epoch cell (a one-element list), installed by the
-        # owning machine.  Every status transition bumps it, which is how
-        # the machine knows its cached running-list/statuses snapshots
-        # are stale — including transitions driven directly by tests.
+        # owning machine.  Every transition through these methods bumps
+        # it, which is how the machine knows its cached running list and
+        # failed pids are stale — including transitions driven directly
+        # by tests.  (The observable tick moves kernel processors in
+        # place and follows those transitions itself.)
         self._epoch_cell: Optional[list] = None
 
     def bind_epoch_cell(self, cell: list) -> None:

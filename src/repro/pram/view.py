@@ -15,14 +15,15 @@ everything about the algorithm and is unknown to the algorithm"
 
 Views are rebuilt every tick on the machine's hot path, so they are
 deliberately allocation-lean: :class:`PendingCycleView` is a NamedTuple
-(one tuple allocation, no per-field ``__setattr__``), and ``statuses``
-may be a read-only proxy over the machine's cached status table rather
-than a fresh dict — adversaries must treat every view field as frozen.
+(one tuple allocation, no per-field ``__setattr__``), and the fast
+tick's ``statuses`` is a read-only mapping built only when an adversary
+reads it — adversaries must treat every view field as frozen.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Tuple
 
 from repro.pram.cycles import Cycle, Write
@@ -54,22 +55,105 @@ class PendingCycleView(NamedTuple):
         return any(write.address == address for write in self.writes)
 
 
-@dataclass(frozen=True)
 class TickView:
-    """Everything the adversary may inspect before ruling on a tick."""
+    """Everything the adversary may inspect before ruling on a tick.
+
+    An immutable record with the interface of a frozen dataclass,
+    written by hand with ``__slots__`` like
+    :class:`~repro.pram.cycles.Write`: the same constructor, field-wise
+    ``==`` against records of the same class only (``_failed_pids`` left
+    out, as from ``repr``), the same ``repr``, and
+    :class:`dataclasses.FrozenInstanceError` on assignment or deletion.
+    The machine builds one per observable tick, where a frozen
+    dataclass's ``__init__`` cost twice as much (figures in
+    docs/PERFORMANCE.md).
+
+    The fast tick passes ``statuses=None`` with the failed pids and the
+    processor count its status caches keep: the table is then built on
+    first read from ``pending`` (RUNNING), ``_failed_pids`` (FAILED) and
+    ``_num_processors`` (every other pid HALTED), read-only and equal to
+    the dict the reference tick passes.  Of the adversaries only the
+    static ones (its length) and the tracer read it.
+    """
+
+    __slots__ = (
+        "time", "memory", "_statuses", "pending", "ledger", "context",
+        "_failed_pids", "_num_processors",
+    )
 
     time: int
     memory: MemoryReader
-    statuses: Mapping[int, ProcessorStatus]
     pending: Mapping[int, PendingCycleView]
     ledger: RunLedger
     context: Mapping[str, object]
-    #: ``failed_pids`` precomputed from ``statuses``, set only by the
-    #: machine's fast tick, whose status cache already walks every
-    #: processor on each status change; ``None`` derives it on access.
-    _failed_pids: Optional[Tuple[int, ...]] = field(
-        default=None, repr=False, compare=False
-    )
+
+    def __init__(
+        self,
+        time: int,
+        memory: MemoryReader,
+        statuses: Optional[Mapping[int, ProcessorStatus]],
+        pending: Mapping[int, PendingCycleView],
+        ledger: RunLedger,
+        context: Mapping[str, object],
+        _failed_pids: Optional[Tuple[int, ...]] = None,
+        _num_processors: int = 0,
+    ) -> None:
+        _set_time(self, time)
+        _set_memory(self, memory)
+        _set_statuses(self, statuses)
+        _set_pending(self, pending)
+        _set_ledger(self, ledger)
+        _set_context(self, context)
+        #: ``failed_pids`` precomputed from ``statuses``; ``None``
+        #: derives it on access.
+        _set_failed_pids(self, _failed_pids)
+        _set_num_processors(self, _num_processors)
+
+    @property
+    def statuses(self) -> Mapping[int, ProcessorStatus]:
+        statuses = self._statuses
+        if statuses is None:
+            table = dict.fromkeys(
+                range(self._num_processors), ProcessorStatus.HALTED
+            )
+            for pid in self._failed_pids:
+                table[pid] = ProcessorStatus.FAILED
+            for pid in self.pending:
+                table[pid] = ProcessorStatus.RUNNING
+            statuses = MappingProxyType(table)
+            _set_statuses(self, statuses)
+        return statuses
+
+    def _fields(self) -> tuple:
+        return (
+            self.time, self.memory, self.statuses, self.pending,
+            self.ledger, self.context,
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}(time={self.time!r}, "
+            f"memory={self.memory!r}, statuses={self.statuses!r}, "
+            f"pending={self.pending!r}, ledger={self.ledger!r}, "
+            f"context={self.context!r})"
+        )
+
+    def __reduce__(self) -> tuple:
+        return (self.__class__, (
+            self.time, self.memory, dict(self.statuses), self.pending,
+            self.ledger, self.context, self._failed_pids,
+        ))
 
     @property
     def running_pids(self) -> Tuple[int, ...]:
@@ -105,3 +189,9 @@ class TickView:
             for pid, pending in sorted(self.pending.items())
             if pending.writes_to(address)
         )
+
+
+(
+    _set_time, _set_memory, _set_statuses, _set_pending, _set_ledger,
+    _set_context, _set_failed_pids, _set_num_processors,
+) = (getattr(TickView, name).__set__ for name in TickView.__slots__)

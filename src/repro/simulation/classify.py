@@ -48,9 +48,10 @@ def _synchronous_run(
 
     ``observe(index, reads, writes)`` sees each step's accesses before
     its writes land: ``reads`` counts the reads of each cell, ``writes``
-    lists each written cell's values in PID order.  A read spec that
-    resolves to ``None`` reads nothing and yields 0; a processor with no
-    write addresses computes nothing.  Where several processors write
+    lists each written cell's values in PID order.  Every read resolves
+    through :meth:`SimProgram.read_address`; one that resolves to
+    ``None`` reads nothing and yields 0.  A processor with no write
+    addresses computes nothing.  Where several processors write
     one cell, the lowest PID's value lands.
     """
     memory = program.initial_memory(initial)
@@ -60,7 +61,9 @@ def _synchronous_run(
         for processor in range(program.width):
             values: List[int] = []
             for spec in step.read_addresses(processor):
-                address = spec(tuple(values)) if callable(spec) else spec
+                address = program.read_address(
+                    index, processor, spec, tuple(values)
+                )
                 if address is None:
                     values.append(0)
                     continue

@@ -40,7 +40,7 @@ from repro.pram.ledger import RunLedger
 from repro.pram.machine import Machine
 from repro.pram.memory import MemoryReader, SharedMemory
 from repro.pram.policies import WritePolicy
-from repro.simulation.step import SimProgram, SimStep
+from repro.simulation.step import SimProgram
 from repro.util.bits import next_power_of_two
 
 
@@ -178,11 +178,11 @@ class RobustSimulator:
             p=self.p,
             algorithm=self.algorithm.name,
         )
-        for step_index, step, slots in program.writing_steps():
+        for step_index, _step, slots in program.writing_steps():
             staging = [0] * (program.width * slots)
             if not all(
                 self._run_phase(
-                    result, step_index, phase, step, slots, staging,
+                    result, program, step_index, phase, slots, staging,
                     simulated,
                 )
                 for phase in ("compute", "commit")
@@ -197,15 +197,14 @@ class RobustSimulator:
     def _run_phase(
         self,
         result: SimulationResult,
+        program: SimProgram,
         step_index: int,
         phase: str,
-        step: SimStep,
         slots: int,
         staging: List[int],
         simulated: List[int],
     ) -> bool:
-        width = len(staging) // slots
-        n_tasks = next_power_of_two(width)
+        n_tasks = next_power_of_two(program.width)
         layout = self.algorithm.build_layout(n_tasks, self.p)
         staging_base = layout.size
         sim_base = staging_base + len(staging)
@@ -219,7 +218,8 @@ class RobustSimulator:
         factory = _compute_task_factory if phase == "compute" else _commit_task_factory
         tasks = CycleFactoryTasks(
             cycles_per_task=slots,
-            factory=factory(step, slots, width, staging_base, sim_base),
+            factory=factory(program, step_index, slots, staging_base,
+                            sim_base),
         )
         machine = Machine(
             num_processors=self.p,
@@ -267,16 +267,21 @@ class RobustSimulator:
 
 
 def _compute_task_factory(
-    step: SimStep, slots: int, width: int, staging_base: int, sim_base: int
+    program: SimProgram, index: int, slots: int, staging_base: int,
+    sim_base: int,
 ):
     """Compute-phase tasks: stage each simulated write's value."""
+    step = program.steps[index]
+    width = program.width
 
     def factory(element: int, pid: int) -> List[Cycle]:
         if element >= width:
             return [Cycle(label="sim:pad")] * slots
         write_addresses = step.write_addresses(element)
-        raw_reads = step.read_addresses(element)
-        reads = tuple(_translate_read(spec, sim_base) for spec in raw_reads)
+        reads = tuple(
+            _translate_read(program, index, element, spec, sim_base)
+            for spec in step.read_addresses(element)
+        )
         cycles: List[Cycle] = []
         for slot in range(slots):
             if slot >= len(write_addresses):
@@ -303,9 +308,12 @@ def _compute_task_factory(
 
 
 def _commit_task_factory(
-    step: SimStep, slots: int, width: int, staging_base: int, sim_base: int
+    program: SimProgram, index: int, slots: int, staging_base: int,
+    sim_base: int,
 ):
     """Commit-phase tasks: install staged values into simulated memory."""
+    step = program.steps[index]
+    width = program.width
 
     def factory(element: int, pid: int) -> List[Cycle]:
         if element >= width:
@@ -332,11 +340,18 @@ def _commit_task_factory(
     return factory
 
 
-def _translate_read(spec, sim_base: int):
-    """Offset a simulated read spec into host addresses."""
+def _translate_read(
+    program: SimProgram, index: int, processor: int, spec, sim_base: int
+):
+    """Offset a simulated read spec into host addresses.
+
+    A fixed address was range-checked by :meth:`SimProgram.validate`; a
+    chained one is checked as it resolves, by
+    :meth:`SimProgram.read_address`.
+    """
     if isinstance(spec, int):
         return sim_base + spec
     def translated(so_far: Tuple[int, ...]):
-        address = spec(so_far)
+        address = program.read_address(index, processor, spec, so_far)
         return None if address is None else sim_base + address
     return translated

@@ -239,22 +239,13 @@ class PersistentSimulator:
         sim_base = staging_base + width * max(slots for *_, slots in steps)
         total_size = sim_base + len(simulated)
 
-        phase_tasks = []
-        for _index, step, slots in steps:
-            phase_tasks.append(
-                CycleFactoryTasks(
-                    slots,
-                    _compute_task_factory(step, slots, width, staging_base,
-                                          sim_base),
-                )
+        phase_tasks = [
+            CycleFactoryTasks(
+                slots, factory(program, index, slots, staging_base, sim_base)
             )
-            phase_tasks.append(
-                CycleFactoryTasks(
-                    slots,
-                    _commit_task_factory(step, slots, width, staging_base,
-                                         sim_base),
-                )
-            )
+            for index, _step, slots in steps
+            for factory in (_compute_task_factory, _commit_task_factory)
+        ]
 
         algorithm = GenerationalX(phase_tasks)
         layout = algorithm.build_layout(n_tasks, self.p)

@@ -102,6 +102,32 @@ class SimProgram:
             )
         return memory + [0] * (self.memory_size - len(memory))
 
+    def read_address(
+        self,
+        index: int,
+        processor: int,
+        spec: SimReadSpec,
+        values: Tuple[int, ...],
+    ) -> Optional[int]:
+        """The simulated cell ``spec`` reads after ``values``, or None.
+
+        The run-time half of :meth:`validate`, which cannot see where a
+        chained read spec lands: the ideal PRAM and both robust
+        executors resolve every read here, so an address outside the
+        simulated memory is the same ``ValueError``, naming the step,
+        the processor and the address, in all three.
+        """
+        address = spec(values) if callable(spec) else spec
+        if address is None or (
+            isinstance(address, int) and 0 <= address < self.memory_size
+        ):
+            return address
+        raise ValueError(
+            f"{self.name} step {index}: simulated processor {processor} "
+            f"reads address {address!r}, out of simulated memory "
+            f"[0, {self.memory_size})"
+        )
+
     def writing_steps(self) -> Iterator[Tuple[int, SimStep, int]]:
         """``(index, step, slots)`` for each step that writes.
 

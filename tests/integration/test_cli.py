@@ -214,6 +214,41 @@ class TestSimulate:
         assert "persistent" in out
         assert "generations=6" in out  # 2 per step, 3 steps at width 8
 
+    @pytest.mark.parametrize("algorithm", ["X", "trivial"])
+    @pytest.mark.parametrize("first", ["--persistent", "--algorithm"])
+    def test_persistent_takes_no_algorithm(self, algorithm, first, capsys):
+        # The persistent executor is generational X: an explicit
+        # --algorithm, even X, is a usage error naming both flags.
+        flags = {"--persistent": ["--persistent"],
+                 "--algorithm": ["--algorithm", algorithm]}
+        second = "--algorithm" if first == "--persistent" else "--persistent"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--p", "2", "--width", "8", "--seed", "3",
+                  *flags[first], *flags[second]])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert (f"argument {second}: not allowed with argument {first}"
+                in captured.err)
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_persistent_output_without_algorithm(self, capsys):
+        code = main(["simulate", "--persistent", "--p", "2", "--width", "8",
+                     "--seed", "3"])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "prefix-sum[8] (persistent): solved; total S=655, |F|=94, "
+            "generations=6\n"
+            "memory head: [3, 12, 20, 22, 27, 36, 43, 52]\n"
+        )
+
+    def test_robust_default_algorithm_is_x(self, capsys):
+        outputs = []
+        for extra in ([], ["--algorithm", "X"]):
+            assert main(["simulate", "--p", "2", "--width", "8",
+                         "--seed", "3", *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
 
 class TestTrace:
     def test_timeline_output(self, capsys):

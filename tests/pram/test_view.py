@@ -1,10 +1,17 @@
 """Unit tests for the adversary's tick view."""
 
+import pickle
+from dataclasses import FrozenInstanceError
+
+import pytest
+
 from repro.faults.base import Adversary
 from repro.pram.cycles import Cycle, Write
 from repro.pram.failures import Decision
 from repro.pram.machine import Machine
 from repro.pram.memory import SharedMemory
+from repro.pram.processor import ProcessorStatus
+from repro.pram.view import PendingCycleView, TickView
 
 
 class Recorder(Adversary):
@@ -124,3 +131,53 @@ class TestFailedPids:
                 fast_path=fast_path, max_ticks=5_000,
             )
             assert checker.failed_ticks > 0
+
+
+class TestTickViewRecord:
+    """``TickView`` keeps the frozen dataclass's interface."""
+
+    def views(self):
+        pending = {1: PendingCycleView(1, Cycle(), (), ())}
+        statuses = {
+            0: ProcessorStatus.FAILED, 1: ProcessorStatus.RUNNING,
+            2: ProcessorStatus.HALTED,
+        }
+        given = TickView(time=3, memory=None, statuses=statuses,
+                         pending=pending, ledger=None, context={})
+        observed = TickView(3, None, None, pending, None, {}, (0,), 3)
+        return given, observed, statuses
+
+    def test_observed_statuses_equal_the_given_table(self):
+        given, observed, statuses = self.views()
+        assert dict(observed.statuses) == statuses
+        assert observed.statuses is observed.statuses  # built once
+        assert observed == given
+        assert observed.failed_pids == given.failed_pids == (0,)
+        assert observed.running_pids == given.running_pids == (1,)
+        assert observed.halted_pids == given.halted_pids == (2,)
+        with pytest.raises(TypeError):
+            observed.statuses[2] = ProcessorStatus.RUNNING
+
+    def test_frozen(self):
+        given, observed, _ = self.views()
+        for view in (given, observed):
+            with pytest.raises(FrozenInstanceError):
+                view.time = 4
+            with pytest.raises(FrozenInstanceError):
+                del view.pending
+            with pytest.raises(FrozenInstanceError):
+                view.statuses = {}
+
+    def test_equality_repr_and_pickle(self):
+        given, observed, statuses = self.views()
+        assert given != (3, None, statuses)
+        assert given != TickView(4, None, statuses, given.pending, None, {})
+        assert repr(given) == (
+            f"TickView(time=3, memory=None, statuses={statuses!r}, "
+            f"pending={given.pending!r}, ledger=None, context={{}})"
+        )
+        assert repr(observed) == repr(given).replace(
+            repr(statuses), repr(observed.statuses)
+        )
+        for view in (given, observed):
+            assert pickle.loads(pickle.dumps(view)) == view

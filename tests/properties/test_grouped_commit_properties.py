@@ -1,24 +1,26 @@
 """Property tests: the fast path's batched commit vs per-address writes.
 
-``Machine._resolve_and_apply_fast`` commits a tick's surviving writes in
-one batch, calling ``policy.resolve`` only for addresses with several
-writers, and under a policy whose agreeing resolve is the identity it
-keeps agreeing writers as one write.  The kernel quiet tick
-(``Machine._quiet_tick_kernel``) stages flat pairs the same way.  The
-reference tick instead resolves and writes every address one by one in
-ascending order.  For any collision pattern the three must leave the
-same memory and the same write count — and when a policy raises, the
-same error after the same partial writes.
+``Machine._commit_pending`` commits a tick's surviving writes, read
+from the tick's pending cycle views, in one batch, calling
+``policy.resolve`` only for addresses with several writers, and under a
+policy whose agreeing resolve is the identity it keeps agreeing writers
+as one write.  The kernel quiet tick (``Machine._quiet_tick_kernel``)
+stages flat pairs the same way.  The reference tick instead resolves
+and writes every address one by one in ascending order.  For any
+collision pattern the three must leave the same memory and the same
+write count — and when a policy raises, the same error after the same
+partial writes.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.pram.compiled import CompiledProgram
-from repro.pram.cycles import Write
+from repro.pram.cycles import Cycle, Write
 from repro.pram.errors import WriteConflictError
 from repro.pram.machine import Machine
 from repro.pram.memory import SharedMemory
+from repro.pram.view import PendingCycleView
 from repro.pram.policies import (
     ArbitraryCrcw,
     CollisionCrcw,
@@ -114,11 +116,16 @@ def outcome(apply):
     return memory.snapshot(), memory.writes_applied, tracker.zeros, error
 
 
-def fast_apply(make_policy, pairs):
+def fast_apply(make_policy, pairs, failures=None, stalls=frozenset()):
+    """The observable tick's commit over one view per writing pid."""
     def apply(memory):
         machine = Machine(num_processors=PIDS, memory=memory,
                           policy=make_policy())
-        machine._resolve_and_apply_fast(pairs)
+        pending = {
+            pid: PendingCycleView(pid, Cycle(), (), writes)
+            for pid, writes in pairs
+        }
+        machine._commit_pending(pending, failures or {}, stalls)
 
     return apply
 
@@ -177,3 +184,39 @@ def test_batched_commit_matches_reference(pairs, which):
           suppress_health_check=[HealthCheck.too_slow])
 def test_agreeing_groups_match_reference(pairs, which):
     check_lanes(POLICIES[which], pairs)
+
+
+@st.composite
+def interrupted_tick_writes(draw):
+    """``(pairs, failures, stalls)``: some writers fail or are stalled.
+
+    A failed pid keeps a drawn prefix of its writes, a stalled pid none
+    of them; the rest of the tick is :func:`tick_writes`.
+    """
+    pairs = draw(tick_writes())
+    failures, stalls = {}, set()
+    for pid, writes in pairs:
+        fate = draw(st.sampled_from(("run", "fail", "stall")))
+        if fate == "fail":
+            failures[pid] = draw(st.integers(0, len(writes)))
+        elif fate == "stall":
+            stalls.add(pid)
+    return pairs, failures, frozenset(stalls)
+
+
+@given(tick=interrupted_tick_writes(),
+       which=st.sampled_from(range(len(POLICIES))))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_failed_and_stalled_writers_match_reference(tick, which):
+    pairs, failures, stalls = tick
+    surviving = [
+        (pid, writes[: failures.get(pid)])
+        for pid, writes in pairs if pid not in stalls
+    ]
+    make_policy = POLICIES[which]
+    expected = outcome(lambda memory: reference_apply(
+        memory, make_policy(), surviving
+    ))
+    assert outcome(fast_apply(make_policy, pairs, failures, stalls)) == \
+        expected

@@ -9,7 +9,7 @@ import random
 import pytest
 
 import repro.simulation.programs as programs
-from repro.core import AlgorithmVX
+from repro.core import AlgorithmVX, AlgorithmX
 from repro.faults import NoFailures, RandomAdversary
 from repro.fuzz.generator import (
     GeneratedProgram,
@@ -19,6 +19,7 @@ from repro.fuzz.generator import (
 )
 from repro.simulation import FunctionStep, RobustSimulator, SimProgram
 from repro.simulation.classify import ideal_run
+from repro.simulation.persistent import PersistentSimulator
 from repro.simulation.programs import (
     bfs_input,
     bfs_program,
@@ -157,3 +158,44 @@ def test_curated_program_matches_robust_execution_under_churn(name):
     assert result.solved
     assert result.total_pattern_size > 0
     assert result.memory == ideal_run(program, initial)
+
+
+def chained_copy_program():
+    """One processor copies ``cell[cell[0]]`` into cell 1."""
+    return SimProgram(1, 2, [FunctionStep(
+        reads=lambda i: (0, lambda values: values[0]),
+        writes=lambda i: (1,),
+        compute=lambda i, values: (values[1],),
+    )], name="chained-copy")
+
+
+EVALUATORS = {
+    "ideal": lambda program, initial: ideal_run(program, initial),
+    "robust": lambda program, initial: RobustSimulator(
+        p=1, algorithm=AlgorithmX()
+    ).execute(program, initial).memory,
+    "persistent": lambda program, initial: PersistentSimulator(
+        p=1
+    ).execute(program, initial).memory,
+}
+
+
+@pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
+@pytest.mark.parametrize("address", [-1, 5])
+def test_chained_read_out_of_range_is_one_error(evaluator, address):
+    # A chained read spec is checked as it resolves, by the one rule
+    # every evaluator shares: below the memory it read a host cell in
+    # the executors and the end of memory in the ideal run, above it
+    # raised IndexError in one and MemoryError_ in the others.
+    with pytest.raises(ValueError) as raised:
+        EVALUATORS[evaluator](chained_copy_program(), [address, 7])
+    assert str(raised.value) == (
+        f"chained-copy step 0: simulated processor 0 reads address "
+        f"{address}, out of simulated memory [0, 2)"
+    )
+
+
+@pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
+def test_chained_read_in_range_agrees(evaluator):
+    assert EVALUATORS[evaluator](chained_copy_program(), [1, 7]) == [1, 7]
+    assert EVALUATORS[evaluator](chained_copy_program(), [0, 7]) == [0, 0]
