@@ -64,6 +64,16 @@ class XLayout(BaseLayout):
         """The ``w`` value of a processor that has left the tree."""
         return 2 * self.n
 
+    @property
+    def position_mult(self) -> int:
+        """Tag multiplier of a generation-tagged position:
+        ``w = g * position_mult + node`` (:mod:`repro.core.generational`).
+
+        Positions range over 1..2N-1 plus the exit marker 2N, so the
+        multiplier must exceed 2N.
+        """
+        return 2 * self.n + 1
+
 
 #: Routing rules for the "both subtrees undone" case.  The paper's X
 #: uses the PID bit at the node's depth; the alternatives exist for the
@@ -154,11 +164,21 @@ def _x_cycle_body(
     routing: str,
     spread: bool,
     trivial: bool,
+    generation: int = 0,
 ) -> Tuple[tuple, Callable[[Tuple[int, ...]], Tuple[Write, ...]]]:
     """Build the (reads, writes) body of X's single update cycle.
 
     Shared by the generator program and :class:`XKernel`'s materialized
     cycles, so both lanes are observationally identical by construction.
+
+    ``generation`` g runs the walk over [Shv 89]'s generation-tagged
+    structures (:mod:`repro.core.generational`).  A position is stored
+    as ``g * position_mult + node``, and a position with any other tag
+    reads as "not yet entered".  Cells are marked with ``max(g, 1)``,
+    and a cell counts as unmarked while it holds a value in
+    ``[0, mark)``.  At ``g = 0`` this is plain X: positions are bare
+    nodes, marks are 1, and "unmarked" means ``== 0`` (so a poisoned
+    cell reads as visited).
     """
     n = layout.n
     x_base = layout.x_base
@@ -168,25 +188,24 @@ def _x_cycle_body(
     log_n = bit_length_of_power(n)
     route_pid = pid % n
     initial_leaf = _x_initial_leaf(pid, layout, spread)
-
-    def in_tree(where: int) -> bool:
-        return 1 <= where < exit_marker
+    tag = generation * layout.position_mult
+    mark = max(generation, 1)
 
     def read_done(so_far: Tuple[int, ...]) -> Optional[int]:
-        where = so_far[0]
-        return tree.address(where) if in_tree(where) else None
+        where = so_far[0] - tag
+        return tree.address(where) if 1 <= where < exit_marker else None
 
     def read_third(so_far: Tuple[int, ...]) -> Optional[int]:
-        where, done = so_far[0], so_far[1]
-        if not in_tree(where) or done != 0:
+        where = so_far[0] - tag
+        if not 1 <= where < exit_marker or not 0 <= so_far[1] < mark:
             return None
         if where >= n:  # leaf: read its x element
             return x_base + (where - n)
         return tree.address(2 * where)  # interior: left child
 
     def read_fourth(so_far: Tuple[int, ...]) -> Optional[int]:
-        where, done = so_far[0], so_far[1]
-        if not in_tree(where) or done != 0 or where >= n:
+        where = so_far[0] - tag
+        if not 1 <= where < n or not 0 <= so_far[1] < mark:
             return None
         return tree.address(2 * where + 1)  # interior: right child
 
@@ -194,35 +213,37 @@ def _x_cycle_body(
 
     def body_writes(values: Tuple[int, ...]) -> Tuple[Write, ...]:
         where, done, third, fourth = values
-        if where == 0:
-            # First-ever cycle: take the initial leaf assignment.
-            return (Write(w_address, initial_leaf),)
+        where -= tag
+        if not 0 < where <= exit_marker:
+            # First cycle of this walk: take the initial leaf assignment.
+            return (Write(w_address, tag + initial_leaf),)
         if where == exit_marker:
             # Final cycle before halting (idempotent rewrite, so even
             # this cycle is not a free read-only completion).
-            return (Write(w_address, exit_marker),)
-        if done != 0:
+            return (Write(w_address, tag + exit_marker),)
+        if not 0 <= done < mark:
             parent = where // 2
             return (
-                Write(w_address, parent if parent >= 1 else exit_marker),
+                Write(w_address, tag + (parent if parent >= 1 else exit_marker)),
             )  # move up one level / leave the tree
         if where >= n:  # at a leaf
             element = where - n
-            if third == 0:  # leaf not yet visited
+            if 0 <= third < mark:  # leaf not yet visited
                 if trivial:
-                    return (Write(x_base + element, 1),)
+                    return (Write(x_base + element, mark),)
                 # Non-trivial task: the task cycles emitted below do the
                 # work; rewrite the position so this cycle still writes.
-                return (Write(w_address, where),)
-            return (Write(tree.address(where), 1),)  # indicate "done"
+                return (Write(w_address, tag + where),)
+            return (Write(tree.address(where), mark),)  # indicate "done"
         # interior node, not done
-        left, right = third, fourth
-        if left != 0 and right != 0:
-            return (Write(tree.address(where), 1),)  # both children done
-        if left == 0 and right != 0:
-            return (Write(w_address, 2 * where),)  # go left
-        if left != 0 and right == 0:
-            return (Write(w_address, 2 * where + 1),)  # go right
+        left_done = not 0 <= third < mark
+        right_done = not 0 <= fourth < mark
+        if left_done and right_done:
+            return (Write(tree.address(where), mark),)  # both children done
+        if right_done:
+            return (Write(w_address, tag + 2 * where),)  # go left
+        if left_done:
+            return (Write(w_address, tag + 2 * where + 1),)  # go right
         # both subtrees not done: move down according to the routing rule
         if routing == "pid":
             bit = msb_first_bit(route_pid, tree.depth(where), log_n)
@@ -232,7 +253,7 @@ def _x_cycle_body(
             bit = 1
         else:  # "random": a stateless coin keyed by (pid, node)
             bit = derive_seed(pid, where) & 1
-        return (Write(w_address, 2 * where + bit),)
+        return (Write(w_address, tag + 2 * where + bit),)
 
     return body_reads, body_writes
 
@@ -243,33 +264,45 @@ def _x_program(
     tasks: TaskSet,
     routing: str = "pid",
     spread: bool = False,
+    generation: int = 0,
 ) -> Generator[Cycle, tuple, None]:
+    """X's walk for one processor: generation ``generation``'s walk
+    (see :func:`_x_cycle_body`), which returns once the processor
+    leaves the tree."""
     n = layout.n
     x_base = layout.x_base
     exit_marker = layout.exit_marker
     trivial = tasks.cycles_per_task == 0
-    body_reads, body_writes = _x_cycle_body(pid, layout, routing, spread, trivial)
+    body_reads, body_writes = _x_cycle_body(
+        pid, layout, routing, spread, trivial, generation
+    )
+    tag = generation * layout.position_mult
+    mark = max(generation, 1)
 
     while True:
         values = yield Cycle(reads=body_reads, writes=body_writes, label="x:step")
         where, done, third, _fourth = values
+        where -= tag
         if where == exit_marker:
             return  # exited the tree: the processor halts
-        if where == 0:
-            continue  # position just initialized
-        if done == 0 and where >= n and third == 0 and not trivial:
+        if (
+            not trivial and n <= where < exit_marker
+            and 0 <= done < mark and 0 <= third < mark
+        ):
             # Unvisited leaf with a non-trivial task: run its cycles,
             # then mark x (the marking cycle makes re-execution after a
-            # mid-task failure safe — x stays 0 until the task finished).
+            # mid-task failure safe — x stays unmarked until the task
+            # finished).
             element = where - n
             for task_cycle in tasks.task_cycles(element, pid):
                 # Checked here, not only by the machine, so that inside
                 # V+X's interleave a bad item fails on X's own turn.
                 yield expect_cycle(pid, task_cycle)
             yield Cycle(
-                writes=(Write(x_base + element, 1),),
+                writes=(Write(x_base + element, mark),),
                 label="x:mark",
             )
+
 
 class XKernel(CompiledProgram):
     """Compiled form of X's loop: the update cycle and the task sub-loop.

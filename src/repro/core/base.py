@@ -100,11 +100,6 @@ class WriteAllAlgorithm:
         """
         return None
 
-    def is_done(self, memory: MemoryReader, layout: BaseLayout) -> bool:
-        """Whether the Write-All array is fully visited (uncharged check)."""
-        x_base = layout.x_base
-        return all(memory.read(x_base + index) != 0 for index in range(layout.n))
-
     def until_predicate(
         self, layout: BaseLayout
     ) -> Callable[[MemoryReader], bool]:

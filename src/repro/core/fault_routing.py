@@ -134,12 +134,6 @@ class FaultRouting(WriteAllAlgorithm):
 
         return factory
 
-    def is_done(self, memory: MemoryReader, layout: FaultRoutingLayout) -> bool:
-        ack_base = layout.ack_base
-        return all(
-            memory.read(ack_base + index) != 0 for index in range(layout.n)
-        )
-
     def until_predicate(
         self, layout: FaultRoutingLayout
     ) -> Callable[[MemoryReader], bool]:

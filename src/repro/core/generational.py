@@ -3,23 +3,31 @@
 The executor in :mod:`repro.simulation.executor` starts each Write-All
 phase with fresh scratch structures (a documented substitution).  The
 paper's own pipeline ([Shv 89], cited in Section 4.3) instead reuses the
-structures across phases by *tagging* them with a generation number —
-this module implements that technique on top of algorithm X, so one
-persistent machine executes an arbitrary sequence of task sets:
+structures across phases by *tagging* them with a generation number.
+Generation g is algorithm X's own walk run with ``generation=g``
+(:func:`repro.core.algorithm_x._x_program`), over X's layout followed by
+``G + 1`` flags (:func:`plan_layout`), so one persistent machine
+executes an arbitrary sequence of task sets:
 
 * the array cell ``x[i]`` holds the last generation in which task ``i``
   completed (monotone increasing);
 * the progress-heap cell ``d[v]`` holds the last generation for which
   the subtree below ``v`` finished (monotone increasing: generation g's
   walk only writes where every relevant value has reached g, and by the
-  time generation g is globally complete every tree cell equals g — so
-  writers of different generations can never collide in one tick);
-* the position ``w[pid]`` is tagged (``g * mult + node``) so a restarted
-  processor resumes within its generation but re-enters fresh for a new
-  one;
+  time generation g is globally complete every tree cell equals g);
+* the position ``w[pid]`` is tagged (``g * position_mult + node``) so a
+  restarted processor resumes within its generation but re-enters
+  fresh for a new one;
 * a flag array ``done[0..G]`` gates the generations: a processor starts
   generation g when ``done[g-1]`` is set and finishes its walk by
   setting ``done[g]``.
+
+So a processor that resumes from shared memory alone only travels up
+and exits in a generation whose flag is set, and writers of different
+generations never collide in one tick.  A processor restored from a checkpoint
+(:class:`repro.simulation.persistent.CheckpointPolicy`) breaks this: it
+can resume inside a finished generation and replay its task cycles and
+``x:mark`` against current memory (docs/SIMULATION.md).
 
 Every cycle writes (gates rewrite the processor's own position cell),
 preserving X's starvation immunity; crashes and restarts may now span
@@ -29,37 +37,22 @@ phase boundaries, which the tests exercise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Generator, List, Sequence
 
-from repro.core.base import BaseLayout
+from repro.core.algorithm_x import AlgorithmX, XLayout, _x_program
 from repro.core.tasks import TaskSet
-from repro.core.trees import HeapTree
 from repro.pram.cycles import Cycle, Write
+from repro.pram.ledger import RunLedger
 from repro.pram.memory import MemoryReader, SharedMemory
-from repro.util.bits import bit_length_of_power, is_power_of_two, msb_first_bit
 
 
 @dataclass(frozen=True)
-class GenXLayout(BaseLayout):
-    """``x`` | ``d`` heap | tagged ``w`` | generation flags."""
+class GenXLayout(XLayout):
+    """X's layout (``x`` | ``d`` heap | ``w`` positions), then the
+    generation flags ``done[0..G]``."""
 
-    d_base: int = 0
-    w_base: int = 0
     flags_base: int = 0
     generations: int = 1
-
-    @property
-    def tree(self) -> HeapTree:
-        return HeapTree(base=self.d_base, leaves=self.n)
-
-    @property
-    def position_mult(self) -> int:
-        """Tag multiplier for w cells: ``w = g * mult + node``.
-
-        Positions range over 1..2N-1 plus the exit marker 2N, so the
-        multiplier must exceed 2N.
-        """
-        return 2 * self.n + 1
 
     def flag_address(self, generation: int) -> int:
         if not 0 <= generation <= self.generations:
@@ -70,11 +63,20 @@ class GenXLayout(BaseLayout):
         return self.flags_base + generation
 
 
+def plan_layout(n: int, p: int, generations: int) -> GenXLayout:
+    """X's layout for (n, p), then ``generations + 1`` flags."""
+    x = AlgorithmX().build_layout(n, p)
+    return GenXLayout(
+        n=n, p=p, x_base=x.x_base, size=x.size + generations + 1,
+        d_base=x.d_base, w_base=x.w_base, flags_base=x.size,
+        generations=generations,
+    )
+
+
 class GenerationalX:
     """Executes a sequence of task sets as tagged Write-All generations."""
 
     name = "X*gen"
-    requires_snapshot = False
 
     def __init__(self, phase_tasks: Sequence[TaskSet]) -> None:
         if not phase_tasks:
@@ -86,18 +88,7 @@ class GenerationalX:
         return len(self.phase_tasks)
 
     def build_layout(self, n: int, p: int) -> GenXLayout:
-        if not is_power_of_two(n):
-            raise ValueError(f"generational X needs power-of-two n, got {n}")
-        x_base = 0
-        d_base = n
-        w_base = d_base + (2 * n - 1)
-        flags_base = w_base + p
-        size = flags_base + self.generations + 1
-        return GenXLayout(
-            n=n, p=p, x_base=x_base, size=size,
-            d_base=d_base, w_base=w_base, flags_base=flags_base,
-            generations=self.generations,
-        )
+        return plan_layout(n, p, self.generations)
 
     def initialize_memory(self, memory: SharedMemory, layout: GenXLayout) -> None:
         memory.poke(layout.flag_address(0), 1)  # generation 0 is vacuous
@@ -112,16 +103,29 @@ class GenerationalX:
 
         return factory
 
-    def is_done(self, memory: MemoryReader, layout: GenXLayout) -> bool:
-        return memory.read(layout.flag_address(self.generations)) == 1
 
+def done_flags_predicate(
+    layout: GenXLayout, ledger: RunLedger, raised_at: Dict[int, int]
+) -> Callable[[MemoryReader], bool]:
+    """Machine ``until``: the final generation's flag is raised.
 
-def done_flags_predicate(layout: GenXLayout):
-    """Machine ``until``: the final generation's flag is raised."""
-    final = layout.flag_address(layout.generations)
+    It also stamps ``raised_at[g]`` (empty at the start) with
+    ``ledger.ticks`` the first time it sees flag g raised.  The machine
+    evaluates ``until`` once after every tick, so that is the tick whose
+    writes raised the flag.  The flags form a monotone prefix (a
+    processor raises ``done[g]`` only after it read ``done[g-1]``), so
+    a call reads the first flag it has not seen raised, and the next
+    one only if that one is up.
+    """
+    flags_base = layout.flags_base
+    final = layout.generations
 
     def all_generations_done(memory: MemoryReader) -> bool:
-        return memory.read(final) == 1
+        generation = len(raised_at) + 1
+        while generation <= final and memory.read(flags_base + generation):
+            raised_at[generation] = ledger.ticks
+            generation += 1
+        return generation > final
 
     return all_generations_done
 
@@ -129,13 +133,7 @@ def done_flags_predicate(layout: GenXLayout):
 def _generational_program(
     pid: int, layout: GenXLayout, phase_tasks: Sequence[TaskSet]
 ) -> Generator[Cycle, tuple, None]:
-    n = layout.n
-    x_base = layout.x_base
-    tree = layout.tree
     w_address = layout.w_base + pid
-    mult = layout.position_mult
-    log_n = bit_length_of_power(n)
-    route_pid = pid % n
     total_generations = len(phase_tasks)
 
     def gate_cycle(flag_index: int) -> Cycle:
@@ -176,10 +174,9 @@ def _generational_program(
             else:
                 high = mid
         generation = low
-        # --- the tagged X walk for this generation -------------------- #
-        yield from _generation_walk(
-            pid, layout, phase_tasks[generation - 1], generation,
-            n, x_base, tree, w_address, mult, log_n, route_pid,
+        # --- X's walk, tagged with this generation -------------------- #
+        yield from _x_program(
+            pid, layout, phase_tasks[generation - 1], generation=generation
         )
         # The walk returns once the root is done for this generation.
         yield Cycle(
@@ -187,105 +184,3 @@ def _generational_program(
             label="gx:flag",
         )
         generation += 1
-
-
-def _generation_walk(
-    pid: int,
-    layout: GenXLayout,
-    tasks: TaskSet,
-    generation: int,
-    n: int,
-    x_base: int,
-    tree: HeapTree,
-    w_address: int,
-    mult: int,
-    log_n: int,
-    route_pid: int,
-) -> Generator[Cycle, tuple, None]:
-    trivial = tasks.cycles_per_task == 0
-    initial_leaf = n + (pid % n)
-    exit_position = 2 * n  # in-tag marker: finished this generation
-
-    def decode(raw: int) -> int:
-        """Position within this generation (0 = not yet entered)."""
-        if raw // mult == generation:
-            return raw % mult
-        return 0
-
-    def encode(node: int) -> int:
-        return generation * mult + node
-
-    def read_done(so_far: Tuple[int, ...]) -> Optional[int]:
-        where = decode(so_far[0])
-        return tree.address(where) if 1 <= where <= 2 * n - 1 else None
-
-    def read_third(so_far: Tuple[int, ...]) -> Optional[int]:
-        where = decode(so_far[0])
-        if not 1 <= where <= 2 * n - 1 or so_far[1] >= generation:
-            return None
-        if where >= n:
-            return x_base + (where - n)
-        return tree.address(2 * where)
-
-    def read_fourth(so_far: Tuple[int, ...]) -> Optional[int]:
-        where = decode(so_far[0])
-        if not 1 <= where <= 2 * n - 1 or so_far[1] >= generation or where >= n:
-            return None
-        return tree.address(2 * where + 1)
-
-    body_reads = (w_address, read_done, read_third, read_fourth)
-
-    def body_writes(values: Tuple[int, ...]) -> Tuple[Write, ...]:
-        where = decode(values[0])
-        done, third, fourth = values[1], values[2], values[3]
-        if where == 0:
-            return (Write(w_address, encode(initial_leaf)),)
-        if where == exit_position:
-            return (Write(w_address, encode(exit_position)),)
-        if done >= generation:
-            parent = where // 2
-            return (
-                Write(
-                    w_address,
-                    encode(parent if parent >= 1 else exit_position),
-                ),
-            )
-        if where >= n:  # leaf
-            element = where - n
-            if third < generation:
-                if trivial:
-                    return (Write(x_base + element, generation),)
-                return (Write(w_address, encode(where)),)
-            return (Write(tree.address(where), generation),)
-        left, right = third, fourth
-        if left >= generation and right >= generation:
-            return (Write(tree.address(where), generation),)
-        if left < generation and right >= generation:
-            return (Write(w_address, encode(2 * where)),)
-        if left >= generation and right < generation:
-            return (Write(w_address, encode(2 * where + 1)),)
-        bit = msb_first_bit(route_pid, tree.depth(where), log_n)
-        return (Write(w_address, encode(2 * where + bit)),)
-
-    while True:
-        values = yield Cycle(reads=body_reads, writes=body_writes,
-                             label="gx:step")
-        where = decode(values[0])
-        done, third = values[1], values[2]
-        if where == exit_position:
-            return
-        if where == 0:
-            continue
-        if (
-            done < generation
-            and where >= n
-            and third < generation
-            and not trivial
-        ):
-            element = where - n
-            for task_cycle in tasks.task_cycles(element, pid):
-                yield task_cycle
-            yield Cycle(
-                writes=(Write(x_base + element, generation),),
-                label="gx:mark",
-            )

@@ -13,8 +13,9 @@ class UnionAdversary(Adversary):
     """Merges the decisions of several adversaries.
 
     Later adversaries' failure verdicts win on overlapping PIDs; restart
-    sets are unioned.  Useful to combine, e.g., a random background
-    failure process with a targeted stalker.
+    and stall sets are unioned, and a PID that also fails is not
+    stalled.  Useful to combine, e.g., a random background failure
+    process with a targeted stalker.
     """
 
     def __init__(self, members: Sequence[Adversary]) -> None:
@@ -42,7 +43,9 @@ class UnionAdversary(Adversary):
         # failing now would be invalid — filter those.
         failed_now = set(view.failed_pids) | set(merged.failures)
         restarts = frozenset(pid for pid in merged.restarts if pid in failed_now)
-        return Decision(failures=merged.failures, restarts=restarts)
+        return Decision(
+            failures=merged.failures, restarts=restarts, stalls=merged.stalls
+        )
 
 
 class PhaseSwitchAdversary(Adversary):

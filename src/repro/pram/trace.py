@@ -2,50 +2,32 @@
 
 A :class:`Tracer` is attached to a machine as (part of) its adversary —
 it observes every tick through the same omniscient view adversaries get
-and records structured events: cycle attempts and completions, failures,
-restarts, and writes to watched cells.  Because it composes through
+and records one :class:`TickRecord` per tick: the running, failed and
+halted PIDs, each pending cycle's label, and the values of watched
+cells.  Because it composes through
 :class:`~repro.faults.compose.UnionAdversary`, tracing works alongside
 any real adversary without touching the machine core.
 
-The recorded trace supports filtering and two renderings: a flat event
-log and a per-processor ASCII timeline (one lane per PID, one column per
-tick) that makes failure/restart choreography visible at a glance::
+The recorded trace supports per-PID and per-cell queries and a
+per-processor ASCII timeline (one lane per PID, one column per tick)
+that makes failure/restart choreography visible at a glance::
 
     pid 0 |##########F...R####E
     pid 1 |####F.R####F......R#
            ^ tick 1
 
-Legend: ``#`` completed cycle, ``x`` interrupted cycle, ``.`` failed
-(down), ``F`` failure event, ``R`` restart event, ``E`` halted.
+Legend: ``#`` running, ``.`` failed (down), ``F`` failure event, ``R``
+restart event, ``E`` halted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.faults.base import Adversary
 from repro.pram.failures import Decision
 from repro.pram.view import TickView
-
-
-class TraceEventKind(Enum):
-    CYCLE_PENDING = "cycle"
-    WRITE = "write"
-    STATUS = "status"
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One observed fact about one tick."""
-
-    time: int
-    kind: TraceEventKind
-    pid: int
-    label: str = ""
-    address: Optional[int] = None
-    value: Optional[int] = None
 
 
 @dataclass
@@ -195,5 +177,5 @@ def render_timeline(
                 cells.append(" ")
         lines.append(f"pid {pid:>4} |{''.join(cells)}")
     lines.append(f"         ^ tick {first_tick} .. {last_tick}"
-                 f"  (# run, x cut, . down, F fail, R restart, E halted)")
+                 f"  (# run, . down, F fail, R restart, E halted)")
     return "\n".join(lines)

@@ -51,14 +51,17 @@ def _synchronous_run(
     lists each written cell's values in PID order.  Every read resolves
     through :meth:`SimProgram.read_address`; one that resolves to
     ``None`` reads nothing and yields 0.  A processor with no write
-    addresses computes nothing.  Where several processors write
-    one cell, the lowest PID's value lands.
+    addresses neither reads nor computes, as in both executors.  Where
+    several processors write one cell, the lowest PID's value lands.
     """
     memory = program.initial_memory(initial)
     for index, step in enumerate(program.steps):
         reads: Dict[int, int] = defaultdict(int)
         writes: Dict[int, List[int]] = defaultdict(list)
         for processor in range(program.width):
+            addresses = step.write_addresses(processor)
+            if not addresses:
+                continue
             values: List[int] = []
             for spec in step.read_addresses(processor):
                 address = program.read_address(
@@ -69,9 +72,6 @@ def _synchronous_run(
                     continue
                 reads[address] += 1
                 values.append(memory[address])
-            addresses = step.write_addresses(processor)
-            if not addresses:
-                continue
             outputs = step.compute(processor, tuple(values))
             for address, value in zip(addresses, outputs):
                 writes[address].append(value)

@@ -13,8 +13,9 @@ structures.  Consequences:
   revives it;
 * nothing is ever cleared by the harness: one shared memory, one
   ledger, one continuous failure pattern;
-* per-phase accounting comes from a passive flag-clock observer that
-  records the tick at which each generation's flag rises.
+* the machine gets the caller's adversary (or none), stalls included;
+* per-phase accounting comes from the run's own goal check, which
+  stamps each generation's flag with the tick whose writes raised it.
 
 The simulator optionally runs under the *parallel persistent memory*
 model (Blelloch et al., "The Parallel Persistent Memory Model"): with a
@@ -26,6 +27,13 @@ overhead carries an ``M log N`` term precisely because every restart
 re-enters the program with nothing but a PID; as checkpoint frequency
 rises that term collapses toward the checkpoint overhead itself, which
 is what the ``pmem-checkpoint`` bench scenario measures.
+
+Checkpoint replay is not safe across generations: a processor restored
+from its checkpoint can resume inside a generation whose flag is
+already set and re-run that generation's task cycles and ``x:mark``
+against current memory, which can leave a wrong answer or raise a
+write conflict (docs/SIMULATION.md; the strict xfails in
+``tests/simulation/test_checkpoint.py``).
 """
 
 from __future__ import annotations
@@ -35,44 +43,21 @@ from typing import Dict, List, Optional
 
 from repro.core.generational import (
     GenerationalX,
-    GenXLayout,
     done_flags_predicate,
+    plan_layout,
 )
 from repro.core.tasks import CycleFactoryTasks
-from repro.faults.base import Adversary
-from repro.faults.compose import UnionAdversary
 from repro.pram.cycles import noop_cycle
-from repro.pram.failures import Decision
 from repro.pram.ledger import RunLedger
 from repro.pram.machine import Machine
 from repro.pram.memory import MemoryReader, SharedMemory
 from repro.pram.policies import WritePolicy
-from repro.pram.view import TickView
 from repro.simulation.executor import (
     _commit_task_factory,
     _compute_task_factory,
 )
 from repro.simulation.step import SimProgram
 from repro.util.bits import next_power_of_two
-
-
-class _FlagClock(Adversary):
-    """Records the first tick at which each generation flag rises."""
-
-    def __init__(self, layout: GenXLayout) -> None:
-        self._layout = layout
-        self.raised_at: Dict[int, int] = {}
-
-    def reset(self) -> None:
-        self.raised_at = {}
-
-    def decide(self, view: TickView) -> Decision:
-        for generation in range(1, self._layout.generations + 1):
-            if generation in self.raised_at:
-                continue
-            if view.memory.read(self._layout.flag_address(generation)):
-                self.raised_at[generation] = view.time
-        return Decision.none()
 
 
 class CheckpointPolicy:
@@ -181,6 +166,7 @@ class PersistentResult:
     ledger: RunLedger
     memory: List[int] = field(default_factory=list)
     solved: bool = False
+    #: Generation g -> the tick whose writes raised its flag.
     phase_ticks: Dict[int, int] = field(default_factory=dict)
 
     @property
@@ -229,13 +215,9 @@ class PersistentSimulator:
 
         # Address plan: the generational layout first, then staging and
         # the simulated memory.  The layout depends only on (n, p, number
-        # of generations), so plan it with placeholder task sets and
-        # build the real phases against the resulting bases.
-        generations = 2 * len(steps)
-        placeholder = GenerationalX(
-            [CycleFactoryTasks(0, lambda element, pid: [])] * generations
-        )
-        staging_base = placeholder.build_layout(n_tasks, self.p).size
+        # of generations), so the phases are built against its bases.
+        layout = plan_layout(n_tasks, self.p, 2 * len(steps))
+        staging_base = layout.size
         sim_base = staging_base + width * max(slots for *_, slots in steps)
         total_size = sim_base + len(simulated)
 
@@ -248,22 +230,17 @@ class PersistentSimulator:
         ]
 
         algorithm = GenerationalX(phase_tasks)
-        layout = algorithm.build_layout(n_tasks, self.p)
         memory = SharedMemory(total_size)
         algorithm.initialize_memory(memory, layout)
         memory.load(simulated, sim_base)
 
-        clock = _FlagClock(layout)
-        members = [clock]
-        if self.adversary is not None:
-            if hasattr(self.adversary, "reset"):
-                self.adversary.reset()
-            members.append(self.adversary)
+        if self.adversary is not None and hasattr(self.adversary, "reset"):
+            self.adversary.reset()
         machine = Machine(
             num_processors=self.p,
             memory=memory,
             policy=self.policy,
-            adversary=UnionAdversary(members),
+            adversary=self.adversary,
             context={
                 "layout": layout,
                 "algorithm": algorithm.name,
@@ -275,28 +252,21 @@ class PersistentSimulator:
             self.checkpoint.reset()
             program_factory = self.checkpoint.wrap(program_factory)
         machine.load_program(program_factory)
+        phase_ticks: Dict[int, int] = {}
         ledger = machine.run(
-            until=done_flags_predicate(layout),
+            until=done_flags_predicate(layout, machine.ledger, phase_ticks),
             max_ticks=self.max_ticks,
             raise_on_limit=False,
         )
-        reader = MemoryReader(memory)
-        # The run stops the moment the final flag rises, one tick before
-        # the clock would have observed it — backfill from memory.
-        for generation in range(1, layout.generations + 1):
-            if generation not in clock.raised_at and reader.read(
-                layout.flag_address(generation)
-            ):
-                clock.raised_at[generation] = ledger.ticks
         return PersistentResult(
             program=program.name,
             width=width,
             p=self.p,
             generations=layout.generations,
             ledger=ledger,
-            memory=reader.region(sim_base, len(simulated)),
+            memory=MemoryReader(memory).region(sim_base, len(simulated)),
             solved=ledger.goal_reached,
-            phase_ticks=dict(clock.raised_at),
+            phase_ticks=phase_ticks,
         )
 
 

@@ -11,8 +11,10 @@ from repro.faults import (
     ScheduledAdversary,
     StalkingAdversaryX,
     ThrashingAdversary,
+    registry,
 )
 from repro.pram.cycles import Cycle
+from repro.pram.lanes import LANES
 
 
 class TestLayout:
@@ -118,6 +120,30 @@ class TestFaultTolerance:
         # 5 failures cost O(log N) each, not O(N) each.
         free = solve_write_all(algorithm, 32, 1)
         assert result.completed_work <= free.completed_work + 5 * 30
+
+
+class TestPoisonedCells:
+    """The walk counts a cell as unmarked only while it holds a value in
+    ``[0, mark)``; plain X's mark is 1, so the poison sentinel
+    (negative) reads as visited and the walk routes past dead cells."""
+
+    @pytest.mark.parametrize("lane", ["nokernel", "reference", "fast"])
+    @pytest.mark.parametrize("seed, expected", [
+        (0, (768, 772, 4, 64)),
+        (2, (900, 904, 4, 75)),
+    ])
+    def test_static_mem_results(self, lane, seed, expected):
+        result = solve_write_all(
+            AlgorithmX(), 64, 16,
+            adversary=registry.build("static-mem", seed=seed),
+            **LANES[lane].solver_kwargs(),
+        )
+        ledger = result.ledger
+        assert result.solved
+        assert (
+            ledger.completed_work, ledger.charged_work,
+            ledger.pattern_size, ledger.ticks,
+        ) == expected
 
 
 class TestWorkBounds:

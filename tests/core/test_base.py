@@ -40,14 +40,6 @@ class TestDefaults:
         custom = TrivialTasks()
         assert default_tasks(custom) is custom
 
-    def test_default_is_done_scans_x(self):
-        algorithm = WriteAllAlgorithm()
-        layout = BaseLayout(n=2, p=1, x_base=0, size=2)
-        memory = SharedMemory(2, initial=[1, 1])
-        assert algorithm.is_done(MemoryReader(memory), layout)
-        memory.poke(1, 0)
-        assert not algorithm.is_done(MemoryReader(memory), layout)
-
     def test_base_class_flags(self):
         assert WriteAllAlgorithm.fault_tolerant
         assert WriteAllAlgorithm.terminates_under_restarts

@@ -9,7 +9,21 @@ from repro.faults import (
     RandomAdversary,
     SinglePidKiller,
     UnionAdversary,
+    registry,
 )
+from repro.pram.trace import Tracer
+
+
+def ledger_fields(ledger):
+    return (
+        ledger.ticks,
+        ledger.completed_by_pid.copy(),
+        ledger.attempted_by_pid.copy(),
+        list(ledger.pattern),
+        ledger.completed_per_tick,
+        ledger.memory_reads,
+        ledger.memory_writes,
+    )
 
 
 class TestUnion:
@@ -37,6 +51,18 @@ class TestUnion:
         union = UnionAdversary([NoFailures(), RandomAdversary(0.1, 0.2, seed=3)])
         merged = solve_write_all(AlgorithmX(), 32, 32, adversary=union)
         assert alone.completed_work == merged.completed_work
+
+
+    def test_union_keeps_stalls(self):
+        # Speed classes act only through stalls: a union that drops
+        # them runs X stall-free, in 2 ticks instead of 8.
+        alone = solve_write_all(
+            AlgorithmX(), 64, 64, adversary=registry.build("speed-classes")
+        )
+        union = UnionAdversary([Tracer(), registry.build("speed-classes")])
+        traced = solve_write_all(AlgorithmX(), 64, 64, adversary=union)
+        assert alone.ledger.ticks == 8
+        assert ledger_fields(traced.ledger) == ledger_fields(alone.ledger)
 
 
 class TestPhaseSwitch:

@@ -259,6 +259,18 @@ class TestTrace:
         assert "pid" in out
         assert "tick" in out
 
+    def test_trace_and_solve_agree_under_stalls(self, capsys):
+        # trace runs the adversary in a union with its Tracer; the union
+        # must pass the speed classes' stalls through.
+        args = ["--algorithm", "X", "--n", "64", "--p", "64",
+                "--adversary", "speed-classes"]
+        assert main(["solve", *args]) == 0
+        solved = capsys.readouterr().out.splitlines()[0]
+        assert main(["trace", *args]) == 0
+        traced = capsys.readouterr().out.splitlines()[0]
+        assert "ticks=8," in solved
+        assert traced == solved
+
 
 class TestShowdown:
     def test_matrix(self, capsys):

@@ -90,7 +90,8 @@ def test_generational_invariants_hold(n, p, generations, fail, seed):
                       context={"layout": layout})
     machine.load_program(algorithm.program(layout))
     ledger = machine.run(
-        until=done_flags_predicate(layout), max_ticks=2_000_000
+        until=done_flags_predicate(layout, machine.ledger, {}),
+        max_ticks=2_000_000,
     )
     assert ledger.goal_reached
     assert observer.violations == []

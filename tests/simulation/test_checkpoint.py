@@ -12,7 +12,9 @@ import pytest
 
 from repro.faults import RandomAdversary, registry
 from repro.fuzz.driver import ADVERSARY_DRAWS
+from repro.pram.errors import WriteConflictError
 from repro.simulation import CheckpointPolicy, PersistentSimulator
+from repro.simulation.classify import ideal_run
 from repro.simulation.persistent import PersistentCheckpointRunner
 from repro.simulation.programs import (
     max_find_program,
@@ -106,6 +108,39 @@ class TestRoundTrip:
         ).execute(max_find_program(8), [3, 1, 4, 1, 5, 9, 2, 6])
         assert base.solved and ck.solved
         assert list(base.memory) == list(ck.memory)
+
+
+class TestReplayAcrossGenerations:
+    """Replay restores a processor inside a generation whose flag is
+    already set; it re-runs that generation's task cycles and ``x:mark``
+    against current memory.  Seeds 7 and 3 above miss this; R3's
+    configuration (prefix-sum of width 8 over 0..7, P=4, random churn)
+    shows it at interval 32."""
+
+    @pytest.mark.xfail(raises=AssertionError, strict=True, reason=(
+        "a replayed sim:scan(shift=4) rewrites staging cell 40 last with "
+        "24, and its x:mark writes the stale tag 5 into x[6]"
+    ))
+    def test_replay_keeps_the_answer(self):
+        result, _ = run_prefix(interval=32, seed=10)
+        assert result.solved
+        # Today: [0, 1, 3, 6, 10, 15, 24, 28].
+        expected = ideal_run(prefix_sum_program(8), list(range(8)))
+        assert expected == [0, 1, 3, 6, 10, 15, 21, 28]
+        assert result.memory == expected
+
+    @pytest.mark.xfail(raises=WriteConflictError, strict=True, reason=(
+        "a replayed processor writes a stale value into a cell another "
+        "processor writes in the same tick (COMMON CRCW violation at "
+        "cell 2)"
+    ))
+    def test_replay_keeps_common_writes(self):
+        simulator = PersistentSimulator(
+            4, adversary=RandomAdversary(0.05, 0.4, seed=1),
+            checkpoint=CheckpointPolicy(32, 1),
+        )
+        result = simulator.execute(prefix_sum_program(4), [3, 2, 1, 0])
+        assert result.memory == [3, 5, 6, 6]
 
 
 class TestRegistryIntegration:

@@ -37,6 +37,16 @@ class TestClassification:
         )
         assert classify_program(program_of([step]), [9]) == "CREW"
 
+    def test_writeless_processor_reads_count_nothing(self):
+        # Processor 1 writes nothing, so neither executor runs its reads:
+        # its read of cell 0 does not make processor 0's read concurrent.
+        step = FunctionStep(
+            reads=lambda i: (0,) if i < 2 else (),
+            writes=lambda i: (4,) if i == 0 else (),
+            compute=lambda i, values: (values[0],),
+        )
+        assert classify_program(program_of([step]), [9]) == "EREW"
+
     def test_common(self):
         step = FunctionStep(
             reads=lambda i: (),

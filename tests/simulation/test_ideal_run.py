@@ -199,3 +199,22 @@ def test_chained_read_out_of_range_is_one_error(evaluator, address):
 def test_chained_read_in_range_agrees(evaluator):
     assert EVALUATORS[evaluator](chained_copy_program(), [1, 7]) == [1, 7]
     assert EVALUATORS[evaluator](chained_copy_program(), [0, 7]) == [0, 0]
+
+
+def writeless_reader_program():
+    """Processor 0 copies cell 0 into cell 2; processor 1 writes nothing
+    but follows the pointer in cell 1."""
+    return SimProgram(2, 3, [FunctionStep(
+        reads=lambda i: (0,) if i == 0 else (1, lambda values: values[0]),
+        writes=lambda i: (2,) if i == 0 else (),
+        compute=lambda i, values: (values[0],),
+    )], name="writeless-reader")
+
+
+@pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
+def test_writeless_processor_reads_nothing(evaluator):
+    # Both executors run no cycle for a processor without write
+    # addresses, so its dangling pointer (cell 1 holds 9, past the
+    # memory) is never followed; the ideal run skips it the same way.
+    program = writeless_reader_program()
+    assert EVALUATORS[evaluator](program, [4, 9, 0]) == [4, 9, 4]
